@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CptVerificationError,
@@ -342,24 +341,19 @@ def lindblad_superoperator(g: LindbladGenerator) -> Superoperator:
     return Superoperator(mat, d, kind="generator")
 
 
-def evolve(g: LindbladGenerator, duration: float, steps: int = 1) -> KrausChannel:
+def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     """Exact channel ``exp(L * duration)`` as a Kraus family.
 
-    ``steps`` splits the exponential into ``steps`` equal factors before
-    recombining; by the semigroup property the result is independent of the
-    split, so the parameter only matters for callers who want the same code
-    path as a stepped schedule. The Kraus family is renormalized to exact
-    completeness when the residual is small; larger residuals raise.
+    The exponential is taken in one scaling-and-squaring ``expm`` call. The
+    Kraus family is renormalized to exact completeness when the residual is
+    small; larger residuals raise.
     """
+    from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
+
     duration = float(duration)
-    steps = int(steps)
     if duration < 0:
         raise ValueError(f"duration must be nonnegative: {duration}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1: {steps}")
-    lind = lindblad_superoperator(g).matrix
-    step = expm(lind * (duration / steps))
-    total = np.linalg.matrix_power(step, steps)
+    total = expm(lindblad_superoperator(g).matrix * duration)
     d = g.dim
     choi = total.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     ops = choi_to_kraus(choi, d)

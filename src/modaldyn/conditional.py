@@ -13,6 +13,16 @@ channel carrying W from t to t'. Two special cases matter enough to get their
 own entry points: the single-time case (identity channel) and the
 single-subsystem two-time case (trivial partition).
 
+Every entry point is a slice of one kernel. In Kraus form the quantity is
+``sum_k |<b_1(i_1) kron ... kron b_n(i_n)| K_k |w>|^2``, which the kernel
+evaluates for all parent columns and block indices at once: it forms
+``K_k @ V_parent``, reorders the tensor factors into block order, and
+contracts each block's eigenbasis along its axes. A table is the full
+result; a scalar query is the kernel on one parent column and one basis
+vector per block; the step rows of a trajectory chain are the one-block case.
+Superoperator channels enter through their Kraus form, extracted from the
+Choi matrix once per call.
+
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
 the canonical basis (with the flags carried on the result) in permissive
@@ -21,26 +31,27 @@ mode.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import channels as channels_mod
-from .channels import Channel
+from .channels import Channel, Superoperator, choi_to_kraus, superoperator_to_choi
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     NormalizationError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout, permute_vector_factors
+from .linalg import SystemLayout
 from .states import DEFAULT_THRESHOLD, DensityMatrix, EpistemicState, extract_epistemic
 
+# Row sums must equal one within ROW_SUM_TOL in conditional tables and
+# within CHAIN_ROW_SUM_TOL in the step rows of a trajectory chain.
 ROW_SUM_TOL = 1e-8
+CHAIN_ROW_SUM_TOL = 1e-6
 CLAMP_TOL = 1e-10
-IMAG_TOL = 1e-10
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
@@ -97,17 +108,6 @@ def trivial_partition(layout: SystemLayout) -> Partition:
     return Partition(layout, (tuple(layout.labels),))
 
 
-def _clamp_probability(value: complex, context: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ProbabilityBoundsError(
-            f"{context}: imaginary residue {value.imag:.3e} exceeds {IMAG_TOL:.1e}"
-        )
-    p = float(value.real)
-    if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
-        raise ProbabilityBoundsError(f"{context}: value {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def _check_mode(mode: str) -> str:
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError(f"mode must be 'strict' or 'permissive': {mode!r}")
@@ -139,46 +139,56 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _QueryContext:
-    """Shared spectral data for conditional queries on one (state, channel)."""
-
-    parent: EpistemicState
-    blocks: tuple[EpistemicState, ...]
-    partition: Partition
-    channel: Optional[Channel]
-    concat_dims: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def evolved_projector(self, w: int) -> np.ndarray:
-        proj = self.parent.entries[w][1].projector()
-        if self.channel is None:
-            return proj
-        return self.channel.apply_matrix(proj)
-
-    def product_vector(self, indices: Sequence[int]) -> np.ndarray:
-        vecs = [
-            self.blocks[a].entries[i][1].vector for a, i in enumerate(indices)
-        ]
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = np.kron(out, v)
-        return permute_vector_factors(out, self.concat_dims, self.perm)
-
-    def probability(self, w: int, indices: Sequence[int]) -> float:
-        evolved = self.evolved_projector(w)
-        vec = self.product_vector(indices)
-        value = vec.conj() @ evolved @ vec
-        label = f"p({','.join(str(i) for i in indices)}|{w})"
-        return _clamp_probability(complex(value), label)
+def _kraus_operators(channel: Optional[Channel], dim: int) -> Sequence[np.ndarray]:
+    """Kraus family of ``channel``; ``None`` is the identity."""
+    if channel is None:
+        return (np.eye(dim),)
+    if isinstance(channel, Superoperator):
+        return choi_to_kraus(superoperator_to_choi(channel), channel.dim)
+    return channel.operators
 
 
-def _build_context(
+def _conditional_probabilities(
+    ops: Sequence[np.ndarray],
+    parent_basis: np.ndarray,
+    block_bases: Sequence[np.ndarray],
+    part: Partition,
+) -> np.ndarray:
+    """``probs[w, i_1..i_n] = sum_k |<b_1(i_1)..b_n(i_n)| K_k |w>|^2``.
+
+    ``parent_basis`` holds the parent vectors ``|w>`` as columns over the
+    partition's layout; ``block_bases[a]`` holds block ``a``'s vectors as
+    columns over that block's factors in layout order. Entries are real and
+    nonnegative by construction; values above ``1 + CLAMP_TOL`` raise, and
+    the rest are clamped to at most one.
+    """
+    dims = part.layout.dims
+    axes = part.concat_positions() + (len(dims),)
+    shape = tuple(b.shape[0] for b in block_bases) + (parent_basis.shape[1],)
+    bras = [np.conj(b) for b in block_bases]
+    probs = 0.0
+    for k in ops:
+        amp = (k @ parent_basis).reshape(dims + (-1,)).transpose(axes).reshape(shape)
+        for bra in bras:
+            amp = np.tensordot(amp, bra, axes=(0, 0))
+        probs = probs + (amp.real**2 + amp.imag**2)
+    worst = np.unravel_index(int(np.argmax(probs)), probs.shape)
+    if probs[worst] > 1.0 + CLAMP_TOL:
+        raise ProbabilityBoundsError(
+            f"conditional probability {float(probs[worst]):.17g} at "
+            f"[w, i_1..i_n] = {tuple(int(i) for i in worst)} exceeds "
+            f"1 + {CLAMP_TOL:g}"
+        )
+    return np.minimum(probs, 1.0)
+
+
+def _spectra(
     rho_w_t: DensityMatrix,
     channel: Optional[Channel],
     part: Partition,
     threshold: float,
-) -> _QueryContext:
+) -> tuple[EpistemicState, tuple[EpistemicState, ...]]:
+    """Parent spectrum at t and block spectra after the channel."""
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
@@ -195,40 +205,34 @@ def _build_context(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
     )
-    sigma = part.concat_positions()
-    concat_dims = tuple(part.layout.dims[p] for p in sigma)
-    perm = tuple(int(k) for k in np.argsort(sigma))
-    return _QueryContext(
-        parent=parent,
-        blocks=blocks,
-        partition=part,
-        channel=channel,
-        concat_dims=concat_dims,
-        perm=perm,
-    )
+    return parent, blocks
 
 
 def _validate_query(
-    ctx: _QueryContext, w: int, indices: Sequence[int], mode: str
+    parent: EpistemicState,
+    blocks: tuple[EpistemicState, ...],
+    w: int,
+    indices: Sequence[int],
+    mode: str,
 ) -> tuple[int, tuple[int, ...]]:
-    if len(indices) != ctx.partition.n_blocks:
+    if len(indices) != len(blocks):
         raise IndexError(
-            f"expected {ctx.partition.n_blocks} subsystem indices, got {len(indices)}"
+            f"expected {len(blocks)} subsystem indices, got {len(indices)}"
         )
-    w = _entry_index(ctx.parent, w, "parent")
+    w = _entry_index(parent, w, "parent")
     idx = tuple(
-        _entry_index(ctx.blocks[a], i, f"block {a}") for a, i in enumerate(indices)
+        _entry_index(blocks[a], i, f"block {a}") for a, i in enumerate(indices)
     )
     if mode == STRICT:
-        _refuse_degenerate_entry(ctx.parent, w, "parent")
+        _refuse_degenerate_entry(parent, w, "parent")
         for a, i in enumerate(idx):
-            _refuse_degenerate_entry(ctx.blocks[a], i, f"block {a}")
+            _refuse_degenerate_entry(blocks[a], i, f"block {a}")
     return w, idx
 
 
 def joint_conditional(
     rho_w_t: DensityMatrix,
-    channel: Channel,
+    channel: Optional[Channel],
     part: Partition,
     w: int,
     indices: Sequence[int],
@@ -239,14 +243,20 @@ def joint_conditional(
 
     ``w`` indexes the retained spectral entries of ``rho_w_t``; ``indices``
     index the retained entries of each block's reduced matrix after the
-    channel. Conditioning on dropped (sub-threshold) entries is impossible by
-    construction, which is exactly the zero-probability-conditioning
-    precondition.
+    channel (``None`` is the identity). Conditioning on dropped
+    (sub-threshold) entries is impossible by construction, which is exactly
+    the zero-probability-conditioning precondition.
     """
     mode = _check_mode(mode)
-    ctx = _build_context(rho_w_t, channel, part, threshold)
-    w, idx = _validate_query(ctx, w, indices, mode)
-    return ctx.probability(w, idx)
+    parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    w, idx = _validate_query(parent, blocks, w, indices, mode)
+    probs = _conditional_probabilities(
+        _kraus_operators(channel, rho_w_t.dim),
+        parent.entries[w][1].vector[:, None],
+        [b.entries[i][1].vector[:, None] for b, i in zip(blocks, idx)],
+        part,
+    )
+    return probs.item()
 
 
 def kinematic_conditional(
@@ -259,16 +269,10 @@ def kinematic_conditional(
 ) -> float:
     """Single-time conditional: subsystem states given the parent state now.
 
-    Implemented directly as the squared overlap between the parent
-    eigenvector and the product of subsystem eigenvectors; agrees with
-    ``joint_conditional`` under the identity channel to round-off.
+    The squared overlap between the parent eigenvector and the product of
+    subsystem eigenvectors: ``joint_conditional`` under the identity channel.
     """
-    mode = _check_mode(mode)
-    ctx = _build_context(rho_w, None, part, threshold)
-    w, idx = _validate_query(ctx, w, indices, mode)
-    vec = ctx.product_vector(idx)
-    amp = vec.conj() @ ctx.parent.entries[w][1].vector
-    return _clamp_probability(complex(abs(amp) ** 2), "kinematic")
+    return joint_conditional(rho_w, None, part, w, indices, mode, threshold)
 
 
 def dynamical_conditional(
@@ -281,20 +285,10 @@ def dynamical_conditional(
 ) -> float:
     """Two-time conditional for one undivided system: p(j at t' | i at t).
 
-    Equals the general form with the trivial one-block partition.
+    ``joint_conditional`` with the trivial one-block partition.
     """
-    mode = _check_mode(mode)
-    e_t = extract_epistemic(rho_q_t, threshold)
-    rho_tprime = channels_mod.apply(channel, rho_q_t)
-    e_tp = extract_epistemic(rho_tprime, threshold)
-    i = _entry_index(e_t, i, "initial")
-    j = _entry_index(e_tp, j, "final")
-    if mode == STRICT:
-        _refuse_degenerate_entry(e_t, i, "initial")
-        _refuse_degenerate_entry(e_tp, j, "final")
-    evolved = channel.apply_matrix(e_t.entries[i][1].projector())
-    v = e_tp.entries[j][1].vector
-    return _clamp_probability(complex(v.conj() @ evolved @ v), f"p({j}|{i})")
+    part = trivial_partition(rho_q_t.layout)
+    return joint_conditional(rho_q_t, channel, part, i, (j,), mode, threshold)
 
 
 @dataclass(frozen=True)
@@ -373,25 +367,20 @@ def conditional_table(
     since a table necessarily touches every entry.
     """
     mode = _check_mode(mode)
-    ctx = _build_context(rho_w_t, channel, part, threshold)
+    parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     if mode == STRICT:
-        _refuse_any_degeneracy(ctx.parent, "parent spectrum")
-        for a, block in enumerate(ctx.blocks):
+        _refuse_any_degeneracy(parent, "parent spectrum")
+        for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
-    shape = (len(ctx.parent),) + tuple(len(b) for b in ctx.blocks)
-    probs = np.zeros(shape)
-    ranges = [range(len(b)) for b in ctx.blocks]
-    for w in range(len(ctx.parent)):
-        evolved = ctx.evolved_projector(w)
-        for combo in itertools.product(*ranges):
-            vec = ctx.product_vector(combo)
-            value = vec.conj() @ evolved @ vec
-            probs[(w, *combo)] = _clamp_probability(
-                complex(value), f"p({combo}|{w})"
-            )
+    probs = _conditional_probabilities(
+        _kraus_operators(channel, rho_w_t.dim),
+        parent.basis_matrix(),
+        [b.basis_matrix() for b in blocks],
+        part,
+    )
     return ConditionalTable(
-        parent=ctx.parent,
-        blocks=ctx.blocks,
+        parent=parent,
+        blocks=blocks,
         partition=part,
         probabilities=probs,
         mode=mode,

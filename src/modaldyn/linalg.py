@@ -83,11 +83,6 @@ class SystemLayout:
         )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor owning the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of operators, left to right."""
     out = np.asarray(factors[0], dtype=complex)
@@ -198,36 +193,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     diff = rho - sigma
     diff = 0.5 * (diff + diff.conj().T)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def factor_permutation_matrix(
-    dims: Sequence[int], perm: Sequence[int]
-) -> np.ndarray:
-    """Unitary reordering tensor factors: output slot ``k`` takes input factor
-    ``perm[k]``.
-
-    Acting on a vector indexed row-major over ``dims``, the result is indexed
-    row-major over ``[dims[p] for p in perm]``.
-    """
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionMismatchError(
-            f"{perm} is not a permutation of {len(dims)} slots"
-        )
-    d = int(np.prod(dims))
-    out_dims = [dims[p] for p in perm]
-    mat = np.zeros((d, d))
-    for flat_in, multi in enumerate(np.ndindex(*dims)):
-        multi_out = tuple(multi[p] for p in perm)
-        flat_out = int(np.ravel_multi_index(multi_out, out_dims))
-        mat[flat_out, flat_in] = 1.0
-    return mat
-
-
-def permute_vector_factors(
-    vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]
-) -> np.ndarray:
-    """Apply the factor permutation to a vector without building the matrix."""
-    dims = tuple(int(d) for d in dims)
-    return np.asarray(vec).reshape(dims).transpose(perm).reshape(-1)

@@ -255,8 +255,3 @@ def epistemic_to_density(e: EpistemicState) -> DensityMatrix:
     mat = (basis * e.probabilities) @ basis.conj().T
     mat = mat / np.real(np.trace(mat))
     return DensityMatrix(mat, e.layout)
-
-
-def projector_of(state: OnticState) -> np.ndarray:
-    """Rank-one projector |psi><psi| of an ontic state."""
-    return state.projector()

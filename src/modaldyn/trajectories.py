@@ -9,6 +9,12 @@ histories. The chain is the minimal completion consistent with those
 conditionals, and everything downstream of it (sampled paths, ensemble
 frequency reports) should be read with that caveat.
 
+The rows of each step are the one-block case of the conditional-probability
+kernel in :mod:`modaldyn.conditional` (parent = entries at t, the one block
+= entries at t+dt), computed for all entries at once. Each row must sum to
+one within ``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the
+same as for conditional tables.
+
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|, so
 a trajectory label follows one physical branch through eigenvalue crossings
@@ -32,14 +38,16 @@ import numpy as np
 
 from . import channels as channels_mod
 from .channels import KrausChannel, LindbladGenerator
+from .conditional import (
+    CHAIN_ROW_SUM_TOL,
+    STRICT,
+    _check_mode,
+    _conditional_probabilities,
+    _kraus_operators,
+    trivial_partition,
+)
 from .errors import DegenerateBasisError, NormalizationError
 from .states import DEFAULT_THRESHOLD, DensityMatrix, extract_epistemic
-
-ROW_SUM_TOL = 1e-6
-CLAMP_TOL = 1e-10
-
-STRICT = "strict"
-PERMISSIVE = "permissive"
 
 
 @dataclass(frozen=True)
@@ -218,8 +226,7 @@ def build_step_chain(
     (useful for discrete-map dynamics); otherwise it is ``exp(L*dt)``.
     In strict mode any degenerate spectrum along the grid refuses the chain.
     """
-    if mode not in (STRICT, PERMISSIVE):
-        raise ValueError(f"mode must be 'strict' or 'permissive': {mode!r}")
+    mode = _check_mode(mode)
     if step_channel is None:
         step_channel = channels_mod.evolve(generator, grid.dt)
     rho = rho0
@@ -245,27 +252,22 @@ def build_step_chain(
         )
         entry_labels.append(labels)
 
+    ops = _kraus_operators(step_channel, rho0.dim)
+    part = trivial_partition(rho0.layout)
     raw_rows = []
     for k in range(grid.n_steps):
-        vecs_t = entry_vectors[k]
-        vecs_tp = entry_vectors[k + 1]
-        m_t = vecs_t.shape[1]
-        m_tp = vecs_tp.shape[1]
-        rows = np.zeros((m_t, m_tp))
-        for a in range(m_t):
-            proj = np.outer(vecs_t[:, a], vecs_t[:, a].conj())
-            evolved = step_channel.apply_matrix(proj)
-            vals = np.real(np.einsum("ib,ij,jb->b", vecs_tp.conj(), evolved, vecs_tp))
-            if vals.min() < -CLAMP_TOL:
-                raise NormalizationError(
-                    f"conditional row {a} at step {k} has entry {vals.min():.3e}"
-                )
-            rows[a] = np.clip(vals, 0.0, None)
-            total = rows[a].sum()
-            if not (1.0 - ROW_SUM_TOL <= total <= 1.0 + ROW_SUM_TOL):
-                raise NormalizationError(
-                    f"conditional row {a} at step {k} sums to {total!r}"
-                )
+        rows = _conditional_probabilities(
+            ops, entry_vectors[k], [entry_vectors[k + 1]], part
+        )
+        sums = rows.sum(axis=1)
+        # negated so that a NaN sum fails too
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= CHAIN_ROW_SUM_TOL))
+        if bad.size:
+            a = int(bad[0])
+            raise NormalizationError(
+                f"conditional row {a} at step {k} sums to {float(sums[a]):.15g}, "
+                f"outside 1 +- {CHAIN_ROW_SUM_TOL:g}"
+            )
         raw_rows.append(rows)
 
     return StepChain(

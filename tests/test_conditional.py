@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modaldyn import (
     DegenerateBasisError,
     LayoutMismatchError,
     Partition,
+    ProbabilityBoundsError,
     SystemLayout,
     apply,
     conditional_table,
@@ -17,8 +20,10 @@ from modaldyn import (
     identity_channel,
     joint_conditional,
     kinematic_conditional,
+    kraus_to_superoperator,
     trivial_partition,
 )
+from modaldyn.conditional import _conditional_probabilities
 from modaldyn.random_objects import random_density_matrix, random_kraus_channel
 
 from oracles import naive_joint_probability
@@ -190,3 +195,98 @@ def test_table_values_stay_in_unit_interval():
         table = conditional_table(rho, None, part, mode="permissive")
         assert table.probabilities.min() >= 0.0
         assert table.probabilities.max() <= 1.0
+
+
+def test_bound_error_names_worst_entry_in_plain_numbers():
+    # a non-trace-preserving family pushes entry (w=1, i=1) to 2
+    ops = (np.diag([1.0, np.sqrt(2.0)]),)
+    part = trivial_partition(SystemLayout.qubits(("Q",)))
+    with pytest.raises(ProbabilityBoundsError) as info:
+        _conditional_probabilities(ops, np.eye(2), [np.eye(2)], part)
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert "2.0000000000000004 at [w, i_1..i_n] = (1, 1)" in message
+    assert "1 + 1e-10" in message
+
+
+# ------------------------------------------------------------ property tests
+
+PROPERTY_SETTINGS = settings(max_examples=12, deadline=None)
+
+
+@st.composite
+def random_cases(draw):
+    """Partition with random block order and grouping, state and channel.
+
+    Layouts have 2-3 factors of dims 2-3; the channel is a random Kraus
+    family with 1-3 operators. The returned generator picks query entries.
+    """
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    labels = [f"Q{k}" for k in range(len(dims))]
+    order = draw(st.permutations(labels))
+    cuts = draw(st.sets(st.integers(1, len(dims) - 1), max_size=len(dims) - 1))
+    bounds = [0, *sorted(cuts), len(dims)]
+    blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    layout = SystemLayout(tuple(dims), tuple(labels))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density_matrix(layout, rng)
+    ch = random_kraus_channel(layout.total_dim, draw(st.integers(1, 3)), rng)
+    return Partition(layout, blocks), rho, ch, rng
+
+
+def _table_entries(table):
+    return itertools.product(*(range(n) for n in table.probabilities.shape))
+
+
+@PROPERTY_SETTINGS
+@given(random_cases(), st.booleans())
+def test_table_matches_naive_oracle(case, identity):
+    part, rho, ch, _ = case
+    channel = None if identity else ch
+    table = conditional_table(rho, channel, part, mode="permissive")
+    positions = [part.layout.positions(block) for block in part.blocks]
+    for w, *idx in _table_entries(table):
+        want = naive_joint_probability(
+            part.layout.dims,
+            positions,
+            [b.entries[i][1].vector for b, i in zip(table.blocks, idx)],
+            table.parent.entries[w][1].vector,
+            kraus_operators=None if identity else ch.operators,
+        )
+        assert abs(table.probabilities[(w, *idx)] - want) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(random_cases())
+def test_scalar_queries_are_table_entries(case):
+    part, rho, ch, rng = case
+
+    def some_entry(table):
+        return tuple(int(rng.integers(n)) for n in table.probabilities.shape)
+
+    table = conditional_table(rho, ch, part, mode="permissive")
+    w, *idx = some_entry(table)
+    got = joint_conditional(rho, ch, part, w, idx, mode="permissive")
+    assert abs(got - table.probabilities[(w, *idx)]) < 1e-14
+
+    table = conditional_table(rho, None, part, mode="permissive")
+    w, *idx = some_entry(table)
+    got = kinematic_conditional(rho, part, w, idx, mode="permissive")
+    assert abs(got - table.probabilities[(w, *idx)]) < 1e-14
+
+    table = conditional_table(rho, ch, trivial_partition(rho.layout), mode="permissive")
+    i, j = some_entry(table)
+    got = dynamical_conditional(rho, ch, i, j, mode="permissive")
+    assert abs(got - table.probabilities[i, j]) < 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(random_cases())
+def test_superoperator_table_equals_kraus_table(case):
+    part, rho, ch, _ = case
+    kraus = conditional_table(rho, ch, part, mode="permissive")
+    # block eigenvectors move by round-off / gap between the two channel forms
+    for block in kraus.blocks:
+        assume(np.all(-np.diff(block.probabilities) > 1e-6))
+    sup = conditional_table(rho, kraus_to_superoperator(ch), part, mode="permissive")
+    assert np.abs(sup.probabilities - kraus.probabilities).max() < 1e-12

@@ -9,11 +9,9 @@ from modaldyn import (
     UnknownLabelError,
     canonical_phase,
     hermitian_eig,
-    kron_all,
     partial_trace,
     trace_distance,
 )
-from modaldyn.linalg import factor_permutation_matrix, permute_vector_factors
 from modaldyn.random_objects import random_density_matrix, random_hermitian
 
 from oracles import naive_partial_trace
@@ -130,16 +128,3 @@ def test_trace_distance_properties():
     with pytest.raises(DimensionMismatchError):
         trace_distance(a, p0)
 
-
-def test_factor_permutation_matrix_reorders_product_vectors():
-    rng = np.random.default_rng(3)
-    dims = (2, 3, 2)
-    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
-    full = kron_all(vecs)
-    perm = (2, 0, 1)  # output slot k carries input factor perm[k]
-    permuted = kron_all([vecs[p] for p in perm])
-    mat = factor_permutation_matrix(dims, perm)
-    assert np.abs(mat @ full - permuted).max() < 1e-12
-    assert np.abs(permute_vector_factors(full, dims, perm) - permuted).max() < 1e-12
-    # permutation matrices are unitary
-    assert np.abs(mat @ mat.conj().T - np.eye(12)).max() == 0.0

@@ -1,17 +1,29 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modaldyn import (
     DegenerateBasisError,
     DensityMatrix,
     LindbladGenerator,
+    NormalizationError,
     SystemLayout,
     TimeGrid,
+    amplitude_damping_qubit,
     build_step_chain,
     run_ensemble,
     sample_trajectory,
 )
-from modaldyn.random_objects import random_lindblad
+from modaldyn.random_objects import (
+    random_density_matrix,
+    random_kraus_channel,
+    random_lindblad,
+)
+
+from oracles import naive_kraus_apply
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -138,3 +150,44 @@ def test_damping_is_absorbing():
                 seen_ground = True
             elif seen_ground:
                 raise AssertionError(f"trajectory {i} re-excited: {traj.points}")
+
+
+def test_row_sum_error_reports_plain_numbers():
+    # threshold 0.01 drops the decayed branch, so a row loses that mass
+    rho0 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex), QUBIT)
+    sc = amplitude_damping_qubit(1.0, rho0)
+    grid = TimeGrid(0.0, 1.25, 4)
+    with pytest.raises(NormalizationError) as info:
+        build_step_chain(sc.generator, sc.initial_state, grid, threshold=0.01)
+    message = str(info.value)
+    assert "np.float64" not in message
+    numbers = [float(x) for x in re.findall(r"\d+\.?\d*(?:e[-+]?\d+)?", message)]
+    assert 1e-6 in numbers
+    assert any(abs(x - 0.71349520313981) < 1e-12 for x in numbers)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"Q{k}" for k in range(len(dims))))
+    d = layout.total_dim
+    rho0 = random_density_matrix(layout, rng)
+    ch = random_kraus_channel(d, n_ops, rng)
+    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
+    chain = build_step_chain(
+        idle, rho0, TimeGrid(0.0, 1.0, 2), mode="permissive", step_channel=ch
+    )
+    for k, rows in enumerate(chain.raw_rows):
+        vecs_t, vecs_tp = chain.entry_vectors[k], chain.entry_vectors[k + 1]
+        for a in range(vecs_t.shape[1]):
+            evolved = naive_kraus_apply(
+                ch.operators, np.outer(vecs_t[:, a], vecs_t[:, a].conj())
+            )
+            for b in range(vecs_tp.shape[1]):
+                want = (vecs_tp[:, b].conj() @ evolved @ vecs_tp[:, b]).real
+                assert abs(rows[a, b] - want) < 1e-12
