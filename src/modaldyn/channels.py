@@ -6,10 +6,14 @@ one another through the Choi matrix. Conventions used throughout:
 * vectorization is row-major (``numpy`` C order), so ``vec(A rho B) =
   (A kron B^T) vec(rho)``;
 * the Choi matrix is ``(E kron id)`` applied to the unnormalized maximally
-  entangled pair ``sum_i |ii>``, i.e. ``Choi = sum_k vec(K_k) vec(K_k)^dag``
-  for a Kraus family ``{K_k}``. Complete positivity is equivalent to this
-  matrix being positive semidefinite, and trace preservation to its
-  output-side partial trace equalling the identity.
+  entangled pair ``sum_i |ii>``, i.e. ``Choi = sum_k vec(K_k) vec(K_k)^dag
+  = W W^dag`` with ``W = [vec K_1 ... vec K_n]`` for a Kraus family
+  ``{K_k}``. Complete positivity is equivalent to this matrix being positive
+  semidefinite, and trace preservation to its output-side partial trace
+  equalling the identity. A Kraus family is therefore completely positive by
+  construction, and a program-made ``KrausChannel`` is checked once, for
+  completeness, by its constructor (Choi, Linear Algebra Appl. 10, 285,
+  1975).
 
 Generators are exponentiated exactly (scaling-and-squaring ``expm``), never
 time-stepped, so semigroup identities hold to solver precision.
@@ -28,20 +32,12 @@ from .errors import (
     NotHermitianError,
     NotUnitaryError,
 )
+from .linalg import HERMITICITY_TOL
 from .states import DensityMatrix
 
-COMPLETENESS_TOL = 1e-9
 CHOI_EIG_CUTOFF = 1e-12
 CPT_TOL = 1e-9
 UNITARITY_TOL = 1e-10
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).reshape(-1)
-
-
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,8 @@ class KrausChannel:
     """CPT map presented as a Kraus family ``rho -> sum_k K_k rho K_k^dag``.
 
     Construction verifies the completeness relation
-    ``||sum_k K_k^dag K_k - I||_F <= 1e-9``.
+    ``||sum_k K_k^dag K_k - I||_F <= 1e-9``; on the channels the program
+    makes (``evolve``, ``compose``) it is the one CPT check.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -66,9 +63,9 @@ class KrausChannel:
                     f"Kraus operator shapes disagree: {k.shape} vs {(d, d)}"
                 )
         resid = completeness_residual(ops)
-        if resid > COMPLETENESS_TOL:
+        if not resid <= CPT_TOL:
             raise CptVerificationError(
-                f"completeness residual {resid:.3e} exceeds {COMPLETENESS_TOL:.1e}"
+                f"completeness residual {resid:.3e} exceeds {CPT_TOL:.1e}"
             )
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "dim", d)
@@ -103,7 +100,7 @@ class LindbladGenerator:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise NotHermitianError(f"Hamiltonian must be square, got {h.shape}")
         dev = np.abs(h - h.conj().T).max()
-        if dev > 1e-10:
+        if not dev <= HERMITICITY_TOL:
             raise NotHermitianError(
                 f"Hamiltonian deviates from Hermitian by {dev:.3e}"
             )
@@ -115,7 +112,7 @@ class LindbladGenerator:
                     f"jump operator shape {op.shape} does not match {h.shape}"
                 )
             rate = float(rate)
-            if rate < 0:
+            if not rate >= 0:
                 raise ValueError(f"jump rate must be nonnegative: {rate}")
             jumps.append((op, rate))
         object.__setattr__(self, "hamiltonian", h)
@@ -153,7 +150,7 @@ class Superoperator:
         row = mat.T @ vec_i
         target = vec_i if self.kind == "map" else np.zeros_like(vec_i)
         resid = np.abs(row - target).max()
-        if resid > COMPLETENESS_TOL:
+        if not resid <= CPT_TOL:
             raise CptVerificationError(
                 f"trace row condition violated by {resid:.3e} for kind={self.kind!r}"
             )
@@ -182,13 +179,18 @@ class CptReport:
     completeness_residual: float
 
 
-def completeness_residual(ops: Sequence[np.ndarray]) -> float:
-    """Frobenius norm of ``sum K^dag K - I``."""
+def _completeness_sum(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_k K_k^dag K_k``."""
     d = ops[0].shape[0]
     acc = np.zeros((d, d), dtype=complex)
     for k in ops:
         acc += k.conj().T @ k
-    return float(np.linalg.norm(acc - np.eye(d)))
+    return acc
+
+
+def completeness_residual(ops: Sequence[np.ndarray]) -> float:
+    """Frobenius norm of ``sum K^dag K - I``."""
+    return float(np.linalg.norm(_completeness_sum(ops) - np.eye(ops[0].shape[0])))
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -201,7 +203,7 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"expected a square matrix, got {u.shape}")
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:
         raise NotUnitaryError(f"||U^dag U - I|| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
     return KrausChannel((u,))
 
@@ -223,20 +225,23 @@ def kraus_to_superoperator(ch: KrausChannel) -> Superoperator:
     return Superoperator(mat, d, kind="map")
 
 
+def _kraus_columns(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """``W = [vec K_1 ... vec K_n]``, so that the Choi matrix is ``W W^dag``."""
+    return np.stack([np.asarray(k).reshape(-1) for k in ops], axis=1)
+
+
 def kraus_to_choi(ch: KrausChannel) -> np.ndarray:
-    d = ch.dim
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.operators:
-        v = _vec(k)
-        choi += np.outer(v, v.conj())
-    return choi
+    w = _kraus_columns(ch.operators)
+    return w @ w.conj().T
+
+
+def _realign(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix of a superoperator matrix, and back (the map is an involution)."""
+    return matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def superoperator_to_choi(s: Superoperator) -> np.ndarray:
-    d = s.dim
-    return (
-        s.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    )
+    return _realign(s.matrix, s.dim)
 
 
 def choi_to_kraus(
@@ -255,7 +260,7 @@ def choi_to_kraus(
             f"Choi matrix has eigenvalue {w.min():.3e}; map is not CP"
         )
     ops = [
-        np.sqrt(w[k]) * _unvec(v[:, k], dim)
+        np.sqrt(w[k]) * v[:, k].reshape(dim, dim)
         for k in range(len(w))
         if w[k] >= cutoff
     ]
@@ -273,27 +278,20 @@ def verify_kraus_operators(
 ) -> CptReport:
     """CPT report for a raw Kraus family (no construction-time checks).
 
-    The Choi matrix is built explicitly up to dim 64; beyond that the Kraus
-    Gram matrix supplies the nonzero Choi spectrum so verification stays
-    cheap for large unitaries.
+    The Choi matrix ``W W^dag`` shares its nonzero spectrum with the Gram
+    matrix ``W^dag W`` of the n operators, and the smaller of the two is
+    decomposed. With n < d^2 the Choi matrix also has d^2 - n exact zero
+    eigenvalues, so the reported minimum is ``min(0, lambda_min(W^dag W))``:
+    exactly 0.0 for a unitary or an ``evolve`` result, and a round-off-sized
+    negative number at worst when the operators are linearly dependent.
     """
     ops = [np.asarray(k, dtype=complex) for k in ops]
-    d = ops[0].shape[0]
     resid = completeness_residual(ops)
-    if d <= 64:
-        choi = np.zeros((d * d, d * d), dtype=complex)
-        for k in ops:
-            v = _vec(k)
-            choi += np.outer(v, v.conj())
-        choi_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    w = _kraus_columns(ops)
+    if len(ops) < w.shape[0]:
+        choi_min = min(0.0, float(np.linalg.eigvalsh(w.conj().T @ w).min()))
     else:
-        # Too large for an explicit Choi matrix. Kraus form is CP by
-        # construction; with fewer operators than dim^2 the Choi matrix is
-        # rank deficient, so its minimum eigenvalue is exactly zero.
-        w_mat = np.column_stack([_vec(k) for k in ops])
-        gram = w_mat.conj().T @ w_mat
-        gmin = float(np.linalg.eigvalsh(gram).min())
-        choi_min = min(0.0, gmin) if len(ops) < d * d else gmin
+        choi_min = float(np.linalg.eigvalsh(w @ w.conj().T).min())
     return CptReport(
         is_tp=bool(resid <= tol),
         is_cp=bool(choi_min >= -tol),
@@ -308,7 +306,7 @@ def verify_superoperator_matrix(
     """CPT report for a raw superoperator matrix (row-major vectorization)."""
     matrix = np.asarray(matrix, dtype=complex)
     d = int(dim)
-    choi = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    choi = _realign(matrix, d)
     choi_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
     resid = float(np.linalg.norm(_choi_output_trace(choi, d) - np.eye(d)))
     return CptReport(
@@ -346,7 +344,10 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
 
     The exponential is taken in one scaling-and-squaring ``expm`` call. The
     Kraus family is renormalized to exact completeness when the residual is
-    small; larger residuals raise.
+    within ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
+    constructor's completeness check is the only check on the result:
+    complete positivity needs none, because a Kraus family's Choi matrix
+    ``W W^dag`` is positive semidefinite by construction.
     """
     from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
 
@@ -354,46 +355,38 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     if duration < 0:
         raise ValueError(f"duration must be nonnegative: {duration}")
     total = expm(lindblad_superoperator(g).matrix * duration)
-    d = g.dim
-    choi = total.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    ops = choi_to_kraus(choi, d)
-    resid = completeness_residual(ops)
-    if resid > COMPLETENESS_TOL:
-        raise CptVerificationError(
-            f"extracted Kraus family misses completeness by {resid:.3e}"
-        )
-    ops = _renormalize_completeness(ops)
-    ch = KrausChannel(ops)
-    report = verify_cpt(ch)
-    if not (report.is_cp and report.is_tp):
-        raise CptVerificationError(f"evolved channel failed verification: {report}")
-    return ch
+    ops = choi_to_kraus(_realign(total, g.dim), g.dim)
+    return KrausChannel(_renormalize_completeness(ops))
 
 
 def _renormalize_completeness(
     ops: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, ...]:
-    """Right-multiply by (sum K^dag K)^(-1/2) to pin completeness exactly."""
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
+    """Right-multiply by (sum K^dag K)^(-1/2) to pin completeness exactly.
+
+    Raises when the family misses completeness by more than ``CPT_TOL``.
+    """
+    acc = _completeness_sum(ops)
+    resid = float(np.linalg.norm(acc - np.eye(acc.shape[0])))
+    if not resid <= CPT_TOL:
+        raise CptVerificationError(
+            f"extracted Kraus family misses completeness by {resid:.3e}"
+        )
     w, v = np.linalg.eigh(0.5 * (acc + acc.conj().T))
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return tuple(k @ inv_sqrt for k in ops)
 
 
 def compose(later: KrausChannel, earlier: KrausChannel) -> KrausChannel:
-    """Channel applying ``earlier`` first, then ``later``."""
+    """Channel applying ``earlier`` first, then ``later``.
+
+    The pairwise operator products are a Kraus family, so they are
+    completely positive by construction; the ``KrausChannel`` constructor's
+    completeness check is the only check they get.
+    """
     if later.dim != earlier.dim:
         raise DimensionMismatchError(
             f"cannot compose dims {later.dim} and {earlier.dim}"
         )
-    ops = tuple(
-        a @ b for a in later.operators for b in earlier.operators
-    )
-    ch = KrausChannel(ops)
-    report = verify_cpt(ch)
-    if not (report.is_cp and report.is_tp):
-        raise CptVerificationError(f"composed channel failed verification: {report}")
-    return ch
+    ops = tuple(a @ b for a in later.operators for b in earlier.operators)
+    return KrausChannel(ops)

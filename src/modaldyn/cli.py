@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels as channels_mod
 from . import serialize
-from .conditional import Partition, conditional_table
+from .conditional import PERMISSIVE, STRICT, Partition, conditional_table
 from .errors import (
     CptVerificationError,
     DegenerateBasisError,
@@ -74,12 +74,12 @@ class RunConfig:
     steps: int = 1
     n_samples: int = 1
     seed: Optional[int] = None
-    mode: str = "strict"
+    mode: str = STRICT
     threshold: float = DEFAULT_THRESHOLD
     fmt: str = "json"
     output: Optional[str] = None
     channel_doc: Optional[dict] = None
-    tol: float = 1e-9
+    tol: float = channels_mod.CPT_TOL
 
 
 def _parse_rho0(text: Optional[str]):
@@ -340,8 +340,8 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
     if with_mode:
         p.add_argument(
             "--mode",
-            choices=("strict", "permissive"),
-            default="strict",
+            choices=(STRICT, PERMISSIVE),
+            default=STRICT,
             help="degeneracy policy",
         )
 
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-channel", help="CPT verification report")
     p_ver.add_argument("--channel", required=True, help="channel .json file")
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument("--tol", type=float, default=channels_mod.CPT_TOL)
     _add_common(p_ver, with_mode=False)
 
     return parser
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     common = dict(
-        mode=getattr(args, "mode", "strict"),
+        mode=getattr(args, "mode", STRICT),
         threshold=float(args.threshold),
         fmt=args.format,
         output=args.output,

@@ -21,10 +21,9 @@ from .errors import (
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
 )
-from .linalg import SystemLayout
+from .linalg import DEGENERACY_GAP, HERMITICITY_TOL, SystemLayout
 
 # Validation tolerances for the value types below.
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
@@ -33,7 +32,6 @@ MASS_BALANCE_TOL = 1e-9
 
 DEFAULT_THRESHOLD = 1e-12
 PURITY_SHORTCUT = 1e-10
-DEGENERACY_GAP = 1e-9
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -61,15 +59,15 @@ class DensityMatrix:
                 f"shape {mat.shape} does not match layout dimension {d}"
             )
         herm = np.abs(mat - mat.conj().T).max()
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise InvalidDensityMatrixError(
                 f"not Hermitian: max |rho - rho^dag| = {herm:.3e}"
             )
         tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvalidDensityMatrixError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
         wmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-        if wmin < -PSD_TOL:
+        if not wmin >= -PSD_TOL:
             raise InvalidDensityMatrixError(
                 f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL:.1e}"
             )

@@ -55,6 +55,17 @@ def naive_kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_choi(operators) -> np.ndarray:
+    """``sum_k vec(K_k) vec(K_k)^dag`` by explicit entrywise loops."""
+    operators = [np.asarray(k, dtype=complex) for k in operators]
+    d = operators[0].shape[0]
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for k in operators:
+        for a, b, c, e in itertools.product(range(d), repeat=4):
+            choi[a * d + b, c * d + e] += k[a, b] * np.conj(k[c, e])
+    return choi
+
+
 def product_amplitudes(dims, block_positions, block_vectors) -> np.ndarray:
     """Full-space amplitudes of a tensor product of block vectors.
 

@@ -5,8 +5,10 @@ import scipy.linalg
 from modaldyn import (
     CptVerificationError,
     DensityMatrix,
+    InvalidDensityMatrixError,
     KrausChannel,
     LindbladGenerator,
+    NotHermitianError,
     NotUnitaryError,
     Superoperator,
     SystemLayout,
@@ -24,7 +26,9 @@ from modaldyn import (
     verify_cpt,
     verify_kraus_operators,
     verify_superoperator_matrix,
+    von_neumann_measurement,
 )
+from modaldyn import channels, cli
 from modaldyn.random_objects import (
     random_density_matrix,
     random_kraus_channel,
@@ -32,7 +36,7 @@ from modaldyn.random_objects import (
     random_unitary,
 )
 
-from oracles import naive_kraus_apply
+from oracles import naive_choi, naive_kraus_apply
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -217,3 +221,49 @@ def test_verify_large_unitary_uses_gram_path():
     u = random_unitary(2**10, rng)
     rep = verify_cpt(unitary_channel(u))
     assert rep.is_cp and rep.is_tp
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_spectrum_matches_explicit_choi(d):
+    # n < d^2 takes the Gram matrix, n >= d^2 the Choi matrix itself; for
+    # n > d^2 the Gram matrix has n - d^2 zero eigenvalues the Choi lacks
+    rng = np.random.default_rng(22 + d)
+    for n in (1, 2, d * d - 1, d * d, d * d + 3):
+        ch = random_kraus_channel(d, n, rng)
+        explicit = naive_choi(ch.operators)
+        want = float(np.linalg.eigvalsh(explicit).min())
+        got = verify_kraus_operators(ch.operators).choi_min_eigenvalue
+        assert abs(got - want) < 1e-12, (n, got, want)
+        assert np.abs(kraus_to_choi(ch) - explicit).max() < 1e-12
+
+
+def test_program_made_channels_are_checked_once(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a program-made channel was verified a second time")
+
+    monkeypatch.setattr(channels, "verify_kraus_operators", refuse)
+    monkeypatch.setattr(channels, "verify_superoperator_matrix", refuse)
+    g = random_lindblad(2, 2, np.random.default_rng(23))
+    compose(evolve(g, 0.4), evolve(g, 0.4))
+    von_neumann_measurement(0.6, 0.8, n_env=2)
+    argv = ["conditional", "--scenario", "von-neumann", "--n-env", "2", "--blocks", "S,P,E1+E2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_constructors_reject_nan():
+    nan_diag = np.diag([np.nan, 1.0]).astype(complex)
+    with pytest.raises(InvalidDensityMatrixError):
+        DensityMatrix(nan_diag, QUBIT)
+    with pytest.raises(CptVerificationError):
+        KrausChannel((nan_diag,))
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(nan_diag)
+    s = np.eye(4, dtype=complex)
+    s[0, 0] = np.nan
+    with pytest.raises(CptVerificationError):
+        Superoperator(s, 2)
+    with pytest.raises(NotHermitianError):
+        LindbladGenerator(hamiltonian=nan_diag)
+    with pytest.raises(ValueError):
+        LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, np.nan),))

@@ -295,3 +295,43 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def _scenario_file(tmp_path, **changes):
+    # json.dumps writes NaN as the bare literal, which json.load accepts
+    from modaldyn import dephasing_qubit
+    from modaldyn.serialize import scenario_to_document
+
+    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    doc.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_nan_initial_state_is_rejected(capsys, tmp_path):
+    rho = np.diag([np.nan, 0.5])
+    path = _scenario_file(tmp_path, initial_state=matrix_to_pairs(rho))
+    code, out, _ = run(capsys, "epistemic", "--scenario", path)
+    assert code == 3
+    assert out == ""
+
+
+def test_nan_kraus_dynamics_is_rejected(capsys, tmp_path):
+    k0 = np.array([[1.0, 0.0], [0.0, np.nan]])
+    k1 = np.array([[0.0, np.sqrt(0.3)], [0.0, 0.0]])
+    dynamics = {"kind": "kraus", "operators": [matrix_to_pairs(k0), matrix_to_pairs(k1)]}
+    path = _scenario_file(tmp_path, dynamics=dynamics)
+    code, out, _ = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
+    assert code == 5
+    assert out == ""
+
+
+def test_nan_unitary_schedule_exits_like_a_non_unitary_one(capsys, tmp_path):
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad, name in ((np.diag([np.nan, 1.0]), "nan"), (np.diag([2.0, 1.0]), "non-unitary")):
+        dynamics = {"kind": "schedule", "unitaries": [matrix_to_pairs(flip), matrix_to_pairs(bad)]}
+        path = _scenario_file(tmp_path, dynamics=dynamics)
+        code, out, _ = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
+        assert code == 3, name
+        assert out == ""
