@@ -17,23 +17,31 @@ one another through the Choi matrix. Conventions used throughout:
 
 Generators are exponentiated exactly (scaling-and-squaring ``expm``), never
 time-stepped, so semigroup identities hold to solver precision.
+
+A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
+channel's operators act on the layout factors at ``positions``, listed in the
+operator's own factor order, so a two-qubit gate in a many-qubit layout is
+stored and checked as a 4x4 matrix. ``apply`` contracts such a local channel
+into a state vector or a density matrix without building its dense embedding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     CptVerificationError,
     DimensionMismatchError,
+    LayoutMismatchError,
     NotHermitianError,
     NotUnitaryError,
 )
-from .linalg import HERMITICITY_TOL
-from .states import DensityMatrix
+from .linalg import HERMITICITY_TOL, apply_local
+from .states import DensityMatrix, PureState, State
 
 CHOI_EIG_CUTOFF = 1e-12
 CPT_TOL = 1e-9
@@ -77,10 +85,7 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"operator shape {mat.shape} does not match channel dim {self.dim}"
             )
-        out = np.zeros_like(mat)
-        for k in self.operators:
-            out += k @ mat @ k.conj().T
-        return out
+        return _kraus_sum(self.operators, mat, (0,))
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,7 @@ class Superoperator:
 
 
 Channel = Union[KrausChannel, Superoperator]
+Schedule = tuple[tuple[tuple[int, ...], KrausChannel], ...]
 
 
 @dataclass(frozen=True)
@@ -208,13 +214,74 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel((u,))
 
 
-def apply(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel to a density matrix, revalidating the output state."""
-    if ch.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match state dim {rho.dim}"
+def _kraus_sum(
+    ops: Sequence[np.ndarray], rho: np.ndarray, positions: tuple[int, ...]
+) -> np.ndarray:
+    """``sum_k K_k rho K_k^dag`` on a density tensor (row axes, then column axes).
+
+    Each ``K_k`` is contracted on the row axes at ``positions``, and
+    ``K_k^dag`` multiplies the matching column axes from the right (``K_k*``
+    contracted on the column axes).
+    """
+    n = rho.ndim // 2
+    cols = tuple(n + p for p in positions)
+    out = 0.0
+    for k in ops:
+        out = out + apply_local(
+            k.conj().T, apply_local(k, rho, positions), cols, right=True
         )
-    return DensityMatrix(ch.apply_matrix(rho.matrix), rho.layout)
+    return out
+
+
+def apply(
+    ch: Channel, state: State, positions: Optional[Sequence[int]] = None
+) -> State:
+    """Apply a channel to a state, revalidating the output state.
+
+    ``positions`` lists the layout factors the channel acts on, in the
+    channel's own factor order; ``None`` means every factor in layout order.
+    This is one step ``(positions, channel)`` of a schedule. A
+    single-operator Kraus channel maps a ``PureState`` to a ``PureState``,
+    contracting the operator into the amplitude tensor; any other channel
+    turns a ``PureState`` into its ``DensityMatrix`` first. On a
+    ``DensityMatrix`` each Kraus operator is contracted on the row axes and
+    its conjugate on the column axes. A ``Superoperator`` acts on every
+    factor in layout order.
+    """
+    layout = state.layout
+    every = tuple(range(layout.n_factors))
+    positions = every if positions is None else tuple(int(p) for p in positions)
+    if len(set(positions)) != len(positions) or not set(positions) <= set(every):
+        raise LayoutMismatchError(
+            f"positions {positions} are not distinct factors of {layout.labels}"
+        )
+    support = math.prod(layout.dims[p] for p in positions)
+    if ch.dim != support:
+        raise DimensionMismatchError(
+            f"channel dim {ch.dim} does not match dim {support} of factors {positions}"
+        )
+    if isinstance(state, PureState):
+        if isinstance(ch, KrausChannel) and len(ch.operators) == 1:
+            amps = state.vector.reshape(layout.dims)
+            vec = apply_local(ch.operators[0], amps, positions).reshape(-1)
+            return PureState(vec, layout)
+        state = state.reduce(layout.labels)
+    if isinstance(ch, Superoperator):
+        if positions != every:
+            raise DimensionMismatchError(
+                "a superoperator acts on every factor in layout order"
+            )
+        return DensityMatrix(ch.apply_matrix(state.matrix), layout)
+    rho = state.matrix.reshape(layout.dims * 2)
+    out = _kraus_sum(ch.operators, rho, positions)
+    return DensityMatrix(out.reshape(state.dim, state.dim), layout)
+
+
+def apply_schedule(schedule: Schedule, state: State) -> State:
+    """Apply each step ``(positions, channel)`` of a schedule in order."""
+    for positions, ch in schedule:
+        state = apply(ch, state, positions)
+    return state
 
 
 def kraus_to_superoperator(ch: KrausChannel) -> Superoperator:
@@ -352,8 +419,8 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
 
     duration = float(duration)
-    if duration < 0:
-        raise ValueError(f"duration must be nonnegative: {duration}")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative: {duration}")
     total = expm(lindblad_superoperator(g).matrix * duration)
     ops = choi_to_kraus(_realign(total, g.dim), g.dim)
     return KrausChannel(_renormalize_completeness(ops))

@@ -2,9 +2,10 @@
 
 Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
 Exit codes are a stable contract: 0 success, 2 configuration or parse
-problems, 3 numerical invariant failures, 4 strict-mode degeneracy refusals,
-5 channel verification failures. Outputs are deterministic: the same
-configuration and seed produce byte-identical files.
+problems (including problems too large for the memory budget), 3 numerical
+invariant failures, 4 strict-mode degeneracy refusals, 5 channel verification
+failures. Outputs are deterministic: the same configuration and seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     ModalDynError,
+    ProblemTooLargeError,
     UnknownLabelError,
 )
 from .scenarios import (
@@ -204,14 +206,11 @@ def _cmd_epistemic(cfg: RunConfig) -> int:
 
 
 def _table_channel(sc: Scenario, time: float):
-    """Channel from t=0 to ``time`` plus an identifying string."""
+    """Channel (or schedule) from t=0 to ``time`` plus an identifying string."""
     if sc.generator is not None and time > 0:
         return channels_mod.evolve(sc.generator, time), f"{sc.name}:lindblad"
     if sc.schedule:
-        ch = sc.schedule[0]
-        for nxt in sc.schedule[1:]:
-            ch = channels_mod.compose(nxt, ch)
-        return ch, f"{sc.name}:schedule"
+        return sc.schedule, f"{sc.name}:schedule"
     return None, "identity"
 
 
@@ -433,6 +432,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             command=args.command, channel_doc=doc, tol=float(args.tol), **common
         )
 
+    if args.command == "sample":
+        if not 0.0 < args.t < math.inf:
+            raise ConfigError(f"--t must be finite and > 0: {args.t}")
+    elif not 0.0 <= args.time < math.inf:
+        raise ConfigError(f"--time must be finite and >= 0: {args.time}")
     scenario = _resolve_scenario(args.scenario, args)
     if args.command == "epistemic":
         subsystem = ()
@@ -464,8 +468,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             **common,
         )
     # sample
-    if args.t <= 0:
-        raise ConfigError(f"--t must be positive: {args.t}")
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1: {args.steps}")
     if args.n < 1:
@@ -499,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _DISPATCH[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, ProblemTooLargeError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except DegenerateBasisError as exc:

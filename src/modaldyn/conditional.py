@@ -21,7 +21,10 @@ contracts each block's eigenbasis along its axes. A table is the full
 result; a scalar query is the kernel on one parent column and one basis
 vector per block; the step rows of a trajectory chain are the one-block case.
 Superoperator channels enter through their Kraus form, extracted from the
-Choi matrix once per call.
+Choi matrix once per call. A schedule of local steps ``(positions, channel)``
+(see ``channels``) is accepted wherever a channel is: the parent vectors are
+pushed through the steps factor-locally, one branch per product of Kraus
+operators, and the blocks are read from the reduced final state.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
@@ -32,20 +35,26 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import channels as channels_mod
-from .channels import Channel, Superoperator, choi_to_kraus, superoperator_to_choi
+from .channels import (
+    Channel,
+    Schedule,
+    Superoperator,
+    apply_schedule,
+    choi_to_kraus,
+    superoperator_to_choi,
+)
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     NormalizationError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout
-from .states import DEFAULT_THRESHOLD, DensityMatrix, EpistemicState, extract_epistemic
+from .linalg import SystemLayout, apply_local
+from .states import DEFAULT_THRESHOLD, EpistemicState, State, extract_epistemic
 
 # Row sums must equal one within ROW_SUM_TOL in conditional tables and
 # within CHAIN_ROW_SUM_TOL in the step rows of a trajectory chain.
@@ -55,6 +64,8 @@ CLAMP_TOL = 1e-10
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
+
+Dynamics = Optional[Union[Channel, Schedule]]
 
 
 @dataclass(frozen=True)
@@ -139,13 +150,36 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
         )
 
 
-def _kraus_operators(channel: Optional[Channel], dim: int) -> Sequence[np.ndarray]:
-    """Kraus family of ``channel``; ``None`` is the identity."""
-    if channel is None:
-        return (np.eye(dim),)
+def _kraus_operators(channel: Channel) -> Sequence[np.ndarray]:
+    """Kraus family of ``channel``."""
     if isinstance(channel, Superoperator):
         return choi_to_kraus(superoperator_to_choi(channel), channel.dim)
     return channel.operators
+
+
+def _steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
+    """``dynamics`` as schedule steps; a channel is one step on every factor."""
+    if dynamics is None:
+        return ()
+    if isinstance(dynamics, tuple):
+        return dynamics
+    return ((tuple(range(layout.n_factors)), dynamics),)
+
+
+def _kraus_amplitudes(
+    dynamics: Dynamics, basis: np.ndarray, layout: SystemLayout
+) -> list[np.ndarray]:
+    """``K @ basis`` for every Kraus operator ``K`` of ``dynamics``.
+
+    A schedule's Kraus operators are the products of one operator per step;
+    the columns are pushed through the steps with each operator acting on
+    its own factors only.
+    """
+    amps = [basis.reshape(layout.dims + (-1,))]
+    for positions, step in _steps(dynamics, layout):
+        ops = _kraus_operators(step)
+        amps = [apply_local(k, a, positions) for k in ops for a in amps]
+    return [a.reshape(basis.shape) for a in amps]
 
 
 def _conditional_probabilities(
@@ -154,9 +188,19 @@ def _conditional_probabilities(
     block_bases: Sequence[np.ndarray],
     part: Partition,
 ) -> np.ndarray:
+    """The kernel below for a Kraus family acting on every factor."""
+    return _block_probabilities([k @ parent_basis for k in ops], block_bases, part)
+
+
+def _block_probabilities(
+    amplitudes: Sequence[np.ndarray],
+    block_bases: Sequence[np.ndarray],
+    part: Partition,
+) -> np.ndarray:
     """``probs[w, i_1..i_n] = sum_k |<b_1(i_1)..b_n(i_n)| K_k |w>|^2``.
 
-    ``parent_basis`` holds the parent vectors ``|w>`` as columns over the
+    ``amplitudes`` holds ``K_k @ V_parent`` for each Kraus operator, the
+    parent vectors ``|w>`` being the columns of ``V_parent`` over the
     partition's layout; ``block_bases[a]`` holds block ``a``'s vectors as
     columns over that block's factors in layout order. Entries are real and
     nonnegative by construction; values above ``1 + CLAMP_TOL`` raise, and
@@ -164,11 +208,11 @@ def _conditional_probabilities(
     """
     dims = part.layout.dims
     axes = part.concat_positions() + (len(dims),)
-    shape = tuple(b.shape[0] for b in block_bases) + (parent_basis.shape[1],)
+    shape = tuple(b.shape[0] for b in block_bases) + (-1,)
     bras = [np.conj(b) for b in block_bases]
     probs = 0.0
-    for k in ops:
-        amp = (k @ parent_basis).reshape(dims + (-1,)).transpose(axes).reshape(shape)
+    for amp in amplitudes:
+        amp = amp.reshape(dims + (-1,)).transpose(axes).reshape(shape)
         for bra in bras:
             amp = np.tensordot(amp, bra, axes=(0, 0))
         probs = probs + (amp.real**2 + amp.imag**2)
@@ -183,8 +227,8 @@ def _conditional_probabilities(
 
 
 def _spectra(
-    rho_w_t: DensityMatrix,
-    channel: Optional[Channel],
+    rho_w_t: State,
+    channel: Dynamics,
     part: Partition,
     threshold: float,
 ) -> tuple[EpistemicState, tuple[EpistemicState, ...]]:
@@ -193,14 +237,13 @@ def _spectra(
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
-    if channel is not None and channel.dim != rho_w_t.dim:
+    plain = channel is not None and not isinstance(channel, tuple)
+    if plain and channel.dim != rho_w_t.dim:
         raise LayoutMismatchError(
             f"channel dim {channel.dim} does not match state dim {rho_w_t.dim}"
         )
     parent = extract_epistemic(rho_w_t, threshold)
-    rho_tprime = (
-        rho_w_t if channel is None else channels_mod.apply(channel, rho_w_t)
-    )
+    rho_tprime = apply_schedule(_steps(channel, part.layout), rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
@@ -231,8 +274,8 @@ def _validate_query(
 
 
 def joint_conditional(
-    rho_w_t: DensityMatrix,
-    channel: Optional[Channel],
+    rho_w_t: State,
+    channel: Dynamics,
     part: Partition,
     w: int,
     indices: Sequence[int],
@@ -243,16 +286,16 @@ def joint_conditional(
 
     ``w`` indexes the retained spectral entries of ``rho_w_t``; ``indices``
     index the retained entries of each block's reduced matrix after the
-    channel (``None`` is the identity). Conditioning on dropped
-    (sub-threshold) entries is impossible by construction, which is exactly
-    the zero-probability-conditioning precondition.
+    channel (``None`` is the identity; a schedule of local steps is accepted
+    too). Conditioning on dropped (sub-threshold) entries is impossible by
+    construction, which is exactly the zero-probability-conditioning
+    precondition.
     """
     mode = _check_mode(mode)
     parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     w, idx = _validate_query(parent, blocks, w, indices, mode)
-    probs = _conditional_probabilities(
-        _kraus_operators(channel, rho_w_t.dim),
-        parent.entries[w][1].vector[:, None],
+    probs = _block_probabilities(
+        _kraus_amplitudes(channel, parent.entries[w][1].vector[:, None], part.layout),
         [b.entries[i][1].vector[:, None] for b, i in zip(blocks, idx)],
         part,
     )
@@ -260,7 +303,7 @@ def joint_conditional(
 
 
 def kinematic_conditional(
-    rho_w: DensityMatrix,
+    rho_w: State,
     part: Partition,
     w: int,
     indices: Sequence[int],
@@ -276,8 +319,8 @@ def kinematic_conditional(
 
 
 def dynamical_conditional(
-    rho_q_t: DensityMatrix,
-    channel: Channel,
+    rho_q_t: State,
+    channel: Dynamics,
     i: int,
     j: int,
     mode: str = STRICT,
@@ -352,8 +395,8 @@ class ConditionalTable:
 
 
 def conditional_table(
-    rho_w_t: DensityMatrix,
-    channel: Optional[Channel],
+    rho_w_t: State,
+    channel: Dynamics,
     part: Partition,
     mode: str = STRICT,
     threshold: float = DEFAULT_THRESHOLD,
@@ -362,9 +405,11 @@ def conditional_table(
 ) -> ConditionalTable:
     """Evaluate the conditional probability over every retained combination.
 
-    ``channel=None`` means the identity (single-time table). In strict mode
-    any degenerate cluster in the parent or a block refuses the whole table,
-    since a table necessarily touches every entry.
+    ``channel=None`` means the identity (single-time table); a schedule of
+    local steps ``(positions, KrausChannel)`` is applied step by step, with
+    no dense composed channel. In strict mode any degenerate cluster in the
+    parent or a block refuses the whole table, since a table necessarily
+    touches every entry.
     """
     mode = _check_mode(mode)
     parent, blocks = _spectra(rho_w_t, channel, part, threshold)
@@ -372,9 +417,8 @@ def conditional_table(
         _refuse_any_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
-    probs = _conditional_probabilities(
-        _kraus_operators(channel, rho_w_t.dim),
-        parent.basis_matrix(),
+    probs = _block_probabilities(
+        _kraus_amplitudes(channel, parent.basis_matrix(), part.layout),
         [b.basis_matrix() for b in blocks],
         part,
     )

@@ -63,3 +63,7 @@ class ProbabilityBoundsError(ModalDynError):
     floating-point noise: noise-sized excursions are clamped, larger ones
     raise this error.
     """
+
+
+class ProblemTooLargeError(ModalDynError):
+    """A requested array would exceed the memory budget; nothing was allocated."""

@@ -3,11 +3,15 @@
 Matrices are plain ``numpy.ndarray`` objects with complex dtype, row-major
 entries. Tensor-product structure is carried separately by
 :class:`SystemLayout` so that operators never need wrapping. Target scale is
-desk-sized: total dimension up to a few thousand; no sparse or GPU paths.
+desk-sized: dense matrices up to a few thousand on a side, state vectors up
+to a few million entries; no sparse or GPU paths. Arrays whose size grows
+with the layout are checked against ``MEMORY_BUDGET_BYTES`` before they are
+allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,11 +21,25 @@ from .errors import (
     DimensionMismatchError,
     LayoutMismatchError,
     NotHermitianError,
+    ProblemTooLargeError,
     UnknownLabelError,
 )
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-9
+
+# Largest complex array a layout-sized allocation may take (256 MiB).
+MEMORY_BUDGET_BYTES = 1 << 28
+
+
+def check_memory(n_entries: int, what: str) -> None:
+    """Refuse, before allocating it, a complex array over the memory budget."""
+    nbytes = 16 * int(n_entries)
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise ProblemTooLargeError(
+            f"{what} needs {nbytes} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,7 +73,7 @@ class SystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_factors(self) -> int:
@@ -89,6 +107,41 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
+
+
+def apply_local(
+    op: np.ndarray, tensor: np.ndarray, axes: Sequence[int], right: bool = False
+) -> np.ndarray:
+    """Contract a factor-local operator into a tensor along ``axes``.
+
+    ``tensor`` has one axis per tensor factor (a state vector reshaped to the
+    layout's dims, a density matrix to dims twice, or basis columns with a
+    trailing column axis). ``op`` acts on the factors at ``axes``, listed in
+    the operator's own factor order, and leaves the other axes alone, as
+    ``op`` kron identity would after a factor permutation. By default ``op``
+    multiplies from the left (``op @ x`` on those axes); ``right=True``
+    multiplies from the right (``x @ op``), which is how ``K^dag`` acts on
+    the column axes of a density matrix. When the axes are the tensor's
+    leading (left) or trailing (right) axes in order, the contraction is one
+    plain matrix product: an operator on every factor then costs and rounds
+    exactly as ``K @ rho @ K^dag`` does, which the many small steps of a
+    trajectory chain rely on.
+    """
+    axes = tuple(axes)
+    k = len(axes)
+    shape = tensor.shape
+    dims = tuple(shape[a] for a in axes)
+    size = math.prod(dims)
+    if not right and axes == tuple(range(k)):
+        return (op @ tensor.reshape(size, -1)).reshape(shape)
+    if right and axes == tuple(range(tensor.ndim - k, tensor.ndim)):
+        return (tensor.reshape(-1, size) @ op).reshape(shape)
+    op = np.asarray(op).reshape(dims * 2)
+    if right:
+        out = np.tensordot(tensor, op, axes=(axes, tuple(range(k))))
+        return np.moveaxis(out, tuple(range(tensor.ndim - k, tensor.ndim)), axes)
+    out = np.tensordot(op, tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -127,7 +180,7 @@ def hermitian_eig(
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     dev = np.abs(h - h.conj().T).max()
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitianError(
             f"max |H - H^dag| = {dev:.3e} exceeds tolerance {tol:.1e}"
         )

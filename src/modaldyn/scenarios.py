@@ -14,10 +14,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import KrausChannel, LindbladGenerator, unitary_channel, apply, evolve
+from .channels import (
+    LindbladGenerator,
+    Schedule,
+    apply,
+    apply_schedule,
+    evolve,
+    unitary_channel,
+)
 from .errors import InvalidAmplitudesError
-from .linalg import SystemLayout, kron_all
-from .states import DensityMatrix
+from .linalg import SystemLayout, check_memory, kron_all
+from .states import DensityMatrix, PureState, State
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -31,24 +38,30 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named system, its initial state, and how it moves."""
+    """A named system, its initial state, and how it moves.
+
+    ``initial_state`` is a ``DensityMatrix``, or a ``PureState`` when the
+    scenario starts pure and its dynamics keep it so. ``schedule`` is a
+    sequence of steps ``(positions, KrausChannel)``, applied in order: each
+    channel acts on the layout factors at ``positions``, listed in the
+    channel's own factor order, so its operators have the size of those
+    factors only. A schedule read from a scenario file acts on every factor
+    in layout order.
+    """
 
     name: str
     layout: SystemLayout
-    initial_state: DensityMatrix
+    initial_state: State
     generator: Optional[LindbladGenerator] = None
-    schedule: tuple[KrausChannel, ...] = ()
+    schedule: Schedule = ()
     observables: tuple[tuple[tuple[str, ...], str], ...] = ()
     oracle: dict = field(default_factory=dict)
 
-    def final_state(self) -> DensityMatrix:
+    def final_state(self) -> State:
         """State after the full discrete schedule (identity if none)."""
-        rho = self.initial_state
-        for ch in self.schedule:
-            rho = apply(ch, rho)
-        return rho
+        return apply_schedule(self.schedule, self.initial_state)
 
-    def state_at(self, t: float) -> DensityMatrix:
+    def state_at(self, t: float) -> State:
         """State at time ``t`` for generator dynamics.
 
         Discrete-schedule scenarios return the post-schedule state and
@@ -63,19 +76,12 @@ class Scenario:
         return self.initial_state
 
 
-def _controlled_gate(
-    dims: tuple[int, ...], control: int, target: int, gate: np.ndarray
-) -> np.ndarray:
-    """Embed a two-level controlled gate into the full factor space."""
-    p0 = np.outer(KET_ZERO, KET_ZERO.conj())
-    p1 = np.outer(KET_ONE, KET_ONE.conj())
-    idle = [np.eye(d, dtype=complex) for d in dims]
-    branch0 = list(idle)
-    branch0[control] = p0
-    branch1 = list(idle)
-    branch1[control] = p1
-    branch1[target] = gate
-    return kron_all(branch0) + kron_all(branch1)
+def _controlled_gate(gate: np.ndarray) -> np.ndarray:
+    """``|0><0| kron I + |1><1| kron gate`` on (control, target) qubits."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = np.eye(2)
+    out[2:, 2:] = gate
+    return out
 
 
 def von_neumann_measurement(
@@ -90,10 +96,12 @@ def von_neumann_measurement(
     state ``|0>``, and ``n_env`` environment qubits in ``|0>``. The schedule
     first copies the system onto the pointer (controlled flip), then lets
     each environment qubit read the pointer through a controlled rotation
-    whose conditional environment states overlap by ``coupling``. After the
-    full schedule, the off-diagonal of the system+pointer record is
-    suppressed by exactly ``coupling ** n_env``, which gives this scenario a
-    closed-form oracle:
+    whose conditional environment states overlap by ``coupling``. The state
+    stays pure and is carried as a ``PureState`` vector of dimension
+    ``2 ** (n_env + 2)``; each schedule step is a 4x4 controlled gate on its
+    (control, target) qubits. After the full schedule, the off-diagonal of
+    the system+pointer record is suppressed by exactly ``coupling ** n_env``,
+    which gives this scenario a closed-form oracle:
 
     * pointer reduced state: exactly ``diag(|alpha|^2, |beta|^2)``;
     * record (system+pointer) eigenvalues:
@@ -115,11 +123,12 @@ def von_neumann_measurement(
     if not 0.0 <= coupling <= 1.0:
         raise ValueError(f"coupling must lie in [0, 1]: {coupling}")
 
+    check_memory(2 ** (n_env + 2), f"the von-neumann state vector for n_env={n_env}")
     labels = ("S", "P") + tuple(f"E{k}" for k in range(1, n_env + 1))
     layout = SystemLayout.qubits(labels)
     system = alpha * KET_ZERO + beta * KET_ONE
     vec = kron_all([system] + [KET_ZERO] * (1 + n_env))
-    initial = DensityMatrix.from_vector(vec, layout)
+    initial = PureState(vec, layout)
 
     # Environment qubit k ends in |0> or RY(theta)|0>; overlap cos(theta/2).
     theta = 2.0 * math.acos(coupling)
@@ -130,11 +139,9 @@ def von_neumann_measurement(
         ],
         dtype=complex,
     )
-    gates = [_controlled_gate(layout.dims, 0, 1, PAULI_X)]
-    gates += [
-        _controlled_gate(layout.dims, 1, 2 + k, ry) for k in range(n_env)
-    ]
-    schedule = tuple(unitary_channel(u) for u in gates)
+    copy = unitary_channel(_controlled_gate(PAULI_X))
+    read = unitary_channel(_controlled_gate(ry))
+    schedule = (((0, 1), copy),) + tuple(((1, 2 + k), read) for k in range(n_env))
 
     p = abs(alpha) ** 2
     q = abs(beta) ** 2

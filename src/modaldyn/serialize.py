@@ -19,9 +19,9 @@ import numpy as np
 from .channels import KrausChannel, LindbladGenerator, unitary_channel
 from .conditional import ConditionalTable
 from .errors import ModalDynError
-from .linalg import SystemLayout
+from .linalg import SystemLayout, apply_local, check_memory
 from .scenarios import Scenario
-from .states import DensityMatrix, EpistemicState
+from .states import DensityMatrix, EpistemicState, PureState
 from .trajectories import EnsembleReport, Trajectory
 
 SCHEMA_VERSION = 1
@@ -275,6 +275,7 @@ def scenario_from_document(data: dict) -> Scenario:
         raise SchemaError(f"expected kind 'scenario', got {data.get('kind')!r}")
     layout = layout_from_payload(_require(data, "layout"))
     initial = DensityMatrix(pairs_to_matrix(_require(data, "initial_state")), layout)
+    every = tuple(range(layout.n_factors))
     dynamics = data.get("dynamics")
     generator = None
     schedule: tuple = ()
@@ -290,15 +291,12 @@ def scenario_from_document(data: dict) -> Scenario:
             )
         elif dkind == "schedule":
             schedule = tuple(
-                unitary_channel(pairs_to_matrix(m))
+                (every, unitary_channel(pairs_to_matrix(m)))
                 for m in _require(dynamics, "unitaries")
             )
         elif dkind == "kraus":
-            schedule = (
-                KrausChannel(
-                    tuple(pairs_to_matrix(m) for m in _require(dynamics, "operators"))
-                ),
-            )
+            ops = tuple(pairs_to_matrix(m) for m in _require(dynamics, "operators"))
+            schedule = ((every, KrausChannel(ops)),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
     return Scenario(
@@ -310,11 +308,29 @@ def scenario_from_document(data: dict) -> Scenario:
     )
 
 
+def _embed(
+    op: np.ndarray, layout: SystemLayout, positions: tuple[int, ...]
+) -> np.ndarray:
+    """Dense operator on every factor for a step acting on ``positions``.
+
+    The step is applied to the identity with the same kernel that applies it
+    to states.
+    """
+    if positions == tuple(range(layout.n_factors)):
+        return op
+    d = layout.total_dim
+    check_memory(d * d, "a dense schedule step")
+    eye = np.eye(d, dtype=complex).reshape(layout.dims * 2)
+    return apply_local(op, eye, positions).reshape(d, d)
+
+
 def scenario_to_document(sc: Scenario) -> dict:
     """Serialize a Scenario (inverse of :func:`scenario_from_document`).
 
-    Discrete schedules are stored through their Kraus operators; oracle
-    callables are not serialized.
+    Discrete schedules are stored through their Kraus operators, each
+    embedded as a dense operator on every factor in layout order; a
+    ``PureState`` is stored as its density matrix. Oracle callables are not
+    serialized.
     """
     dynamics: Optional[dict] = None
     if sc.generator is not None:
@@ -327,25 +343,26 @@ def scenario_to_document(sc: Scenario) -> dict:
             ],
         }
     elif sc.schedule:
-        if all(len(ch.operators) == 1 for ch in sc.schedule):
-            dynamics = {
-                "kind": "schedule",
-                "unitaries": [matrix_to_pairs(ch.operators[0]) for ch in sc.schedule],
-            }
-        elif len(sc.schedule) == 1:
-            dynamics = {
-                "kind": "kraus",
-                "operators": [matrix_to_pairs(k) for k in sc.schedule[0].operators],
-            }
+        steps = [
+            [matrix_to_pairs(_embed(k, sc.layout, positions)) for k in ch.operators]
+            for positions, ch in sc.schedule
+        ]
+        if all(len(ops) == 1 for ops in steps):
+            dynamics = {"kind": "schedule", "unitaries": [ops[0] for ops in steps]}
+        elif len(steps) == 1:
+            dynamics = {"kind": "kraus", "operators": steps[0]}
         else:
             raise ModalDynError(
                 "cannot serialize a multi-step schedule of non-unitary channels"
             )
+    initial = sc.initial_state
+    if isinstance(initial, PureState):
+        initial = initial.reduce(sc.layout.labels)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "scenario",
         "name": sc.name,
         "layout": layout_payload(sc.layout),
-        "initial_state": matrix_to_pairs(sc.initial_state.matrix),
+        "initial_state": matrix_to_pairs(initial.matrix),
         "dynamics": dynamics,
     }

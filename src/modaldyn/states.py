@@ -6,12 +6,16 @@ state: each retained eigenvector is a candidate pure state of the system (an
 occupies that state. The decomposition is unique exactly when the spectrum is
 nondegenerate, so degenerate eigenvalue clusters are detected and carried as
 explicit flags for downstream policy (refuse or answer-with-annotation).
+
+A pure state of a large layout is carried as its vector (:class:`PureState`)
+rather than as a dense matrix; its reductions are formed from the Schmidt
+form of the vector and are ordinary validated density matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .errors import (
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
 )
-from .linalg import DEGENERACY_GAP, HERMITICITY_TOL, SystemLayout
+from .linalg import DEGENERACY_GAP, HERMITICITY_TOL, SystemLayout, check_memory
 
 # Validation tolerances for the value types below.
 TRACE_TOL = 1e-10
@@ -32,6 +36,17 @@ MASS_BALANCE_TOL = 1e-9
 
 DEFAULT_THRESHOLD = 1e-12
 PURITY_SHORTCUT = 1e-10
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex vector by numpy's pairwise sum.
+
+    A BLAS dot product over a million amplitudes can miss the norm by 1e-12,
+    as much as the unit-norm tolerance, and renormalizing with it at every
+    step of a schedule would build the error up.
+    """
+    parts = v.view(float)
+    return float(np.sqrt(np.sum(parts * parts)))
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -87,12 +102,63 @@ class DensityMatrix:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, layout: SystemLayout) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise InvalidDensityMatrixError("zero vector has no state")
-        v = v / norm
+        v = PureState(vec, layout).vector
+        check_memory(v.size * v.size, "the density matrix of a state vector")
         return cls(np.outer(v, v.conj()), layout)
+
+
+@dataclass(frozen=True)
+class PureState:
+    """Pure state carried as its unit vector over a layout.
+
+    Construction normalizes the vector and rejects a zero or non-finite
+    one. A dense ``d x d`` matrix of the whole layout is formed only when
+    asked for: ``reduce`` over every factor, or a channel with several Kraus
+    operators in ``channels.apply``, which turns the state into its density
+    matrix. A single-operator channel acts on the vector itself;
+    ``extract_epistemic`` reads it as one entry of probability one.
+    Instances are immutable.
+    """
+
+    vector: np.ndarray
+    layout: SystemLayout
+
+    def __post_init__(self) -> None:
+        v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
+        d = self.layout.total_dim
+        if v.shape[0] != d:
+            raise InvalidDensityMatrixError(
+                f"vector length {v.shape[0]} does not match layout dimension {d}"
+            )
+        norm = _norm(v)
+        if not 0.0 < norm < np.inf:
+            raise InvalidDensityMatrixError(f"a vector of norm {norm} has no state")
+        v = v / norm
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
+
+    @property
+    def dim(self) -> int:
+        return self.layout.total_dim
+
+    def reduce(self, keep: Sequence[str]) -> DensityMatrix:
+        """Reduced density matrix of the named factors, ``M M^dag``.
+
+        ``M`` is the amplitude tensor with the kept axes moved first (in
+        layout order) and reshaped to ``(d_keep, -1)``: the Schmidt form of
+        the vector across the cut.
+        """
+        sub = self.layout.sublayout(keep)
+        d_keep = sub.total_dim
+        check_memory(d_keep * d_keep, f"the reduced density matrix of {sub.labels}")
+        pos = self.layout.positions(keep)
+        m = np.moveaxis(
+            self.vector.reshape(self.layout.dims), pos, tuple(range(len(pos)))
+        ).reshape(d_keep, -1)
+        return DensityMatrix(m @ m.conj().T, sub)
+
+
+State = Union[DensityMatrix, PureState]
 
 
 @dataclass(frozen=True)
@@ -104,13 +170,13 @@ class OnticState:
     index: int
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
         if v.shape[0] != self.layout.total_dim:
             raise DimensionMismatchError(
                 f"vector length {v.shape[0]} does not match layout "
                 f"dimension {self.layout.total_dim}"
             )
-        norm = np.linalg.norm(v)
+        norm = _norm(v)
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise InvalidDensityMatrixError(
                 f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
@@ -187,19 +253,24 @@ class EpistemicState:
 
 
 def extract_epistemic(
-    rho: DensityMatrix, threshold: float = DEFAULT_THRESHOLD
+    rho: State, threshold: float = DEFAULT_THRESHOLD
 ) -> EpistemicState:
     """Spectrally decompose a density matrix into an epistemic state.
 
     Eigenvalues below ``threshold`` are dropped into ``truncation_mass``.
     A nearly pure input (purity within 1e-10 of one) short-circuits to a
-    single entry with probability exactly one. Eigenvalues closer than 1e-9
+    single entry with probability exactly one; a ``PureState`` is that
+    entry, its own vector with canonical phase. Eigenvalues closer than 1e-9
     are grouped into degenerate clusters and flagged, never resolved here.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidDensityMatrixError("extract_epistemic expects a DensityMatrix")
+    if not isinstance(rho, (DensityMatrix, PureState)):
+        raise InvalidDensityMatrixError(
+            "extract_epistemic expects a DensityMatrix or a PureState"
+        )
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1): {threshold}")
+    if isinstance(rho, PureState):
+        return EpistemicState(entries=((1.0, OnticState(rho.vector, rho.layout, 0)),))
     w, v = linalg.hermitian_eig(rho.matrix)
     layout = rho.layout
     if rho.purity() > 1.0 - PURITY_SHORTCUT:

@@ -31,6 +31,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,8 +63,8 @@ class TimeGrid:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive: {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive: {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative: {self.n_steps}")
 
@@ -252,7 +253,7 @@ def build_step_chain(
         )
         entry_labels.append(labels)
 
-    ops = _kraus_operators(step_channel, rho0.dim)
+    ops = _kraus_operators(step_channel)
     part = trivial_partition(rho0.layout)
     raw_rows = []
     for k in range(grid.n_steps):

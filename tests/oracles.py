@@ -55,6 +55,32 @@ def naive_kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_embed(op, dims, positions) -> np.ndarray:
+    """Dense operator on every factor: ``op`` on ``positions``, identity elsewhere.
+
+    ``op`` acts on the factors at ``positions``, listed in the operator's
+    own factor order. The result is ``op kron I`` over the factor order
+    ``positions + rest``, moved back to layout order entry by entry.
+    """
+    dims = tuple(int(d) for d in dims)
+    positions = tuple(int(p) for p in positions)
+    rest = tuple(i for i in range(len(dims)) if i not in positions)
+    order = positions + rest
+    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
+    big = np.kron(np.asarray(op, dtype=complex), np.eye(rest_dim))
+    order_dims = tuple(dims[i] for i in order)
+    total = int(np.prod(dims))
+    out = np.zeros((total, total), dtype=complex)
+    for row in itertools.product(*[range(d) for d in dims]):
+        for col in itertools.product(*[range(d) for d in dims]):
+            r = int(np.ravel_multi_index(tuple(row[i] for i in order), order_dims))
+            c = int(np.ravel_multi_index(tuple(col[i] for i in order), order_dims))
+            out[
+                int(np.ravel_multi_index(row, dims)), int(np.ravel_multi_index(col, dims))
+            ] = big[r, c]
+    return out
+
+
 def naive_choi(operators) -> np.ndarray:
     """``sum_k vec(K_k) vec(K_k)^dag`` by explicit entrywise loops."""
     operators = [np.asarray(k, dtype=complex) for k in operators]

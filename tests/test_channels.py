@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modaldyn import (
     CptVerificationError,
@@ -10,6 +12,7 @@ from modaldyn import (
     LindbladGenerator,
     NotHermitianError,
     NotUnitaryError,
+    PureState,
     Superoperator,
     SystemLayout,
     apply,
@@ -33,10 +36,11 @@ from modaldyn.random_objects import (
     random_density_matrix,
     random_kraus_channel,
     random_lindblad,
+    random_state_vector,
     random_unitary,
 )
 
-from oracles import naive_choi, naive_kraus_apply
+from oracles import naive_choi, naive_embed, naive_kraus_apply, naive_partial_trace
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -182,6 +186,13 @@ def test_evolve_rejects_negative_duration():
         evolve(g, -0.1)
 
 
+def test_evolve_rejects_non_finite_duration():
+    g = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, 1.0),))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            evolve(g, bad)
+
+
 def test_dephasing_closed_form():
     gamma = 0.9
     g = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, gamma),))
@@ -267,3 +278,44 @@ def test_constructors_reject_nan():
         LindbladGenerator(hamiltonian=nan_diag)
     with pytest.raises(ValueError):
         LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, np.nan),))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_apply_matches_dense_embedding(dims, data, seed):
+    # positions come in any order and need not be adjacent, e.g. (2, 0)
+    n = len(dims)
+    order = data.draw(st.permutations(range(n)))
+    positions = tuple(order[: data.draw(st.integers(1, n))])
+    keep = tuple(sorted(order[: data.draw(st.integers(1, n))]))
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"F{i}" for i in range(n)))
+    sub = int(np.prod([dims[p] for p in positions]))
+    gate = unitary_channel(random_unitary(sub, rng))
+    family = random_kraus_channel(sub, int(rng.integers(2, 4)), rng)
+    psi = PureState(random_state_vector(layout.total_dim, rng), layout)
+    pure = np.outer(psi.vector, psi.vector.conj())
+    rho = random_density_matrix(layout, rng)
+
+    out = apply(gate, psi, positions)
+    assert isinstance(out, PureState)
+    want = naive_embed(gate.operators[0], dims, positions) @ psi.vector
+    assert np.abs(out.vector - want).max() < 1e-12
+    embedded = [naive_embed(k, dims, positions) for k in family.operators]
+    mixed = apply(family, psi, positions)
+    assert isinstance(mixed, DensityMatrix)
+    assert np.abs(mixed.matrix - naive_kraus_apply(embedded, pure)).max() < 1e-12
+    got = apply(family, rho, positions).matrix
+    assert np.abs(got - naive_kraus_apply(embedded, rho.matrix)).max() < 1e-12
+    got = apply(gate, rho, positions).matrix
+    want = naive_kraus_apply([naive_embed(gate.operators[0], dims, positions)], rho.matrix)
+    assert np.abs(got - want).max() < 1e-12
+
+    labels = tuple(layout.labels[p] for p in keep)
+    reduced = psi.reduce(labels)
+    assert reduced.layout == layout.sublayout(labels)
+    assert np.abs(reduced.matrix - naive_partial_trace(pure, dims, keep)).max() < 1e-12

@@ -335,3 +335,39 @@ def test_nan_unitary_schedule_exits_like_a_non_unitary_one(capsys, tmp_path):
         code, out, _ = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
         assert code == 3, name
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["conditional", "--scenario", "damping", "--blocks", "Q", "--time", "nan"], "--time"),
+        (["conditional", "--scenario", "damping", "--blocks", "Q", "--time", "-1"], "--time"),
+        (["epistemic", "--scenario", "damping", "--time", "nan"], "--time"),
+        (["epistemic", "--scenario", "damping", "--time", "inf"], "--time"),
+        (["sample", "--scenario", "damping", "--t", "nan", "--steps", "4", "--seed", "1"], "--t"),
+    ],
+    ids=["conditional-nan", "conditional-negative", "epistemic-nan", "epistemic-inf", "sample-nan"],
+)
+def test_non_finite_or_negative_times_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
+
+
+def test_von_neumann_state_vector_over_budget_exits_2(capsys):
+    argv = ["epistemic", "--scenario", "von-neumann", "--n-env", "40", "--subsystem", "S,P"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "70368744177664 bytes" in err and "budget" in err
+
+
+def test_dense_reduced_matrix_over_budget_exits_2(capsys):
+    # the E block's reduced matrix would be 2^16 x 2^16 complex: 64 GiB
+    env = "+".join(f"E{k}" for k in range(1, 17))
+    argv = ["conditional", "--scenario", "von-neumann", "--n-env", "16", "--blocks", f"S,P,{env}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "68719476736 bytes" in err and "budget" in err

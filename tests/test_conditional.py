@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
+    DensityMatrix,
     DegenerateBasisError,
     LayoutMismatchError,
     Partition,
     ProbabilityBoundsError,
     SystemLayout,
     apply,
+    compose,
     conditional_table,
     dynamical_conditional,
     epr_bohm,
@@ -22,11 +24,13 @@ from modaldyn import (
     kinematic_conditional,
     kraus_to_superoperator,
     trivial_partition,
+    unitary_channel,
+    von_neumann_measurement,
 )
 from modaldyn.conditional import _conditional_probabilities
 from modaldyn.random_objects import random_density_matrix, random_kraus_channel
 
-from oracles import naive_joint_probability
+from oracles import naive_embed, naive_joint_probability
 
 
 def test_partition_validation():
@@ -207,6 +211,27 @@ def test_bound_error_names_worst_entry_in_plain_numbers():
     assert "np.float64" not in message
     assert "2.0000000000000004 at [w, i_1..i_n] = (1, 1)" in message
     assert "1 + 1e-10" in message
+
+
+@pytest.mark.parametrize("blocks", ["S,P,E1+E2+E3", "S+P,E1,E2+E3"])
+def test_schedule_table_equals_composed_dense_channel(blocks):
+    sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=3)
+    dims = sc.layout.dims
+    dense = [
+        unitary_channel(naive_embed(ch.operators[0], dims, positions))
+        for positions, ch in sc.schedule
+    ]
+    composed = dense[0]
+    for nxt in dense[1:]:
+        composed = compose(nxt, composed)
+    part = Partition(sc.layout, tuple(tuple(b.split("+")) for b in blocks.split(",")))
+    rho = DensityMatrix.from_vector(sc.initial_state.vector, sc.layout)
+    want = conditional_table(rho, composed, part)
+    got = conditional_table(sc.initial_state, sc.schedule, part)
+    assert got.probabilities.shape == want.probabilities.shape
+    assert np.abs(got.probabilities - want.probabilities).max() < 1e-12
+    for a, b in zip(got.blocks, want.blocks):
+        assert np.abs(a.probabilities - b.probabilities).max() < 1e-12
 
 
 # ------------------------------------------------------------ property tests

@@ -85,6 +85,21 @@ def test_von_neumann_record_eigenvalues_match_closed_form():
         assert sc.oracle["record_eigenvalues"] == pytest.approx((big, small))
 
 
+def test_von_neumann_record_eigenvalues_at_large_environments():
+    # the state vector has 2^(n_env + 2) entries: 2^18 at n_env = 16
+    p = 0.3
+    coupling = 0.4
+    for n_env in (12, 16):
+        sc = von_neumann_measurement(
+            alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=coupling
+        )
+        record = extract_epistemic(sc.final_state().reduce(("S", "P")))
+        big, small = record_pair_eigenvalues(p, n_env, coupling)
+        assert len(record) == 2
+        assert abs(record.probabilities[0] - big) < 1e-12
+        assert abs(record.probabilities[1] - small) < 1e-12
+
+
 def test_von_neumann_deviation_decreases_with_environment_size():
     p = 0.3
     devs = []

@@ -11,6 +11,7 @@ from modaldyn import (
     epr_bohm,
     extract_epistemic,
     ghz_mermin,
+    von_neumann_measurement,
 )
 from modaldyn.serialize import (
     SCHEMA_VERSION,
@@ -183,3 +184,14 @@ def test_scenario_document_static_and_schedule():
     assert len(flip.schedule) == 1
     after = flip.final_state()
     assert np.abs(after.matrix - np.diag([0.0, 1.0])).max() < 1e-12
+
+
+def test_von_neumann_document_round_trip():
+    sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=2)
+    doc = json.loads(dumps_json(scenario_to_document(sc)))
+    assert len(doc["dynamics"]["unitaries"]) == 3
+    back = scenario_from_document(doc)
+    assert back.layout == sc.layout
+    want = sc.final_state().reduce(("S", "P")).matrix
+    got = back.final_state().reduce(("S", "P")).matrix
+    assert np.abs(got - want).max() < 1e-12

@@ -7,6 +7,7 @@ from modaldyn import (
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
     OnticState,
+    PureState,
     SystemLayout,
     epistemic_to_density,
     extract_epistemic,
@@ -132,3 +133,22 @@ def test_rebuild_refuses_large_truncation():
     assert e.truncation_mass == pytest.approx(0.1)
     with pytest.raises(ValueError):
         epistemic_to_density(e)
+
+
+def test_pure_state_normalizes_and_rejects_non_states():
+    pair = SystemLayout.qubits(("A", "B"))
+    psi = PureState(np.array([0.0, 3.0j, 0.0, 4.0j]), pair)
+    assert np.abs(psi.vector - np.array([0.0, 0.6j, 0.0, 0.8j])).max() < 1e-15
+    with pytest.raises(ValueError):
+        psi.vector[0] = 1.0
+    for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0]):
+        with pytest.raises(InvalidDensityMatrixError):
+            PureState(np.array(bad), pair)
+    with pytest.raises(InvalidDensityMatrixError):
+        PureState(np.array([1.0, 0.0]), pair)
+    e = extract_epistemic(psi)
+    assert e.probabilities.tolist() == [1.0]
+    # canonical phase: the largest component is real and positive
+    assert np.abs(e.entries[0][1].vector - np.array([0.0, 0.6, 0.0, 0.8])).max() < 1e-15
+    dense = extract_epistemic(DensityMatrix.from_vector(psi.vector, pair))
+    assert np.abs(dense.basis_matrix() - e.basis_matrix()).max() < 1e-12

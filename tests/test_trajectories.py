@@ -47,6 +47,12 @@ def test_time_grid_validation():
         TimeGrid(0.0, 0.5, -1)
 
 
+def test_time_grid_rejects_non_finite_step():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            TimeGrid(0.0, bad, 4)
+
+
 def test_dephasing_keeps_populations_frozen():
     # diagonal state, dephasing noise: branches never switch
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
