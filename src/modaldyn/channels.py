@@ -78,15 +78,6 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "dim", d)
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the map to an arbitrary operator (no state validation)."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"operator shape {mat.shape} does not match channel dim {self.dim}"
-            )
-        return _kraus_sum(self.operators, mat, (0,))
-
 
 @dataclass(frozen=True)
 class LindbladGenerator:
@@ -311,13 +302,11 @@ def superoperator_to_choi(s: Superoperator) -> np.ndarray:
     return _realign(s.matrix, s.dim)
 
 
-def choi_to_kraus(
-    choi: np.ndarray, dim: int, cutoff: float = CHOI_EIG_CUTOFF
-) -> tuple[np.ndarray, ...]:
+def choi_to_kraus(choi: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
     """Extract Kraus operators from a Choi matrix eigendecomposition.
 
-    Eigenvalues below ``cutoff`` are dropped; eigenvalues below ``-CPT_TOL``
-    mean the map is not completely positive and raise.
+    Eigenvalues below ``CHOI_EIG_CUTOFF`` are dropped; eigenvalues below
+    ``-CPT_TOL`` mean the map is not completely positive and raise.
     """
     choi = np.asarray(choi, dtype=complex)
     sym = 0.5 * (choi + choi.conj().T)
@@ -329,7 +318,7 @@ def choi_to_kraus(
     ops = [
         np.sqrt(w[k]) * v[:, k].reshape(dim, dim)
         for k in range(len(w))
-        if w[k] >= cutoff
+        if w[k] >= CHOI_EIG_CUTOFF
     ]
     if not ops:
         raise CptVerificationError("Choi matrix has no eigenvalue above cutoff")

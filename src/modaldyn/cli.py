@@ -417,6 +417,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output=args.output,
     )
     if args.command == "verify-channel":
+        if not 0.0 <= args.tol < math.inf:
+            raise ConfigError(f"--tol must be finite and >= 0: {args.tol}")
         try:
             with open(args.channel, "r", encoding="utf-8") as fh:
                 data = json.load(fh)

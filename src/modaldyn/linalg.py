@@ -162,16 +162,14 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(x for c in v for x in (c.real, c.imag))
 
 
-def hermitian_eig(
-    h: np.ndarray, tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
-    The input must be Hermitian within ``tol`` (max absolute deviation); it is
-    symmetrized to (H + H†)/2 before decomposition so round-off asymmetry
-    cannot leak into the result. Eigenvalues come back in descending order,
-    exact ties broken by descending lexicographic order of the
-    phase-canonicalized eigenvectors (this keeps identity-basis order for
+    The input must be Hermitian within ``HERMITICITY_TOL`` (max absolute
+    deviation); it is symmetrized to (H + H†)/2 before decomposition so
+    round-off asymmetry cannot leak into the result. Eigenvalues come back in
+    descending order, exact ties broken by descending lexicographic order of
+    the phase-canonicalized eigenvectors (this keeps identity-basis order for
     diagonal inputs). Eigenvector columns are phase-canonicalized.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as columns.
@@ -180,10 +178,15 @@ def hermitian_eig(
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     dev = np.abs(h - h.conj().T).max()
-    if not dev <= tol:
+    if not dev <= HERMITICITY_TOL:
         raise NotHermitianError(
-            f"max |H - H^dag| = {dev:.3e} exceeds tolerance {tol:.1e}"
+            f"max |H - H^dag| = {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
         )
+    return _ordered_eig(h)
+
+
+def _ordered_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eig`` without its Hermiticity check, for checked inputs."""
     sym = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(sym)
     order = np.argsort(-w, kind="stable")

@@ -54,7 +54,6 @@ class Scenario:
     initial_state: State
     generator: Optional[LindbladGenerator] = None
     schedule: Schedule = ()
-    observables: tuple[tuple[tuple[str, ...], str], ...] = ()
     oracle: dict = field(default_factory=dict)
 
     def final_state(self) -> State:
@@ -159,7 +158,6 @@ def von_neumann_measurement(
         layout=layout,
         initial_state=initial,
         schedule=schedule,
-        observables=((("P",), "pointer"), (("S", "P"), "measurement record")),
         oracle=oracle,
     )
 
@@ -178,7 +176,6 @@ def epr_bohm() -> Scenario:
         name="epr-bohm",
         layout=layout,
         initial_state=DensityMatrix.from_vector(vec, layout),
-        observables=((("A",), "left qubit"), (("B",), "right qubit")),
         oracle=oracle,
     )
 
@@ -196,10 +193,6 @@ def ghz_mermin() -> Scenario:
         name="ghz-mermin",
         layout=layout,
         initial_state=DensityMatrix.from_vector(vec, layout),
-        observables=(
-            (("A",), "first qubit"),
-            (("A", "B"), "first pair"),
-        ),
         oracle=oracle,
     )
 
@@ -231,7 +224,6 @@ def dephasing_qubit(
         layout=layout,
         initial_state=rho0,
         generator=generator,
-        observables=((("Q",), "qubit"),),
         oracle=oracle,
     )
 
@@ -262,7 +254,6 @@ def amplitude_damping_qubit(
         layout=layout,
         initial_state=rho0,
         generator=generator,
-        observables=((("Q",), "qubit"),),
         oracle=oracle,
     )
 

@@ -93,9 +93,8 @@ def epistemic_payload(
     scenario: str,
     subsystem: tuple[str, ...],
     time: float,
-    include_vectors: bool = True,
 ) -> dict:
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "epistemic",
         "scenario": scenario,
@@ -105,10 +104,8 @@ def epistemic_payload(
         "probabilities": [float(p) for p, _ in e.entries],
         "truncation_mass": float(e.truncation_mass),
         "degenerate_clusters": [list(c) for c in e.degenerate_clusters],
+        "vectors": [vector_to_pairs(s.vector) for _, s in e.entries],
     }
-    if include_vectors:
-        payload["vectors"] = [vector_to_pairs(s.vector) for _, s in e.entries]
-    return payload
 
 
 def epistemic_csv(e: EpistemicState) -> str:

@@ -80,7 +80,9 @@ class DensityMatrix:
             )
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
-            raise InvalidDensityMatrixError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
+            raise InvalidDensityMatrixError(
+                f"trace {tr.real:.15g}{tr.imag:+.3g}i is not 1 within {TRACE_TOL:.1e}"
+            )
         wmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
         if not wmin >= -PSD_TOL:
             raise InvalidDensityMatrixError(
@@ -177,7 +179,7 @@ class OnticState:
                 f"dimension {self.layout.total_dim}"
             )
         norm = _norm(v)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise InvalidDensityMatrixError(
                 f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
             )
@@ -216,7 +218,7 @@ class EpistemicState:
         if not self.entries:
             raise InvalidDensityMatrixError("epistemic state needs at least one entry")
         total = sum(p for p, _ in self.entries) + self.truncation_mass
-        if abs(total - 1.0) > MASS_BALANCE_TOL:
+        if not abs(total - 1.0) <= MASS_BALANCE_TOL:
             raise InvalidDensityMatrixError(
                 f"probabilities plus truncation mass sum to {total}, not 1"
             )
@@ -225,7 +227,7 @@ class EpistemicState:
             raise IndexError("degenerate cluster index out of range")
         basis = self.basis_matrix()
         gram = basis.conj().T @ basis
-        if np.abs(gram - np.eye(gram.shape[0])).max() > ORTHOGONALITY_TOL:
+        if not np.abs(gram - np.eye(gram.shape[0])).max() <= ORTHOGONALITY_TOL:
             raise NonOrthogonalEntriesError(
                 "retained ontic states are not mutually orthonormal"
             )
@@ -271,7 +273,8 @@ def extract_epistemic(
         raise ValueError(f"threshold must lie in [0, 1): {threshold}")
     if isinstance(rho, PureState):
         return EpistemicState(entries=((1.0, OnticState(rho.vector, rho.layout, 0)),))
-    w, v = linalg.hermitian_eig(rho.matrix)
+    # Hermiticity was checked when the DensityMatrix was built
+    w, v = linalg._ordered_eig(rho.matrix)
     layout = rho.layout
     if rho.purity() > 1.0 - PURITY_SHORTCUT:
         state = OnticState(v[:, 0], layout, 0)

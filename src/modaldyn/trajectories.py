@@ -26,7 +26,10 @@ a trajectory draws ``n_steps + 1`` uniforms up front, the first selecting the
 initial entry and the k-th thereafter selecting the jump at step k. Ensembles
 use consecutive seeds ``base_seed .. base_seed + n - 1``, which makes every
 sample reproducible in isolation and the aggregate independent of execution
-order.
+order. ``_uniforms`` is the one place this contract is written, and
+``StepChain._walk`` the one walk: a single trajectory is its one-row case,
+and an ensemble walks blocks of ``ENSEMBLE_BLOCK`` trajectories, so its
+memory does not grow with the number of trajectories.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ from .conditional import (
 )
 from .errors import DegenerateBasisError, NormalizationError
 from .states import DEFAULT_THRESHOLD, DensityMatrix, extract_epistemic
+
+# Trajectories per block of an ensemble walk. A fixed count rather than a
+# fixed number of uniforms: blocks of 2^20 uniforms walk a 4,096-step chain
+# 255 trajectories at a time, which took 1.3x as long.
+ENSEMBLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,9 @@ class StepChain:
     that sampling is just inverse-CDF draws. ``entry_labels[k][e]`` is the
     persistent branch label of retained entry ``e`` at grid point ``k``;
     ``raw_rows[k]`` are the unnormalized two-time conditional rows between
-    grid points ``k`` and ``k+1``.
+    grid points ``k`` and ``k+1``. ``cum_rows[k]`` are the cumulative
+    normalized rows into grid point ``k``: ``cum_rows[0]`` is the one row of
+    the initial eigenvalues, ``cum_rows[k + 1]`` comes from ``raw_rows[k]``.
     """
 
     grid: TimeGrid
@@ -115,14 +125,14 @@ class StepChain:
     entry_labels: list[np.ndarray]
     raw_rows: list[np.ndarray]
     n_labels: int
-    cum_rows: list[np.ndarray] = field(default_factory=list)
+    cum_rows: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.cum_rows:
-            self.cum_rows = []
-            for rows in self.raw_rows:
-                sums = rows.sum(axis=1, keepdims=True)
-                self.cum_rows.append(np.cumsum(rows / sums, axis=1))
+        p0 = self.entry_probs[0]
+        self.cum_rows = [np.cumsum(p0 / p0.sum())[None, :]]
+        for rows in self.raw_rows:
+            sums = rows.sum(axis=1, keepdims=True)
+            self.cum_rows.append(np.cumsum(rows / sums, axis=1))
 
     @property
     def n_times(self) -> int:
@@ -151,25 +161,23 @@ class StepChain:
         return table
 
     def _walk(self, uniforms: np.ndarray) -> np.ndarray:
-        """Entry indices along the grid for one vector of uniforms."""
-        p0 = self.entry_probs[0]
-        cum0 = np.cumsum(p0 / p0.sum())
-        entries = np.empty(self.n_times, dtype=int)
-        entries[0] = min(
-            int(np.searchsorted(cum0, uniforms[0], side="right")), len(p0) - 1
-        )
-        for k in range(self.n_times - 1):
-            cum = self.cum_rows[k][entries[k]]
-            entries[k + 1] = min(
-                int(np.searchsorted(cum, uniforms[k + 1], side="right")),
-                len(cum) - 1,
-            )
+        """Entry indices ``[trajectory, time]`` for uniforms ``[trajectory, time]``.
+
+        Uniform ``u`` at grid point ``k`` picks, from the cumulative row of
+        the entry held at ``k - 1`` (the initial row at ``k = 0``), the
+        number of cumulative values ``<= u``: the inverse CDF. The pick is
+        clamped to the last entry in case round-off leaves the row's last
+        cumulative value below ``u``.
+        """
+        entries = np.empty(uniforms.shape, dtype=int)
+        held = np.zeros(len(uniforms), dtype=int)
+        for k, cum in enumerate(self.cum_rows):
+            picked = (cum[held] <= uniforms[:, k, None]).sum(axis=1)
+            held = entries[:, k] = np.minimum(picked, cum.shape[1] - 1)
         return entries
 
     def sample(self, seed: int) -> Trajectory:
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
-        uniforms = rng.random(self.n_times)
-        entries = self._walk(uniforms)
+        entries = self._walk(_uniforms(int(seed), 1, self.n_times))[0]
         times = self.grid.times
         points = tuple(
             (
@@ -180,6 +188,18 @@ class StepChain:
             for k in range(self.n_times)
         )
         return Trajectory(points=points, seed=int(seed))
+
+
+def _uniforms(first_seed: int, n_rows: int, n_times: int) -> np.ndarray:
+    """Row ``i`` is ``PCG64(first_seed + i).random(n_times)``, for ``i < n_rows``.
+
+    The package's RNG contract: trajectory ``first_seed + i`` draws these
+    uniforms, whatever else is drawn with it.
+    """
+    out = np.empty((n_rows, n_times))
+    for i in range(n_rows):
+        out[i] = np.random.Generator(np.random.PCG64(first_seed + i)).random(n_times)
+    return out
 
 
 def _greedy_overlap_labels(
@@ -306,9 +326,11 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Aggregate ``n_samples`` trajectories with seeds ``base_seed + k``.
 
-    The walk is vectorized across trajectories per grid step, drawing each
-    trajectory's uniforms from its own seeded generator, so results are
-    bit-identical to sampling the trajectories one by one.
+    Trajectories are walked together in consecutive blocks of
+    ``ENSEMBLE_BLOCK``, each with the uniforms of its own seeded generator,
+    and their label counts are added up; so results are bit-identical to
+    sampling the trajectories one by one, and no array grows with
+    ``n_samples``.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -316,27 +338,14 @@ def run_ensemble(
     if chain is None:
         chain = build_step_chain(generator, rho0, grid, threshold, mode)
     n_times = chain.n_times
-    uniforms = np.empty((n_samples, n_times))
-    for i in range(n_samples):
-        rng = np.random.Generator(np.random.PCG64(int(base_seed) + i))
-        uniforms[i] = rng.random(n_times)
-
-    entries = np.empty((n_samples, n_times), dtype=int)
-    p0 = chain.entry_probs[0]
-    cum0 = np.cumsum(p0 / p0.sum())
-    entries[:, 0] = np.minimum(
-        np.searchsorted(cum0, uniforms[:, 0], side="right"), len(p0) - 1
-    )
-    for k in range(n_times - 1):
-        cum = chain.cum_rows[k]
-        rows = cum[entries[:, k]]
-        nxt = (rows <= uniforms[:, k + 1, None]).sum(axis=1)
-        entries[:, k + 1] = np.minimum(nxt, cum.shape[1] - 1)
-
-    counts = np.zeros((n_times, chain.n_labels))
-    for k in range(n_times):
-        labels_k = chain.entry_labels[k][entries[:, k]]
-        counts[k] = np.bincount(labels_k, minlength=chain.n_labels)
+    counts = np.zeros((n_times, chain.n_labels), dtype=np.int64)
+    for start in range(0, n_samples, ENSEMBLE_BLOCK):
+        n_rows = min(ENSEMBLE_BLOCK, n_samples - start)
+        entries = chain._walk(_uniforms(int(base_seed) + start, n_rows, n_times))
+        for k in range(n_times):
+            labels_k = chain.entry_labels[k][entries[:, k]]
+            counts[k] += np.bincount(labels_k, minlength=chain.n_labels)
+        del entries  # before the next block's arrays are allocated
     frequencies = counts / n_samples
     eigenvalues = chain.eigenvalue_table()
     max_dev = float(np.abs(frequencies - eigenvalues).max())

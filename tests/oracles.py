@@ -126,6 +126,27 @@ def naive_joint_probability(
     return float(value.real)
 
 
+def naive_walk(initial_probs, raw_rows, seed) -> list[int]:
+    """Entry indices of one trajectory through a step chain, one draw at a time.
+
+    ``PCG64(seed).random(n_times)`` gives one uniform per grid point. The
+    first picks the initial entry from ``initial_probs``; the k-th picks the
+    entry at grid point k from the row ``raw_rows[k - 1][e]`` of the entry
+    ``e`` held at k - 1. Each pick is the inverse CDF: ``searchsorted`` of
+    the uniform on the cumulative normalized weights, clamped to the last
+    entry.
+    """
+    n_times = len(raw_rows) + 1
+    uniforms = np.random.Generator(np.random.PCG64(int(seed))).random(n_times)
+    entries = []
+    for k in range(n_times):
+        weights = np.asarray(initial_probs if k == 0 else raw_rows[k - 1][entries[-1]])
+        cum = np.cumsum(weights / weights.sum())
+        pick = int(np.searchsorted(cum, uniforms[k], side="right"))
+        entries.append(min(pick, len(weights) - 1))
+    return entries
+
+
 def dephasing_offdiagonal(initial_offdiag: complex, gamma: float, t: float) -> complex:
     return initial_offdiag * np.exp(-2.0 * gamma * t)
 

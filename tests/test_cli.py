@@ -265,6 +265,17 @@ def test_verify_channel_lindblad_document(capsys, tmp_path):
     assert json.loads(out)["is_cp"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_channel_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
+    doc = {"schema_version": 1, "kind": "kraus", "operators": [matrix_to_pairs(np.eye(2))]}
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify-channel", "--channel", str(path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert f"--tol must be finite and >= 0: {float(tol)}" in err
+
+
 def test_scenario_file_source(capsys, tmp_path):
     from modaldyn import dephasing_qubit
     from modaldyn.serialize import scenario_to_document

@@ -127,6 +127,17 @@ def test_epistemic_state_rejects_bad_mass_balance():
         EpistemicState(entries=((0.5, v0), (0.3, v1)))
 
 
+def test_state_bounds_reject_nan_and_print_plain_numbers():
+    with pytest.raises(InvalidDensityMatrixError):
+        OnticState(np.array([np.nan, 1.0]), QUBIT, 0)
+    v0 = OnticState(np.array([1.0, 0.0]), QUBIT, 0)
+    with pytest.raises(InvalidDensityMatrixError):
+        EpistemicState(entries=((np.nan, v0),))
+    with pytest.raises(InvalidDensityMatrixError) as info:
+        DensityMatrix(np.diag([0.6, 0.4 + 6e-10]).astype(complex), QUBIT)
+    assert str(info.value) == "trace 1.0000000006+0i is not 1 within 1.0e-10"
+
+
 def test_rebuild_refuses_large_truncation():
     rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex), QUBIT)
     e = extract_epistemic(rho, threshold=0.5)

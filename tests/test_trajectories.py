@@ -22,8 +22,9 @@ from modaldyn.random_objects import (
     random_kraus_channel,
     random_lindblad,
 )
+from modaldyn.trajectories import ENSEMBLE_BLOCK
 
-from oracles import naive_kraus_apply
+from oracles import naive_kraus_apply, naive_walk
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -140,6 +141,48 @@ def test_ensemble_matches_sequential_sampling_bitwise():
         traj = chain.sample(base + i)
         for k, (_, label, _) in enumerate(traj.points):
             counts[k, label] += 1
+    assert np.array_equal(report.frequencies, counts / n)
+
+
+def _random_chain(dims, n_ops, n_steps, rng):
+    layout = SystemLayout(tuple(dims), tuple(f"Q{k}" for k in range(len(dims))))
+    d = layout.total_dim
+    rho0 = random_density_matrix(layout, rng)
+    ch = random_kraus_channel(d, n_ops, rng)
+    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    return build_step_chain(idle, rho0, grid, mode="permissive", step_channel=ch)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_matches_naive_walk(dims, n_ops, n_steps, seed):
+    chain = _random_chain(dims, n_ops, n_steps, np.random.default_rng(seed))
+    times = chain.grid.times
+    for s in range(seed, seed + 8):
+        entries = naive_walk(chain.entry_probs[0], chain.raw_rows, s)
+        want = tuple(
+            (float(times[k]), int(chain.entry_labels[k][e]), float(chain.entry_probs[k][e]))
+            for k, e in enumerate(entries)
+        )
+        assert chain.sample(s).points == want
+
+
+def test_ensemble_counts_match_naive_walks_across_blocks():
+    chain = _random_chain([3], 2, 3, np.random.default_rng(5))
+    n = 2 * ENSEMBLE_BLOCK + 123  # three blocks, the last one partial
+    base = 777
+    report = run_ensemble(None, None, chain.grid, n_samples=n, base_seed=base, chain=chain)
+    counts = np.zeros_like(report.frequencies)
+    for i in range(n):
+        for k, e in enumerate(naive_walk(chain.entry_probs[0], chain.raw_rows, base + i)):
+            counts[k, chain.entry_labels[k][e]] += 1
+    assert counts.sum() == n * chain.n_times
     assert np.array_equal(report.frequencies, counts / n)
 
 
