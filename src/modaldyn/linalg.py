@@ -186,24 +186,24 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ordered_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_eig`` without its Hermiticity check, for checked inputs."""
-    sym = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(sym)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    cols = [canonical_phase(v[:, j]) for j in range(v.shape[1])]
-    # Exact eigenvalue ties get a deterministic vector order.
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            cols[i:j] = sorted(cols[i:j], key=_lex_key, reverse=True)
-        i = j
-    return w, np.column_stack(cols)
+    """``hermitian_eig`` without its Hermiticity check, for checked inputs.
+
+    ``h`` may be a stack ``(..., d, d)``, decomposed by one ``eigh`` call.
+    Phases stay per-column ``canonical_phase``: an array-wise one rounds
+    differently.
+    """
+    w, v = np.linalg.eigh(0.5 * (h + np.swapaxes(h.conj(), -1, -2)))
+    # eigh sorts ascending; exact ties are then ordered by their vectors
+    w, v = w[..., ::-1].copy(), v[..., ::-1].copy()
+    for idx in np.ndindex(w.shape[:-1]):
+        cols = [canonical_phase(c) for c in v[idx].T]
+        if len(set(w[idx])) < len(cols):
+            order = sorted(
+                range(len(cols)), key=lambda j: (w[idx][j], _lex_key(cols[j]))
+            )
+            cols = [cols[j] for j in reversed(order)]
+        v[idx] = np.column_stack(cols)
+    return w, v
 
 
 def partial_trace(

@@ -15,12 +15,13 @@ form of the vector and are ordinary validated density matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import linalg
 from .errors import (
+    DegenerateBasisError,
     DimensionMismatchError,
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
@@ -55,6 +56,37 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _density_fault(
+    mats: np.ndarray, w: Optional[np.ndarray] = None
+) -> Optional[tuple[int, str]]:
+    """The first of a stack of matrices ``(n, d, d)`` that is no density matrix.
+
+    Hermiticity and trace within 1e-10, then a minimum eigenvalue >= -1e-10,
+    are checked; the result is ``(index, why)`` or ``None``. ``w`` holds the
+    eigenvalues of the symmetrized matrices. Without it the stack holds one
+    matrix, whose eigenvalues are computed once it passes the first checks.
+    """
+    herm = np.abs(mats - np.swapaxes(mats.conj(), 1, 2)).max(axis=(1, 2))
+    tr = np.trace(mats, axis1=1, axis2=2)
+    # negated so that NaN fails too
+    bad = ~((herm <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= TRACE_TOL))
+    if w is None:
+        sym = 0.5 * (mats + np.swapaxes(mats.conj(), 1, 2))
+        w = np.zeros((1, 1)) if bad[0] else np.linalg.eigvalsh(sym)
+    wmin = w.min(axis=1)
+    bad |= ~(wmin >= -PSD_TOL)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if not herm[k] <= HERMITICITY_TOL:
+        return k, f"not Hermitian: max |rho - rho^dag| = {herm[k]:.3e}"
+    if not abs(tr[k] - 1.0) <= TRACE_TOL:
+        return k, (
+            f"trace {tr[k].real:.15g}{tr[k].imag:+.3g}i is not 1 within {TRACE_TOL:.1e}"
+        )
+    return k, f"minimum eigenvalue {wmin[k]:.3e} below -{PSD_TOL:.1e}"
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator with a layout.
@@ -73,21 +105,9 @@ class DensityMatrix:
             raise InvalidDensityMatrixError(
                 f"shape {mat.shape} does not match layout dimension {d}"
             )
-        herm = np.abs(mat - mat.conj().T).max()
-        if not herm <= HERMITICITY_TOL:
-            raise InvalidDensityMatrixError(
-                f"not Hermitian: max |rho - rho^dag| = {herm:.3e}"
-            )
-        tr = mat.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise InvalidDensityMatrixError(
-                f"trace {tr.real:.15g}{tr.imag:+.3g}i is not 1 within {TRACE_TOL:.1e}"
-            )
-        wmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-        if not wmin >= -PSD_TOL:
-            raise InvalidDensityMatrixError(
-                f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL:.1e}"
-            )
+        fault = _density_fault(mat[None])
+        if fault is not None:
+            raise InvalidDensityMatrixError(fault[1])
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
     @property
@@ -269,47 +289,74 @@ def extract_epistemic(
         raise InvalidDensityMatrixError(
             "extract_epistemic expects a DensityMatrix or a PureState"
         )
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must lie in [0, 1): {threshold}")
     if isinstance(rho, PureState):
+        _check_threshold(threshold)
         return EpistemicState(entries=((1.0, OnticState(rho.vector, rho.layout, 0)),))
     # Hermiticity was checked when the DensityMatrix was built
     w, v = linalg._ordered_eig(rho.matrix)
-    layout = rho.layout
-    if rho.purity() > 1.0 - PURITY_SHORTCUT:
-        state = OnticState(v[:, 0], layout, 0)
-        return EpistemicState(entries=((1.0, state),))
-    keep = w >= threshold
-    truncation = float(w[~keep].sum())
-    w_kept = w[keep]
-    v_kept = v[:, keep]
-    if w_kept.size == 0:
-        raise InvalidDensityMatrixError(
-            "no eigenvalue above threshold; not a usable state"
-        )
+    probs, counts, close = _read_spectra(rho.matrix[None], w[None], threshold)
+    n = int(counts[0])
     entries = tuple(
-        (float(w_kept[i]), OnticState(v_kept[:, i], layout, i))
-        for i in range(w_kept.size)
+        (float(probs[0, i]), OnticState(v[:, i], rho.layout, i)) for i in range(n)
     )
-    clusters = _degenerate_clusters(w_kept)
     return EpistemicState(
-        entries=entries, degenerate_clusters=clusters, truncation_mass=truncation
+        entries=entries,
+        degenerate_clusters=_degenerate_clusters(close[0]),
+        truncation_mass=float(probs[0, n:].sum()),
     )
 
 
-def _degenerate_clusters(w_desc: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Group adjacent eigenvalues with gaps below DEGENERACY_GAP (chained)."""
-    clusters: list[tuple[int, ...]] = []
-    i = 0
-    n = len(w_desc)
-    while i < n:
-        j = i
-        while j + 1 < n and abs(w_desc[j] - w_desc[j + 1]) < DEGENERACY_GAP:
-            j += 1
-        if j > i:
-            clusters.append(tuple(range(i, j + 1)))
-        i = j + 1
-    return tuple(clusters)
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1): {threshold}")
+
+
+def _read_spectra(
+    mats: np.ndarray,
+    w: np.ndarray,
+    threshold: float,
+    refuse_degenerate: bool = False,
+    where: Optional[Callable[[int], str]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The epistemic reading of density matrices ``(n, d, d)`` from their spectra.
+
+    ``w`` holds their eigenvalues, descending. Returns ``(probs, counts,
+    close)``: ``probs`` is ``w`` with a nearly pure spectrum read as
+    ``(1, 0, ..)``; ``counts`` are the kept prefix lengths; ``close[:, j]``
+    marks kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``.
+    The first matrix that keeps no eigenvalue, or with ``refuse_degenerate``
+    has close ones, is refused; ``where(k)`` names matrix ``k``, and must be
+    given with ``refuse_degenerate``.
+    """
+    _check_threshold(threshold)
+    d = w.shape[1]
+    pure = np.real(np.trace(mats @ mats, axis1=1, axis2=2)) > 1.0 - PURITY_SHORTCUT
+    counts = np.where(pure, 1, (w >= threshold).sum(axis=1))
+    probs = np.where(pure[:, None], np.arange(d) == 0, w)
+    close = np.abs(np.diff(w, axis=1)) < DEGENERACY_GAP
+    close &= np.arange(1, d) < counts[:, None]
+    empty = counts == 0
+    faults = (empty | close.any(axis=1)) if refuse_degenerate else empty
+    if faults.any():
+        k = int(np.argmax(faults))
+        if empty[k]:
+            why = "no eigenvalue above threshold; not a usable state"
+            raise InvalidDensityMatrixError(f"{where(k)}: {why}" if where else why)
+        raise DegenerateBasisError(
+            f"degenerate spectrum at {where(k)}; "
+            f"clusters {_degenerate_clusters(close[k])}"
+        )
+    return probs, counts, close
+
+
+def _degenerate_clusters(close: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Index groups of eigenvalues chained by close neighbours.
+
+    ``close[j]`` marks eigenvalues ``j`` and ``j + 1`` as closer than
+    ``DEGENERACY_GAP``; each run of marks joins its eigenvalues into a group.
+    """
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0])).astype(int)))
+    return tuple(tuple(range(a, b + 1)) for a, b in zip(edges[::2], edges[1::2]))
 
 
 def epistemic_to_density(e: EpistemicState) -> DensityMatrix:

@@ -9,6 +9,13 @@ histories. The chain is the minimal completion consistent with those
 conditionals, and everything downstream of it (sampled paths, ensemble
 frequency reports) should be read with that caveat.
 
+Every grid state is read from one spectrum: rho is pushed along the grid by
+the step channel's Kraus sum into one ``(n_times, d, d)`` stack, one stacked
+eigendecomposition reads all of it, and the density-matrix checks and the
+epistemic reading of :mod:`modaldyn.states` (purity shortcut, threshold,
+degeneracy) run over the stack at once, so no per-point state objects are
+made. Errors name the grid point and come in grid order.
+
 The rows of each step are the one-block case of the conditional-probability
 kernel in :mod:`modaldyn.conditional` (parent = entries at t, the one block
 = entries at t+dt), computed for all entries at once. Each row must sum to
@@ -41,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import channels as channels_mod
-from .channels import KrausChannel, LindbladGenerator
+from .channels import KrausChannel, LindbladGenerator, _kraus_sum
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
@@ -50,8 +57,13 @@ from .conditional import (
     _kraus_operators,
     trivial_partition,
 )
-from .errors import DegenerateBasisError, NormalizationError
-from .states import DEFAULT_THRESHOLD, DensityMatrix, extract_epistemic
+from .errors import (
+    DimensionMismatchError,
+    InvalidDensityMatrixError,
+    NormalizationError,
+)
+from .linalg import _ordered_eig, check_memory
+from .states import DEFAULT_THRESHOLD, DensityMatrix, _density_fault, _read_spectra
 
 # Trajectories per block of an ensemble walk. A fixed count rather than a
 # fixed number of uniforms: blocks of 2^20 uniforms walk a 4,096-step chain
@@ -110,13 +122,16 @@ class EnsembleReport:
 class StepChain:
     """Prepared per-step conditional machinery along one time grid.
 
-    Construction does all the heavy lifting (exponentials, spectra, rows) so
-    that sampling is just inverse-CDF draws. ``entry_labels[k][e]`` is the
-    persistent branch label of retained entry ``e`` at grid point ``k``;
-    ``raw_rows[k]`` are the unnormalized two-time conditional rows between
-    grid points ``k`` and ``k+1``. ``cum_rows[k]`` are the cumulative
-    normalized rows into grid point ``k``: ``cum_rows[0]`` is the one row of
-    the initial eigenvalues, ``cum_rows[k + 1]`` comes from ``raw_rows[k]``.
+    Construction computes the step channel, the spectra of every grid state
+    and the rows, so that sampling is just inverse-CDF draws.
+    ``entry_probs[k]`` and ``entry_vectors[k]`` are the retained eigenvalues
+    and eigenvector columns at grid point ``k``, views into the stacked
+    spectrum of the grid. ``entry_labels[k][e]`` is the persistent branch
+    label of retained entry ``e`` at grid point ``k``; ``raw_rows[k]`` are
+    the unnormalized two-time conditional rows between grid points ``k`` and
+    ``k+1``. ``cum_rows[k]`` are the cumulative normalized rows into grid
+    point ``k``: ``cum_rows[0]`` is the one row of the initial eigenvalues,
+    ``cum_rows[k + 1]`` comes from ``raw_rows[k]``.
     """
 
     grid: TimeGrid
@@ -250,31 +265,46 @@ def build_step_chain(
     mode = _check_mode(mode)
     if step_channel is None:
         step_channel = channels_mod.evolve(generator, grid.dt)
-    rho = rho0
-    states = []
-    for k in range(grid.n_steps + 1):
-        e = extract_epistemic(rho, threshold)
-        if mode == STRICT and e.degenerate_clusters:
-            raise DegenerateBasisError(
-                f"degenerate spectrum at grid point {k} "
-                f"(t={grid.t0 + k * grid.dt:g}); clusters {e.degenerate_clusters}"
-            )
-        states.append(e)
-        if k < grid.n_steps:
-            rho = channels_mod.apply(step_channel, rho)
+    ops = _kraus_operators(step_channel)
+    layout = rho0.layout
+    d = layout.total_dim
+    if step_channel.dim != d:
+        raise DimensionMismatchError(
+            f"channel dim {step_channel.dim} does not match state dim {d}"
+        )
+    n_times = grid.n_steps + 1
+    check_memory(n_times * d * d, f"a stack of {n_times} grid states")
+    states = np.empty((n_times, d, d), dtype=complex)
+    states[0] = rho0.matrix
+    every = tuple(range(layout.n_factors))
+    for k in range(grid.n_steps):
+        rho = states[k].reshape(layout.dims * 2)
+        states[k + 1] = _kraus_sum(ops, rho, every).reshape(d, d)
+    w, v = _ordered_eig(states)
 
-    entry_probs = [e.probabilities for e in states]
-    entry_vectors = [e.basis_matrix() for e in states]
-    entry_labels = [np.arange(len(states[0]))]
-    next_label = len(states[0])
-    for k in range(1, len(states)):
+    def point(k: int) -> str:
+        return f"grid point {k} (t={grid.t0 + k * grid.dt:g})"
+
+    # errors come in grid order, as if each point were read as it is reached
+    fault = _density_fault(states, w)
+    n_ok = n_times if fault is None else fault[0]
+    probs, counts, _ = _read_spectra(
+        states[:n_ok], w[:n_ok], threshold, mode == STRICT, point
+    )
+    if fault is not None:
+        raise InvalidDensityMatrixError(f"{point(n_ok)}: {fault[1]}")
+
+    entry_probs = [probs[k, :n] for k, n in enumerate(counts)]
+    entry_vectors = [v[k, :, :n] for k, n in enumerate(counts)]
+    entry_labels = [np.arange(counts[0])]
+    next_label = int(counts[0])
+    for k in range(1, n_times):
         labels, next_label = _greedy_overlap_labels(
             entry_vectors[k - 1], entry_labels[k - 1], entry_vectors[k], next_label
         )
         entry_labels.append(labels)
 
-    ops = _kraus_operators(step_channel)
-    part = trivial_partition(rho0.layout)
+    part = trivial_partition(layout)
     raw_rows = []
     for k in range(grid.n_steps):
         rows = _conditional_probabilities(
@@ -337,6 +367,8 @@ def run_ensemble(
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
     if chain is None:
         chain = build_step_chain(generator, rho0, grid, threshold, mode)
+    elif grid != chain.grid:
+        raise ValueError(f"grid {grid} is not the chain's grid {chain.grid}")
     n_times = chain.n_times
     counts = np.zeros((n_times, chain.n_labels), dtype=np.int64)
     for start in range(0, n_samples, ENSEMBLE_BLOCK):

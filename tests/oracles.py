@@ -55,6 +55,14 @@ def naive_kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_chain_states(operators, rho0: np.ndarray, n_steps: int) -> list[np.ndarray]:
+    """``rho0`` and its images under 1..n_steps repeated applications of a Kraus map."""
+    states = [np.asarray(rho0, dtype=complex)]
+    for _ in range(int(n_steps)):
+        states.append(naive_kraus_apply(operators, states[-1]))
+    return states
+
+
 def naive_embed(op, dims, positions) -> np.ndarray:
     """Dense operator on every factor: ``op`` on ``positions``, identity elsewhere.
 

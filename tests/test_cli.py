@@ -382,3 +382,12 @@ def test_dense_reduced_matrix_over_budget_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "68719476736 bytes" in err and "budget" in err
+
+
+def test_sample_grid_over_budget_exits_2(capsys):
+    # 5,000,001 grid states of 2 x 2 complex entries: 320 MB in one stack
+    argv = ["sample", "--scenario", "damping", "--t", "1", "--steps", "5000000"]
+    code, out, err = run(capsys, *argv, "--n", "1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "320000064 bytes" in err and "budget" in err

@@ -12,6 +12,7 @@ from modaldyn import (
     partial_trace,
     trace_distance,
 )
+from modaldyn.linalg import _ordered_eig
 from modaldyn.random_objects import random_density_matrix, random_hermitian
 
 from oracles import naive_partial_trace
@@ -74,6 +75,18 @@ def test_hermitian_eig_identity_keeps_standard_basis_order():
     w, v = hermitian_eig(np.eye(4, dtype=complex))
     assert np.abs(v - np.eye(4)).max() == 0.0
     assert np.all(w == 1.0)
+
+
+def test_ordered_eig_of_a_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(17)
+    stack = np.stack(
+        [random_hermitian(3, rng) for _ in range(5)]
+        + [np.eye(3, dtype=complex), np.diag([0.5, 0.25, 0.25]).astype(complex)]
+    )
+    w, v = _ordered_eig(stack)
+    for k, h in enumerate(stack):
+        wk, vk = _ordered_eig(h)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
 
 
 def test_hermitian_eig_deterministic():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from modaldyn import (
     DegenerateBasisError,
     DensityMatrix,
+    InvalidDensityMatrixError,
+    KrausChannel,
     LindbladGenerator,
     NormalizationError,
     SystemLayout,
@@ -24,7 +26,7 @@ from modaldyn.random_objects import (
 )
 from modaldyn.trajectories import ENSEMBLE_BLOCK
 
-from oracles import naive_kraus_apply, naive_walk
+from oracles import naive_chain_states, naive_kraus_apply, naive_walk
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -240,3 +242,76 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
             for b in range(vecs_tp.shape[1]):
                 want = (vecs_tp[:, b].conj() @ evolved @ vecs_tp[:, b]).real
                 assert abs(rows[a, b] - want) < 1e-12
+
+
+def test_run_ensemble_refuses_a_grid_that_is_not_the_chains():
+    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
+    grid = TimeGrid(0.0, 0.25, 4)
+    chain = build_step_chain(damping(1.0), rho0, grid)
+    other = TimeGrid(0.0, 0.5, 4)
+    with pytest.raises(ValueError) as info:
+        run_ensemble(damping(1.0), rho0, other, n_samples=8, base_seed=1, chain=chain)
+    assert repr(other) in str(info.value) and repr(grid) in str(info.value)
+
+
+def test_intermediate_states_are_validated():
+    # sqrt(1 + 4e-10) I passes the channel's completeness bound (1e-9), but
+    # one step moves the trace by 4e-10, past the state's trace bound (1e-10)
+    step = KrausChannel((np.sqrt(1.0 + 4e-10) * np.eye(2, dtype=complex),))
+    rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
+    idle = LindbladGenerator(hamiltonian=np.zeros((2, 2)))
+    with pytest.raises(InvalidDensityMatrixError) as info:
+        build_step_chain(idle, rho0, TimeGrid(0.0, 1.0, 3), step_channel=step)
+    message = str(info.value)
+    assert "grid point 1 " in message and "np.float64" not in message
+    numbers = [float(x) for x in re.findall(r"\d+\.?\d*(?:e[-+]?\d+)?", message)]
+    assert 1e-10 in numbers
+    assert any(abs(x - (1.0 + 4e-10)) < 1e-15 for x in numbers)
+    # faults come in grid order: the degenerate start is refused first
+    half = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
+    with pytest.raises(DegenerateBasisError, match="grid point 0 "):
+        build_step_chain(idle, half, TimeGrid(0.0, 1.0, 3), step_channel=step)
+
+
+def test_pure_start_reads_one_entry_of_probability_one():
+    # eigh puts this state's top eigenvalue one ulp below 1; the purity
+    # shortcut reads it as exactly one
+    vec = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
+    rho0 = DensityMatrix.from_vector(vec, QUBIT)
+    chain = build_step_chain(damping(1.0), rho0, TimeGrid(0.0, 0.25, 3))
+    assert chain.entry_probs[0].tolist() == [1.0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"Q{k}" for k in range(len(dims))))
+    d = layout.total_dim
+    rho0 = random_density_matrix(layout, rng)
+    ch = random_kraus_channel(d, n_ops, rng)
+    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
+    chain = build_step_chain(
+        idle, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive", step_channel=ch
+    )
+    oracle = naive_chain_states(ch.operators, rho0.matrix, n_steps)
+    assert chain.n_times == len(oracle)
+    for k, rho in enumerate(oracle):
+        w = np.linalg.eigvalsh(rho)[::-1]
+        u = np.linalg.eigh(rho)[1][:, ::-1]
+        probs, vecs = chain.entry_probs[k], chain.entry_vectors[k]
+        n = len(probs)
+        assert np.abs(probs - w[:n]).max() < 1e-12
+        assert np.all(w[n:] < 1e-12)  # only sub-threshold weights are dropped
+        for j in range(n):
+            gaps = np.abs(np.delete(w, j) - w[j])
+            if gaps.min() < 1e-6:
+                continue
+            want = np.outer(u[:, j], u[:, j].conj())
+            got = np.outer(vecs[:, j], vecs[:, j].conj())
+            assert np.abs(got - want).max() < 1e-9
