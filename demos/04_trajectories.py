@@ -51,10 +51,7 @@ def main():
         print(f"  seed {seed}: {labels}")
 
     # Ensemble frequencies converge on the eigenvalue curves.
-    report = run_ensemble(
-        sc.generator, sc.initial_state, grid, n_samples=20_000, base_seed=0,
-        chain=chain,
-    )
+    report = run_ensemble(chain, n_samples=20_000, base_seed=0)
     print(
         f"\n20k trajectories: max |frequency - eigenvalue| = "
         f"{report.max_abs_deviation:.4f}"

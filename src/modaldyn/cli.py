@@ -261,16 +261,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
                 serialize.trajectory_payload(traj, cfg.scenario_label)
             )
     else:
-        report = run_ensemble(
-            sc.generator,
-            sc.initial_state,
-            grid,
-            cfg.n_samples,
-            seed,
-            cfg.threshold,
-            cfg.mode,
-            chain=chain,
-        )
+        report = run_ensemble(chain, cfg.n_samples, seed)
         if cfg.fmt == "csv":
             text = serialize.ensemble_csv(report)
         else:

@@ -19,12 +19,13 @@ evaluates for all parent columns and block indices at once: it forms
 ``K_k @ V_parent``, reorders the tensor factors into block order, and
 contracts each block's eigenbasis along its axes. A table is the full
 result; a scalar query is the kernel on one parent column and one basis
-vector per block; the step rows of a trajectory chain are the one-block case.
-Superoperator channels enter through their Kraus form, extracted from the
-Choi matrix once per call. A schedule of local steps ``(positions, channel)``
-(see ``channels``) is accepted wherever a channel is: the parent vectors are
-pushed through the steps factor-locally, one branch per product of Kraus
-operators, and the blocks are read from the reduced final state.
+vector per block; the step rows of a trajectory chain are the one-block case,
+stacked over the steps. Channels enter as Kraus families: a ``Superoperator``
+is refused, to be converted once by the caller. A schedule of local steps
+``(positions, channel)`` (see ``channels``) is accepted wherever a channel
+is: the parent vectors are pushed through the steps factor-locally, one
+branch per product of Kraus operators, and the blocks are read from the
+reduced final state.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
@@ -39,14 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    Schedule,
-    Superoperator,
-    apply_schedule,
-    choi_to_kraus,
-    superoperator_to_choi,
-)
+from .channels import KrausChannel, Schedule, Superoperator, apply_schedule
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
@@ -65,7 +59,7 @@ CLAMP_TOL = 1e-10
 STRICT = "strict"
 PERMISSIVE = "permissive"
 
-Dynamics = Optional[Union[Channel, Schedule]]
+Dynamics = Optional[Union[KrausChannel, Schedule]]
 
 
 @dataclass(frozen=True)
@@ -150,20 +144,21 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
         )
 
 
-def _kraus_operators(channel: Channel) -> Sequence[np.ndarray]:
-    """Kraus family of ``channel``."""
-    if isinstance(channel, Superoperator):
-        return choi_to_kraus(superoperator_to_choi(channel), channel.dim)
-    return channel.operators
-
-
 def _steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
-    """``dynamics`` as schedule steps; a channel is one step on every factor."""
+    """``dynamics`` as schedule steps; a channel is one step on every factor.
+
+    A ``Superoperator`` is refused: the kernel needs Kraus operators.
+    """
     if dynamics is None:
         return ()
-    if isinstance(dynamics, tuple):
-        return dynamics
-    return ((tuple(range(layout.n_factors)), dynamics),)
+    if not isinstance(dynamics, tuple):
+        dynamics = ((tuple(range(layout.n_factors)), dynamics),)
+    if any(isinstance(channel, Superoperator) for _, channel in dynamics):
+        raise TypeError(
+            "conditional probabilities take a KrausChannel; convert a Superoperator"
+            " s first with KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))"
+        )
+    return dynamics
 
 
 def _kraus_amplitudes(
@@ -177,19 +172,8 @@ def _kraus_amplitudes(
     """
     amps = [basis.reshape(layout.dims + (-1,))]
     for positions, step in _steps(dynamics, layout):
-        ops = _kraus_operators(step)
-        amps = [apply_local(k, a, positions) for k in ops for a in amps]
+        amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
     return [a.reshape(basis.shape) for a in amps]
-
-
-def _conditional_probabilities(
-    ops: Sequence[np.ndarray],
-    parent_basis: np.ndarray,
-    block_bases: Sequence[np.ndarray],
-    part: Partition,
-) -> np.ndarray:
-    """The kernel below for a Kraus family acting on every factor."""
-    return _block_probabilities([k @ parent_basis for k in ops], block_bases, part)
 
 
 def _block_probabilities(
@@ -216,14 +200,26 @@ def _block_probabilities(
         for bra in bras:
             amp = np.tensordot(amp, bra, axes=(0, 0))
         probs = probs + (amp.real**2 + amp.imag**2)
-    worst = np.unravel_index(int(np.argmax(probs)), probs.shape)
-    if probs[worst] > 1.0 + CLAMP_TOL:
-        raise ProbabilityBoundsError(
-            f"conditional probability {float(probs[worst]):.17g} at "
-            f"[w, i_1..i_n] = {tuple(int(i) for i in worst)} exceeds "
-            f"1 + {CLAMP_TOL:g}"
-        )
+    _check_bound(probs[None])
     return np.minimum(probs, 1.0)
+
+
+def _check_bound(probs: np.ndarray) -> None:
+    """Refuse the first of a stack of kernel results with a value over one.
+
+    ``probs[n, w, i_1..i_n]`` stacks results of the kernel above. The error
+    names the largest value of the first result over ``1 + CLAMP_TOL`` and
+    its index. A result holding NaN passes here and fails its row sums.
+    """
+    peaks = probs.max(axis=tuple(range(1, probs.ndim)))
+    over = np.flatnonzero(peaks > 1.0 + CLAMP_TOL)
+    if over.size:
+        n = over[0]
+        at = np.unravel_index(int(np.argmax(probs[n])), probs.shape[1:])
+        raise ProbabilityBoundsError(
+            f"conditional probability {float(peaks[n]):.17g} at [w, i_1..i_n] "
+            f"= {tuple(int(i) for i in at)} exceeds 1 + {CLAMP_TOL:g}"
+        )
 
 
 def _spectra(

@@ -9,18 +9,15 @@ histories. The chain is the minimal completion consistent with those
 conditionals, and everything downstream of it (sampled paths, ensemble
 frequency reports) should be read with that caveat.
 
-Every grid state is read from one spectrum: rho is pushed along the grid by
-the step channel's Kraus sum into one ``(n_times, d, d)`` stack, one stacked
-eigendecomposition reads all of it, and the density-matrix checks and the
-epistemic reading of :mod:`modaldyn.states` (purity shortcut, threshold,
-degeneracy) run over the stack at once, so no per-point state objects are
-made. Errors name the grid point and come in grid order.
-
-The rows of each step are the one-block case of the conditional-probability
-kernel in :mod:`modaldyn.conditional` (parent = entries at t, the one block
-= entries at t+dt), computed for all entries at once. Each row must sum to
-one within ``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the
-same as for conditional tables.
+A chain is a fixed set of whole-grid arrays. rho is pushed along the grid by
+the step channel's Kraus sum into one ``(n_times, d, d)`` stack, which one
+stacked eigendecomposition reads; the density-matrix checks and the
+epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
+name the grid point and come in grid order. The rows of every step come
+from one stacked contraction, the one-block case of the kernel in
+:mod:`modaldyn.conditional`, and must sum to one within
+``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the same as for
+conditional tables.
 
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|, so
@@ -42,7 +39,7 @@ memory does not grow with the number of trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,10 +49,10 @@ from .channels import KrausChannel, LindbladGenerator, _kraus_sum
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
+    _check_bound,
     _check_mode,
-    _conditional_probabilities,
-    _kraus_operators,
-    trivial_partition,
+    _kraus_amplitudes,
+    _steps,
 )
 from .errors import (
     DimensionMismatchError,
@@ -118,47 +115,45 @@ class EnsembleReport:
     base_seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepChain:
-    """Prepared per-step conditional machinery along one time grid.
+    """Spectra, branch labels and conditional rows along one time grid.
 
-    Construction computes the step channel, the spectra of every grid state
-    and the rows, so that sampling is just inverse-CDF draws.
-    ``entry_probs[k]`` and ``entry_vectors[k]`` are the retained eigenvalues
-    and eigenvector columns at grid point ``k``, views into the stacked
-    spectrum of the grid. ``entry_labels[k][e]`` is the persistent branch
-    label of retained entry ``e`` at grid point ``k``; ``raw_rows[k]`` are
-    the unnormalized two-time conditional rows between grid points ``k`` and
-    ``k+1``. ``cum_rows[k]`` are the cumulative normalized rows into grid
-    point ``k``: ``cum_rows[0]`` is the one row of the initial eigenvalues,
-    ``cum_rows[k + 1]`` comes from ``raw_rows[k]``.
+    Every array is indexed by grid point ``k`` (``rows`` by step) and padded
+    to the largest entry count ``m``. ``counts[k]`` entries are kept at grid
+    point ``k``; entry ``e`` has eigenvalue ``probs[k, e]``, eigenvector
+    ``vectors[k, :, e]`` and persistent branch label ``labels[k, e]``.
+    ``rows[k, a, b]`` is the unnormalized two-time conditional probability
+    of entry ``b`` at grid point ``k + 1`` given entry ``a`` at ``k``.
+    Padding is 0, and -1 in ``labels``. ``cum[k, a]`` is the cumulative
+    normalized row drawn from at grid point ``k`` when entry ``a`` is held
+    at ``k - 1``: ``cum[0]`` holds the initial eigenvalues in every row, and
+    ``cum[k + 1]`` comes from ``rows[k]``. Sampling is inverse-CDF draws.
     """
 
     grid: TimeGrid
-    entry_probs: list[np.ndarray]
-    entry_vectors: list[np.ndarray]
-    entry_labels: list[np.ndarray]
-    raw_rows: list[np.ndarray]
+    counts: np.ndarray
+    probs: np.ndarray
+    vectors: np.ndarray
+    labels: np.ndarray
+    rows: np.ndarray
+    cum: np.ndarray
     n_labels: int
-    cum_rows: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        p0 = self.entry_probs[0]
-        self.cum_rows = [np.cumsum(p0 / p0.sum())[None, :]]
-        for rows in self.raw_rows:
-            sums = rows.sum(axis=1, keepdims=True)
-            self.cum_rows.append(np.cumsum(rows / sums, axis=1))
 
     @property
     def n_times(self) -> int:
-        return len(self.entry_probs)
+        return len(self.counts)
+
+    def _by_label(self, values: np.ndarray) -> np.ndarray:
+        """``values[time, entry]`` arranged ``[time, branch label]``."""
+        table = np.zeros((self.n_times, self.n_labels))
+        k, e = np.nonzero(self.labels >= 0)
+        table[k, self.labels[k, e]] = values[k, e]
+        return table
 
     def eigenvalue_table(self) -> np.ndarray:
         """Reference eigenvalues arranged ``[time, branch label]``."""
-        table = np.zeros((self.n_times, self.n_labels))
-        for k in range(self.n_times):
-            table[k, self.entry_labels[k]] = self.entry_probs[k]
-        return table
+        return self._by_label(self.probs)
 
     def propagated_marginals(self) -> np.ndarray:
         """Chain marginals pushed forward with the exact conditional rows.
@@ -167,13 +162,10 @@ class StepChain:
         table up to truncation effects; the match is a core consistency check
         on the whole construction.
         """
-        table = np.zeros((self.n_times, self.n_labels))
-        mu = self.entry_probs[0].copy()
-        table[0, self.entry_labels[0]] = mu
-        for k, rows in enumerate(self.raw_rows):
-            mu = mu @ rows
-            table[k + 1, self.entry_labels[k + 1]] = mu
-        return table
+        mu = self.probs.copy()
+        for k, rows in enumerate(self.rows):
+            mu[k + 1] = mu[k] @ rows
+        return self._by_label(mu)
 
     def _walk(self, uniforms: np.ndarray) -> np.ndarray:
         """Entry indices ``[trajectory, time]`` for uniforms ``[trajectory, time]``.
@@ -181,28 +173,25 @@ class StepChain:
         Uniform ``u`` at grid point ``k`` picks, from the cumulative row of
         the entry held at ``k - 1`` (the initial row at ``k = 0``), the
         number of cumulative values ``<= u``: the inverse CDF. The pick is
-        clamped to the last entry in case round-off leaves the row's last
-        cumulative value below ``u``.
+        clamped to the last kept entry, which also covers round-off leaving
+        the row's last cumulative value below ``u``.
         """
         entries = np.empty(uniforms.shape, dtype=int)
         held = np.zeros(len(uniforms), dtype=int)
-        for k, cum in enumerate(self.cum_rows):
+        for k, (cum, last) in enumerate(zip(self.cum, self.counts - 1)):
             picked = (cum[held] <= uniforms[:, k, None]).sum(axis=1)
-            held = entries[:, k] = np.minimum(picked, cum.shape[1] - 1)
+            held = entries[:, k] = np.minimum(picked, last)
         return entries
 
     def sample(self, seed: int) -> Trajectory:
         entries = self._walk(_uniforms(int(seed), 1, self.n_times))[0]
-        times = self.grid.times
-        points = tuple(
-            (
-                float(times[k]),
-                int(self.entry_labels[k][entries[k]]),
-                float(self.entry_probs[k][entries[k]]),
-            )
-            for k in range(self.n_times)
+        at = np.arange(self.n_times)
+        points = zip(
+            self.grid.times.tolist(),
+            self.labels[at, entries].tolist(),
+            self.probs[at, entries].tolist(),
         )
-        return Trajectory(points=points, seed=int(seed))
+        return Trajectory(points=tuple(points), seed=int(seed))
 
 
 def _uniforms(first_seed: int, n_rows: int, n_times: int) -> np.ndarray:
@@ -215,37 +204,6 @@ def _uniforms(first_seed: int, n_rows: int, n_times: int) -> np.ndarray:
     for i in range(n_rows):
         out[i] = np.random.Generator(np.random.PCG64(first_seed + i)).random(n_times)
     return out
-
-
-def _greedy_overlap_labels(
-    prev_vectors: np.ndarray,
-    prev_labels: np.ndarray,
-    vectors: np.ndarray,
-    next_label: int,
-) -> tuple[np.ndarray, int]:
-    """Assign persistent labels to new entries by maximal overlap.
-
-    Greedy on the overlap magnitude matrix; ties resolve to the lowest
-    (previous, new) index pair. Unmatched new entries get fresh labels in
-    entry order.
-    """
-    m_prev = prev_vectors.shape[1]
-    m_new = vectors.shape[1]
-    overlap = np.abs(prev_vectors.conj().T @ vectors)
-    labels = -np.ones(m_new, dtype=int)
-    used_prev = np.zeros(m_prev, dtype=bool)
-    for _ in range(min(m_prev, m_new)):
-        masked = overlap.copy()
-        masked[used_prev, :] = -1.0
-        masked[:, labels >= 0] = -1.0
-        a, b = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        labels[b] = prev_labels[a]
-        used_prev[a] = True
-    for b in range(m_new):
-        if labels[b] < 0:
-            labels[b] = next_label
-            next_label += 1
-    return labels, next_label
 
 
 def build_step_chain(
@@ -265,19 +223,27 @@ def build_step_chain(
     mode = _check_mode(mode)
     if step_channel is None:
         step_channel = channels_mod.evolve(generator, grid.dt)
-    ops = _kraus_operators(step_channel)
     layout = rho0.layout
+    step = _steps(step_channel, layout)
     d = layout.total_dim
     if step_channel.dim != d:
         raise DimensionMismatchError(
             f"channel dim {step_channel.dim} does not match state dim {d}"
         )
-    n_times = grid.n_steps + 1
-    check_memory(n_times * d * d, f"a stack of {n_times} grid states")
+    ops = step_channel.operators
+    n_times, n_steps = grid.n_steps + 1, grid.n_steps
+    # complex entries per grid point (at most d kept): the state, eigenvectors
+    # twice, the chain's vectors, kets, bras, one amplitude per Kraus operator,
+    # a product, and six real arrays: rows twice, cum, overlaps, two squares
+    check_memory(
+        n_times * ((10 + len(ops)) * d * d + d),
+        f"a chain over {n_times} grid states "
+        f"({16 * n_times * d * d} bytes for the states alone)",
+    )
     states = np.empty((n_times, d, d), dtype=complex)
     states[0] = rho0.matrix
     every = tuple(range(layout.n_factors))
-    for k in range(grid.n_steps):
+    for k in range(n_steps):
         rho = states[k].reshape(layout.dims * 2)
         states[k + 1] = _kraus_sum(ops, rho, every).reshape(d, d)
     w, v = _ordered_eig(states)
@@ -294,67 +260,61 @@ def build_step_chain(
     if fault is not None:
         raise InvalidDensityMatrixError(f"{point(n_ok)}: {fault[1]}")
 
-    entry_probs = [probs[k, :n] for k, n in enumerate(counts)]
-    entry_vectors = [v[k, :, :n] for k, n in enumerate(counts)]
-    entry_labels = [np.arange(counts[0])]
-    next_label = int(counts[0])
+    m = int(counts.max())
+    kept = np.arange(m) < counts[:, None]
+    probs = np.where(kept, probs[:, :m], 0.0)
+    vectors = np.where(kept[:, None, :], v[:, :, :m], 0.0)
+    kets = vectors[:-1].transpose(1, 0, 2).reshape(d, n_steps * m)
+    bras = vectors[1:].conj()
+    raw = np.zeros((n_steps, m, m))
+    for amp in _kraus_amplitudes(step, kets, layout):
+        amp = amp.reshape(d, n_steps, m).transpose(1, 2, 0) @ bras
+        raw += amp.real**2 + amp.imag**2
+    rows = np.minimum(raw, 1.0)
+    sums = rows.sum(axis=2)
+    # negated so that a NaN sum fails too; rows past the counts are padding
+    bad = ~(np.abs(sums - 1.0) <= CHAIN_ROW_SUM_TOL) & kept[:-1]
+    k, a = divmod(int(np.argmax(bad)) if bad.any() else bad.size, m)
+    _check_bound(raw[: k + 1])  # at one step, the bound check comes first
+    if k < n_steps:
+        raise NormalizationError(
+            f"conditional row {a} at step {k} sums to {float(sums[k, a]):.15g}, "
+            f"outside 1 +- {CHAIN_ROW_SUM_TOL:g}"
+        )
+
+    # the greedy overlap match: ties go to the lowest (previous, new) index
+    # pair, and unmatched entries get fresh labels in entry order
+    overlaps = np.abs(vectors[:-1].transpose(0, 2, 1) @ bras)
+    labels = np.full((n_times, m), -1)
+    labels[0, : counts[0]] = np.arange(counts[0])
+    n_labels = int(counts[0])
     for k in range(1, n_times):
-        labels, next_label = _greedy_overlap_labels(
-            entry_vectors[k - 1], entry_labels[k - 1], entry_vectors[k], next_label
-        )
-        entry_labels.append(labels)
+        masked = overlaps[k - 1, : counts[k - 1], : counts[k]].copy()
+        for _ in range(min(masked.shape)):
+            a, b = np.unravel_index(int(np.argmax(masked)), masked.shape)
+            labels[k, b] = labels[k - 1, a]
+            masked[a, :] = masked[:, b] = -1.0
+        fresh = np.flatnonzero(labels[k, : counts[k]] < 0)
+        labels[k, fresh] = n_labels + np.arange(len(fresh))
+        n_labels += len(fresh)
 
-    part = trivial_partition(layout)
-    raw_rows = []
-    for k in range(grid.n_steps):
-        rows = _conditional_probabilities(
-            ops, entry_vectors[k], [entry_vectors[k + 1]], part
-        )
-        sums = rows.sum(axis=1)
-        # negated so that a NaN sum fails too
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= CHAIN_ROW_SUM_TOL))
-        if bad.size:
-            a = int(bad[0])
-            raise NormalizationError(
-                f"conditional row {a} at step {k} sums to {float(sums[a]):.15g}, "
-                f"outside 1 +- {CHAIN_ROW_SUM_TOL:g}"
-            )
-        raw_rows.append(rows)
-
+    cum = np.concatenate((np.broadcast_to(probs[0], (1, m, m)), rows))
+    sums = cum.sum(axis=2, keepdims=True)
+    np.divide(cum, sums, out=cum, where=sums > 0)
     return StepChain(
         grid=grid,
-        entry_probs=entry_probs,
-        entry_vectors=entry_vectors,
-        entry_labels=entry_labels,
-        raw_rows=raw_rows,
-        n_labels=next_label,
+        counts=counts,
+        probs=probs,
+        vectors=vectors,
+        labels=labels,
+        rows=rows,
+        cum=np.cumsum(cum, axis=2, out=cum),
+        n_labels=n_labels,
     )
 
 
-def sample_trajectory(
-    generator: LindbladGenerator,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
-    seed: int,
-    threshold: float = DEFAULT_THRESHOLD,
-    mode: str = STRICT,
-) -> Trajectory:
-    """Sample one trajectory; identical seeds give identical trajectories."""
-    chain = build_step_chain(generator, rho0, grid, threshold, mode)
-    return chain.sample(seed)
-
-
-def run_ensemble(
-    generator: LindbladGenerator,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
-    n_samples: int,
-    base_seed: int,
-    threshold: float = DEFAULT_THRESHOLD,
-    mode: str = STRICT,
-    chain: Optional[StepChain] = None,
-) -> EnsembleReport:
-    """Aggregate ``n_samples`` trajectories with seeds ``base_seed + k``.
+def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleReport:
+    """Aggregate ``n_samples`` trajectories of ``chain`` with seeds ``base_seed + k``.
 
     Trajectories are walked together in consecutive blocks of
     ``ENSEMBLE_BLOCK``, each with the uniforms of its own seeded generator,
@@ -365,17 +325,13 @@ def run_ensemble(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
-    if chain is None:
-        chain = build_step_chain(generator, rho0, grid, threshold, mode)
-    elif grid != chain.grid:
-        raise ValueError(f"grid {grid} is not the chain's grid {chain.grid}")
     n_times = chain.n_times
     counts = np.zeros((n_times, chain.n_labels), dtype=np.int64)
     for start in range(0, n_samples, ENSEMBLE_BLOCK):
         n_rows = min(ENSEMBLE_BLOCK, n_samples - start)
         entries = chain._walk(_uniforms(int(base_seed) + start, n_rows, n_times))
         for k in range(n_times):
-            labels_k = chain.entry_labels[k][entries[:, k]]
+            labels_k = chain.labels[k, entries[:, k]]
             counts[k] += np.bincount(labels_k, minlength=chain.n_labels)
         del entries  # before the next block's arrays are allocated
     frequencies = counts / n_samples

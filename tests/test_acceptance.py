@@ -263,7 +263,7 @@ def test_criterion_10_ensemble_consistency():
         chain = build_step_chain(g, rho0, grid)
         marg_dev = np.abs(chain.propagated_marginals() - chain.eigenvalue_table()).max()
         assert marg_dev <= 1e-7, f"chain marginal deviation {marg_dev:.3e}"
-        report = run_ensemble(g, rho0, grid, n_samples=n, base_seed=20240, chain=chain)
+        report = run_ensemble(chain, n_samples=n, base_seed=20240)
         target = np.exp(-1.0)
         sigma = np.sqrt(target * (1.0 - target) / n)
         gap = abs(report.frequencies[-1, 0] - target)

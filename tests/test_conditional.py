@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
@@ -12,7 +13,9 @@ from modaldyn import (
     Partition,
     ProbabilityBoundsError,
     SystemLayout,
+    TimeGrid,
     apply,
+    build_step_chain,
     compose,
     conditional_table,
     dynamical_conditional,
@@ -27,7 +30,7 @@ from modaldyn import (
     unitary_channel,
     von_neumann_measurement,
 )
-from modaldyn.conditional import _conditional_probabilities
+from modaldyn.conditional import _block_probabilities
 from modaldyn.random_objects import random_density_matrix, random_kraus_channel
 
 from oracles import naive_embed, naive_joint_probability
@@ -206,7 +209,7 @@ def test_bound_error_names_worst_entry_in_plain_numbers():
     ops = (np.diag([1.0, np.sqrt(2.0)]),)
     part = trivial_partition(SystemLayout.qubits(("Q",)))
     with pytest.raises(ProbabilityBoundsError) as info:
-        _conditional_probabilities(ops, np.eye(2), [np.eye(2)], part)
+        _block_probabilities([k @ np.eye(2) for k in ops], [np.eye(2)], part)
     message = str(info.value)
     assert "np.float64" not in message
     assert "2.0000000000000004 at [w, i_1..i_n] = (1, 1)" in message
@@ -305,13 +308,18 @@ def test_scalar_queries_are_table_entries(case):
     assert abs(got - table.probabilities[i, j]) < 1e-14
 
 
-@PROPERTY_SETTINGS
-@given(random_cases())
-def test_superoperator_table_equals_kraus_table(case):
-    part, rho, ch, _ = case
-    kraus = conditional_table(rho, ch, part, mode="permissive")
-    # block eigenvectors move by round-off / gap between the two channel forms
-    for block in kraus.blocks:
-        assume(np.all(-np.diff(block.probabilities) > 1e-6))
-    sup = conditional_table(rho, kraus_to_superoperator(ch), part, mode="permissive")
-    assert np.abs(sup.probabilities - kraus.probabilities).max() < 1e-12
+def test_superoperator_dynamics_is_refused():
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), SystemLayout.qubits(("Q",)))
+    part = trivial_partition(rho.layout)
+    sup = kraus_to_superoperator(identity_channel(2))
+    hint = re.escape("KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))")
+    calls = [
+        lambda: conditional_table(rho, sup, part),
+        lambda: conditional_table(rho, (((0,), sup),), part),
+        lambda: joint_conditional(rho, sup, part, 0, (0,)),
+        lambda: dynamical_conditional(rho, sup, 0, 0),
+        lambda: build_step_chain(None, rho, TimeGrid(0.0, 1.0, 2), step_channel=sup),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=hint):
+            call()

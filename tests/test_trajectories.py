@@ -12,13 +12,15 @@ from modaldyn import (
     KrausChannel,
     LindbladGenerator,
     NormalizationError,
+    ProblemTooLargeError,
     SystemLayout,
     TimeGrid,
     amplitude_damping_qubit,
     build_step_chain,
+    evolve,
     run_ensemble,
-    sample_trajectory,
 )
+from modaldyn import linalg
 from modaldyn.random_objects import (
     random_density_matrix,
     random_kraus_channel,
@@ -61,8 +63,8 @@ def test_dephasing_keeps_populations_frozen():
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.2, 5)
     chain = build_step_chain(dephasing(), rho0, grid)
-    for rows in chain.raw_rows:
-        assert np.abs(rows - np.eye(2)).max() < 1e-10
+    assert chain.counts.tolist() == [2] * 6
+    assert np.abs(chain.rows - np.eye(2)).max() < 1e-10
     traj = chain.sample(seed=123)
     labels = {label for _, label, _ in traj.points}
     assert len(labels) == 1
@@ -71,7 +73,8 @@ def test_dephasing_keeps_populations_frozen():
 def test_dephasing_ensemble_frequencies():
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.2, 5)
-    report = run_ensemble(dephasing(), rho0, grid, n_samples=2000, base_seed=7)
+    chain = build_step_chain(dephasing(), rho0, grid)
+    report = run_ensemble(chain, n_samples=2000, base_seed=7)
     # binomial 4 sigma for p=0.7, n=2000
     bound = 4.0 * np.sqrt(0.7 * 0.3 / 2000.0)
     assert abs(report.frequencies[-1, 0] - 0.7) < bound
@@ -94,9 +97,9 @@ def test_damping_first_step_row():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     chain = build_step_chain(damping(1.0), rho0, grid)
     # pure start: one entry at t=0, survival probability e^{-gamma dt}
-    assert chain.raw_rows[0].shape == (1, 2)
-    assert abs(chain.raw_rows[0][0, 0] - np.exp(-0.25)) < 1e-10
-    assert abs(chain.raw_rows[0][0, 1] - (1.0 - np.exp(-0.25))) < 1e-10
+    assert chain.counts[:2].tolist() == [1, 2]
+    assert abs(chain.rows[0, 0, 0] - np.exp(-0.25)) < 1e-10
+    assert abs(chain.rows[0, 0, 1] - (1.0 - np.exp(-0.25))) < 1e-10
 
 
 def test_propagated_marginals_match_eigenvalues():
@@ -124,8 +127,8 @@ def test_strict_mode_refuses_degenerate_grid_point():
 def test_sampling_is_deterministic():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.25, 4)
-    a = sample_trajectory(damping(1.0), rho0, grid, seed=99)
-    b = sample_trajectory(damping(1.0), rho0, grid, seed=99)
+    a = build_step_chain(damping(1.0), rho0, grid).sample(seed=99)
+    b = build_step_chain(damping(1.0), rho0, grid).sample(seed=99)
     assert a == b
 
 
@@ -135,15 +138,20 @@ def test_ensemble_matches_sequential_sampling_bitwise():
     chain = build_step_chain(damping(1.0), rho0, grid)
     n = 64
     base = 1234
-    report = run_ensemble(
-        damping(1.0), rho0, grid, n_samples=n, base_seed=base, chain=chain
-    )
+    report = run_ensemble(chain, n_samples=n, base_seed=base)
     counts = np.zeros_like(report.frequencies)
     for i in range(n):
         traj = chain.sample(base + i)
         for k, (_, label, _) in enumerate(traj.points):
             counts[k, label] += 1
     assert np.array_equal(report.frequencies, counts / n)
+
+
+def _unpadded(chain):
+    """The chain's initial eigenvalues and step rows, without padding."""
+    c = chain.counts
+    rows = [chain.rows[k, : c[k], : c[k + 1]] for k in range(chain.n_times - 1)]
+    return chain.probs[0, : c[0]], rows
 
 
 def _random_chain(dims, n_ops, n_steps, rng):
@@ -167,9 +175,9 @@ def test_sample_matches_naive_walk(dims, n_ops, n_steps, seed):
     chain = _random_chain(dims, n_ops, n_steps, np.random.default_rng(seed))
     times = chain.grid.times
     for s in range(seed, seed + 8):
-        entries = naive_walk(chain.entry_probs[0], chain.raw_rows, s)
+        entries = naive_walk(*_unpadded(chain), s)
         want = tuple(
-            (float(times[k]), int(chain.entry_labels[k][e]), float(chain.entry_probs[k][e]))
+            (float(times[k]), int(chain.labels[k, e]), float(chain.probs[k, e]))
             for k, e in enumerate(entries)
         )
         assert chain.sample(s).points == want
@@ -179,11 +187,11 @@ def test_ensemble_counts_match_naive_walks_across_blocks():
     chain = _random_chain([3], 2, 3, np.random.default_rng(5))
     n = 2 * ENSEMBLE_BLOCK + 123  # three blocks, the last one partial
     base = 777
-    report = run_ensemble(None, None, chain.grid, n_samples=n, base_seed=base, chain=chain)
+    report = run_ensemble(chain, n_samples=n, base_seed=base)
     counts = np.zeros_like(report.frequencies)
     for i in range(n):
-        for k, e in enumerate(naive_walk(chain.entry_probs[0], chain.raw_rows, base + i)):
-            counts[k, chain.entry_labels[k][e]] += 1
+        for k, e in enumerate(naive_walk(*_unpadded(chain), base + i)):
+            counts[k, chain.labels[k, e]] += 1
     assert counts.sum() == n * chain.n_times
     assert np.array_equal(report.frequencies, counts / n)
 
@@ -233,8 +241,9 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
     chain = build_step_chain(
         idle, rho0, TimeGrid(0.0, 1.0, 2), mode="permissive", step_channel=ch
     )
-    for k, rows in enumerate(chain.raw_rows):
-        vecs_t, vecs_tp = chain.entry_vectors[k], chain.entry_vectors[k + 1]
+    c = chain.counts
+    for k, rows in enumerate(_unpadded(chain)[1]):
+        vecs_t, vecs_tp = chain.vectors[k, :, : c[k]], chain.vectors[k + 1, :, : c[k + 1]]
         for a in range(vecs_t.shape[1]):
             evolved = naive_kraus_apply(
                 ch.operators, np.outer(vecs_t[:, a], vecs_t[:, a].conj())
@@ -242,16 +251,6 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
             for b in range(vecs_tp.shape[1]):
                 want = (vecs_tp[:, b].conj() @ evolved @ vecs_tp[:, b]).real
                 assert abs(rows[a, b] - want) < 1e-12
-
-
-def test_run_ensemble_refuses_a_grid_that_is_not_the_chains():
-    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.25, 4)
-    chain = build_step_chain(damping(1.0), rho0, grid)
-    other = TimeGrid(0.0, 0.5, 4)
-    with pytest.raises(ValueError) as info:
-        run_ensemble(damping(1.0), rho0, other, n_samples=8, base_seed=1, chain=chain)
-    assert repr(other) in str(info.value) and repr(grid) in str(info.value)
 
 
 def test_intermediate_states_are_validated():
@@ -279,7 +278,7 @@ def test_pure_start_reads_one_entry_of_probability_one():
     vec = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
     rho0 = DensityMatrix.from_vector(vec, QUBIT)
     chain = build_step_chain(damping(1.0), rho0, TimeGrid(0.0, 0.25, 3))
-    assert chain.entry_probs[0].tolist() == [1.0]
+    assert chain.probs[0, : chain.counts[0]].tolist() == [1.0]
 
 
 @settings(max_examples=12, deadline=None)
@@ -304,8 +303,8 @@ def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
     for k, rho in enumerate(oracle):
         w = np.linalg.eigvalsh(rho)[::-1]
         u = np.linalg.eigh(rho)[1][:, ::-1]
-        probs, vecs = chain.entry_probs[k], chain.entry_vectors[k]
-        n = len(probs)
+        n = chain.counts[k]
+        probs, vecs = chain.probs[k, :n], chain.vectors[k, :, :n]
         assert np.abs(probs - w[:n]).max() < 1e-12
         assert np.all(w[n:] < 1e-12)  # only sub-threshold weights are dropped
         for j in range(n):
@@ -315,3 +314,53 @@ def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
             want = np.outer(u[:, j], u[:, j].conj())
             got = np.outer(vecs[:, j], vecs[:, j].conj())
             assert np.abs(got - want).max() < 1e-9
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    st.integers(2, 3),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_padding_is_never_read(dims, n_ops, n_steps, seed):
+    # a pure start keeps one entry, and the channel raises the rank after it
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"Q{k}" for k in range(len(dims))))
+    d = layout.total_dim
+    rho0 = DensityMatrix.from_vector(rng.normal(size=d) + 1j * rng.normal(size=d), layout)
+    ch = random_kraus_channel(d, n_ops, rng)
+    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
+    chain = build_step_chain(
+        idle, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive", step_channel=ch
+    )
+    assert chain.counts[0] == 1 and chain.counts.max() > 1
+    pad = np.arange(chain.counts.max()) >= chain.counts[:, None]
+    assert np.all(chain.probs[pad] == 0.0) and np.all(chain.labels[pad] == -1)
+    assert np.all(chain.vectors.transpose(0, 2, 1)[pad] == 0.0)
+    assert np.all(chain.rows[pad[:-1]] == 0.0)
+    assert np.all(chain.rows.transpose(0, 2, 1)[pad[1:]] == 0.0)
+    # 1.0 stands for a draw above a row's rounded total: only the clamp
+    # keeps the walk off the padding then
+    for u in (np.nextafter(1.0, 0.0), 1.0):
+        entries = chain._walk(np.full((1, chain.n_times), u))[0]
+        assert np.all(entries < chain.counts)
+    for s in range(seed, seed + 4):
+        assert all(label >= 0 for _, label, _ in chain.sample(s).points)
+    n = 2 * ENSEMBLE_BLOCK + 1
+    report = run_ensemble(chain, n_samples=n, base_seed=seed)
+    counts = np.zeros_like(report.frequencies)
+    for i in range(n):
+        for k, e in enumerate(naive_walk(*_unpadded(chain), seed + i)):
+            counts[k, chain.labels[k, e]] += 1
+    assert np.array_equal(report.frequencies, counts / n)
+
+
+def test_memory_guard_counts_the_whole_chain(monkeypatch):
+    # 64 grid states of 2 x 2 complex entries: a 4,096-byte stack, which
+    # fits in the budget below while the rest of the chain does not
+    rho0 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex), QUBIT)
+    step = evolve(damping(1.0), 0.25)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 2 * 4096)
+    with pytest.raises(ProblemTooLargeError, match="4096 bytes for the states alone"):
+        build_step_chain(damping(1.0), rho0, TimeGrid(0.0, 0.25, 63), step_channel=step)
