@@ -20,9 +20,9 @@ from modaldyn import (
 
 def show(title, e):
     print(f"\n{title}")
-    for k, (p, state) in enumerate(e):
+    for k, (p, vector) in enumerate(zip(e.probabilities, e.vectors.T)):
         flag = " (degenerate cluster)" if e.is_degenerate(k) else ""
-        print(f"  entry {k}: p = {p:.6f}  vector = {np.round(state.vector, 4)}{flag}")
+        print(f"  entry {k}: p = {p:.6f}  vector = {np.round(vector, 4)}{flag}")
     if e.truncation_mass:
         print(f"  truncation mass: {e.truncation_mass:.3e}")
 

@@ -28,7 +28,7 @@ into a state vector or a density matrix without building its dense embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -58,7 +58,7 @@ class KrausChannel:
     """
 
     operators: tuple[np.ndarray, ...]
-    dim: int = 0
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)

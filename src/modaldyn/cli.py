@@ -247,9 +247,8 @@ def _cmd_sample(cfg: RunConfig) -> int:
             f"scenario {cfg.scenario_label!r} has no generator dynamics to sample"
         )
     grid = TimeGrid(0.0, cfg.duration / cfg.steps, cfg.steps)
-    chain = build_step_chain(
-        sc.generator, sc.initial_state, grid, cfg.threshold, cfg.mode
-    )
+    step = channels_mod.evolve(sc.generator, grid.dt)
+    chain = build_step_chain(step, sc.initial_state, grid, cfg.threshold, cfg.mode)
     seed = cfg.seed
     assert seed is not None
     if cfg.n_samples == 1:
@@ -318,9 +317,13 @@ def _cmd_verify_channel(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
+    _add_output(p)
     p.add_argument(
         "--threshold",
         type=float,
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-channel", help="CPT verification report")
     p_ver.add_argument("--channel", required=True, help="channel .json file")
     p_ver.add_argument("--tol", type=float, default=channels_mod.CPT_TOL)
-    _add_common(p_ver, with_mode=False)
+    _add_output(p_ver)
 
     return parser
 
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     common = dict(
         mode=getattr(args, "mode", STRICT),
-        threshold=float(args.threshold),
+        threshold=float(getattr(args, "threshold", DEFAULT_THRESHOLD)),
         fmt=args.format,
         output=args.output,
     )

@@ -35,7 +35,7 @@ mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -209,7 +209,8 @@ def _check_bound(probs: np.ndarray) -> None:
 
     ``probs[n, w, i_1..i_n]`` stacks results of the kernel above. The error
     names the largest value of the first result over ``1 + CLAMP_TOL`` and
-    its index. A result holding NaN passes here and fails its row sums.
+    its index. A result holding NaN passes here; the table's value bounds
+    and the chain's row sums refuse it.
     """
     peaks = probs.max(axis=tuple(range(1, probs.ndim)))
     over = np.flatnonzero(peaks > 1.0 + CLAMP_TOL)
@@ -291,8 +292,8 @@ def joint_conditional(
     parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     w, idx = _validate_query(parent, blocks, w, indices, mode)
     probs = _block_probabilities(
-        _kraus_amplitudes(channel, parent.entries[w][1].vector[:, None], part.layout),
-        [b.entries[i][1].vector[:, None] for b, i in zip(blocks, idx)],
+        _kraus_amplitudes(channel, parent.vectors[:, w : w + 1], part.layout),
+        [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx)],
         part,
     )
     return probs.item()
@@ -347,9 +348,9 @@ class ConditionalTable:
     mode: str
     times: tuple[float, float] = (0.0, 0.0)
     channel_id: str = "identity"
-    row_sums: np.ndarray = None  # type: ignore[assignment]
-    max_row_deviation: float = 0.0
-    max_marginal_deviation: float = 0.0
+    row_sums: np.ndarray = field(init=False)
+    max_row_deviation: float = field(init=False)
+    max_marginal_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=float)
@@ -358,11 +359,12 @@ class ConditionalTable:
             raise LayoutMismatchError(
                 f"table shape {probs.shape} does not match entries {expected}"
             )
-        if probs.min() < 0.0 or probs.max() > 1.0:
+        # negated so that NaN fails too
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0):
             raise ProbabilityBoundsError("table values must lie in [0, 1]")
         sums = probs.reshape(probs.shape[0], -1).sum(axis=1)
         dev = float(np.abs(sums - 1.0).max())
-        if dev > ROW_SUM_TOL:
+        if not dev <= ROW_SUM_TOL:
             raise NormalizationError(
                 f"conditional rows sum to 1 within {dev:.3e} > {ROW_SUM_TOL:.1e}"
             )
@@ -414,8 +416,8 @@ def conditional_table(
         for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
     probs = _block_probabilities(
-        _kraus_amplitudes(channel, parent.basis_matrix(), part.layout),
-        [b.basis_matrix() for b in blocks],
+        _kraus_amplitudes(channel, parent.vectors, part.layout),
+        [b.vectors for b in blocks],
         part,
     )
     return ConditionalTable(

@@ -101,16 +101,14 @@ def epistemic_payload(
         "subsystem": list(subsystem),
         "time": float(time),
         "layout": layout_payload(e.layout),
-        "probabilities": [float(p) for p, _ in e.entries],
-        "truncation_mass": float(e.truncation_mass),
-        "degenerate_clusters": [list(c) for c in e.degenerate_clusters],
-        "vectors": [vector_to_pairs(s.vector) for _, s in e.entries],
+        **_entries_summary(e),
+        "vectors": [vector_to_pairs(v) for v in e.vectors.T],
     }
 
 
 def epistemic_csv(e: EpistemicState) -> str:
     lines = _csv_lines("index,probability,degenerate")
-    for i, (p, _) in enumerate(e.entries):
+    for i, p in enumerate(e.probabilities):
         lines.append(f"{i},{_f(p)},{int(e.is_degenerate(i))}")
     lines.append(f"# truncation_mass: {_f(e.truncation_mass)}")
     return "\n".join(lines) + "\n"
@@ -118,7 +116,7 @@ def epistemic_csv(e: EpistemicState) -> str:
 
 def _entries_summary(e: EpistemicState) -> dict:
     return {
-        "probabilities": [float(p) for p, _ in e.entries],
+        "probabilities": e.probabilities.tolist(),
         "degenerate_clusters": [list(c) for c in e.degenerate_clusters],
         "truncation_mass": float(e.truncation_mass),
     }

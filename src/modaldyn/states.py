@@ -3,9 +3,10 @@
 A density matrix is decomposed into its eigenbasis and read as an epistemic
 state: each retained eigenvector is a candidate pure state of the system (an
 "ontic state") and its eigenvalue is the probability that the system actually
-occupies that state. The decomposition is unique exactly when the spectrum is
-nondegenerate, so degenerate eigenvalue clusters are detected and carried as
-explicit flags for downstream policy (refuse or answer-with-annotation).
+occupies that state; :class:`EpistemicState` keeps both as arrays. The
+decomposition is unique exactly when the spectrum is nondegenerate, so
+degenerate eigenvalue clusters are detected and carried as explicit flags
+for downstream policy (refuse or answer-with-annotation).
 
 A pure state of a large layout is carried as its vector (:class:`PureState`)
 rather than as a dense matrix; its reductions are formed from the Schmidt
@@ -15,7 +16,7 @@ form of the vector and are ordinary validated density matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,12 +49,6 @@ def _norm(v: np.ndarray) -> float:
     """
     parts = v.view(float)
     return float(np.sqrt(np.sum(parts * parts)))
-
-
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 def _density_fault(
@@ -99,7 +94,7 @@ class DensityMatrix:
     layout: SystemLayout
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise InvalidDensityMatrixError(
@@ -108,7 +103,8 @@ class DensityMatrix:
         fault = _density_fault(mat[None])
         if fault is not None:
             raise InvalidDensityMatrixError(fault[1])
-        object.__setattr__(self, "matrix", _frozen_array(mat))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -184,94 +180,75 @@ State = Union[DensityMatrix, PureState]
 
 
 @dataclass(frozen=True)
-class OnticState:
-    """A candidate pure state: unit vector with canonical global phase."""
-
-    vector: np.ndarray
-    layout: SystemLayout
-    index: int
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
-        if v.shape[0] != self.layout.total_dim:
-            raise DimensionMismatchError(
-                f"vector length {v.shape[0]} does not match layout "
-                f"dimension {self.layout.total_dim}"
-            )
-        norm = _norm(v)
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-            raise InvalidDensityMatrixError(
-                f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
-            )
-        object.__setattr__(self, "vector", _frozen_array(linalg.canonical_phase(v)))
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
-
-@dataclass(frozen=True)
 class EpistemicState:
-    """Ordered spectral entries ``(probability, OnticState)`` of one system.
+    """The spectral reading of one system: ontic candidates and their probabilities.
 
-    ``truncation_mass`` is the total eigenvalue mass dropped below the
-    extraction threshold; retained probabilities plus the truncation mass sum
-    to one. ``degenerate_clusters`` lists index groups whose eigenvalues are
-    closer than the degeneracy gap; such entries have no preferred individual
-    eigenvectors and queries against them are policy-dependent.
+    ``vectors[:, i]`` is retained eigenvector ``i`` of the density matrix, a
+    candidate ontic state (unit norm, canonical global phase), and
+    ``probabilities[i]`` is its eigenvalue, the probability that the system
+    occupies that state; entries are in descending order. Both arrays are
+    read-only. ``truncation_mass`` is the total eigenvalue mass dropped
+    below the extraction threshold; retained probabilities plus the
+    truncation mass sum to one. ``degenerate_clusters`` lists index groups
+    whose eigenvalues are closer than the degeneracy gap; such entries have
+    no preferred individual eigenvectors and queries against them are
+    policy-dependent.
     """
 
-    entries: tuple[tuple[float, OnticState], ...]
+    probabilities: np.ndarray
+    vectors: np.ndarray
+    layout: SystemLayout
     degenerate_clusters: tuple[tuple[int, ...], ...] = ()
     truncation_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "entries",
-            tuple((float(p), s) for p, s in self.entries),
-        )
-        object.__setattr__(
-            self,
-            "degenerate_clusters",
-            tuple(tuple(int(i) for i in c) for c in self.degenerate_clusters),
-        )
-        if not self.entries:
+        probs = np.array(self.probabilities, dtype=float).reshape(-1)
+        vecs = np.asarray(self.vectors, dtype=complex)
+        d, n = self.layout.total_dim, len(probs)
+        if vecs.shape[1:] != (n,):
+            raise DimensionMismatchError(
+                f"vectors of shape {vecs.shape} are not {n} columns, one per entry"
+            )
+        if vecs.shape[0] != d:
+            raise DimensionMismatchError(
+                f"vector length {vecs.shape[0]} does not match layout dimension {d}"
+            )
+        if n == 0:
             raise InvalidDensityMatrixError("epistemic state needs at least one entry")
-        total = sum(p for p, _ in self.entries) + self.truncation_mass
+        cols = []
+        for i in range(n):
+            v = np.ascontiguousarray(vecs[:, i])
+            norm = _norm(v)
+            if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+                raise InvalidDensityMatrixError(
+                    f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
+                )
+            cols.append(linalg.canonical_phase(v))
+        vecs = np.column_stack(cols)
+        clusters = tuple(tuple(int(i) for i in c) for c in self.degenerate_clusters)
+        total = float(probs.sum()) + self.truncation_mass
         if not abs(total - 1.0) <= MASS_BALANCE_TOL:
             raise InvalidDensityMatrixError(
                 f"probabilities plus truncation mass sum to {total}, not 1"
             )
-        flagged = [i for c in self.degenerate_clusters for i in c]
-        if any(i < 0 or i >= len(self.entries) for i in flagged):
+        if any(i < 0 or i >= n for c in clusters for i in c):
             raise IndexError("degenerate cluster index out of range")
-        basis = self.basis_matrix()
-        gram = basis.conj().T @ basis
-        if not np.abs(gram - np.eye(gram.shape[0])).max() <= ORTHOGONALITY_TOL:
+        gram = vecs.conj().T @ vecs
+        if not np.abs(gram - np.eye(n)).max() <= ORTHOGONALITY_TOL:
             raise NonOrthogonalEntriesError(
                 "retained ontic states are not mutually orthonormal"
             )
+        probs.setflags(write=False)
+        vecs.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "degenerate_clusters", clusters)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[float, OnticState]]:
-        return iter(self.entries)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries])
-
-    def basis_matrix(self) -> np.ndarray:
-        """Retained eigenvectors as columns."""
-        return np.column_stack([s.vector for _, s in self.entries])
+        return len(self.probabilities)
 
     def is_degenerate(self, index: int) -> bool:
         return any(index in c for c in self.degenerate_clusters)
-
-    @property
-    def layout(self) -> SystemLayout:
-        return self.entries[0][1].layout
 
 
 def extract_epistemic(
@@ -291,16 +268,15 @@ def extract_epistemic(
         )
     if isinstance(rho, PureState):
         _check_threshold(threshold)
-        return EpistemicState(entries=((1.0, OnticState(rho.vector, rho.layout, 0)),))
+        return EpistemicState(np.ones(1), rho.vector[:, None], rho.layout)
     # Hermiticity was checked when the DensityMatrix was built
     w, v = linalg._ordered_eig(rho.matrix)
     probs, counts, close = _read_spectra(rho.matrix[None], w[None], threshold)
     n = int(counts[0])
-    entries = tuple(
-        (float(probs[0, i]), OnticState(v[:, i], rho.layout, i)) for i in range(n)
-    )
     return EpistemicState(
-        entries=entries,
+        probs[0, :n],
+        v[:, :n],
+        rho.layout,
         degenerate_clusters=_degenerate_clusters(close[0]),
         truncation_mass=float(probs[0, n:].sum()),
     )
@@ -370,7 +346,6 @@ def epistemic_to_density(e: EpistemicState) -> DensityMatrix:
         raise ValueError(
             f"truncation mass {e.truncation_mass:.3e} too large to reassemble"
         )
-    basis = e.basis_matrix()
-    mat = (basis * e.probabilities) @ basis.conj().T
+    mat = (e.vectors * e.probabilities) @ e.vectors.conj().T
     mat = mat / np.real(np.trace(mat))
     return DensityMatrix(mat, e.layout)

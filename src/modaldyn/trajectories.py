@@ -32,20 +32,19 @@ use consecutive seeds ``base_seed .. base_seed + n - 1``, which makes every
 sample reproducible in isolation and the aggregate independent of execution
 order. ``_uniforms`` is the one place this contract is written, and
 ``StepChain._walk`` the one walk: a single trajectory is its one-row case,
-and an ensemble walks blocks of ``ENSEMBLE_BLOCK`` trajectories, so its
-memory does not grow with the number of trajectories.
+and an ensemble walks budget-sized blocks of at most ``ENSEMBLE_BLOCK``
+trajectories, so its memory does not grow with the number of trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import channels as channels_mod
-from .channels import KrausChannel, LindbladGenerator, _kraus_sum
+from . import linalg
+from .channels import KrausChannel, _kraus_sum
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
@@ -207,22 +206,19 @@ def _uniforms(first_seed: int, n_rows: int, n_times: int) -> np.ndarray:
 
 
 def build_step_chain(
-    generator: LindbladGenerator,
+    step_channel: KrausChannel,
     rho0: DensityMatrix,
     grid: TimeGrid,
     threshold: float = DEFAULT_THRESHOLD,
     mode: str = STRICT,
-    step_channel: Optional[KrausChannel] = None,
 ) -> StepChain:
     """Precompute spectra and conditional rows along the grid.
 
-    ``step_channel`` overrides the generator exponential for one grid step
-    (useful for discrete-map dynamics); otherwise it is ``exp(L*dt)``.
+    ``step_channel`` carries the state over one grid step: for generator
+    dynamics ``channels.evolve(generator, grid.dt)``, or any discrete map.
     In strict mode any degenerate spectrum along the grid refuses the chain.
     """
     mode = _check_mode(mode)
-    if step_channel is None:
-        step_channel = channels_mod.evolve(generator, grid.dt)
     layout = rho0.layout
     step = _steps(step_channel, layout)
     d = layout.total_dim
@@ -320,15 +316,18 @@ def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleRe
     ``ENSEMBLE_BLOCK``, each with the uniforms of its own seeded generator,
     and their label counts are added up; so results are bit-identical to
     sampling the trajectories one by one, and no array grows with
-    ``n_samples``.
+    ``n_samples``. A block holds 16 bytes per grid point and trajectory, so
+    a long chain walks fewer at a time to stay within the memory budget; the
+    chain's own memory guard has left room for one.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
     n_times = chain.n_times
+    block = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (16 * n_times))
     counts = np.zeros((n_times, chain.n_labels), dtype=np.int64)
-    for start in range(0, n_samples, ENSEMBLE_BLOCK):
-        n_rows = min(ENSEMBLE_BLOCK, n_samples - start)
+    for start in range(0, n_samples, block):
+        n_rows = min(block, n_samples - start)
         entries = chain._walk(_uniforms(int(base_seed) + start, n_rows, n_times))
         for k in range(n_times):
             labels_k = chain.labels[k, entries[:, k]]

@@ -70,8 +70,7 @@ def test_criterion_01_spectral_round_trip():
             back = epistemic_to_density(e)
             frob = float(np.linalg.norm(back.matrix - rho.matrix))
             assert frob <= 1e-9, f"trial {trial}: Frobenius error {frob:.3e}"
-            basis = e.basis_matrix()
-            gram_dev = np.abs(basis.conj().T @ basis - np.eye(len(e))).max()
+            gram_dev = np.abs(e.vectors.conj().T @ e.vectors - np.eye(len(e))).max()
             assert gram_dev <= 1e-11, f"trial {trial}: orthonormality {gram_dev:.3e}"
 
     _report(1, "spectral extract/rebuild round trip (100 states, dims 2-8)", check)
@@ -260,7 +259,7 @@ def test_criterion_10_ensemble_consistency():
         rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
         grid = TimeGrid(0.0, 0.125, 8)  # gamma * t = 1 at the last point
         n = 10_000
-        chain = build_step_chain(g, rho0, grid)
+        chain = build_step_chain(evolve(g, grid.dt), rho0, grid)
         marg_dev = np.abs(chain.propagated_marginals() - chain.eigenvalue_table()).max()
         assert marg_dev <= 1e-7, f"chain marginal deviation {marg_dev:.3e}"
         report = run_ensemble(chain, n_samples=n, base_seed=20240)

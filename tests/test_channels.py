@@ -50,12 +50,14 @@ LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 def damping_kraus(p: float) -> KrausChannel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(operators=(k0, k1), dim=2)
+    return KrausChannel(operators=(k0, k1))
 
 
 def test_kraus_completeness_enforced():
     with pytest.raises(CptVerificationError):
-        KrausChannel(operators=(np.eye(2) * 0.5,), dim=2)
+        KrausChannel(operators=(np.eye(2) * 0.5,))
+    with pytest.raises(TypeError):
+        KrausChannel(operators=(np.eye(2),), dim=7)  # the dimension is derived
     ch = damping_kraus(0.3)
     assert verify_cpt(ch).is_tp
     assert verify_cpt(ch).is_cp
@@ -101,7 +103,7 @@ def test_choi_roundtrip():
         choi2 = superoperator_to_choi(kraus_to_superoperator(ch))
         assert np.abs(choi - choi2).max() < 1e-12
         ops = choi_to_kraus(choi, 3)
-        rebuilt = KrausChannel(operators=tuple(ops), dim=3)
+        rebuilt = KrausChannel(operators=tuple(ops))
         rho = random_density_matrix(SystemLayout((3,), ("Q",)), rng)
         a = naive_kraus_apply(ch.operators, rho.matrix)
         b = naive_kraus_apply(rebuilt.operators, rho.matrix)

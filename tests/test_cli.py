@@ -306,6 +306,9 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    # a channel check reads no spectrum, so it takes no threshold
+    assert main(["verify-channel", "--channel", "c.json", "--threshold", "0.7"]) == 2
+    assert "unrecognized arguments: --threshold 0.7" in capsys.readouterr().err
 
 
 def _scenario_file(tmp_path, **changes):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
+    ConditionalTable,
     DensityMatrix,
     DegenerateBasisError,
     LayoutMismatchError,
@@ -102,8 +103,8 @@ def test_joint_matches_loop_oracle_identity_channel():
             want = naive_joint_probability(
                 layout.dims,
                 [(1,), (0,)],
-                [block_b.entries[i][1].vector, block_a.entries[j][1].vector],
-                parent.entries[w][1].vector,
+                [block_b.vectors[:, i], block_a.vectors[:, j]],
+                parent.vectors[:, w],
             )
             assert abs(got - want) < 1e-12
 
@@ -127,8 +128,8 @@ def test_joint_matches_loop_oracle_with_channel():
             want = naive_joint_probability(
                 layout.dims,
                 [(0,), (1,)],
-                [block_a.entries[i][1].vector, block_b.entries[j][1].vector],
-                parent.entries[w][1].vector,
+                [block_a.vectors[:, i], block_b.vectors[:, j]],
+                parent.vectors[:, w],
                 kraus_operators=ch.operators,
             )
             assert abs(got - want) < 1e-12
@@ -216,6 +217,21 @@ def test_bound_error_names_worst_entry_in_plain_numbers():
     assert "1 + 1e-10" in message
 
 
+def test_table_refuses_nan_and_derives_its_audit_numbers():
+    qubit = SystemLayout.qubits(("Q",))
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), qubit)
+    table = conditional_table(rho, None, trivial_partition(qubit))
+    fields = (table.parent, table.blocks, table.partition)
+    probs = table.probabilities.copy()
+    probs[0, 0] = np.nan
+    with pytest.raises(ProbabilityBoundsError, match=r"lie in \[0, 1\]"):
+        ConditionalTable(*fields, probs, table.mode)
+    # the audit numbers are computed, never taken from the caller
+    for name in ("row_sums", "max_row_deviation", "max_marginal_deviation"):
+        with pytest.raises(TypeError):
+            ConditionalTable(*fields, table.probabilities, table.mode, **{name: 0.0})
+
+
 @pytest.mark.parametrize("blocks", ["S,P,E1+E2+E3", "S+P,E1,E2+E3"])
 def test_schedule_table_equals_composed_dense_channel(blocks):
     sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=3)
@@ -277,8 +293,8 @@ def test_table_matches_naive_oracle(case, identity):
         want = naive_joint_probability(
             part.layout.dims,
             positions,
-            [b.entries[i][1].vector for b, i in zip(table.blocks, idx)],
-            table.parent.entries[w][1].vector,
+            [b.vectors[:, i] for b, i in zip(table.blocks, idx)],
+            table.parent.vectors[:, w],
             kraus_operators=None if identity else ch.operators,
         )
         assert abs(table.probabilities[(w, *idx)] - want) < 1e-12
@@ -318,7 +334,7 @@ def test_superoperator_dynamics_is_refused():
         lambda: conditional_table(rho, (((0,), sup),), part),
         lambda: joint_conditional(rho, sup, part, 0, (0,)),
         lambda: dynamical_conditional(rho, sup, 0, 0),
-        lambda: build_step_chain(None, rho, TimeGrid(0.0, 1.0, 2), step_channel=sup),
+        lambda: build_step_chain(sup, rho, TimeGrid(0.0, 1.0, 2)),
     ]
     for call in calls:
         with pytest.raises(TypeError, match=hint):

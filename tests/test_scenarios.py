@@ -22,7 +22,7 @@ def test_epr_margins_are_maximally_mixed():
         reduced = sc.initial_state.reduce((label,))
         assert np.abs(reduced.matrix - np.eye(2) / 2.0).max() < 1e-12
         e = extract_epistemic(reduced)
-        assert [p for p, _ in e] == pytest.approx(
+        assert e.probabilities.tolist() == pytest.approx(
             list(sc.oracle["subsystem_probabilities"])
         )
         assert e.degenerate_clusters == ((0, 1),)
@@ -50,7 +50,7 @@ def test_von_neumann_pointer_reads_born_weights_exactly():
     sc = von_neumann_measurement(alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=4)
     pointer = sc.final_state().reduce(("P",))
     e = extract_epistemic(pointer)
-    assert [x for x, _ in e] == pytest.approx([0.7, 0.3], abs=1e-12)
+    assert e.probabilities.tolist() == pytest.approx([0.7, 0.3], abs=1e-12)
     assert np.abs(pointer.matrix - np.diag([0.3, 0.7])).max() < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_von_neumann_record_eigenvalues_match_closed_form():
         record = sc.final_state().reduce(("S", "P"))
         e = extract_epistemic(record)
         big, small = record_pair_eigenvalues(p, n_env, coupling)
-        got = sorted((x for x, _ in e), reverse=True)
+        got = sorted(e.probabilities, reverse=True)
         assert got[0] == pytest.approx(big, abs=1e-12)
         if len(got) > 1:
             assert got[1] == pytest.approx(small, abs=1e-12)
@@ -110,8 +110,7 @@ def test_von_neumann_deviation_decreases_with_environment_size():
         record = sc.final_state().reduce(("S", "P"))
         probs = np.zeros(2)
         e = extract_epistemic(record)
-        for k, (weight, _) in enumerate(e):
-            probs[k] = weight
+        probs[: len(e)] = e.probabilities
         # deviation of the record spectrum from the Born weights (0.7, 0.3)
         devs.append(np.abs(np.sort(probs)[::-1] - np.array([0.7, 0.3])).max())
     assert all(a > b for a, b in zip(devs, devs[1:]))

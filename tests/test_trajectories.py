@@ -20,7 +20,7 @@ from modaldyn import (
     evolve,
     run_ensemble,
 )
-from modaldyn import linalg
+from modaldyn import linalg, trajectories
 from modaldyn.random_objects import (
     random_density_matrix,
     random_kraus_channel,
@@ -62,7 +62,7 @@ def test_dephasing_keeps_populations_frozen():
     # diagonal state, dephasing noise: branches never switch
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.2, 5)
-    chain = build_step_chain(dephasing(), rho0, grid)
+    chain = build_step_chain(evolve(dephasing(), grid.dt), rho0, grid)
     assert chain.counts.tolist() == [2] * 6
     assert np.abs(chain.rows - np.eye(2)).max() < 1e-10
     traj = chain.sample(seed=123)
@@ -73,7 +73,7 @@ def test_dephasing_keeps_populations_frozen():
 def test_dephasing_ensemble_frequencies():
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.2, 5)
-    chain = build_step_chain(dephasing(), rho0, grid)
+    chain = build_step_chain(evolve(dephasing(), grid.dt), rho0, grid)
     report = run_ensemble(chain, n_samples=2000, base_seed=7)
     # binomial 4 sigma for p=0.7, n=2000
     bound = 4.0 * np.sqrt(0.7 * 0.3 / 2000.0)
@@ -85,7 +85,7 @@ def test_damping_labels_follow_branches_through_crossing():
     # eigenvalues cross at t = ln 2; the excited branch keeps its label
     grid = TimeGrid(0.0, 0.25, 6)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    chain = build_step_chain(damping(1.0), rho0, grid)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     table = chain.eigenvalue_table()
     times = grid.times
     assert np.abs(table[:, 0] - np.exp(-times)).max() < 1e-9
@@ -95,7 +95,7 @@ def test_damping_labels_follow_branches_through_crossing():
 def test_damping_first_step_row():
     grid = TimeGrid(0.0, 0.25, 1)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    chain = build_step_chain(damping(1.0), rho0, grid)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     # pure start: one entry at t=0, survival probability e^{-gamma dt}
     assert chain.counts[:2].tolist() == [1, 2]
     assert abs(chain.rows[0, 0, 0] - np.exp(-0.25)) < 1e-10
@@ -106,36 +106,37 @@ def test_propagated_marginals_match_eigenvalues():
     rng = np.random.default_rng(41)
     grid = TimeGrid(0.0, 0.1, 10)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    chain = build_step_chain(damping(1.0), rho0, grid)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     assert np.abs(chain.propagated_marginals() - chain.eigenvalue_table()).max() < 1e-7
     for _ in range(5):
         g = random_lindblad(2, 2, rng)
         rho = DensityMatrix(np.diag([0.8, 0.2]).astype(complex), QUBIT)
-        ch = build_step_chain(g, rho, grid, mode="permissive")
+        ch = build_step_chain(evolve(g, grid.dt), rho, grid, mode="permissive")
         assert np.abs(ch.propagated_marginals() - ch.eigenvalue_table()).max() < 1e-7
 
 
 def test_strict_mode_refuses_degenerate_grid_point():
     rho0 = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
     grid = TimeGrid(0.0, 0.1, 3)
+    step = evolve(dephasing(), grid.dt)
     with pytest.raises(DegenerateBasisError):
-        build_step_chain(dephasing(), rho0, grid, mode="strict")
-    chain = build_step_chain(dephasing(), rho0, grid, mode="permissive")
+        build_step_chain(step, rho0, grid, mode="strict")
+    chain = build_step_chain(step, rho0, grid, mode="permissive")
     assert chain.n_times == 4
 
 
 def test_sampling_is_deterministic():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.25, 4)
-    a = build_step_chain(damping(1.0), rho0, grid).sample(seed=99)
-    b = build_step_chain(damping(1.0), rho0, grid).sample(seed=99)
+    a = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid).sample(seed=99)
+    b = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid).sample(seed=99)
     assert a == b
 
 
 def test_ensemble_matches_sequential_sampling_bitwise():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.25, 4)
-    chain = build_step_chain(damping(1.0), rho0, grid)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     n = 64
     base = 1234
     report = run_ensemble(chain, n_samples=n, base_seed=base)
@@ -159,9 +160,8 @@ def _random_chain(dims, n_ops, n_steps, rng):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
     grid = TimeGrid(0.0, 1.0, n_steps)
-    return build_step_chain(idle, rho0, grid, mode="permissive", step_channel=ch)
+    return build_step_chain(ch, rho0, grid, mode="permissive")
 
 
 @settings(max_examples=12, deadline=None)
@@ -200,7 +200,7 @@ def test_damping_is_absorbing():
     # a decayed trajectory must never re-excite
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.5, 6)
-    chain = build_step_chain(damping(1.0), rho0, grid)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     for i in range(200):
         traj = chain.sample(5000 + i)
         seen_ground = False
@@ -217,7 +217,8 @@ def test_row_sum_error_reports_plain_numbers():
     sc = amplitude_damping_qubit(1.0, rho0)
     grid = TimeGrid(0.0, 1.25, 4)
     with pytest.raises(NormalizationError) as info:
-        build_step_chain(sc.generator, sc.initial_state, grid, threshold=0.01)
+        step = evolve(sc.generator, grid.dt)
+        build_step_chain(step, sc.initial_state, grid, threshold=0.01)
     message = str(info.value)
     assert "np.float64" not in message
     numbers = [float(x) for x in re.findall(r"\d+\.?\d*(?:e[-+]?\d+)?", message)]
@@ -237,10 +238,7 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
-    chain = build_step_chain(
-        idle, rho0, TimeGrid(0.0, 1.0, 2), mode="permissive", step_channel=ch
-    )
+    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, 2), mode="permissive")
     c = chain.counts
     for k, rows in enumerate(_unpadded(chain)[1]):
         vecs_t, vecs_tp = chain.vectors[k, :, : c[k]], chain.vectors[k + 1, :, : c[k + 1]]
@@ -258,9 +256,8 @@ def test_intermediate_states_are_validated():
     # one step moves the trace by 4e-10, past the state's trace bound (1e-10)
     step = KrausChannel((np.sqrt(1.0 + 4e-10) * np.eye(2, dtype=complex),))
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
-    idle = LindbladGenerator(hamiltonian=np.zeros((2, 2)))
     with pytest.raises(InvalidDensityMatrixError) as info:
-        build_step_chain(idle, rho0, TimeGrid(0.0, 1.0, 3), step_channel=step)
+        build_step_chain(step, rho0, TimeGrid(0.0, 1.0, 3))
     message = str(info.value)
     assert "grid point 1 " in message and "np.float64" not in message
     numbers = [float(x) for x in re.findall(r"\d+\.?\d*(?:e[-+]?\d+)?", message)]
@@ -269,7 +266,7 @@ def test_intermediate_states_are_validated():
     # faults come in grid order: the degenerate start is refused first
     half = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
     with pytest.raises(DegenerateBasisError, match="grid point 0 "):
-        build_step_chain(idle, half, TimeGrid(0.0, 1.0, 3), step_channel=step)
+        build_step_chain(step, half, TimeGrid(0.0, 1.0, 3))
 
 
 def test_pure_start_reads_one_entry_of_probability_one():
@@ -277,7 +274,7 @@ def test_pure_start_reads_one_entry_of_probability_one():
     # shortcut reads it as exactly one
     vec = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
     rho0 = DensityMatrix.from_vector(vec, QUBIT)
-    chain = build_step_chain(damping(1.0), rho0, TimeGrid(0.0, 0.25, 3))
+    chain = build_step_chain(evolve(damping(1.0), 0.25), rho0, TimeGrid(0.0, 0.25, 3))
     assert chain.probs[0, : chain.counts[0]].tolist() == [1.0]
 
 
@@ -294,10 +291,7 @@ def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
-    chain = build_step_chain(
-        idle, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive", step_channel=ch
-    )
+    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive")
     oracle = naive_chain_states(ch.operators, rho0.matrix, n_steps)
     assert chain.n_times == len(oracle)
     for k, rho in enumerate(oracle):
@@ -330,10 +324,7 @@ def test_padding_is_never_read(dims, n_ops, n_steps, seed):
     d = layout.total_dim
     rho0 = DensityMatrix.from_vector(rng.normal(size=d) + 1j * rng.normal(size=d), layout)
     ch = random_kraus_channel(d, n_ops, rng)
-    idle = LindbladGenerator(hamiltonian=np.zeros((d, d)))
-    chain = build_step_chain(
-        idle, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive", step_channel=ch
-    )
+    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive")
     assert chain.counts[0] == 1 and chain.counts.max() > 1
     pad = np.arange(chain.counts.max()) >= chain.counts[:, None]
     assert np.all(chain.probs[pad] == 0.0) and np.all(chain.labels[pad] == -1)
@@ -363,4 +354,26 @@ def test_memory_guard_counts_the_whole_chain(monkeypatch):
     step = evolve(damping(1.0), 0.25)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 2 * 4096)
     with pytest.raises(ProblemTooLargeError, match="4096 bytes for the states alone"):
-        build_step_chain(damping(1.0), rho0, TimeGrid(0.0, 0.25, 63), step_channel=step)
+        build_step_chain(step, rho0, TimeGrid(0.0, 0.25, 63))
+
+
+def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
+    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
+    grid = TimeGrid(0.0, 1.0 / 64, 64)
+    chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
+    want = run_ensemble(chain, n_samples=250, base_seed=5)
+    rows = []
+    uniforms = trajectories._uniforms
+
+    def spy(first_seed, n_rows, n_times):
+        rows.append(n_rows)
+        return uniforms(first_seed, n_rows, n_times)
+
+    # 16 bytes per cell: 100 rows of 65 grid points fit, 101 do not
+    budget = 16 * 65 * 101 - 1
+    monkeypatch.setattr(trajectories, "_uniforms", spy)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", budget)
+    got = run_ensemble(chain, n_samples=250, base_seed=5)
+    assert rows == [100, 100, 50]
+    assert np.array_equal(got.frequencies, want.frequencies)
+    assert got.max_abs_deviation == want.max_abs_deviation
