@@ -205,25 +205,6 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel((u,))
 
 
-def _kraus_sum(
-    ops: Sequence[np.ndarray], rho: np.ndarray, positions: tuple[int, ...]
-) -> np.ndarray:
-    """``sum_k K_k rho K_k^dag`` on a density tensor (row axes, then column axes).
-
-    Each ``K_k`` is contracted on the row axes at ``positions``, and
-    ``K_k^dag`` multiplies the matching column axes from the right (``K_k*``
-    contracted on the column axes).
-    """
-    n = rho.ndim // 2
-    cols = tuple(n + p for p in positions)
-    out = 0.0
-    for k in ops:
-        out = out + apply_local(
-            k.conj().T, apply_local(k, rho, positions), cols, right=True
-        )
-    return out
-
-
 def apply(
     ch: Channel, state: State, positions: Optional[Sequence[int]] = None
 ) -> State:
@@ -264,7 +245,12 @@ def apply(
             )
         return DensityMatrix(ch.apply_matrix(state.matrix), layout)
     rho = state.matrix.reshape(layout.dims * 2)
-    out = _kraus_sum(ch.operators, rho, positions)
+    cols = tuple(layout.n_factors + p for p in positions)
+    out = 0.0
+    for k in ch.operators:
+        out = out + apply_local(
+            k.conj().T, apply_local(k, rho, positions), cols, right=True
+        )
     return DensityMatrix(out.reshape(state.dim, state.dim), layout)
 
 

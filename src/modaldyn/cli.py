@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
-Exit codes are a stable contract: 0 success, 2 configuration or parse
-problems (including problems too large for the memory budget), 3 numerical
-invariant failures, 4 strict-mode degeneracy refusals, 5 channel verification
+Every flag and its default is declared once, in :func:`build_parser`; each
+``_cmd_*`` reads the parsed arguments and resolves its own scenario, blocks,
+subsystem and seed. Exit codes are a stable contract: 0 success, 2
+configuration or parse problems (including a ``--rho0`` that is not a state
+and problems too large for the memory budget), 3 numerical invariant
+failures, 4 strict-mode degeneracy refusals, 5 channel verification
 failures. Outputs are deterministic: the same configuration and seed produce
 byte-identical files.
 """
@@ -15,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,11 +28,13 @@ from .conditional import PERMISSIVE, STRICT, Partition, conditional_table
 from .errors import (
     CptVerificationError,
     DegenerateBasisError,
+    InvalidDensityMatrixError,
     LayoutMismatchError,
     ModalDynError,
     ProblemTooLargeError,
     UnknownLabelError,
 )
+from .linalg import SystemLayout
 from .scenarios import (
     Scenario,
     amplitude_damping_qubit,
@@ -62,86 +66,67 @@ class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one CLI invocation."""
-
-    command: str
-    scenario: Optional[Scenario] = None
-    scenario_label: str = ""
-    subsystem: tuple[str, ...] = ()
-    blocks: tuple[tuple[str, ...], ...] = ()
-    time: float = 0.0
-    duration: float = 0.0
-    steps: int = 1
-    n_samples: int = 1
-    seed: Optional[int] = None
-    mode: str = STRICT
-    threshold: float = DEFAULT_THRESHOLD
-    fmt: str = "json"
-    output: Optional[str] = None
-    channel_doc: Optional[dict] = None
-    tol: float = channels_mod.CPT_TOL
+def _load_json(path: str, what: str):
+    """The JSON document at ``path``; ``what`` names the file if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
-def _parse_rho0(text: Optional[str]):
+def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
+    """The qubit state ``--rho0`` names, or ``None`` for the scenario's own."""
     if text is None:
         return None
     if text in _NAMED_RHO0:
-        return _NAMED_RHO0[text]
-    if text.startswith("diag:"):
+        matrix = _NAMED_RHO0[text]
+    elif text.startswith("diag:"):
         try:
             entries = [float(x) for x in text[len("diag:") :].split(",")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse --rho0 {text!r}: {exc}") from exc
         if len(entries) != 2:
             raise ConfigError("--rho0 diag: expects two comma-separated weights")
-        return np.diag(entries).astype(complex)
-    raise ConfigError(
-        f"unknown --rho0 {text!r}; use plus, zero, one, or diag:p0,p1"
-    )
+        matrix = np.diag(entries).astype(complex)
+    else:
+        raise ConfigError(
+            f"unknown --rho0 {text!r}; use plus, zero, one, or diag:p0,p1"
+        )
+    try:
+        return DensityMatrix(matrix, SystemLayout.qubits(("Q",)))
+    except InvalidDensityMatrixError as exc:
+        raise ConfigError(f"bad --rho0 {text!r}: {exc}") from exc
 
 
-def _qubit_rho0(matrix: Optional[np.ndarray], factory) -> Scenario:
-    if matrix is None:
-        return factory(None)
-    from .linalg import SystemLayout
-
-    return factory(DensityMatrix(matrix, SystemLayout.qubits(("Q",))))
-
-
-def _resolve_scenario(source: str, args: argparse.Namespace) -> Scenario:
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario ``--scenario`` names, built from the scenario flags."""
+    source = args.scenario
     if source.endswith(".json") or os.path.isfile(source):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario file {source!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {source!r}: {exc}") from exc
+        data = _load_json(source, f"scenario file {source!r}")
         try:
             return serialize.scenario_from_document(data)
         except SchemaError as exc:
             raise ConfigError(f"bad scenario document {source!r}: {exc}") from exc
-    rho0 = _parse_rho0(getattr(args, "rho0", None))
-    gamma = float(getattr(args, "gamma", 1.0))
+    rho0 = _rho0(args.rho0)
     if source == "epr-bohm":
         return epr_bohm()
     if source in ("ghz-mermin", "ghz"):
         return ghz_mermin()
     if source == "dephasing":
-        return _qubit_rho0(rho0, lambda r: dephasing_qubit(gamma, r))
+        return dephasing_qubit(args.gamma, rho0)
     if source == "damping":
-        return _qubit_rho0(rho0, lambda r: amplitude_damping_qubit(gamma, r))
+        return amplitude_damping_qubit(args.gamma, rho0)
     if source == "von-neumann":
-        alpha2 = float(getattr(args, "alpha2", 0.3))
-        if not 0.0 <= alpha2 <= 1.0:
-            raise ConfigError(f"--alpha2 must lie in [0, 1]: {alpha2}")
+        if not 0.0 <= args.alpha2 <= 1.0:
+            raise ConfigError(f"--alpha2 must lie in [0, 1]: {args.alpha2}")
         return von_neumann_measurement(
-            alpha=math.sqrt(alpha2),
-            beta=math.sqrt(1.0 - alpha2),
-            n_env=int(getattr(args, "n_env", 8)),
-            coupling=float(getattr(args, "coupling", 0.4)),
+            alpha=math.sqrt(args.alpha2),
+            beta=math.sqrt(1.0 - args.alpha2),
+            n_env=args.n_env,
+            coupling=args.coupling,
         )
     raise ConfigError(
         f"unknown scenario {source!r}; names: epr-bohm, ghz-mermin, dephasing, "
@@ -156,14 +141,12 @@ def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
         if not labels:
             raise ConfigError(f"empty block in --blocks {text!r}")
         blocks.append(labels)
-    if not blocks:
-        raise ConfigError("--blocks must name at least one block")
     return tuple(blocks)
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
     if arg_seed is not None:
-        return int(arg_seed)
+        return arg_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
         raise ConfigError(
@@ -185,23 +168,26 @@ def _write(text: str, path: Optional[str]) -> None:
 
 # ----------------------------------------------------------------- commands
 
-def _cmd_epistemic(cfg: RunConfig) -> int:
-    sc = cfg.scenario
-    assert sc is not None
-    state = sc.state_at(cfg.time)
-    labels = cfg.subsystem or tuple(sc.layout.labels)
+def _cmd_epistemic(args: argparse.Namespace) -> int:
+    sc = _scenario(args)
+    labels = tuple(s.strip() for s in (args.subsystem or "").split(",") if s.strip())
+    unknown = set(labels) - set(sc.layout.labels)
+    if unknown:
+        raise ConfigError(
+            f"--subsystem labels {sorted(unknown)} not in layout {sc.layout.labels}"
+        )
+    labels = labels or sc.layout.labels
+    state = sc.state_at(args.time)
     if set(labels) != set(sc.layout.labels):
         state = state.reduce(labels)
-    e = extract_epistemic(state, cfg.threshold)
-    if cfg.fmt == "csv":
+    e = extract_epistemic(state, args.threshold)
+    if args.format == "csv":
         text = serialize.epistemic_csv(e)
     else:
         text = serialize.dumps_json(
-            serialize.epistemic_payload(
-                e, cfg.scenario_label, tuple(labels), cfg.time
-            )
+            serialize.epistemic_payload(e, args.scenario, labels, args.time)
         )
-    _write(text, cfg.output)
+    _write(text, args.output)
     return EXIT_OK
 
 
@@ -214,82 +200,87 @@ def _table_channel(sc: Scenario, time: float):
     return None, "identity"
 
 
-def _cmd_conditional(cfg: RunConfig) -> int:
-    sc = cfg.scenario
-    assert sc is not None
+def _cmd_conditional(args: argparse.Namespace) -> int:
+    sc = _scenario(args)
+    blocks = _parse_blocks(args.blocks)
     try:
-        part = Partition(sc.layout, cfg.blocks)
+        part = Partition(sc.layout, blocks)
     except (LayoutMismatchError, UnknownLabelError) as exc:
         raise ConfigError(f"bad --blocks: {exc}") from exc
-    channel, channel_id = _table_channel(sc, cfg.time)
+    channel, channel_id = _table_channel(sc, args.time)
     table = conditional_table(
         sc.initial_state,
         channel,
         part,
-        mode=cfg.mode,
-        threshold=cfg.threshold,
-        times=(0.0, cfg.time),
+        mode=args.mode,
+        threshold=args.threshold,
+        times=(0.0, args.time),
         channel_id=channel_id,
     )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         text = serialize.table_csv(table)
     else:
-        text = serialize.dumps_json(serialize.table_payload(table, cfg.scenario_label))
-    _write(text, cfg.output)
+        text = serialize.dumps_json(serialize.table_payload(table, args.scenario))
+    _write(text, args.output)
     return EXIT_OK
 
 
-def _cmd_sample(cfg: RunConfig) -> int:
-    sc = cfg.scenario
-    assert sc is not None
+def _cmd_sample(args: argparse.Namespace) -> int:
+    sc = _scenario(args)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1: {args.steps}")
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1: {args.n}")
+    seed = _resolve_seed(args.seed)
     if sc.generator is None:
         raise ConfigError(
-            f"scenario {cfg.scenario_label!r} has no generator dynamics to sample"
+            f"scenario {args.scenario!r} has no generator dynamics to sample"
         )
-    grid = TimeGrid(0.0, cfg.duration / cfg.steps, cfg.steps)
+    grid = TimeGrid(0.0, args.t / args.steps, args.steps)
     step = channels_mod.evolve(sc.generator, grid.dt)
-    chain = build_step_chain(step, sc.initial_state, grid, cfg.threshold, cfg.mode)
-    seed = cfg.seed
-    assert seed is not None
-    if cfg.n_samples == 1:
+    chain = build_step_chain(step, sc.initial_state, grid, args.threshold, args.mode)
+    if args.n == 1:
         traj = chain.sample(seed)
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             text = serialize.trajectory_csv(traj)
         else:
             text = serialize.dumps_json(
-                serialize.trajectory_payload(traj, cfg.scenario_label)
+                serialize.trajectory_payload(traj, args.scenario)
             )
     else:
-        report = run_ensemble(chain, cfg.n_samples, seed)
-        if cfg.fmt == "csv":
+        report = run_ensemble(chain, args.n, seed)
+        if args.format == "csv":
             text = serialize.ensemble_csv(report)
         else:
             text = serialize.dumps_json(
-                serialize.ensemble_payload(report, cfg.scenario_label)
+                serialize.ensemble_payload(report, args.scenario)
             )
-    _write(text, cfg.output)
+    _write(text, args.output)
     return EXIT_OK
 
 
-def _cmd_verify_channel(cfg: RunConfig) -> int:
-    doc = cfg.channel_doc
-    assert doc is not None
-    kind = doc["kind"]
+def _cmd_verify_channel(args: argparse.Namespace) -> int:
+    data = _load_json(args.channel, "channel file")
+    try:
+        doc = serialize.load_channel_document(data)
+    except SchemaError as exc:
+        raise ConfigError(f"bad channel document: {exc}") from exc
+    kind, tol = doc["kind"], args.tol
     try:
         if kind == "kraus":
-            report = channels_mod.verify_kraus_operators(doc["operators"], cfg.tol)
+            report = channels_mod.verify_kraus_operators(doc["operators"], tol)
         elif kind == "unitary":
-            report = channels_mod.verify_kraus_operators([doc["matrix"]], cfg.tol)
+            report = channels_mod.verify_kraus_operators([doc["matrix"]], tol)
         elif kind == "superoperator":
             report = channels_mod.verify_superoperator_matrix(
-                doc["matrix"], doc["dim"], cfg.tol
+                doc["matrix"], doc["dim"], tol
             )
         else:  # lindblad
             gen = channels_mod.LindbladGenerator(
                 hamiltonian=doc["hamiltonian"], jumps=tuple(doc["jumps"])
             )
             ch = channels_mod.evolve(gen, doc["duration"])
-            report = channels_mod.verify_cpt(ch, cfg.tol)
+            report = channels_mod.verify_cpt(ch, tol)
     except ModalDynError as exc:
         sys.stderr.write(f"channel rejected: {exc}\n")
         return EXIT_CHANNEL
@@ -298,20 +289,20 @@ def _cmd_verify_channel(cfg: RunConfig) -> int:
         "kind": "cpt_report",
         "channel_kind": kind,
         "dim": int(doc["dim"]),
-        "tol": float(cfg.tol),
+        "tol": tol,
         "is_cp": report.is_cp,
         "is_tp": report.is_tp,
         "choi_min_eigenvalue": report.choi_min_eigenvalue,
         "completeness_residual": report.completeness_residual,
     }
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines = [f"# schema_version: {serialize.SCHEMA_VERSION}", "field,value"]
         for key in sorted(payload):
             lines.append(f"{key},{payload[key]}")
         text = "\n".join(lines) + "\n"
     else:
         text = serialize.dumps_json(payload)
-    _write(text, cfg.output)
+    _write(text, args.output)
     return EXIT_OK if (report.is_cp and report.is_tp) else EXIT_CHANNEL
 
 
@@ -403,81 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(
-        mode=getattr(args, "mode", STRICT),
-        threshold=float(getattr(args, "threshold", DEFAULT_THRESHOLD)),
-        fmt=args.format,
-        output=args.output,
-    )
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` once the numeric checks argparse cannot make have passed."""
     if args.command == "verify-channel":
         if not 0.0 <= args.tol < math.inf:
             raise ConfigError(f"--tol must be finite and >= 0: {args.tol}")
-        try:
-            with open(args.channel, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read channel file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {args.channel!r}: {exc}") from exc
-        try:
-            doc = serialize.load_channel_document(data)
-        except SchemaError as exc:
-            raise ConfigError(f"bad channel document: {exc}") from exc
-        return RunConfig(
-            command=args.command, channel_doc=doc, tol=float(args.tol), **common
-        )
-
-    if args.command == "sample":
+    elif args.command == "sample":
         if not 0.0 < args.t < math.inf:
             raise ConfigError(f"--t must be finite and > 0: {args.t}")
     elif not 0.0 <= args.time < math.inf:
         raise ConfigError(f"--time must be finite and >= 0: {args.time}")
-    scenario = _resolve_scenario(args.scenario, args)
-    if args.command == "epistemic":
-        subsystem = ()
-        if args.subsystem:
-            subsystem = tuple(
-                s.strip() for s in args.subsystem.split(",") if s.strip()
-            )
-            unknown = set(subsystem) - set(scenario.layout.labels)
-            if unknown:
-                raise ConfigError(
-                    f"--subsystem labels {sorted(unknown)} not in layout "
-                    f"{scenario.layout.labels}"
-                )
-        return RunConfig(
-            command=args.command,
-            scenario=scenario,
-            scenario_label=args.scenario,
-            subsystem=subsystem,
-            time=float(args.time),
-            **common,
-        )
-    if args.command == "conditional":
-        return RunConfig(
-            command=args.command,
-            scenario=scenario,
-            scenario_label=args.scenario,
-            blocks=_parse_blocks(args.blocks),
-            time=float(args.time),
-            **common,
-        )
-    # sample
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1: {args.steps}")
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1: {args.n}")
-    return RunConfig(
-        command=args.command,
-        scenario=scenario,
-        scenario_label=args.scenario,
-        duration=float(args.t),
-        steps=int(args.steps),
-        n_samples=int(args.n),
-        seed=_resolve_seed(args.seed),
-        **common,
-    )
+    return args
 
 
 _DISPATCH = {
@@ -495,8 +422,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        args = _config_from_args(args)
+        return _DISPATCH[args.command](args)
     except (ConfigError, ProblemTooLargeError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

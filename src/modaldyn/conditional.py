@@ -147,18 +147,29 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
 def _steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
     """``dynamics`` as schedule steps; a channel is one step on every factor.
 
-    A ``Superoperator`` is refused: the kernel needs Kraus operators.
+    Anything but a ``KrausChannel`` or a schedule of them is refused with a
+    ``TypeError`` naming the conversion: the kernel needs Kraus operators.
     """
     if dynamics is None:
         return ()
     if not isinstance(dynamics, tuple):
         dynamics = ((tuple(range(layout.n_factors)), dynamics),)
-    if any(isinstance(channel, Superoperator) for _, channel in dynamics):
-        raise TypeError(
-            "conditional probabilities take a KrausChannel; convert a Superoperator"
-            " s first with KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))"
-        )
+    for _, channel in dynamics:
+        if not isinstance(channel, KrausChannel):
+            name = type(channel).__name__
+            raise TypeError(
+                "conditional probabilities take a KrausChannel or a schedule of them, "
+                f"not a {name}{_CONVERSIONS.get(name, '')}"
+            )
     return dynamics
+
+
+_CONVERSIONS = {
+    "Superoperator": "; convert a Superoperator s first with "
+    "KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))",
+    "LindbladGenerator": "; convert a LindbladGenerator first with "
+    "evolve(generator, dt)",
+}
 
 
 def _kraus_amplitudes(
@@ -234,13 +245,14 @@ def _spectra(
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
+    steps = _steps(channel, part.layout)
     plain = channel is not None and not isinstance(channel, tuple)
     if plain and channel.dim != rho_w_t.dim:
         raise LayoutMismatchError(
             f"channel dim {channel.dim} does not match state dim {rho_w_t.dim}"
         )
     parent = extract_epistemic(rho_w_t, threshold)
-    rho_tprime = apply_schedule(_steps(channel, part.layout), rho_w_t)
+    rho_tprime = apply_schedule(steps, rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks

@@ -145,21 +145,21 @@ def apply_local(
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase to a canonical representative.
+    """Rotate each vector's global phase to a canonical representative.
 
-    The component of largest magnitude (lowest index on ties) is made real
-    and positive. Vectors equal up to phase map to the same output.
+    ``v`` is one vector ``(d,)`` or a stack of column vectors ``(..., d, n)``.
+    In each vector the component of largest magnitude (lowest index on ties)
+    is made real and positive. Vectors equal up to phase map to the same
+    output; a zero vector is returned as it is.
     """
     v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    a = v[k]
-    if a == 0:
-        return v.copy()
-    return v * (abs(a) / a)
-
-
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(x for c in v for x in (c.real, c.imag))
+    cols = v[:, None] if v.ndim == 1 else v
+    k = np.argmax(np.abs(cols), axis=-2)[..., None, :]
+    a = np.take_along_axis(cols, k, axis=-2)
+    # hypot rounds as Python's abs of a complex scalar does; np.abs need not
+    zero = a == 0
+    out = np.where(zero, cols, cols * (np.hypot(a.real, a.imag) / np.where(zero, 1, a)))
+    return out[:, 0] if v.ndim == 1 else out
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,20 +189,14 @@ def _ordered_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``hermitian_eig`` without its Hermiticity check, for checked inputs.
 
     ``h`` may be a stack ``(..., d, d)``, decomposed by one ``eigh`` call.
-    Phases stay per-column ``canonical_phase``: an array-wise one rounds
-    differently.
     """
     w, v = np.linalg.eigh(0.5 * (h + np.swapaxes(h.conj(), -1, -2)))
     # eigh sorts ascending; exact ties are then ordered by their vectors
-    w, v = w[..., ::-1].copy(), v[..., ::-1].copy()
-    for idx in np.ndindex(w.shape[:-1]):
-        cols = [canonical_phase(c) for c in v[idx].T]
-        if len(set(w[idx])) < len(cols):
-            order = sorted(
-                range(len(cols)), key=lambda j: (w[idx][j], _lex_key(cols[j]))
-            )
-            cols = [cols[j] for j in reversed(order)]
-        v[idx] = np.column_stack(cols)
+    w, v = w[..., ::-1].copy(), canonical_phase(v[..., ::-1])
+    for idx in map(tuple, np.argwhere((w[..., 1:] == w[..., :-1]).any(axis=-1))):
+        # descending by eigenvalue, then by (re, im) of entry 0, entry 1, ...
+        parts = np.stack((v[idx].real, v[idx].imag), axis=1).reshape(-1, w.shape[-1])
+        v[idx] = v[idx][:, np.lexsort(np.vstack((parts[::-1], w[idx])))[::-1]]
     return w, v
 
 

@@ -215,16 +215,13 @@ class EpistemicState:
             )
         if n == 0:
             raise InvalidDensityMatrixError("epistemic state needs at least one entry")
-        cols = []
         for i in range(n):
-            v = np.ascontiguousarray(vecs[:, i])
-            norm = _norm(v)
+            norm = _norm(np.ascontiguousarray(vecs[:, i]))
             if not abs(norm - 1.0) <= UNIT_NORM_TOL:
                 raise InvalidDensityMatrixError(
                     f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
                 )
-            cols.append(linalg.canonical_phase(v))
-        vecs = np.column_stack(cols)
+        vecs = linalg.canonical_phase(vecs)
         clusters = tuple(tuple(int(i) for i in c) for c in self.degenerate_clusters)
         total = float(probs.sum()) + self.truncation_mass
         if not abs(total - 1.0) <= MASS_BALANCE_TOL:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, _kraus_sum
+from .channels import KrausChannel
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
@@ -238,10 +238,11 @@ def build_step_chain(
     )
     states = np.empty((n_times, d, d), dtype=complex)
     states[0] = rho0.matrix
-    every = tuple(range(layout.n_factors))
+    kraus = np.stack(ops)
+    kraus_dag = kraus.conj().transpose(0, 2, 1)
     for k in range(n_steps):
-        rho = states[k].reshape(layout.dims * 2)
-        states[k + 1] = _kraus_sum(ops, rho, every).reshape(d, d)
+        # summed from 0 in operator order, as channels.apply does
+        states[k + 1] = (kraus @ states[k] @ kraus_dag).sum(axis=0, initial=0.0)
     w, v = _ordered_eig(states)
 
     def point(k: int) -> str:

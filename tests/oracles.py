@@ -134,6 +134,37 @@ def naive_joint_probability(
     return float(value.real)
 
 
+def naive_canonical_phase(v) -> np.ndarray:
+    """One vector with its largest component (lowest index on ties) made real.
+
+    The pivot ``a`` is scaled by Python's ``abs`` of the complex scalar, one
+    vector at a time; a zero vector comes back unchanged.
+    """
+    v = np.asarray(v, dtype=complex)
+    k = int(np.argmax(np.abs(v)))
+    a = v[k]
+    if a == 0:
+        return v.copy()
+    return v * (abs(a) / a)
+
+
+def naive_ordered_columns(w, v) -> np.ndarray:
+    """Eigenvector columns of one matrix, canonical phase and tie order.
+
+    ``w`` holds the eigenvalues in descending order and ``v`` the matching
+    columns. Each column gets :func:`naive_canonical_phase`; columns are
+    then sorted by descending ``(w, re(v_0), im(v_0), re(v_1), ...)`` with
+    ``sorted``, which reorders only exactly tied eigenvalues.
+    """
+    cols = [naive_canonical_phase(v[:, j]) for j in range(v.shape[1])]
+
+    def key(j):
+        return (w[j], tuple(x for c in cols[j] for x in (c.real, c.imag)))
+
+    order = sorted(range(len(cols)), key=key)
+    return np.column_stack([cols[j] for j in reversed(order)])
+
+
 def naive_walk(initial_probs, raw_rows, seed) -> list[int]:
     """Entry indices of one trajectory through a step chain, one draw at a time.
 

@@ -394,3 +394,139 @@ def test_sample_grid_over_budget_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "320000064 bytes" in err and "budget" in err
+
+
+def _error_inputs(tmp_path):
+    from modaldyn import dephasing_qubit
+    from modaldyn.serialize import scenario_to_document
+
+    (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")
+    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    del doc["layout"]
+    (tmp_path / "nolayout.json").write_text(json.dumps(doc), encoding="utf-8")
+    bogus = {"schema_version": 1, "kind": "bogus"}
+    (tmp_path / "bogus.json").write_text(json.dumps(bogus), encoding="utf-8")
+
+
+SAMPLE = ("sample", "--scenario", "damping", "--t", "1", "--steps", "4")
+NO_FILE = "[Errno 2] No such file or directory: '{dir}/missing.json'"
+CONFIG_ERRORS = {
+    "scenario-file-missing": (
+        ("epistemic", "--scenario", "{dir}/missing.json"),
+        "cannot read scenario file '{dir}/missing.json': " + NO_FILE,
+    ),
+    "scenario-file-malformed": (
+        ("epistemic", "--scenario", "{dir}/broken.json"),
+        "malformed JSON in '{dir}/broken.json': Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)",
+    ),
+    "scenario-file-no-layout": (
+        ("epistemic", "--scenario", "{dir}/nolayout.json"),
+        "bad scenario document '{dir}/nolayout.json': missing required key 'layout'",
+    ),
+    "channel-file-missing": (
+        ("verify-channel", "--channel", "{dir}/missing.json"),
+        "cannot read channel file: " + NO_FILE,
+    ),
+    "channel-kind-bogus": (
+        ("verify-channel", "--channel", "{dir}/bogus.json"),
+        "bad channel document: unknown channel kind 'bogus'",
+    ),
+    "alpha2": (
+        ("epistemic", "--scenario", "von-neumann", "--alpha2", "1.5"),
+        "--alpha2 must lie in [0, 1]: 1.5",
+    ),
+    "rho0-unknown": (
+        ("epistemic", "--scenario", "dephasing", "--rho0", "bogus"),
+        "unknown --rho0 'bogus'; use plus, zero, one, or diag:p0,p1",
+    ),
+    "rho0-unparsable": (
+        ("epistemic", "--scenario", "dephasing", "--rho0", "diag:a,b"),
+        "cannot parse --rho0 'diag:a,b': could not convert string to float: 'a'",
+    ),
+    "rho0-three-weights": (
+        ("epistemic", "--scenario", "dephasing", "--rho0", "diag:0.2,0.3,0.5"),
+        "--rho0 diag: expects two comma-separated weights",
+    ),
+    "scenario-unknown": (
+        ("epistemic", "--scenario", "nope"),
+        "unknown scenario 'nope'; names: epr-bohm, ghz-mermin, dephasing, damping, "
+        "von-neumann, or a .json scenario file",
+    ),
+    "subsystem-unknown": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", "Z"),
+        "--subsystem labels ['Z'] not in layout ('A', 'B')",
+    ),
+    "blocks-empty": (
+        ("conditional", "--scenario", "epr-bohm", "--blocks", "A,,B"),
+        "empty block in --blocks 'A,,B'",
+    ),
+    "blocks-short": (
+        ("conditional", "--scenario", "epr-bohm", "--blocks", "A"),
+        "bad --blocks: blocks do not cover the layout; missing ['B']",
+    ),
+    "steps": ((*SAMPLE[:-1], "0", "--seed", "1"), "--steps must be >= 1: 0"),
+    "n": ((*SAMPLE, "--n", "0", "--seed", "1"), "--n must be >= 1: 0"),
+    "seed-env": (SAMPLE, "MODALDYN_SEED='abc' is not an integer"),
+    "sample-static": (
+        ("sample", "--scenario", "epr-bohm", "--t", "1", "--steps", "4", "--seed", "1"),
+        "scenario 'epr-bohm' has no generator dynamics to sample",
+    ),
+    "t-zero": (
+        ("sample", "--scenario", "damping", "--t", "0", "--steps", "4", "--seed", "1"),
+        "--t must be finite and > 0: 0.0",
+    ),
+    "time-negative": (
+        ("epistemic", "--scenario", "damping", "--time", "-1"),
+        "--time must be finite and >= 0: -1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_configuration_errors_exit_2_with_their_message(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.setenv("MODALDYN_SEED", "abc")
+    _error_inputs(tmp_path)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {message.format(dir=tmp_path)}\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, t, steps, n, message",
+    [
+        ("nope", "0", "0", "0", "--t must be finite"),
+        ("nope", "1", "0", "0", "unknown scenario"),
+        ("epr-bohm", "1", "0", "0", "--steps must be"),
+        ("epr-bohm", "1", "1", "0", "--n must be"),
+        ("epr-bohm", "1", "1", "1", "MODALDYN_SEED="),
+    ],
+)
+def test_sample_reports_the_first_of_its_errors(
+    capsys, monkeypatch, scenario, t, steps, n, message
+):
+    # every fault at once, then one fewer each time; the missing generator
+    # of epr-bohm comes last
+    monkeypatch.setenv("MODALDYN_SEED", "abc")
+    argv = ("sample", "--scenario", scenario, "--t", t, "--steps", steps, "--n", n)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: {message}")
+
+
+@pytest.mark.parametrize("scenario", ["dephasing", "epr-bohm"])
+@pytest.mark.parametrize(
+    "weights, fault",
+    [
+        ("diag:0.3,0.3", "trace 0.6+0i is not 1 within 1.0e-10"),
+        ("diag:-0.5,1.5", "minimum eigenvalue -5.000e-01 below -1.0e-10"),
+        ("diag:nan,1", "not Hermitian: max |rho - rho^dag| = nan"),
+    ],
+    ids=["trace", "negative", "nan"],
+)
+def test_rho0_weights_that_are_not_a_state_exit_2(capsys, scenario, weights, fault):
+    code, out, err = run(capsys, "epistemic", "--scenario", scenario, "--rho0", weights)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: bad --rho0 {weights!r}: {fault}\n"

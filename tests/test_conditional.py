@@ -15,12 +15,14 @@ from modaldyn import (
     ProbabilityBoundsError,
     SystemLayout,
     TimeGrid,
+    amplitude_damping_qubit,
     apply,
     build_step_chain,
     compose,
     conditional_table,
     dynamical_conditional,
     epr_bohm,
+    evolve,
     extract_epistemic,
     ghz_mermin,
     identity_channel,
@@ -339,3 +341,23 @@ def test_superoperator_dynamics_is_refused():
     for call in calls:
         with pytest.raises(TypeError, match=hint):
             call()
+
+
+def test_generator_dynamics_is_refused_with_the_conversion():
+    sc = amplitude_damping_qubit(1.0)
+    rho, gen = sc.initial_state, sc.generator
+    hint = re.escape(
+        "not a LindbladGenerator; convert a LindbladGenerator first with "
+        "evolve(generator, dt)"
+    )
+    grid = TimeGrid(0.0, 0.25, 2)
+    calls = [
+        lambda: conditional_table(rho, gen, trivial_partition(rho.layout)),
+        lambda: conditional_table(rho, (((0,), gen),), trivial_partition(rho.layout)),
+        lambda: build_step_chain(gen, rho, grid),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=hint):
+            call()
+    # the conversion the message names is accepted
+    assert build_step_chain(evolve(gen, grid.dt), rho, grid).grid is grid

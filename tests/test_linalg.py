@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modaldyn import (
     DimensionMismatchError,
@@ -15,7 +17,7 @@ from modaldyn import (
 from modaldyn.linalg import _ordered_eig
 from modaldyn.random_objects import random_density_matrix, random_hermitian
 
-from oracles import naive_partial_trace
+from oracles import naive_canonical_phase, naive_ordered_columns, naive_partial_trace
 
 
 def test_layout_basics():
@@ -87,6 +89,57 @@ def test_ordered_eig_of_a_stack_matches_one_matrix_at_a_time():
     for k, h in enumerate(stack):
         wk, vk = _ordered_eig(h)
         assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_canonical_phase_matches_one_column_at_a_time(d, n, depth, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(1, 4, size=depth - 1)) + (d, n)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # exact-magnitude ties, pure phases and zero columns
+    v[..., 0, :] = np.where(rng.random(shape[:-2] + (n,)) < 0.3, 0.0, v[..., 0, :])
+    v = np.where(rng.random(shape[:-2] + (1, n)) < 0.2, 0.0, v)
+    if d > 1:
+        tie = rng.random(shape[:-2] + (n,)) < 0.3
+        v[..., 1, :] = np.where(tie, 1j * v[..., 0, :], v[..., 1, :])
+    got = canonical_phase(v)
+    for idx in np.ndindex(shape[:-2]):
+        for j in range(n):
+            assert np.array_equal(got[idx][:, j], naive_canonical_phase(v[idx][:, j]))
+    first = (0,) * (depth - 1)
+    assert np.array_equal(canonical_phase(v[first][:, 0]), got[first][:, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_ordered_eig_matches_per_matrix_oracle_with_exact_ties(d, n_stack, seed):
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(n_stack):
+        kind = rng.integers(3)
+        if kind == 0:
+            stack.append(random_hermitian(d, rng))
+        else:
+            # a permuted diagonal with repeated entries: exactly tied eigenvalues,
+            # as a real matrix or under a diagonal phase unitary
+            values = rng.choice([0.0, 0.25, 0.5], size=d)
+            perm = np.eye(d)[rng.permutation(d)]
+            phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
+            u = perm if kind == 1 else phases @ perm
+            stack.append(u @ np.diag(values) @ u.conj().T)
+    stack = np.array(stack, dtype=complex)
+    w, v = _ordered_eig(stack)
+    for k, h in enumerate(stack):
+        wk, vk = np.linalg.eigh(0.5 * (h + h.conj().T))
+        wk, vk = wk[::-1], vk[:, ::-1]
+        assert np.array_equal(w[k], wk)
+        assert np.array_equal(v[k], naive_ordered_columns(wk, vk))
 
 
 def test_hermitian_eig_deterministic():
