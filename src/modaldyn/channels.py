@@ -23,6 +23,8 @@ channel's operators act on the layout factors at ``positions``, listed in the
 operator's own factor order, so a two-qubit gate in a many-qubit layout is
 stored and checked as a 4x4 matrix. ``apply`` contracts such a local channel
 into a state vector or a density matrix without building its dense embedding.
+Every consumer of dynamics (``apply``, conditional tables, trajectory
+chains) reads them through one gate, ``steps``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     NotHermitianError,
     NotUnitaryError,
 )
-from .linalg import HERMITICITY_TOL, apply_local
+from .linalg import HERMITICITY_TOL, SystemLayout, apply_local
 from .states import DensityMatrix, PureState, State
 
 CHOI_EIG_CUTOFF = 1e-12
@@ -153,17 +155,10 @@ class Superoperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dim", d)
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"operator shape {mat.shape} does not match superoperator dim {self.dim}"
-            )
-        return (self.matrix @ mat.reshape(-1)).reshape(self.dim, self.dim)
-
 
 Channel = Union[KrausChannel, Superoperator]
 Schedule = tuple[tuple[tuple[int, ...], KrausChannel], ...]
+Dynamics = Optional[Union[KrausChannel, Schedule]]
 
 
 @dataclass(frozen=True)
@@ -205,45 +200,71 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel((u,))
 
 
+def steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
+    """``dynamics`` as schedule steps; a channel is one step on every factor.
+
+    The one gate every consumer of dynamics passes. Anything but a
+    ``KrausChannel`` or a schedule of them is refused with a ``TypeError``
+    naming the conversion, since dynamics are applied through Kraus
+    operators. Each step's positions must be distinct factors of ``layout``,
+    and its channel's dim the product of their dims.
+    """
+    if dynamics is None:
+        return ()
+    factors = range(layout.n_factors)
+    if not isinstance(dynamics, tuple):
+        dynamics = ((tuple(factors), dynamics),)
+    for positions, channel in dynamics:
+        if not isinstance(channel, KrausChannel):
+            name = type(channel).__name__
+            raise TypeError(
+                "dynamics must be a KrausChannel or a schedule of them, "
+                f"not a {name}{_CONVERSIONS.get(name, '')}"
+            )
+        if len(set(positions)) != len(positions) or not set(positions) <= set(factors):
+            raise LayoutMismatchError(
+                f"positions {positions} are not distinct factors of {layout.labels}"
+            )
+        support = math.prod(layout.dims[p] for p in positions)
+        if channel.dim != support:
+            raise DimensionMismatchError(
+                f"channel dim {channel.dim} does not match dim {support} "
+                f"of factors {positions}"
+            )
+    return dynamics
+
+
+_CONVERSIONS = {
+    "Superoperator": "; convert a Superoperator s first with "
+    "KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))",
+    "LindbladGenerator": "; convert a LindbladGenerator first with "
+    "evolve(generator, dt)",
+}
+
+
 def apply(
-    ch: Channel, state: State, positions: Optional[Sequence[int]] = None
+    ch: KrausChannel, state: State, positions: Optional[Sequence[int]] = None
 ) -> State:
     """Apply a channel to a state, revalidating the output state.
 
     ``positions`` lists the layout factors the channel acts on, in the
     channel's own factor order; ``None`` means every factor in layout order.
-    This is one step ``(positions, channel)`` of a schedule. A
-    single-operator Kraus channel maps a ``PureState`` to a ``PureState``,
-    contracting the operator into the amplitude tensor; any other channel
-    turns a ``PureState`` into its ``DensityMatrix`` first. On a
-    ``DensityMatrix`` each Kraus operator is contracted on the row axes and
-    its conjugate on the column axes. A ``Superoperator`` acts on every
-    factor in layout order.
+    This is one step ``(positions, channel)`` of a schedule, and passes the
+    same gate, :func:`steps`. A single-operator channel maps a ``PureState``
+    to a ``PureState``, contracting the operator into the amplitude tensor;
+    any other channel turns a ``PureState`` into its ``DensityMatrix``
+    first. On a ``DensityMatrix`` each Kraus operator is contracted on the
+    row axes and its conjugate on the column axes.
     """
     layout = state.layout
-    every = tuple(range(layout.n_factors))
-    positions = every if positions is None else tuple(int(p) for p in positions)
-    if len(set(positions)) != len(positions) or not set(positions) <= set(every):
-        raise LayoutMismatchError(
-            f"positions {positions} are not distinct factors of {layout.labels}"
-        )
-    support = math.prod(layout.dims[p] for p in positions)
-    if ch.dim != support:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match dim {support} of factors {positions}"
-        )
+    step = ch if positions is None else ((tuple(int(p) for p in positions), ch),)
+    ((positions, ch),) = steps(step, layout)
     if isinstance(state, PureState):
-        if isinstance(ch, KrausChannel) and len(ch.operators) == 1:
+        if len(ch.operators) == 1:
             amps = state.vector.reshape(layout.dims)
             vec = apply_local(ch.operators[0], amps, positions).reshape(-1)
             return PureState(vec, layout)
         state = state.reduce(layout.labels)
-    if isinstance(ch, Superoperator):
-        if positions != every:
-            raise DimensionMismatchError(
-                "a superoperator acts on every factor in layout order"
-            )
-        return DensityMatrix(ch.apply_matrix(state.matrix), layout)
     rho = state.matrix.reshape(layout.dims * 2)
     cols = tuple(layout.n_factors + p for p in positions)
     out = 0.0

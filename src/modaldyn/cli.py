@@ -267,20 +267,16 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad channel document: {exc}") from exc
     kind, tol = doc["kind"], args.tol
     try:
-        if kind == "kraus":
-            report = channels_mod.verify_kraus_operators(doc["operators"], tol)
-        elif kind == "unitary":
-            report = channels_mod.verify_kraus_operators([doc["matrix"]], tol)
-        elif kind == "superoperator":
+        if kind == "superoperator":
             report = channels_mod.verify_superoperator_matrix(
                 doc["matrix"], doc["dim"], tol
             )
-        else:  # lindblad
-            gen = channels_mod.LindbladGenerator(
-                hamiltonian=doc["hamiltonian"], jumps=tuple(doc["jumps"])
-            )
+        elif kind == "lindblad":
+            gen = channels_mod.LindbladGenerator(doc["hamiltonian"], doc["jumps"])
             ch = channels_mod.evolve(gen, doc["duration"])
             report = channels_mod.verify_cpt(ch, tol)
+        else:  # kraus or unitary: a stack of Kraus operators
+            report = channels_mod.verify_kraus_operators(doc["operators"], tol)
     except ModalDynError as exc:
         sys.stderr.write(f"channel rejected: {exc}\n")
         return EXIT_CHANNEL
@@ -296,7 +292,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
         "completeness_residual": report.completeness_residual,
     }
     if args.format == "csv":
-        lines = [f"# schema_version: {serialize.SCHEMA_VERSION}", "field,value"]
+        lines = serialize._csv_lines("field,value")
         for key in sorted(payload):
             lines.append(f"{key},{payload[key]}")
         text = "\n".join(lines) + "\n"

@@ -36,11 +36,11 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, Schedule, Superoperator, apply_schedule
+from .channels import Dynamics, Schedule, apply_schedule, steps
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
@@ -58,8 +58,6 @@ CLAMP_TOL = 1e-10
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
-
-Dynamics = Optional[Union[KrausChannel, Schedule]]
 
 
 @dataclass(frozen=True)
@@ -144,45 +142,17 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
         )
 
 
-def _steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
-    """``dynamics`` as schedule steps; a channel is one step on every factor.
-
-    Anything but a ``KrausChannel`` or a schedule of them is refused with a
-    ``TypeError`` naming the conversion: the kernel needs Kraus operators.
-    """
-    if dynamics is None:
-        return ()
-    if not isinstance(dynamics, tuple):
-        dynamics = ((tuple(range(layout.n_factors)), dynamics),)
-    for _, channel in dynamics:
-        if not isinstance(channel, KrausChannel):
-            name = type(channel).__name__
-            raise TypeError(
-                "conditional probabilities take a KrausChannel or a schedule of them, "
-                f"not a {name}{_CONVERSIONS.get(name, '')}"
-            )
-    return dynamics
-
-
-_CONVERSIONS = {
-    "Superoperator": "; convert a Superoperator s first with "
-    "KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))",
-    "LindbladGenerator": "; convert a LindbladGenerator first with "
-    "evolve(generator, dt)",
-}
-
-
 def _kraus_amplitudes(
-    dynamics: Dynamics, basis: np.ndarray, layout: SystemLayout
+    schedule: Schedule, basis: np.ndarray, layout: SystemLayout
 ) -> list[np.ndarray]:
-    """``K @ basis`` for every Kraus operator ``K`` of ``dynamics``.
+    """``K @ basis`` for every Kraus operator ``K`` of ``schedule``.
 
     A schedule's Kraus operators are the products of one operator per step;
     the columns are pushed through the steps with each operator acting on
     its own factors only.
     """
     amps = [basis.reshape(layout.dims + (-1,))]
-    for positions, step in _steps(dynamics, layout):
+    for positions, step in schedule:
         amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
     return [a.reshape(basis.shape) for a in amps]
 
@@ -239,25 +209,20 @@ def _spectra(
     channel: Dynamics,
     part: Partition,
     threshold: float,
-) -> tuple[EpistemicState, tuple[EpistemicState, ...]]:
-    """Parent spectrum at t and block spectra after the channel."""
+) -> tuple[Schedule, EpistemicState, tuple[EpistemicState, ...]]:
+    """The channel's schedule, the parent spectrum at t and block spectra after it."""
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
-    steps = _steps(channel, part.layout)
-    plain = channel is not None and not isinstance(channel, tuple)
-    if plain and channel.dim != rho_w_t.dim:
-        raise LayoutMismatchError(
-            f"channel dim {channel.dim} does not match state dim {rho_w_t.dim}"
-        )
+    schedule = steps(channel, part.layout)
     parent = extract_epistemic(rho_w_t, threshold)
-    rho_tprime = apply_schedule(steps, rho_w_t)
+    rho_tprime = apply_schedule(schedule, rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
     )
-    return parent, blocks
+    return schedule, parent, blocks
 
 
 def _validate_query(
@@ -301,10 +266,10 @@ def joint_conditional(
     precondition.
     """
     mode = _check_mode(mode)
-    parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    schedule, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     w, idx = _validate_query(parent, blocks, w, indices, mode)
     probs = _block_probabilities(
-        _kraus_amplitudes(channel, parent.vectors[:, w : w + 1], part.layout),
+        _kraus_amplitudes(schedule, parent.vectors[:, w : w + 1], part.layout),
         [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx)],
         part,
     )
@@ -422,13 +387,13 @@ def conditional_table(
     touches every entry.
     """
     mode = _check_mode(mode)
-    parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    schedule, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     if mode == STRICT:
         _refuse_any_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
     probs = _block_probabilities(
-        _kraus_amplitudes(channel, parent.vectors, part.layout),
+        _kraus_amplitudes(schedule, parent.vectors, part.layout),
         [b.vectors for b in blocks],
         part,
     )

@@ -3,8 +3,9 @@
 Conventions (see SCHEMA.md at the repository root):
 
 * every JSON document carries a top-level ``schema_version`` (currently 1);
-* complex scalars encode as two-element ``[re, im]`` arrays;
-* matrices encode row-major as nested lists of ``[re, im]`` pairs;
+* complex scalars encode as two-element ``[re, im]`` arrays, and complex
+  arrays of any shape (vectors, matrices, operator stacks) row-major as
+  nested lists of them; one encoder and one decoder convert whole arrays;
 * JSON is emitted with sorted keys and 2-space indent, CSV with ``repr``
   floats, so identical inputs produce byte-identical files.
 """
@@ -33,32 +34,39 @@ class SchemaError(ValueError):
 
 # ---------------------------------------------------------------- encoding
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def matrix_to_pairs(a: Any) -> list:
+    """Nested lists of ``[re, im]`` pairs, one per entry of an array of any shape."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v).reshape(-1)]
+def pairs_to_matrix(data: Any, ndim: int = 2) -> np.ndarray:
+    """The complex array that ``ndim`` axes of ``[re, im]`` pairs encode.
 
-
-def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [[complex_to_pair(z) for z in row] for row in m]
-
-
-def pair_to_complex(pair: Any) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise SchemaError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def pairs_to_matrix(rows: Any) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("matrix must be a nonempty list of rows")
-    return np.array(
-        [[pair_to_complex(p) for p in row] for row in rows], dtype=complex
-    )
+    The pairs are read bit for bit: each ``[re, im]`` becomes one complex
+    entry through a view, so an infinite or NaN part stays in its place.
+    """
+    try:
+        arr = np.array(data)
+    except ValueError as exc:
+        raise SchemaError(
+            "expected a regular nested list of [re, im] pairs; "
+            "rows differ in length or depth"
+        ) from exc
+    if arr.size == 0:
+        raise SchemaError(
+            f"expected [re, im] pairs, got an empty array of shape {arr.shape}"
+        )
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(
+            "[re, im] entries must be numbers, not null, booleans, strings, "
+            "objects or integers wider than 64 bits"
+        )
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise SchemaError(
+            f"expected {ndim} axes of [re, im] pairs, got an array of shape {arr.shape}"
+        )
+    return arr.astype(float).view(complex)[..., 0]
 
 
 def layout_payload(layout: SystemLayout) -> dict:
@@ -102,13 +110,13 @@ def epistemic_payload(
         "time": float(time),
         "layout": layout_payload(e.layout),
         **_entries_summary(e),
-        "vectors": [vector_to_pairs(v) for v in e.vectors.T],
+        "vectors": matrix_to_pairs(e.vectors.T),
     }
 
 
 def epistemic_csv(e: EpistemicState) -> str:
     lines = _csv_lines("index,probability,degenerate")
-    for i, p in enumerate(e.probabilities):
+    for i, p in enumerate(e.probabilities.tolist()):
         lines.append(f"{i},{_f(p)},{int(e.is_degenerate(i))}")
     lines.append(f"# truncation_mass: {_f(e.truncation_mass)}")
     return "\n".join(lines) + "\n"
@@ -145,11 +153,9 @@ def table_csv(table: ConditionalTable) -> str:
     header = "w," + ",".join(f"i{a + 1}" for a in range(n)) + ",probability"
     lines = _csv_lines(header)
     probs = table.probabilities
-    for w in range(probs.shape[0]):
-        for combo in np.ndindex(*probs.shape[1:]):
-            cells = [str(w), *(str(i) for i in combo), _f(probs[(w, *combo)])]
-            lines.append(",".join(cells))
-    for w, s in enumerate(table.row_sums):
+    for index, p in zip(np.ndindex(*probs.shape), probs.ravel().tolist()):
+        lines.append(",".join([*map(str, index), _f(p)]))
+    for w, s in enumerate(table.row_sums.tolist()):
         lines.append(f"# row_sum w={w}: {_f(s)}")
     lines.append(f"# max_row_deviation: {_f(table.max_row_deviation)}")
     lines.append(f"# max_marginal_deviation: {_f(table.max_marginal_deviation)}")
@@ -189,13 +195,14 @@ def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
 
 def ensemble_csv(report: EnsembleReport) -> str:
     lines = _csv_lines("time,index,frequency,eigenvalue")
-    n_times, n_labels = report.frequencies.shape
-    for k in range(n_times):
-        for lab in range(n_labels):
-            lines.append(
-                f"{_f(report.times[k])},{lab},"
-                f"{_f(report.frequencies[k, lab])},{_f(report.eigenvalues[k, lab])}"
-            )
+    rows = zip(
+        report.times.tolist(),
+        report.frequencies.tolist(),
+        report.eigenvalues.tolist(),
+    )
+    for t, freqs, eigs in rows:
+        for lab, (f, e) in enumerate(zip(freqs, eigs)):
+            lines.append(f"{_f(t)},{lab},{_f(f)},{_f(e)}")
     lines.append(f"# max_abs_deviation: {_f(report.max_abs_deviation)}")
     lines.append(f"# sample_count: {report.sample_count}")
     return "\n".join(lines) + "\n"
@@ -203,10 +210,25 @@ def ensemble_csv(report: EnsembleReport) -> str:
 
 # ------------------------------------------------------------------ input
 
-def _require(data: dict, key: str) -> Any:
+def _require(data: Any, key: str) -> Any:
+    if not isinstance(data, dict):
+        raise SchemaError(
+            f"expected a JSON object with key {key!r}, got {type(data).__name__}"
+        )
     if key not in data:
         raise SchemaError(f"missing required key {key!r}")
     return data[key]
+
+
+def _number(data: dict, key: str, default: Optional[float] = None) -> float:
+    """``data[key]`` as a float; ``default`` when it is absent, if one is given."""
+    value = _require(data, key) if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{key!r} is out of the float range: {exc}") from exc
 
 
 def check_schema_version(data: dict) -> None:
@@ -217,28 +239,34 @@ def check_schema_version(data: dict) -> None:
         )
 
 
+def _lindblad(data: dict) -> tuple[np.ndarray, tuple[tuple[np.ndarray, float], ...]]:
+    """The raw Hamiltonian and ``(operator, rate)`` jumps of Lindblad data."""
+    hamiltonian = pairs_to_matrix(_require(data, "hamiltonian"))
+    jumps = data.get("jumps", [])
+    if not isinstance(jumps, list):
+        raise SchemaError(f"'jumps' must be a list, got {type(jumps).__name__}")
+    return hamiltonian, tuple(
+        (pairs_to_matrix(_require(j, "operator")), _number(j, "rate")) for j in jumps
+    )
+
+
 def load_channel_document(data: dict) -> dict:
     """Parse a channel file into raw arrays plus its kind.
 
-    Returns a dict with ``kind`` and kind-specific entries. Construction of
-    validated channel objects is left to the caller so that verification can
-    report on maps that would fail construction.
+    Returns a dict with ``kind``, ``dim`` and the kind's arrays: Kraus
+    ``operators`` as one ``(n, d, d)`` stack (a unitary is its one
+    operator), a superoperator ``matrix``, or a Lindblad ``hamiltonian``,
+    ``jumps`` and ``duration``. Construction of validated channel objects is
+    left to the caller so that verification can report on maps that would
+    fail construction.
     """
-    if not isinstance(data, dict):
-        raise SchemaError("channel document must be a JSON object")
     check_schema_version(data)
     kind = _require(data, "kind")
     out: dict[str, Any] = {"kind": kind}
     if kind == "kraus":
-        ops = [pairs_to_matrix(m) for m in _require(data, "operators")]
-        if not ops:
-            raise SchemaError("kraus channel needs at least one operator")
-        out["operators"] = ops
-        out["dim"] = ops[0].shape[0]
+        out["operators"] = pairs_to_matrix(_require(data, "operators"), ndim=3)
     elif kind == "unitary":
-        mat = pairs_to_matrix(_require(data, "matrix"))
-        out["matrix"] = mat
-        out["dim"] = mat.shape[0]
+        out["operators"] = pairs_to_matrix(_require(data, "matrix"))[None]
     elif kind == "superoperator":
         mat = pairs_to_matrix(_require(data, "matrix"))
         dim = int(round(np.sqrt(mat.shape[0])))
@@ -249,22 +277,18 @@ def load_channel_document(data: dict) -> dict:
         out["matrix"] = mat
         out["dim"] = dim
     elif kind == "lindblad":
-        out["hamiltonian"] = pairs_to_matrix(_require(data, "hamiltonian"))
-        out["jumps"] = [
-            (pairs_to_matrix(_require(j, "operator")), float(_require(j, "rate")))
-            for j in data.get("jumps", [])
-        ]
-        out["duration"] = float(data.get("duration", 1.0))
+        out["hamiltonian"], out["jumps"] = _lindblad(data)
+        out["duration"] = _number(data, "duration", 1.0)
         out["dim"] = out["hamiltonian"].shape[0]
     else:
         raise SchemaError(f"unknown channel kind {kind!r}")
+    if "operators" in out:
+        out["dim"] = out["operators"].shape[1]
     return out
 
 
 def scenario_from_document(data: dict) -> Scenario:
     """Build a Scenario from its JSON document."""
-    if not isinstance(data, dict):
-        raise SchemaError("scenario document must be a JSON object")
     check_schema_version(data)
     if data.get("kind") != "scenario":
         raise SchemaError(f"expected kind 'scenario', got {data.get('kind')!r}")
@@ -277,21 +301,13 @@ def scenario_from_document(data: dict) -> Scenario:
     if dynamics is not None:
         dkind = _require(dynamics, "kind")
         if dkind == "lindblad":
-            generator = LindbladGenerator(
-                hamiltonian=pairs_to_matrix(_require(dynamics, "hamiltonian")),
-                jumps=tuple(
-                    (pairs_to_matrix(_require(j, "operator")), float(_require(j, "rate")))
-                    for j in dynamics.get("jumps", [])
-                ),
-            )
+            generator = LindbladGenerator(*_lindblad(dynamics))
         elif dkind == "schedule":
-            schedule = tuple(
-                (every, unitary_channel(pairs_to_matrix(m)))
-                for m in _require(dynamics, "unitaries")
-            )
+            unitaries = pairs_to_matrix(_require(dynamics, "unitaries"), ndim=3)
+            schedule = tuple((every, unitary_channel(u)) for u in unitaries)
         elif dkind == "kraus":
-            ops = tuple(pairs_to_matrix(m) for m in _require(dynamics, "operators"))
-            schedule = ((every, KrausChannel(ops)),)
+            ops = pairs_to_matrix(_require(dynamics, "operators"), ndim=3)
+            schedule = ((every, KrausChannel(tuple(ops))),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
     return Scenario(

@@ -44,20 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel
+from .channels import KrausChannel, steps
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
     _check_bound,
     _check_mode,
     _kraus_amplitudes,
-    _steps,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvalidDensityMatrixError,
-    NormalizationError,
-)
+from .errors import InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
 from .states import DEFAULT_THRESHOLD, DensityMatrix, _density_fault, _read_spectra
 
@@ -220,12 +215,8 @@ def build_step_chain(
     """
     mode = _check_mode(mode)
     layout = rho0.layout
-    step = _steps(step_channel, layout)
+    step = steps(step_channel, layout)
     d = layout.total_dim
-    if step_channel.dim != d:
-        raise DimensionMismatchError(
-            f"channel dim {step_channel.dim} does not match state dim {d}"
-        )
     ops = step_channel.operators
     n_times, n_steps = grid.n_steps + 1, grid.n_steps
     # complex entries per grid point (at most d kept): the state, eigenvectors

@@ -205,3 +205,17 @@ def record_pair_eigenvalues(p: float, n_env: int, coupling: float):
     s = float(coupling) ** int(n_env)
     gap = np.sqrt((p - q) ** 2 + 4.0 * p * q * s * s)
     return (1.0 + gap) / 2.0, (1.0 - gap) / 2.0
+
+
+def per_element_pairs(a):
+    """``[re, im]`` pairs nested like the axes of ``a``, built one entry at a time.
+
+    Each entry ``z`` becomes ``[float(z.real), float(z.imag)]`` of
+    ``complex(z)``; the array encoder in ``serialize`` must give the same
+    lists.
+    """
+    a = np.asarray(a)
+    if a.ndim == 0:
+        z = complex(a[()])
+        return [float(z.real), float(z.imag)]
+    return [per_element_pairs(x) for x in a]

@@ -265,6 +265,23 @@ def test_verify_channel_lindblad_document(capsys, tmp_path):
     assert json.loads(out)["is_cp"] is True
 
 
+@pytest.mark.parametrize(
+    "matrix, code, is_tp",
+    [(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, True), (np.diag([2.0, 1.0]), 5, False)],
+    ids=["unitary", "not-unitary"],
+)
+def test_verify_channel_unitary_document(capsys, tmp_path, matrix, code, is_tp):
+    doc = {"schema_version": 1, "kind": "unitary", "matrix": matrix_to_pairs(matrix)}
+    path = tmp_path / "unitary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, out, _ = run(capsys, "verify-channel", "--channel", str(path))
+    payload = json.loads(out)
+    assert got == code
+    assert (payload["channel_kind"], payload["dim"]) == ("unitary", 2)
+    assert payload["is_cp"] is True
+    assert payload["is_tp"] is is_tp
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_verify_channel_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
     doc = {"schema_version": 1, "kind": "kraus", "operators": [matrix_to_pairs(np.eye(2))]}
@@ -406,6 +423,66 @@ def _error_inputs(tmp_path):
     (tmp_path / "nolayout.json").write_text(json.dumps(doc), encoding="utf-8")
     bogus = {"schema_version": 1, "kind": "bogus"}
     (tmp_path / "bogus.json").write_text(json.dumps(bogus), encoding="utf-8")
+    for prefix, docs in (("channel", _bad_channels()), ("scenario", _bad_scenarios())):
+        for name, bad in docs.items():
+            path = tmp_path / f"{prefix}-{name}.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+
+
+def _with_entry(value):
+    """The 2x2 identity as [re, im] pairs, with one imaginary part replaced."""
+    pairs = matrix_to_pairs(np.eye(2))
+    pairs[0][0][1] = value
+    return pairs
+
+
+def _bad_channels() -> dict:
+    z = matrix_to_pairs(np.diag([1.0, -1.0]))
+    lindblad = {
+        "schema_version": 1,
+        "kind": "lindblad",
+        "hamiltonian": matrix_to_pairs(np.zeros((2, 2))),
+        "jumps": [{"operator": z, "rate": 1.0}],
+        "duration": 0.5,
+    }
+    kraus = {"schema_version": 1, "kind": "kraus"}
+    return {
+        "jumps-entry-int": dict(lindblad, jumps=[5]),
+        "jumps-int": dict(lindblad, jumps=5),
+        "rate-null": dict(lindblad, jumps=[{"operator": z, "rate": None}]),
+        "rate-bool": dict(lindblad, jumps=[{"operator": z, "rate": True}]),
+        "duration-null": dict(lindblad, duration=None),
+        "duration-string": dict(lindblad, duration="1"),
+        "entry-null": dict(kraus, operators=[_with_entry(None)]),
+        "entry-object": dict(kraus, operators=[_with_entry({})]),
+        "entry-numeric-string": dict(kraus, operators=[_with_entry("0")]),
+        "operators-int": dict(kraus, operators=5),
+        "kraus-unequal-shapes": dict(
+            kraus, operators=[matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
+        ),
+    }
+
+
+def _bad_scenarios() -> dict:
+    from modaldyn import dephasing_qubit
+    from modaldyn.serialize import scenario_to_document
+
+    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    lindblad = doc["dynamics"]
+    z = lindblad["jumps"][0]["operator"]
+    unequal = [matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
+    return {
+        "dynamics-int": dict(doc, dynamics=5),
+        "jumps-entry-int": dict(doc, dynamics=dict(lindblad, jumps=[5])),
+        "rate-null": dict(
+            doc, dynamics=dict(lindblad, jumps=[{"operator": z, "rate": None}])
+        ),
+        "entry-null": dict(doc, initial_state=_with_entry(None)),
+        "empty-row": dict(doc, initial_state=[[]]),
+        "kraus-unequal-shapes": dict(
+            doc, dynamics={"kind": "kraus", "operators": unequal}
+        ),
+    }
 
 
 SAMPLE = ("sample", "--scenario", "damping", "--t", "1", "--steps", "4")
@@ -481,6 +558,47 @@ CONFIG_ERRORS = {
         "--time must be finite and >= 0: -1.0",
     ),
 }
+
+NOT_NUMBERS = (
+    "[re, im] entries must be numbers, not null, booleans, strings, objects or "
+    "integers wider than 64 bits"
+)
+RAGGED = (
+    "expected a regular nested list of [re, im] pairs; rows differ in length or depth"
+)
+# malformed documents, written by _error_inputs: name -> message after the prefix
+BAD_CHANNELS = {
+    "jumps-entry-int": "expected a JSON object with key 'operator', got int",
+    "jumps-int": "'jumps' must be a list, got int",
+    "rate-null": "'rate' must be a number, got None",
+    "rate-bool": "'rate' must be a number, got True",
+    "duration-null": "'duration' must be a number, got None",
+    "duration-string": "'duration' must be a number, got '1'",
+    "entry-null": NOT_NUMBERS,
+    "entry-object": NOT_NUMBERS,
+    "entry-numeric-string": NOT_NUMBERS,
+    "operators-int": "expected 3 axes of [re, im] pairs, got an array of shape ()",
+    "kraus-unequal-shapes": RAGGED,
+}
+BAD_SCENARIOS = {
+    "dynamics-int": "expected a JSON object with key 'kind', got int",
+    "jumps-entry-int": "expected a JSON object with key 'operator', got int",
+    "rate-null": "'rate' must be a number, got None",
+    "entry-null": NOT_NUMBERS,
+    "empty-row": "expected [re, im] pairs, got an empty array of shape (1, 0)",
+    "kraus-unequal-shapes": RAGGED,
+}
+for name, message in BAD_CHANNELS.items():
+    CONFIG_ERRORS[f"channel-{name}"] = (
+        ("verify-channel", "--channel", f"{{dir}}/channel-{name}.json"),
+        f"bad channel document: {message}",
+    )
+for name, message in BAD_SCENARIOS.items():
+    path = f"{{dir}}/scenario-{name}.json"
+    CONFIG_ERRORS[f"scenario-{name}"] = (
+        ("epistemic", "--scenario", path),
+        f"bad scenario document '{path}': {message}",
+    )
 
 
 @pytest.mark.parametrize("argv, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)

@@ -10,6 +10,7 @@ from modaldyn import (
     ConditionalTable,
     DensityMatrix,
     DegenerateBasisError,
+    DimensionMismatchError,
     LayoutMismatchError,
     Partition,
     ProbabilityBoundsError,
@@ -337,10 +338,30 @@ def test_superoperator_dynamics_is_refused():
         lambda: joint_conditional(rho, sup, part, 0, (0,)),
         lambda: dynamical_conditional(rho, sup, 0, 0),
         lambda: build_step_chain(sup, rho, TimeGrid(0.0, 1.0, 2)),
+        lambda: apply(sup, rho),
     ]
     for call in calls:
         with pytest.raises(TypeError, match=hint):
             call()
+
+
+def test_dynamics_of_the_wrong_dim_or_positions_are_refused_by_one_gate():
+    qubit = SystemLayout.qubits(("Q",))
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), qubit)
+    part = trivial_partition(rho.layout)
+    wide = identity_channel(4)
+    for call in (
+        lambda: conditional_table(rho, wide, part),
+        lambda: conditional_table(rho, (((0,), wide),), part),
+        lambda: build_step_chain(wide, rho, TimeGrid(0.0, 1.0, 2)),
+        lambda: apply(wide, rho),
+    ):
+        with pytest.raises(DimensionMismatchError, match="channel dim 4 does not match"):
+            call()
+    pair = SystemLayout.qubits(("A", "B"))
+    rho2 = DensityMatrix(np.eye(4, dtype=complex) / 4, pair)
+    with pytest.raises(LayoutMismatchError, match="not distinct factors"):
+        conditional_table(rho2, (((0, 0), wide),), trivial_partition(pair))
 
 
 def test_generator_dynamics_is_refused_with_the_conversion():

@@ -1,7 +1,12 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modaldyn import (
     DensityMatrix,
@@ -16,7 +21,6 @@ from modaldyn import (
 from modaldyn.serialize import (
     SCHEMA_VERSION,
     SchemaError,
-    complex_to_pair,
     dumps_json,
     epistemic_csv,
     epistemic_payload,
@@ -24,7 +28,6 @@ from modaldyn.serialize import (
     layout_payload,
     load_channel_document,
     matrix_to_pairs,
-    pair_to_complex,
     pairs_to_matrix,
     scenario_from_document,
     scenario_to_document,
@@ -32,13 +35,65 @@ from modaldyn.serialize import (
     table_payload,
 )
 
+from oracles import per_element_pairs
+
 
 def test_complex_pair_roundtrip():
     zs = [0.0, 1.0, -2.5 + 0.75j, 1e-30j]
     for z in zs:
-        assert pair_to_complex(complex_to_pair(z)) == complex(z)
+        assert pairs_to_matrix(matrix_to_pairs(z), ndim=0).item() == complex(z)
     m = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
     assert np.array_equal(pairs_to_matrix(matrix_to_pairs(m)), m)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310, 1e308]
+
+
+@st.composite
+def complex_or_int_arrays(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, shape))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    parts = draw(hnp.arrays(np.float64, shape + (2,), elements=floats))
+    # joined through a view, so a NaN keeps its payload and sign
+    return parts.view(complex)[..., 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_or_int_arrays())
+@example(np.array([-0.0, complex(0.0, math.inf), complex(math.nan, -0.0)]))
+@example(np.array([[1, -2], [3, 2**62]]))
+def test_array_codec_matches_per_element_encoding_and_round_trips(a):
+    pairs = matrix_to_pairs(a)
+    assert json.dumps(pairs) == json.dumps(per_element_pairs(a))
+    back = pairs_to_matrix(pairs, ndim=a.ndim)
+    want = np.asarray(a, dtype=complex)
+    assert back.shape == want.shape
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "data, ndim, message",
+    [
+        ([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], 2, "regular nested list"),
+        ([], 2, "empty array of shape (0,)"),
+        ([[]], 2, "empty array of shape (1, 0)"),
+        ([[[1.0, None]]], 2, "must be numbers"),
+        ([[[1.0, {}]]], 2, "must be numbers"),
+        ([[["1", 0.0]]], 2, "must be numbers"),
+        ([[[True, False]]], 2, "must be numbers"),
+        (5, 3, "3 axes of [re, im] pairs, got an array of shape ()"),
+        ([[[1.0, 0.0, 0.0]]], 2, "got an array of shape (1, 1, 3)"),
+    ],
+    ids=[
+        "ragged", "empty", "empty-row", "null", "object", "string", "bool", "scalar",
+        "triple",
+    ],
+)
+def test_pairs_to_matrix_refuses_what_is_not_an_array_of_pairs(data, ndim, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        pairs_to_matrix(data, ndim=ndim)
 
 
 def test_layout_roundtrip():
