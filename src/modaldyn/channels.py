@@ -42,7 +42,7 @@ from .errors import (
     NotHermitianError,
     NotUnitaryError,
 )
-from .linalg import HERMITICITY_TOL, SystemLayout, apply_local
+from .linalg import HERMITICITY_TOL, SystemLayout, apply_local, check_memory
 from .states import DensityMatrix, PureState, State
 
 CHOI_EIG_CUTOFF = 1e-12
@@ -410,13 +410,16 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     within ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
     constructor's completeness check is the only check on the result:
     complete positivity needs none, because a Kraus family's Choi matrix
-    ``W W^dag`` is positive semidefinite by construction.
+    ``W W^dag`` is positive semidefinite by construction. The route peaks at
+    about nine d^2 x d^2 complex arrays (measured), and is refused above the
+    memory budget before the first is allocated.
     """
     from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
 
     duration = float(duration)
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and nonnegative: {duration}")
+    check_memory(9 * g.dim**4, f"evolving a generator of dimension {g.dim}")
     total = expm(lindblad_superoperator(g).matrix * duration)
     ops = choi_to_kraus(_realign(total, g.dim), g.dim)
     return KrausChannel(_renormalize_completeness(ops))

@@ -1,14 +1,15 @@
 """Batch command-line front end.
 
 Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
-Every flag and its default is declared once, in :func:`build_parser`; each
+Every flag is declared once, in :func:`build_parser`; ``scenarios.SCENARIOS``
+says which scenario takes which scenario flag, and its default. Each
 ``_cmd_*`` reads the parsed arguments and resolves its own scenario, blocks,
 subsystem and seed. Exit codes are a stable contract: 0 success, 2
-configuration or parse problems (including a ``--rho0`` that is not a state
-and problems too large for the memory budget), 3 numerical invariant
-failures, 4 strict-mode degeneracy refusals, 5 channel verification
-failures. Outputs are deterministic: the same configuration and seed produce
-byte-identical files.
+configuration or parse problems (including a ``--rho0`` that is not a state,
+a scenario flag the scenario does not take, and problems too large for the
+memory budget), 3 numerical invariant failures, 4 strict-mode degeneracy
+refusals, 5 channel verification failures. Outputs are deterministic: the
+same configuration and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .linalg import SystemLayout
-from .scenarios import (
-    Scenario,
-    amplitude_damping_qubit,
-    dephasing_qubit,
-    epr_bohm,
-    ghz_mermin,
-    von_neumann_measurement,
-)
+from .scenarios import SCENARIOS, Scenario
 from .serialize import SchemaError
 from .states import DEFAULT_THRESHOLD, DensityMatrix, extract_epistemic
 from .trajectories import TimeGrid, build_step_chain, run_ensemble
@@ -61,6 +55,15 @@ _NAMED_RHO0 = {
     "one": np.diag([0.0, 1.0]).astype(complex),
 }
 
+# Scenario parameter -> (flag, type, help); SCENARIOS says who takes it.
+_SCENARIO_FLAGS = {
+    "gamma": ("--gamma", float, "jump rate"),
+    "rho0": ("--rho0", str, "qubit state: plus, zero, one, diag:p0,p1 (None: its own)"),
+    "alpha2": ("--alpha2", float, "|alpha|^2 of the measured qubit"),
+    "n_env": ("--n-env", int, "environment qubits that read the pointer"),
+    "coupling": ("--coupling", float, "overlap of an environment qubit's two records"),
+}
+
 
 class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
@@ -75,6 +78,8 @@ def _load_json(path: str, what: str):
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"cannot read {what}: JSON nested too deeply") from exc
 
 
 def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
@@ -102,36 +107,26 @@ def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
-    """The scenario ``--scenario`` names, built from the scenario flags."""
+    """The scenario ``--scenario`` names, built from the scenario flags it takes."""
     source = args.scenario
-    if source.endswith(".json") or os.path.isfile(source):
+    given = dict(vars(args), rho0=_rho0(args.rho0))
+    is_file = source.endswith(".json") or os.path.isfile(source)
+    if not is_file and source not in SCENARIOS:
+        raise ConfigError(
+            f"unknown scenario {source!r}; names: {', '.join(SCENARIOS)}, "
+            "or a .json scenario file"
+        )
+    build, params = (None, {}) if is_file else SCENARIOS[source]
+    for param, (flag, _, _) in _SCENARIO_FLAGS.items():
+        if getattr(args, param) is not None and param not in params:
+            raise ConfigError(f"{flag} does not apply to scenario {source!r}")
+    if is_file:
         data = _load_json(source, f"scenario file {source!r}")
         try:
             return serialize.scenario_from_document(data)
         except SchemaError as exc:
             raise ConfigError(f"bad scenario document {source!r}: {exc}") from exc
-    rho0 = _rho0(args.rho0)
-    if source == "epr-bohm":
-        return epr_bohm()
-    if source in ("ghz-mermin", "ghz"):
-        return ghz_mermin()
-    if source == "dephasing":
-        return dephasing_qubit(args.gamma, rho0)
-    if source == "damping":
-        return amplitude_damping_qubit(args.gamma, rho0)
-    if source == "von-neumann":
-        if not 0.0 <= args.alpha2 <= 1.0:
-            raise ConfigError(f"--alpha2 must lie in [0, 1]: {args.alpha2}")
-        return von_neumann_measurement(
-            alpha=math.sqrt(args.alpha2),
-            beta=math.sqrt(1.0 - args.alpha2),
-            n_env=args.n_env,
-            coupling=args.coupling,
-        )
-    raise ConfigError(
-        f"unknown scenario {source!r}; names: epr-bohm, ghz-mermin, dephasing, "
-        "damping, von-neumann, or a .json scenario file"
-    )
+    return build(**{p: d if given[p] is None else given[p] for p, d in params.items()})
 
 
 def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
@@ -191,15 +186,6 @@ def _cmd_epistemic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_channel(sc: Scenario, time: float):
-    """Channel (or schedule) from t=0 to ``time`` plus an identifying string."""
-    if sc.generator is not None and time > 0:
-        return channels_mod.evolve(sc.generator, time), f"{sc.name}:lindblad"
-    if sc.schedule:
-        return sc.schedule, f"{sc.name}:schedule"
-    return None, "identity"
-
-
 def _cmd_conditional(args: argparse.Namespace) -> int:
     sc = _scenario(args)
     blocks = _parse_blocks(args.blocks)
@@ -207,7 +193,7 @@ def _cmd_conditional(args: argparse.Namespace) -> int:
         part = Partition(sc.layout, blocks)
     except (LayoutMismatchError, UnknownLabelError) as exc:
         raise ConfigError(f"bad --blocks: {exc}") from exc
-    channel, channel_id = _table_channel(sc, args.time)
+    channel, channel_id = sc.dynamics_to(args.time)
     table = conditional_table(
         sc.initial_state,
         channel,
@@ -277,6 +263,8 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             report = channels_mod.verify_cpt(ch, tol)
         else:  # kraus or unitary: a stack of Kraus operators
             report = channels_mod.verify_kraus_operators(doc["operators"], tol)
+    except ProblemTooLargeError:
+        raise
     except ModalDynError as exc:
         sys.stderr.write(f"channel rejected: {exc}\n")
         return EXIT_CHANNEL
@@ -330,15 +318,15 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario",
         required=True,
-        help="scenario name or path to a scenario .json file",
+        help=f"scenario name ({', '.join(SCENARIOS)}) or path to a scenario .json file",
     )
-    p.add_argument("--gamma", type=float, default=1.0, help="jump rate")
-    p.add_argument(
-        "--rho0", default=None, help="initial qubit state: plus, zero, one, diag:p0,p1"
-    )
-    p.add_argument("--alpha2", type=float, default=0.3, help="|alpha|^2 (von-neumann)")
-    p.add_argument("--n-env", dest="n_env", type=int, default=8)
-    p.add_argument("--coupling", type=float, default=0.4)
+    for param, (flag, kind, text) in _SCENARIO_FLAGS.items():
+        takers = ", ".join(
+            f"{name} (default: {params[param]})"
+            for name, (_, params) in SCENARIOS.items()
+            if param in params
+        )
+        p.add_argument(flag, dest=param, type=kind, help=f"{text}; taken by {takers}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,23 +3,25 @@
 Each constructor returns a :class:`Scenario` bundling an initial state, its
 dynamics (a Lindblad generator, a discrete unitary schedule, or nothing), the
 subsystems worth looking at, and an ``oracle`` dict of independently derived
-reference values for tests and demos.
+reference values for tests and demos. ``SCENARIOS`` names the constructors
+the command line offers, with the parameters each takes and their defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .channels import (
+    Dynamics,
     LindbladGenerator,
     Schedule,
-    apply,
     apply_schedule,
     evolve,
+    steps,
     unitary_channel,
 )
 from .errors import InvalidAmplitudesError
@@ -60,19 +62,22 @@ class Scenario:
         """State after the full discrete schedule (identity if none)."""
         return apply_schedule(self.schedule, self.initial_state)
 
-    def state_at(self, t: float) -> State:
-        """State at time ``t`` for generator dynamics.
+    def dynamics_to(self, t: float) -> tuple[Dynamics, str]:
+        """Dynamics that carry the initial state to time ``t``, and their id.
 
-        Discrete-schedule scenarios return the post-schedule state and
-        static scenarios the initial state; ``t`` only drives a generator.
+        A generator runs for any ``t != 0`` (``evolve`` refuses ``t < 0``), a
+        schedule in full whatever ``t``; a static scenario has ``None``.
         """
-        if self.generator is not None:
-            if t == 0:
-                return self.initial_state
-            return apply(evolve(self.generator, float(t)), self.initial_state)
+        if self.generator is not None and t != 0:
+            return evolve(self.generator, float(t)), f"{self.name}:lindblad"
         if self.schedule:
-            return self.final_state()
-        return self.initial_state
+            return self.schedule, f"{self.name}:schedule"
+        return None, "identity"
+
+    def state_at(self, t: float) -> State:
+        """The initial state carried to time ``t`` by :meth:`dynamics_to`."""
+        dynamics = self.dynamics_to(t)[0]
+        return apply_schedule(steps(dynamics, self.layout), self.initial_state)
 
 
 def _controlled_gate(gate: np.ndarray) -> np.ndarray:
@@ -197,6 +202,20 @@ def ghz_mermin() -> Scenario:
     )
 
 
+def _one_jump_qubit(
+    name: str, jump: np.ndarray, gamma: float, rho0: Optional[DensityMatrix], ket
+) -> Scenario:
+    """Qubit ``Q`` from ``rho0`` (``|ket>`` if ``None``), one jump at rate ``gamma``."""
+    layout = SystemLayout.qubits(("Q",))
+    if rho0 is None:
+        rho0 = DensityMatrix.from_vector(ket, layout)
+    generator = LindbladGenerator(
+        hamiltonian=np.zeros((2, 2), dtype=complex),
+        jumps=((jump, gamma),),
+    )
+    return Scenario(name=name, layout=layout, initial_state=rho0, generator=generator)
+
+
 def dephasing_qubit(
     gamma: float, rho0: Optional[DensityMatrix] = None
 ) -> Scenario:
@@ -207,25 +226,13 @@ def dephasing_qubit(
     ``(1 +- exp(-2 gamma t)) / 2``.
     """
     gamma = float(gamma)
-    layout = SystemLayout.qubits(("Q",))
-    if rho0 is None:
-        rho0 = DensityMatrix.from_vector(KET_PLUS, layout)
-    generator = LindbladGenerator(
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=((PAULI_Z, gamma),),
-    )
-    c0 = complex(rho0.matrix[0, 1])
+    sc = _one_jump_qubit("dephasing", PAULI_Z, gamma, rho0, KET_PLUS)
+    c0 = complex(sc.initial_state.matrix[0, 1])
     oracle = {
         "offdiagonal": _exp_decay(c0, 2.0 * gamma),
         "decay_rate": 2.0 * gamma,
     }
-    return Scenario(
-        name="dephasing",
-        layout=layout,
-        initial_state=rho0,
-        generator=generator,
-        oracle=oracle,
-    )
+    return replace(sc, oracle=oracle)
 
 
 def amplitude_damping_qubit(
@@ -237,25 +244,13 @@ def amplitude_damping_qubit(
     Default initial state is the excited state ``|1><1|``.
     """
     gamma = float(gamma)
-    layout = SystemLayout.qubits(("Q",))
-    if rho0 is None:
-        rho0 = DensityMatrix.from_vector(KET_ONE, layout)
-    generator = LindbladGenerator(
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=((LOWERING, gamma),),
-    )
-    p0 = float(np.real(rho0.matrix[1, 1]))
+    sc = _one_jump_qubit("damping", LOWERING, gamma, rho0, KET_ONE)
+    p0 = float(np.real(sc.initial_state.matrix[1, 1]))
     oracle = {
         "excited_population": _exp_decay(p0, gamma),
         "decay_rate": gamma,
     }
-    return Scenario(
-        name="damping",
-        layout=layout,
-        initial_state=rho0,
-        generator=generator,
-        oracle=oracle,
-    )
+    return replace(sc, oracle=oracle)
 
 
 def _exp_decay(x0: complex, rate: float) -> Callable[[float], complex]:
@@ -263,3 +258,24 @@ def _exp_decay(x0: complex, rate: float) -> Callable[[float], complex]:
         return x0 * math.exp(-rate * float(t))
 
     return value
+
+
+def _von_neumann(alpha2: float, n_env: int, coupling: float) -> Scenario:
+    """The measurement chain of ``|alpha|^2 = alpha2`` with real amplitudes."""
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError(f"--alpha2 must lie in [0, 1]: {alpha2}")
+    alpha, beta = math.sqrt(alpha2), math.sqrt(1.0 - alpha2)
+    return von_neumann_measurement(alpha, beta, n_env=n_env, coupling=coupling)
+
+
+_QUBIT = {"gamma": 1.0, "rho0": None}  # rho0 None: the scenario's own state
+# Name -> (builder, {parameter: default}); builders take their parameters by
+# keyword and look constructors up here at call time, so a rebound one is seen.
+SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict]] = {
+    "epr-bohm": (lambda: epr_bohm(), {}),
+    "ghz-mermin": (lambda: ghz_mermin(), {}),
+    "dephasing": (lambda **kw: dephasing_qubit(**kw), _QUBIT),
+    "damping": (lambda **kw: amplitude_damping_qubit(**kw), _QUBIT),
+    "von-neumann": (_von_neumann, {"alpha2": 0.3, "n_env": 8, "coupling": 0.4}),
+    "ghz": (lambda: ghz_mermin(), {}),  # alias of ghz-mermin
+}

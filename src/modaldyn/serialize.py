@@ -75,9 +75,13 @@ def layout_payload(layout: SystemLayout) -> dict:
 
 def layout_from_payload(data: Any) -> SystemLayout:
     try:
-        return SystemLayout(tuple(data["dims"]), tuple(data["labels"]))
+        dims, labels = tuple(data["dims"]), tuple(data["labels"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad layout payload: {exc}") from exc
+    for d in dims:
+        if type(d) is not int or d < 1:
+            raise SchemaError(f"layout dims must be positive integers, got {d!r}")
+    return SystemLayout(dims, labels)
 
 
 def dumps_json(payload: dict) -> str:

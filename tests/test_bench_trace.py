@@ -54,4 +54,12 @@ def test_trace_harness_runs_one_request_per_subcommand(tmp_path):
     assert [r["error"] for r in result["requests"]] == [None] * len(requests)
     spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))["spans"]
     names = {span[0] for span in spans}
-    assert {"cli.parse", "cli.config", "cli.write", "serialize.load"} <= names
+    # builders reached through scenarios.SCENARIOS must still be spanned
+    assert {
+        "cli.parse",
+        "cli.config",
+        "cli.write",
+        "serialize.load",
+        "scenarios.build",
+        "channels.evolve",
+    } <= names

@@ -12,6 +12,7 @@ from modaldyn import (
     LindbladGenerator,
     NotHermitianError,
     NotUnitaryError,
+    ProblemTooLargeError,
     PureState,
     Superoperator,
     SystemLayout,
@@ -31,7 +32,7 @@ from modaldyn import (
     verify_superoperator_matrix,
     von_neumann_measurement,
 )
-from modaldyn import channels, cli
+from modaldyn import channels, cli, linalg
 from modaldyn.random_objects import (
     random_density_matrix,
     random_kraus_channel,
@@ -193,6 +194,16 @@ def test_evolve_rejects_non_finite_duration():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="duration must be finite"):
             evolve(g, bad)
+
+
+def test_evolve_is_refused_over_the_memory_budget(monkeypatch):
+    # nine 16 x 16 complex arrays at d=4: 36,864 bytes
+    g = random_lindblad(4, 2, np.random.default_rng(29))
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 36863)
+    with pytest.raises(ProblemTooLargeError, match="dimension 4 needs 36864 bytes"):
+        evolve(g, 0.5)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 36864)
+    assert evolve(g, 0.5).dim == 4
 
 
 def test_dephasing_closed_form():

@@ -418,7 +418,9 @@ def _error_inputs(tmp_path):
     from modaldyn.serialize import scenario_to_document
 
     (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    (tmp_path / "dephasing.json").write_text(json.dumps(doc), encoding="utf-8")
     del doc["layout"]
     (tmp_path / "nolayout.json").write_text(json.dumps(doc), encoding="utf-8")
     bogus = {"schema_version": 1, "kind": "bogus"}
@@ -482,6 +484,9 @@ def _bad_scenarios() -> dict:
         "kraus-unequal-shapes": dict(
             doc, dynamics={"kind": "kraus", "operators": unequal}
         ),
+        "dims-float": dict(doc, layout={"dims": [2.5], "labels": ["Q"]}),
+        "dims-string": dict(doc, layout={"dims": ["2"], "labels": ["Q"]}),
+        "dims-bool": dict(doc, layout={"dims": [True, True], "labels": ["A", "B"]}),
     }
 
 
@@ -528,7 +533,47 @@ CONFIG_ERRORS = {
     "scenario-unknown": (
         ("epistemic", "--scenario", "nope"),
         "unknown scenario 'nope'; names: epr-bohm, ghz-mermin, dephasing, damping, "
-        "von-neumann, or a .json scenario file",
+        "von-neumann, ghz, or a .json scenario file",
+    ),
+    "rho0-on-epr-bohm": (
+        ("epistemic", "--scenario", "epr-bohm", "--rho0", "diag:0.3,0.7"),
+        "--rho0 does not apply to scenario 'epr-bohm'",
+    ),
+    "gamma-on-epr-bohm": (
+        ("epistemic", "--scenario", "epr-bohm", "--gamma", "3"),
+        "--gamma does not apply to scenario 'epr-bohm'",
+    ),
+    "n-env-on-ghz": (
+        ("conditional", "--scenario", "ghz", "--n-env", "3", "--blocks", "A,B,C"),
+        "--n-env does not apply to scenario 'ghz'",
+    ),
+    "coupling-on-damping": (
+        ("epistemic", "--scenario", "damping", "--coupling", "0.9"),
+        "--coupling does not apply to scenario 'damping'",
+    ),
+    "alpha2-on-dephasing": (
+        ("sample", "--scenario", "dephasing", "--t", "1", "--steps", "4", "--alpha2", "0.5"),
+        "--alpha2 does not apply to scenario 'dephasing'",
+    ),
+    "gamma-on-scenario-file": (
+        ("epistemic", "--scenario", "{dir}/dephasing.json", "--gamma", "2"),
+        "--gamma does not apply to scenario '{dir}/dephasing.json'",
+    ),
+    "rho0-on-scenario-file": (
+        ("epistemic", "--scenario", "{dir}/dephasing.json", "--rho0", "plus"),
+        "--rho0 does not apply to scenario '{dir}/dephasing.json'",
+    ),
+    "rho0-bogus-on-scenario-file": (
+        ("epistemic", "--scenario", "{dir}/dephasing.json", "--rho0", "bogus"),
+        "unknown --rho0 'bogus'; use plus, zero, one, or diag:p0,p1",
+    ),
+    "scenario-file-deep": (
+        ("epistemic", "--scenario", "{dir}/deep.json"),
+        "cannot read scenario file '{dir}/deep.json': JSON nested too deeply",
+    ),
+    "channel-file-deep": (
+        ("verify-channel", "--channel", "{dir}/deep.json"),
+        "cannot read channel file: JSON nested too deeply",
     ),
     "subsystem-unknown": (
         ("epistemic", "--scenario", "epr-bohm", "--subsystem", "Z"),
@@ -587,6 +632,9 @@ BAD_SCENARIOS = {
     "entry-null": NOT_NUMBERS,
     "empty-row": "expected [re, im] pairs, got an empty array of shape (1, 0)",
     "kraus-unequal-shapes": RAGGED,
+    "dims-float": "layout dims must be positive integers, got 2.5",
+    "dims-string": "layout dims must be positive integers, got '2'",
+    "dims-bool": "layout dims must be positive integers, got True",
 }
 for name, message in BAD_CHANNELS.items():
     CONFIG_ERRORS[f"channel-{name}"] = (
@@ -648,3 +696,44 @@ def test_rho0_weights_that_are_not_a_state_exit_2(capsys, scenario, weights, fau
     code, out, err = run(capsys, "epistemic", "--scenario", scenario, "--rho0", weights)
     assert (code, out) == (2, "")
     assert err == f"configuration error: bad --rho0 {weights!r}: {fault}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (
+            ("epistemic", "--scenario", "von-neumann", "--n-env", "4", "--subsystem", "S,P"),
+            ("--alpha2", "0.3", "--coupling", "0.4"),
+        ),
+        (
+            ("conditional", "--scenario", "dephasing", "--time", "0.5", "--blocks", "Q"),
+            ("--gamma", "1.0"),
+        ),
+    ],
+    ids=["von-neumann", "dephasing"],
+)
+def test_a_default_run_equals_one_that_gives_the_defaults(capsys, argv, defaults):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert run(capsys, *argv, *defaults) == (0, out, "")
+
+
+def test_verify_channel_over_the_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
+    # evolving a d=4 generator peaks at nine 16 x 16 complex arrays: 36,864 bytes
+    from modaldyn import linalg
+
+    doc = {
+        "schema_version": 1,
+        "kind": "lindblad",
+        "hamiltonian": matrix_to_pairs(np.zeros((4, 4))),
+        "jumps": [{"operator": matrix_to_pairs(np.diag([1.0, -1.0, 1.0, -1.0])), "rate": 1.0}],
+    }
+    path = tmp_path / "lind4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 36863)
+    code, out, err = run(capsys, "verify-channel", "--channel", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: evolving a generator of dimension 4 needs 36864 bytes, "
+        "over the budget of 36863 bytes\n"
+    )

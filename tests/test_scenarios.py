@@ -131,6 +131,11 @@ def test_damping_scenario_oracle():
         assert abs(rho_t.matrix[1, 1] - sc.oracle["excited_population"](t)) < 1e-9
 
 
+def test_state_at_a_negative_time_raises_on_a_generator():
+    with pytest.raises(ValueError, match="duration must be finite and nonnegative"):
+        dephasing_qubit(gamma=0.8).state_at(-1)
+
+
 def test_state_at_agrees_with_direct_evolution():
     sc = amplitude_damping_qubit(gamma=1.0)
     t = 0.7
