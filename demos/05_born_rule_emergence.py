@@ -24,7 +24,7 @@ def main():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=coupling
         )
-        record = extract_epistemic(sc.final_state().reduce(("S", "P")))
+        record = extract_epistemic(sc.state_at(0).reduce(("S", "P")))
         probs = np.zeros(2)
         probs[: len(record)] = record.probabilities
         probs = np.sort(probs)[::-1]
@@ -35,11 +35,10 @@ def main():
     # environment size; the environment's role is to make the record's
     # *eigenbasis* the pointer basis, by erasing the off-diagonal element.
     sc = von_neumann_measurement(alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=8)
-    pointer = extract_epistemic(sc.final_state().reduce(("P",)))
+    pointer = extract_epistemic(sc.state_at(0).reduce(("P",)))
     print(f"\npointer probabilities at n_env=8: {np.round(pointer.probabilities, 10)}")
 
-    suppression = sc.oracle["record_offdiagonal_suppression"]
-    print(f"predicted off-diagonal suppression 0.4**8 = {suppression:.3e}")
+    print(f"predicted off-diagonal suppression 0.4**8 = {coupling**8:.3e}")
 
 
 if __name__ == "__main__":

@@ -242,43 +242,34 @@ _CONVERSIONS = {
 }
 
 
-def apply(
-    ch: KrausChannel, state: State, positions: Optional[Sequence[int]] = None
-) -> State:
-    """Apply a channel to a state, revalidating the output state.
+def apply(dynamics: Dynamics, state: State) -> State:
+    """Carry a state through ``dynamics``, revalidating it after each step.
 
-    ``positions`` lists the layout factors the channel acts on, in the
-    channel's own factor order; ``None`` means every factor in layout order.
-    This is one step ``(positions, channel)`` of a schedule, and passes the
-    same gate, :func:`steps`. A single-operator channel maps a ``PureState``
-    to a ``PureState``, contracting the operator into the amplitude tensor;
-    any other channel turns a ``PureState`` into its ``DensityMatrix``
-    first. On a ``DensityMatrix`` each Kraus operator is contracted on the
-    row axes and its conjugate on the column axes.
+    ``dynamics`` is ``None``, a ``KrausChannel`` on every factor, or a
+    schedule; it passes the gate :func:`steps` once, and its steps then run
+    in order. A single-operator step keeps a ``PureState`` a ``PureState``,
+    contracting the operator into the amplitude tensor; any other step turns
+    it into its ``DensityMatrix`` first. On a ``DensityMatrix`` each Kraus
+    operator is contracted on the row axes and its conjugate on the column
+    axes.
     """
     layout = state.layout
-    step = ch if positions is None else ((tuple(int(p) for p in positions), ch),)
-    ((positions, ch),) = steps(step, layout)
-    if isinstance(state, PureState):
-        if len(ch.operators) == 1:
-            amps = state.vector.reshape(layout.dims)
-            vec = apply_local(ch.operators[0], amps, positions).reshape(-1)
-            return PureState(vec, layout)
-        state = state.reduce(layout.labels)
-    rho = state.matrix.reshape(layout.dims * 2)
-    cols = tuple(layout.n_factors + p for p in positions)
-    out = 0.0
-    for k in ch.operators:
-        out = out + apply_local(
-            k.conj().T, apply_local(k, rho, positions), cols, right=True
-        )
-    return DensityMatrix(out.reshape(state.dim, state.dim), layout)
-
-
-def apply_schedule(schedule: Schedule, state: State) -> State:
-    """Apply each step ``(positions, channel)`` of a schedule in order."""
-    for positions, ch in schedule:
-        state = apply(ch, state, positions)
+    for positions, ch in steps(dynamics, layout):
+        if isinstance(state, PureState):
+            if len(ch.operators) == 1:
+                amps = state.vector.reshape(layout.dims)
+                vec = apply_local(ch.operators[0], amps, positions).reshape(-1)
+                state = PureState(vec, layout)
+                continue
+            state = state.reduce(layout.labels)
+        rho = state.matrix.reshape(layout.dims * 2)
+        cols = tuple(layout.n_factors + p for p in positions)
+        out = 0.0
+        for k in ch.operators:
+            out = out + apply_local(
+                k.conj().T, apply_local(k, rho, positions), cols, right=True
+            )
+        state = DensityMatrix(out.reshape(state.dim, state.dim), layout)
     return state
 
 

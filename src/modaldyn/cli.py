@@ -110,17 +110,19 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     """The scenario ``--scenario`` names, built from the scenario flags it takes."""
     source = args.scenario
     given = dict(vars(args), rho0=_rho0(args.rho0))
-    is_file = source.endswith(".json") or os.path.isfile(source)
-    if not is_file and source not in SCENARIOS:
+    if source in SCENARIOS:
+        build, params = SCENARIOS[source]
+    elif source.endswith(".json") or os.path.isfile(source):
+        build, params = None, {}
+    else:
         raise ConfigError(
             f"unknown scenario {source!r}; names: {', '.join(SCENARIOS)}, "
             "or a .json scenario file"
         )
-    build, params = (None, {}) if is_file else SCENARIOS[source]
     for param, (flag, _, _) in _SCENARIO_FLAGS.items():
         if getattr(args, param) is not None and param not in params:
             raise ConfigError(f"{flag} does not apply to scenario {source!r}")
-    if is_file:
+    if build is None:
         data = _load_json(source, f"scenario file {source!r}")
         try:
             return serialize.scenario_from_document(data)

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Dynamics, Schedule, apply_schedule, steps
+from .channels import Dynamics, Schedule, apply, steps
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
@@ -217,7 +217,7 @@ def _spectra(
         )
     schedule = steps(channel, part.layout)
     parent = extract_epistemic(rho_w_t, threshold)
-    rho_tprime = apply_schedule(schedule, rho_w_t)
+    rho_tprime = apply(schedule, rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks

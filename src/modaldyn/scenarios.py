@@ -1,16 +1,16 @@
-"""Canned physical setups with closed-form reference data attached.
+"""Canned physical setups, each an initial state and its dynamics.
 
-Each constructor returns a :class:`Scenario` bundling an initial state, its
-dynamics (a Lindblad generator, a discrete unitary schedule, or nothing), the
-subsystems worth looking at, and an ``oracle`` dict of independently derived
-reference values for tests and demos. ``SCENARIOS`` names the constructors
-the command line offers, with the parameters each takes and their defaults.
+Each constructor returns a :class:`Scenario` bundling a layout, an initial
+state and its dynamics (a Lindblad generator, a discrete schedule, or
+nothing); its docstring gives the closed forms the setup obeys.
+``SCENARIOS`` names the constructors the command line offers, with the
+parameters each takes and their defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,9 +19,8 @@ from .channels import (
     Dynamics,
     LindbladGenerator,
     Schedule,
-    apply_schedule,
+    apply,
     evolve,
-    steps,
     unitary_channel,
 )
 from .errors import InvalidAmplitudesError
@@ -56,11 +55,6 @@ class Scenario:
     initial_state: State
     generator: Optional[LindbladGenerator] = None
     schedule: Schedule = ()
-    oracle: dict = field(default_factory=dict)
-
-    def final_state(self) -> State:
-        """State after the full discrete schedule (identity if none)."""
-        return apply_schedule(self.schedule, self.initial_state)
 
     def dynamics_to(self, t: float) -> tuple[Dynamics, str]:
         """Dynamics that carry the initial state to time ``t``, and their id.
@@ -76,8 +70,7 @@ class Scenario:
 
     def state_at(self, t: float) -> State:
         """The initial state carried to time ``t`` by :meth:`dynamics_to`."""
-        dynamics = self.dynamics_to(t)[0]
-        return apply_schedule(steps(dynamics, self.layout), self.initial_state)
+        return apply(self.dynamics_to(t)[0], self.initial_state)
 
 
 def _controlled_gate(gate: np.ndarray) -> np.ndarray:
@@ -105,7 +98,7 @@ def von_neumann_measurement(
     ``2 ** (n_env + 2)``; each schedule step is a 4x4 controlled gate on its
     (control, target) qubits. After the full schedule, the off-diagonal of
     the system+pointer record is suppressed by exactly ``coupling ** n_env``,
-    which gives this scenario a closed-form oracle:
+    which gives this scenario closed forms:
 
     * pointer reduced state: exactly ``diag(|alpha|^2, |beta|^2)``;
     * record (system+pointer) eigenvalues:
@@ -146,59 +139,37 @@ def von_neumann_measurement(
     copy = unitary_channel(_controlled_gate(PAULI_X))
     read = unitary_channel(_controlled_gate(ry))
     schedule = (((0, 1), copy),) + tuple(((1, 2 + k), read) for k in range(n_env))
-
-    p = abs(alpha) ** 2
-    q = abs(beta) ** 2
-    s = coupling**n_env
-    gap = math.sqrt((p - q) ** 2 + 4.0 * p * q * s * s)
-    record_eigs = ((1.0 + gap) / 2.0, (1.0 - gap) / 2.0)
-    oracle = {
-        "born_weights": (p, q),
-        "pointer_probabilities": tuple(sorted((p, q), reverse=True)),
-        "record_offdiagonal_suppression": s,
-        "record_eigenvalues": record_eigs,
-    }
     return Scenario(
         name="von-neumann",
         layout=layout,
         initial_state=initial,
         schedule=schedule,
-        oracle=oracle,
     )
 
 
 def epr_bohm() -> Scenario:
-    """Two-qubit singlet; both margins maximally mixed, perfectly
-    anticorrelated in every aligned basis."""
+    """Two-qubit singlet; both margins maximally mixed (probabilities 1/2,
+    1/2), perfectly anticorrelated in every aligned basis: each opposite
+    outcome pair has probability 1/2, each equal pair 0."""
     layout = SystemLayout.qubits(("A", "B"))
     vec = (np.kron(KET_ZERO, KET_ONE) - np.kron(KET_ONE, KET_ZERO)) / math.sqrt(2.0)
-    oracle = {
-        "subsystem_probabilities": (0.5, 0.5),
-        "aligned_same_outcome_probability": 0.0,
-        "aligned_opposite_outcome_probability": 0.5,
-    }
     return Scenario(
         name="epr-bohm",
         layout=layout,
         initial_state=DensityMatrix.from_vector(vec, layout),
-        oracle=oracle,
     )
 
 
 def ghz_mermin() -> Scenario:
-    """Three-qubit GHZ state ``(|000> + |111>)/sqrt(2)``."""
+    """Three-qubit GHZ state ``(|000> + |111>)/sqrt(2)``; each margin is
+    maximally mixed (probabilities 1/2, 1/2), and in the computational basis
+    all-zero and all-one outcomes have probability 1/2, mixed outcomes 0."""
     layout = SystemLayout.qubits(("A", "B", "C"))
     vec = (kron_all([KET_ZERO] * 3) + kron_all([KET_ONE] * 3)) / math.sqrt(2.0)
-    oracle = {
-        "subsystem_probabilities": (0.5, 0.5),
-        "all_zero_outcome_probability": 0.5,
-        "mixed_outcome_probability": 0.0,
-    }
     return Scenario(
         name="ghz-mermin",
         layout=layout,
         initial_state=DensityMatrix.from_vector(vec, layout),
-        oracle=oracle,
     )
 
 
@@ -225,14 +196,7 @@ def dephasing_qubit(
     populations stand still; from ``|+><+|`` the eigenvalues at time t are
     ``(1 +- exp(-2 gamma t)) / 2``.
     """
-    gamma = float(gamma)
-    sc = _one_jump_qubit("dephasing", PAULI_Z, gamma, rho0, KET_PLUS)
-    c0 = complex(sc.initial_state.matrix[0, 1])
-    oracle = {
-        "offdiagonal": _exp_decay(c0, 2.0 * gamma),
-        "decay_rate": 2.0 * gamma,
-    }
-    return replace(sc, oracle=oracle)
+    return _one_jump_qubit("dephasing", PAULI_Z, gamma, rho0, KET_PLUS)
 
 
 def amplitude_damping_qubit(
@@ -243,21 +207,7 @@ def amplitude_damping_qubit(
     The excited population decays as ``rho_11(t) = rho_11(0) * exp(-gamma t)``.
     Default initial state is the excited state ``|1><1|``.
     """
-    gamma = float(gamma)
-    sc = _one_jump_qubit("damping", LOWERING, gamma, rho0, KET_ONE)
-    p0 = float(np.real(sc.initial_state.matrix[1, 1]))
-    oracle = {
-        "excited_population": _exp_decay(p0, gamma),
-        "decay_rate": gamma,
-    }
-    return replace(sc, oracle=oracle)
-
-
-def _exp_decay(x0: complex, rate: float) -> Callable[[float], complex]:
-    def value(t: float) -> complex:
-        return x0 * math.exp(-rate * float(t))
-
-    return value
+    return _one_jump_qubit("damping", LOWERING, gamma, rho0, KET_ONE)
 
 
 def _von_neumann(alpha2: float, n_env: int, coupling: float) -> Scenario:

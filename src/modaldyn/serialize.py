@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import KrausChannel, LindbladGenerator, unitary_channel
 from .conditional import ConditionalTable
-from .errors import ModalDynError
+from .errors import LayoutMismatchError, ModalDynError
 from .linalg import SystemLayout, apply_local, check_memory
 from .scenarios import Scenario
 from .states import DensityMatrix, EpistemicState, PureState
@@ -81,7 +81,10 @@ def layout_from_payload(data: Any) -> SystemLayout:
     for d in dims:
         if type(d) is not int or d < 1:
             raise SchemaError(f"layout dims must be positive integers, got {d!r}")
-    return SystemLayout(dims, labels)
+    try:
+        return SystemLayout(dims, labels)
+    except LayoutMismatchError as exc:
+        raise SchemaError(f"bad layout: {exc}") from exc
 
 
 def dumps_json(payload: dict) -> str:
@@ -292,12 +295,26 @@ def load_channel_document(data: dict) -> dict:
 
 
 def scenario_from_document(data: dict) -> Scenario:
-    """Build a Scenario from its JSON document."""
+    """Build a Scenario from its JSON document.
+
+    Every matrix is checked to be ``d x d``, ``d`` the layout's dimension,
+    before anything is built from it.
+    """
     check_schema_version(data)
     if data.get("kind") != "scenario":
         raise SchemaError(f"expected kind 'scenario', got {data.get('kind')!r}")
     layout = layout_from_payload(_require(data, "layout"))
-    initial = DensityMatrix(pairs_to_matrix(_require(data, "initial_state")), layout)
+    d = layout.total_dim
+
+    def square(what: str, a: np.ndarray) -> None:
+        if a.shape[-2:] != (d, d):
+            raise SchemaError(
+                f"{what} must be {d} x {d} for layout dims {list(layout.dims)}, "
+                f"got {a.shape[-2]} x {a.shape[-1]}"
+            )
+
+    state = pairs_to_matrix(_require(data, "initial_state"))
+    square("'initial_state'", state)
     every = tuple(range(layout.n_factors))
     dynamics = data.get("dynamics")
     generator = None
@@ -305,19 +322,25 @@ def scenario_from_document(data: dict) -> Scenario:
     if dynamics is not None:
         dkind = _require(dynamics, "kind")
         if dkind == "lindblad":
-            generator = LindbladGenerator(*_lindblad(dynamics))
+            hamiltonian, jumps = _lindblad(dynamics)
+            square("'hamiltonian'", hamiltonian)
+            for i, (op, _) in enumerate(jumps):
+                square(f"jump {i} operator", op)
+            generator = LindbladGenerator(hamiltonian, jumps)
         elif dkind == "schedule":
             unitaries = pairs_to_matrix(_require(dynamics, "unitaries"), ndim=3)
+            square("each of 'unitaries'", unitaries)
             schedule = tuple((every, unitary_channel(u)) for u in unitaries)
         elif dkind == "kraus":
             ops = pairs_to_matrix(_require(dynamics, "operators"), ndim=3)
+            square("each of 'operators'", ops)
             schedule = ((every, KrausChannel(tuple(ops))),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
     return Scenario(
         name=str(data.get("name", "file-scenario")),
         layout=layout,
-        initial_state=initial,
+        initial_state=DensityMatrix(state, layout),
         generator=generator,
         schedule=schedule,
     )

@@ -268,7 +268,7 @@ def extract_epistemic(
         return EpistemicState(np.ones(1), rho.vector[:, None], rho.layout)
     # Hermiticity was checked when the DensityMatrix was built
     w, v = linalg._ordered_eig(rho.matrix)
-    probs, counts, close = _read_spectra(rho.matrix[None], w[None], threshold)
+    probs, counts, close = _read_spectra(w[None], threshold)
     n = int(counts[0])
     return EpistemicState(
         probs[0, :n],
@@ -285,15 +285,15 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _read_spectra(
-    mats: np.ndarray,
     w: np.ndarray,
     threshold: float,
     refuse_degenerate: bool = False,
     where: Optional[Callable[[int], str]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The epistemic reading of density matrices ``(n, d, d)`` from their spectra.
+    """The epistemic reading of ``n`` density matrices from their spectra.
 
-    ``w`` holds their eigenvalues, descending. Returns ``(probs, counts,
+    ``w`` holds their eigenvalues ``(n, d)``, descending; the purity
+    ``Tr rho^2`` of each is the sum of its squares. Returns ``(probs, counts,
     close)``: ``probs`` is ``w`` with a nearly pure spectrum read as
     ``(1, 0, ..)``; ``counts`` are the kept prefix lengths; ``close[:, j]``
     marks kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``.
@@ -303,7 +303,7 @@ def _read_spectra(
     """
     _check_threshold(threshold)
     d = w.shape[1]
-    pure = np.real(np.trace(mats @ mats, axis1=1, axis2=2)) > 1.0 - PURITY_SHORTCUT
+    pure = (w * w).sum(axis=1) > 1.0 - PURITY_SHORTCUT
     counts = np.where(pure, 1, (w >= threshold).sum(axis=1))
     probs = np.where(pure[:, None], np.arange(d) == 0, w)
     close = np.abs(np.diff(w, axis=1)) < DEGENERACY_GAP

@@ -242,9 +242,7 @@ def build_step_chain(
     # errors come in grid order, as if each point were read as it is reached
     fault = _density_fault(states, w)
     n_ok = n_times if fault is None else fault[0]
-    probs, counts, _ = _read_spectra(
-        states[:n_ok], w[:n_ok], threshold, mode == STRICT, point
-    )
+    probs, counts, _ = _read_spectra(w[:n_ok], threshold, mode == STRICT, point)
     if fault is not None:
         raise InvalidDensityMatrixError(f"{point(n_ok)}: {fault[1]}")
 

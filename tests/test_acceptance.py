@@ -231,7 +231,7 @@ def test_criterion_09_born_rule_emergence():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=8, coupling=0.4
         )
-        final = sc.final_state()
+        final = sc.state_at(0)
         pointer = extract_epistemic(final.reduce(("P",)))
         got = np.sort(pointer.probabilities)
         assert np.abs(got - np.array([0.3, 0.7])).max() <= 1e-4
@@ -242,7 +242,7 @@ def test_criterion_09_born_rule_emergence():
             sc_n = von_neumann_measurement(
                 alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=0.4
             )
-            record = extract_epistemic(sc_n.final_state().reduce(("S", "P")))
+            record = extract_epistemic(sc_n.state_at(0).reduce(("S", "P")))
             probs = np.zeros(2)
             probs[: len(record)] = record.probabilities
             devs.append(float(np.abs(np.sort(probs)[::-1] - [0.7, 0.3]).max()))

@@ -314,17 +314,17 @@ def test_local_apply_matches_dense_embedding(dims, data, seed):
     pure = np.outer(psi.vector, psi.vector.conj())
     rho = random_density_matrix(layout, rng)
 
-    out = apply(gate, psi, positions)
+    out = apply(((positions, gate),), psi)
     assert isinstance(out, PureState)
     want = naive_embed(gate.operators[0], dims, positions) @ psi.vector
     assert np.abs(out.vector - want).max() < 1e-12
     embedded = [naive_embed(k, dims, positions) for k in family.operators]
-    mixed = apply(family, psi, positions)
+    mixed = apply(((positions, family),), psi)
     assert isinstance(mixed, DensityMatrix)
     assert np.abs(mixed.matrix - naive_kraus_apply(embedded, pure)).max() < 1e-12
-    got = apply(family, rho, positions).matrix
+    got = apply(((positions, family),), rho).matrix
     assert np.abs(got - naive_kraus_apply(embedded, rho.matrix)).max() < 1e-12
-    got = apply(gate, rho, positions).matrix
+    got = apply(((positions, gate),), rho).matrix
     want = naive_kraus_apply([naive_embed(gate.operators[0], dims, positions)], rho.matrix)
     assert np.abs(got - want).max() < 1e-12
 
@@ -332,3 +332,37 @@ def test_local_apply_matches_dense_embedding(dims, data, seed):
     reduced = psi.reduce(labels)
     assert reduced.layout == layout.sublayout(labels)
     assert np.abs(reduced.matrix - naive_partial_trace(pure, dims, keep)).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_apply_runs_a_mixed_schedule(dims, data, seed):
+    # unitary and multi-Kraus local steps in any order, on any factors
+    n = len(dims)
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"F{i}" for i in range(n)))
+    kinds = [True, False] + data.draw(st.lists(st.booleans(), max_size=2))
+    schedule = []
+    for is_unitary in data.draw(st.permutations(kinds)):
+        order = data.draw(st.permutations(range(n)))
+        positions = tuple(order[: data.draw(st.integers(1, n))])
+        sub = int(np.prod([dims[p] for p in positions]))
+        if is_unitary:
+            ch = unitary_channel(random_unitary(sub, rng))
+        else:
+            ch = random_kraus_channel(sub, int(rng.integers(2, 4)), rng)
+        schedule.append((positions, ch))
+    psi = PureState(random_state_vector(layout.total_dim, rng), layout)
+    rho = random_density_matrix(layout, rng)
+
+    for state, want in ((psi, np.outer(psi.vector, psi.vector.conj())), (rho, rho.matrix)):
+        for positions, ch in schedule:
+            embedded = [naive_embed(k, dims, positions) for k in ch.operators]
+            want = naive_kraus_apply(embedded, want)
+        got = apply(tuple(schedule), state)
+        assert isinstance(got, DensityMatrix)
+        assert np.abs(got.matrix - want).max() < 1e-12

@@ -348,6 +348,30 @@ def test_nan_initial_state_is_rejected(capsys, tmp_path):
     assert out == ""
 
 
+def test_non_hermitian_initial_state_is_rejected(capsys, tmp_path):
+    rho = np.array([[0.5, 0.5], [0.0, 0.5]])
+    path = _scenario_file(tmp_path, initial_state=matrix_to_pairs(rho))
+    code, out, _ = run(capsys, "epistemic", "--scenario", path)
+    assert code == 3
+    assert out == ""
+
+
+def test_a_file_does_not_shadow_a_scenario_name(capsys, tmp_path, monkeypatch):
+    from modaldyn import epr_bohm
+    from modaldyn.serialize import dumps_json, scenario_to_document
+
+    argv = ("epistemic", "--scenario", "damping", "--gamma", "2", "--time", "0.5")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    (tmp_path / "damping").write_text(dumps_json(scenario_to_document(epr_bohm())))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == want
+    # a path still reads the file
+    code, out, _ = run(capsys, "epistemic", "--scenario", "./damping", "--subsystem", "A")
+    assert code == 0
+    assert json.loads(out)["probabilities"] == pytest.approx([0.5, 0.5])
+
+
 def test_nan_kraus_dynamics_is_rejected(capsys, tmp_path):
     k0 = np.array([[1.0, 0.0], [0.0, np.nan]])
     k1 = np.array([[0.0, np.sqrt(0.3)], [0.0, 0.0]])
@@ -473,6 +497,7 @@ def _bad_scenarios() -> dict:
     lindblad = doc["dynamics"]
     z = lindblad["jumps"][0]["operator"]
     unequal = [matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
+    four = [matrix_to_pairs(np.eye(4))]
     return {
         "dynamics-int": dict(doc, dynamics=5),
         "jumps-entry-int": dict(doc, dynamics=dict(lindblad, jumps=[5])),
@@ -487,6 +512,24 @@ def _bad_scenarios() -> dict:
         "dims-float": dict(doc, layout={"dims": [2.5], "labels": ["Q"]}),
         "dims-string": dict(doc, layout={"dims": ["2"], "labels": ["Q"]}),
         "dims-bool": dict(doc, layout={"dims": [True, True], "labels": ["A", "B"]}),
+        "dims-labels-unequal": dict(doc, layout={"dims": [2], "labels": ["A", "B"]}),
+        "layout-empty": dict(doc, layout={"dims": [], "labels": []}),
+        "state-not-layout-size": dict(doc, layout={"dims": [4], "labels": ["Q"]}),
+        "state-not-square": dict(doc, initial_state=matrix_to_pairs(np.ones((2, 3)))),
+        "kraus-not-layout-size": dict(doc, dynamics={"kind": "kraus", "operators": four}),
+        "unitaries-not-layout-size": dict(
+            doc, dynamics={"kind": "schedule", "unitaries": four}
+        ),
+        "hamiltonian-not-layout-size": dict(
+            doc, dynamics=dict(lindblad, hamiltonian=four[0])
+        ),
+        "jump-not-layout-size": dict(
+            doc,
+            dynamics=dict(
+                lindblad,
+                jumps=[{"operator": z, "rate": 1.0}, {"operator": four[0], "rate": 1.0}],
+            ),
+        ),
     }
 
 
@@ -635,6 +678,18 @@ BAD_SCENARIOS = {
     "dims-float": "layout dims must be positive integers, got 2.5",
     "dims-string": "layout dims must be positive integers, got '2'",
     "dims-bool": "layout dims must be positive integers, got True",
+    "dims-labels-unequal": "bad layout: 1 dims but 2 labels",
+    "layout-empty": "bad layout: layout needs at least one factor",
+    "state-not-layout-size": "'initial_state' must be 4 x 4 for layout dims [4], got 2 x 2",
+    "state-not-square": "'initial_state' must be 2 x 2 for layout dims [2], got 2 x 3",
+    "kraus-not-layout-size": "each of 'operators' must be 2 x 2 for layout dims [2], got 4 x 4",
+    "unitaries-not-layout-size": (
+        "each of 'unitaries' must be 2 x 2 for layout dims [2], got 4 x 4"
+    ),
+    "hamiltonian-not-layout-size": (
+        "'hamiltonian' must be 2 x 2 for layout dims [2], got 4 x 4"
+    ),
+    "jump-not-layout-size": "jump 1 operator must be 2 x 2 for layout dims [2], got 4 x 4",
 }
 for name, message in BAD_CHANNELS.items():
     CONFIG_ERRORS[f"channel-{name}"] = (

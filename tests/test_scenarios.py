@@ -13,7 +13,11 @@ from modaldyn import (
     von_neumann_measurement,
 )
 
-from oracles import record_pair_eigenvalues
+from oracles import (
+    damping_excited_population,
+    dephasing_offdiagonal,
+    record_pair_eigenvalues,
+)
 
 
 def test_epr_margins_are_maximally_mixed():
@@ -22,9 +26,7 @@ def test_epr_margins_are_maximally_mixed():
         reduced = sc.initial_state.reduce((label,))
         assert np.abs(reduced.matrix - np.eye(2) / 2.0).max() < 1e-12
         e = extract_epistemic(reduced)
-        assert e.probabilities.tolist() == pytest.approx(
-            list(sc.oracle["subsystem_probabilities"])
-        )
+        assert e.probabilities.tolist() == pytest.approx([0.5, 0.5])
         assert e.degenerate_clusters == ((0, 1),)
 
 
@@ -48,7 +50,7 @@ def test_von_neumann_amplitude_validation():
 def test_von_neumann_pointer_reads_born_weights_exactly():
     p = 0.3
     sc = von_neumann_measurement(alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=4)
-    pointer = sc.final_state().reduce(("P",))
+    pointer = sc.state_at(0).reduce(("P",))
     e = extract_epistemic(pointer)
     assert e.probabilities.tolist() == pytest.approx([0.7, 0.3], abs=1e-12)
     assert np.abs(pointer.matrix - np.diag([0.3, 0.7])).max() < 1e-12
@@ -61,7 +63,7 @@ def test_von_neumann_record_offdiagonal_suppression():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=coupling
         )
-        record = sc.final_state().reduce(("S", "P"))
+        record = sc.state_at(0).reduce(("S", "P"))
         # the only surviving off-diagonal element connects |00> and |11>
         offdiag = abs(record.matrix[0, 3])
         expected = np.sqrt(p * (1.0 - p)) * coupling**n_env
@@ -75,14 +77,13 @@ def test_von_neumann_record_eigenvalues_match_closed_form():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=coupling
         )
-        record = sc.final_state().reduce(("S", "P"))
+        record = sc.state_at(0).reduce(("S", "P"))
         e = extract_epistemic(record)
         big, small = record_pair_eigenvalues(p, n_env, coupling)
         got = sorted(e.probabilities, reverse=True)
         assert got[0] == pytest.approx(big, abs=1e-12)
         if len(got) > 1:
             assert got[1] == pytest.approx(small, abs=1e-12)
-        assert sc.oracle["record_eigenvalues"] == pytest.approx((big, small))
 
 
 def test_von_neumann_record_eigenvalues_at_large_environments():
@@ -93,7 +94,7 @@ def test_von_neumann_record_eigenvalues_at_large_environments():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=coupling
         )
-        record = extract_epistemic(sc.final_state().reduce(("S", "P")))
+        record = extract_epistemic(sc.state_at(0).reduce(("S", "P")))
         big, small = record_pair_eigenvalues(p, n_env, coupling)
         assert len(record) == 2
         assert abs(record.probabilities[0] - big) < 1e-12
@@ -107,7 +108,7 @@ def test_von_neumann_deviation_decreases_with_environment_size():
         sc = von_neumann_measurement(
             alpha=np.sqrt(p), beta=np.sqrt(1.0 - p), n_env=n_env, coupling=0.4
         )
-        record = sc.final_state().reduce(("S", "P"))
+        record = sc.state_at(0).reduce(("S", "P"))
         probs = np.zeros(2)
         e = extract_epistemic(record)
         probs[: len(e)] = e.probabilities
@@ -121,14 +122,16 @@ def test_dephasing_scenario_oracle():
     sc = dephasing_qubit(gamma=0.8)
     for t in (0.0, 0.5, 1.3):
         rho_t = sc.state_at(t)
-        assert abs(rho_t.matrix[0, 1] - sc.oracle["offdiagonal"](t)) < 1e-9
+        want = dephasing_offdiagonal(sc.initial_state.matrix[0, 1], 0.8, t)
+        assert abs(rho_t.matrix[0, 1] - want) < 1e-9
 
 
 def test_damping_scenario_oracle():
     sc = amplitude_damping_qubit(gamma=1.1)
     for t in (0.0, 0.4, 2.0):
         rho_t = sc.state_at(t)
-        assert abs(rho_t.matrix[1, 1] - sc.oracle["excited_population"](t)) < 1e-9
+        want = damping_excited_population(sc.initial_state.matrix[1, 1].real, 1.1, t)
+        assert abs(rho_t.matrix[1, 1] - want) < 1e-9
 
 
 def test_state_at_a_negative_time_raises_on_a_generator():

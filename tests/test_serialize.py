@@ -237,7 +237,7 @@ def test_scenario_document_static_and_schedule():
     )
     flip = scenario_from_document(had)
     assert len(flip.schedule) == 1
-    after = flip.final_state()
+    after = flip.state_at(0)
     assert np.abs(after.matrix - np.diag([0.0, 1.0])).max() < 1e-12
 
 
@@ -247,6 +247,6 @@ def test_von_neumann_document_round_trip():
     assert len(doc["dynamics"]["unitaries"]) == 3
     back = scenario_from_document(doc)
     assert back.layout == sc.layout
-    want = sc.final_state().reduce(("S", "P")).matrix
-    got = back.final_state().reduce(("S", "P")).matrix
+    want = sc.state_at(0).reduce(("S", "P")).matrix
+    got = back.state_at(0).reduce(("S", "P")).matrix
     assert np.abs(got - want).max() < 1e-12

@@ -38,3 +38,48 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no module reads.
+
+    A name counts as read where it is loaded as a name or as an attribute
+    (``module._name``) in any of ``sources``, a map of file name to source.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{name} line {node.lineno}: {t}"
+                for t in targets
+                if t.startswith("_") and not t.startswith("__") and t not in read
+            ]
+    return dead
+
+
+def test_the_check_finds_a_dead_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_SEEN: int = 0\ndef _helper():\n    return _LIMIT\n",
+        "b.py": "from . import a\nclass _Box:\n    pass\nvalue = a._helper()\n",
+    }
+    assert dead_private_names(sources) == ["a.py line 2: _SEEN", "b.py line 2: _Box"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []
