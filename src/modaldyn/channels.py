@@ -15,8 +15,12 @@ one another through the Choi matrix. Conventions used throughout:
   completeness, by its constructor (Choi, Linear Algebra Appl. 10, 285,
   1975).
 
-Generators are exponentiated exactly (scaling-and-squaring ``expm``), never
-time-stepped, so semigroup identities hold to solver precision.
+A generator's map ``exp(t L)`` reaches a state or a table as a
+``GeneratorFlow``, applied by :func:`flow` without forming L: a truncated
+Taylor series with scaling whose degree and step count keep the backward
+error below unit round-off, so semigroup identities hold to solver
+precision. ``evolve`` forms the map as a Kraus family (one dense ``expm``),
+for the callers that need Kraus operators or the whole map.
 
 A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
 channel's operators act on the layout factors at ``positions``, listed in the
@@ -121,6 +125,145 @@ class LindbladGenerator:
         return self.hamiltonian.shape[0]
 
 
+def _duration(value: float) -> float:
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative: {value}")
+    return value
+
+
+@dataclass(frozen=True)
+class GeneratorFlow:
+    """The map ``exp(duration * L)`` of a generator, applied by :func:`flow`.
+
+    Only the generator and the duration are kept; the map itself is never
+    formed. Construction refuses a negative or non-finite duration.
+    """
+
+    generator: LindbladGenerator
+    duration: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "duration", _duration(self.duration))
+
+    @property
+    def dim(self) -> int:
+        return self.generator.dim
+
+
+# theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), for a
+# backward error of at most 2^-53: degree m of the Taylor polynomial -> the
+# largest 1-norm of the scaled argument it may take (m <= 30 from Higham,
+# Functions of Matrices, Table A.3; the rest from their Table 3.1).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
+    """``exp(duration * L)`` applied to each matrix of a stack ``(n, d, d)``.
+
+    Al-Mohy & Higham's truncated Taylor series with scaling (SIAM J. Sci.
+    Comput. 33, 488, 2011), on the generator's action
+    ``X -> K'X + XK'^dag + sum_k J_k X J_k^dag`` with ``J_k = sqrt(rate_k)
+    L_k`` and ``K' = -iH - 1/2 sum_k J_k^dag J_k - (mu/2) I``: the generator
+    less ``mu = Tr L / d^2``, which each of the s scaling steps restores as a
+    factor ``exp(t mu / s)``. The degree m and s minimise ``m ceil(t b /
+    theta_m)``, where ``b = 2 ||K'||_1 + sum_k ||J_k||_1^2`` bounds the
+    1-norm of ``L - mu I`` (``||A kron B||_1 = ||A||_1 ||B||_1``); their
+    backward-error bound holds for any upper bound on that norm, so no norm
+    is estimated and nothing is random. Each step's series stops early once
+    two terms are below 2^-53 of the sum, as in their Algorithm 3.2. At zero
+    duration the result equals the stack exactly.
+    """
+    g, t = f.generator, f.duration
+    mats = np.asarray(mats, dtype=complex)
+    n, d = mats.shape[0], g.dim
+    # the peak measured with tracemalloc (d = 16..128, n = 1..d+1, 1..6
+    # jumps): five stacks and 2 (jumps + 1) generator-sized matrices
+    check_memory(
+        (5 * n + 2 * len(g.jumps) + 3) * d * d,
+        f"flowing {n} matrices of dimension {d}",
+    )
+    k, jumps, mu, bound = _shifted_generator(g)
+    k_dag = k.conj().T
+    pairs = [(j, j.conj().T) for j in jumps]
+    m, s = _taylor_parameters(t * bound)
+    eta = math.exp(t * mu / s)
+    out = mats
+    for _ in range(s):
+        term = out
+        c1 = _abs_sum_max(term)
+        for j in range(1, m + 1):
+            nxt = k @ term
+            nxt += term @ k_dag
+            for op, op_dag in pairs:
+                nxt += op @ term @ op_dag
+            nxt *= t / (s * j)
+            term = nxt
+            c2 = _abs_sum_max(term)
+            out = out + term
+            if c1 + c2 <= _UNIT_ROUNDOFF * _abs_sum_max(out):
+                break
+            c1 = c2
+        out = eta * out
+    return out
+
+
+def _shifted_generator(
+    g: LindbladGenerator,
+) -> tuple[np.ndarray, list[np.ndarray], float, float]:
+    """``(K', [J_k], mu, b)`` of :func:`flow`, from the generator's data.
+
+    Entries too large for a float make ``b`` infinite or NaN, which
+    :func:`_taylor_parameters` refuses.
+    """
+    d = g.dim
+    with np.errstate(all="ignore"):
+        jumps = [math.sqrt(rate) * op for op, rate in g.jumps]
+        k = -1j * g.hamiltonian
+        for j in jumps:
+            k -= 0.5 * (j.conj().T @ j)
+        # Tr L = 2d Re Tr K + sum_k |Tr J_k|^2, from Tr(A kron B) = Tr A Tr B
+        tr_l = 2 * d * np.trace(k).real + sum(abs(np.trace(j)) ** 2 for j in jumps)
+        mu = float(tr_l) / d**2
+        k -= 0.5 * mu * np.eye(d)
+        norms = [_abs_sum_max(j) for j in jumps]
+        bound = 2 * _abs_sum_max(k) + sum(n * n for n in norms)
+    return k, jumps, mu, bound
+
+
+def _taylor_parameters(tb: float) -> tuple[int, int]:
+    """The degree m and the step count s minimising ``m ceil(tb / theta_m)``.
+
+    Ties go to the lower degree; ``tb = 0`` needs no term, ``(0, 1)``.
+    """
+    if not 0.0 <= tb < math.inf:
+        raise ValueError(
+            f"duration times the generator's norm bound is {tb}, not a finite number"
+        )
+    m, s = 0, 1
+    if tb > 0:
+        for degree, theta in _THETA.items():
+            n_steps = math.ceil(tb / theta)
+            if m == 0 or degree * n_steps < m * s:
+                m, s = degree, n_steps
+    return m, s
+
+
+def _abs_sum_max(a: np.ndarray) -> float:
+    """The 1-norm of a matrix; of a stack ``(n, d, d)``, the infinity norm of
+    its n matrices as columns of length ``d^2``."""
+    return float(np.abs(a).sum(axis=0).max())
+
+
 @dataclass(frozen=True)
 class Superoperator:
     """Dense matrix acting on row-major vectorized operators.
@@ -158,7 +301,7 @@ class Superoperator:
 
 Channel = Union[KrausChannel, Superoperator]
 Schedule = tuple[tuple[tuple[int, ...], KrausChannel], ...]
-Dynamics = Optional[Union[KrausChannel, Schedule]]
+Dynamics = Optional[Union[KrausChannel, Schedule, GeneratorFlow]]
 
 
 @dataclass(frozen=True)
@@ -200,27 +343,33 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel((u,))
 
 
-def steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
+def steps(
+    dynamics: Dynamics, layout: SystemLayout
+) -> Union[Schedule, GeneratorFlow]:
     """``dynamics`` as schedule steps; a channel is one step on every factor.
 
-    The one gate every consumer of dynamics passes. Anything but a
-    ``KrausChannel`` or a schedule of them is refused with a ``TypeError``
-    naming the conversion, since dynamics are applied through Kraus
-    operators. Each step's positions must be distinct factors of ``layout``,
-    and its channel's dim the product of their dims.
+    The one gate every consumer of dynamics passes. A ``GeneratorFlow``
+    passes through once its dim is the layout's. Anything but a
+    ``KrausChannel`` or a schedule of them is otherwise refused with a
+    ``TypeError`` naming the conversion. Each step's positions must be
+    distinct factors of ``layout``, and its channel's dim the product of
+    their dims.
     """
     if dynamics is None:
         return ()
+    if isinstance(dynamics, GeneratorFlow):
+        if dynamics.dim != layout.total_dim:
+            raise DimensionMismatchError(
+                f"generator dim {dynamics.dim} does not match dim "
+                f"{layout.total_dim} of layout {layout.labels}"
+            )
+        return dynamics
     factors = range(layout.n_factors)
     if not isinstance(dynamics, tuple):
         dynamics = ((tuple(factors), dynamics),)
     for positions, channel in dynamics:
         if not isinstance(channel, KrausChannel):
-            name = type(channel).__name__
-            raise TypeError(
-                "dynamics must be a KrausChannel or a schedule of them, "
-                f"not a {name}{_CONVERSIONS.get(name, '')}"
-            )
+            raise _not_kraus(channel)
         if len(set(positions)) != len(positions) or not set(positions) <= set(factors):
             raise LayoutMismatchError(
                 f"positions {positions} are not distinct factors of {layout.labels}"
@@ -234,27 +383,45 @@ def steps(dynamics: Dynamics, layout: SystemLayout) -> Schedule:
     return dynamics
 
 
+def _not_kraus(dynamics: object) -> TypeError:
+    """The refusal of ``dynamics`` where Kraus operators are needed, naming
+    the conversion."""
+    name = type(dynamics).__name__
+    return TypeError(
+        "dynamics must be a KrausChannel or a schedule of them, "
+        f"not a {name}{_CONVERSIONS.get(name, '')}"
+    )
+
+
 _CONVERSIONS = {
     "Superoperator": "; convert a Superoperator s first with "
     "KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))",
     "LindbladGenerator": "; convert a LindbladGenerator first with "
-    "evolve(generator, dt)",
+    "evolve(generator, dt), or with GeneratorFlow(generator, t) to carry "
+    "a state or a table",
+    "GeneratorFlow": "; its Kraus operators are evolve(generator, dt)",
 }
 
 
 def apply(dynamics: Dynamics, state: State) -> State:
     """Carry a state through ``dynamics``, revalidating it after each step.
 
-    ``dynamics`` is ``None``, a ``KrausChannel`` on every factor, or a
-    schedule; it passes the gate :func:`steps` once, and its steps then run
-    in order. A single-operator step keeps a ``PureState`` a ``PureState``,
-    contracting the operator into the amplitude tensor; any other step turns
-    it into its ``DensityMatrix`` first. On a ``DensityMatrix`` each Kraus
-    operator is contracted on the row axes and its conjugate on the column
-    axes.
+    ``dynamics`` is ``None``, a ``KrausChannel`` on every factor, a
+    schedule, or a ``GeneratorFlow``; it passes the gate :func:`steps` once.
+    A flow carries the state's ``DensityMatrix`` by :func:`flow`. A
+    schedule's steps run in order. A single-operator step keeps a
+    ``PureState`` a ``PureState``, contracting the operator into the
+    amplitude tensor; any other step turns it into its ``DensityMatrix``
+    first. On a ``DensityMatrix`` each Kraus operator is contracted on the
+    row axes and its conjugate on the column axes.
     """
     layout = state.layout
-    for positions, ch in steps(dynamics, layout):
+    dynamics = steps(dynamics, layout)
+    if isinstance(dynamics, GeneratorFlow):
+        if isinstance(state, PureState):
+            state = state.reduce(layout.labels)
+        return DensityMatrix(flow(dynamics, state.matrix[None])[0], layout)
+    for positions, ch in dynamics:
         if isinstance(state, PureState):
             if len(ch.operators) == 1:
                 amps = state.vector.reshape(layout.dims)
@@ -396,20 +563,23 @@ def lindblad_superoperator(g: LindbladGenerator) -> Superoperator:
 def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     """Exact channel ``exp(L * duration)`` as a Kraus family.
 
-    The exponential is taken in one scaling-and-squaring ``expm`` call. The
-    Kraus family is renormalized to exact completeness when the residual is
-    within ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
-    constructor's completeness check is the only check on the result:
-    complete positivity needs none, because a Kraus family's Choi matrix
-    ``W W^dag`` is positive semidefinite by construction. The route peaks at
-    about nine d^2 x d^2 complex arrays (measured), and is refused above the
-    memory budget before the first is allocated.
+    For the callers that need Kraus operators or the whole map: a trajectory
+    chain's step channel and the check of a ``lindblad`` channel file. A
+    state or a table is carried by a ``GeneratorFlow`` instead, which never
+    forms the map. Here the dense d^2 x d^2 exponential is taken in one
+    scaling-and-squaring ``expm`` call, read as a Choi matrix and decomposed
+    into at most d^2 Kraus operators. The family is renormalized to exact
+    completeness when the residual is within ``CPT_TOL``; larger residuals
+    raise. The ``KrausChannel`` constructor's completeness check is the only
+    check on the result: complete positivity needs none, because a Kraus
+    family's Choi matrix ``W W^dag`` is positive semidefinite by
+    construction. The route peaks at about nine d^2 x d^2 complex arrays
+    (measured), and is refused above the memory budget before the first is
+    allocated.
     """
     from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
 
-    duration = float(duration)
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative: {duration}")
+    duration = _duration(duration)
     check_memory(9 * g.dim**4, f"evolving a generator of dimension {g.dim}")
     total = expm(lindblad_superoperator(g).matrix * duration)
     ops = choi_to_kraus(_realign(total, g.dim), g.dim)

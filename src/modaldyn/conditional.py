@@ -13,15 +13,18 @@ channel carrying W from t to t'. Two special cases matter enough to get their
 own entry points: the single-time case (identity channel) and the
 single-subsystem two-time case (trivial partition).
 
-Every entry point is a slice of one kernel. In Kraus form the quantity is
-``sum_k |<b_1(i_1) kron ... kron b_n(i_n)| K_k |w>|^2``, which the kernel
-evaluates for all parent columns and block indices at once: it forms
-``K_k @ V_parent``, reorders the tensor factors into block order, and
-contracts each block's eigenbasis along its axes. A table is the full
-result; a scalar query is the kernel on one parent column and one basis
-vector per block; the step rows of a trajectory chain are the one-block case,
-stacked over the steps. Channels enter as Kraus families: a ``Superoperator``
-is refused, to be converted once by the caller. A schedule of local steps
+Every entry point is a slice of one kernel. For each parent column ``w`` it
+takes an amplitude stack ``A_w`` with ``A_w A_w^dag = E[P_W(w)]``, so the
+quantity is ``sum_r |<b_1(i_1) kron ... kron b_n(i_n)| A_w[:, r]|^2``,
+evaluated for all parent columns and block indices at once: it reorders the
+tensor factors into block order and contracts each block's eigenbasis along
+its axes. A Kraus family gives ``A_w[:, k] = K_k |w>``; a generator flow
+(see ``channels``) gives the eigen-factor ``V sqrt(lambda)`` of the flowed
+image of ``|w><w|``, all parent projectors flowed in one stacked call. A
+table is the full result; a scalar query is the kernel on one parent
+column and one basis vector per block; the step rows of a trajectory chain
+are the one-block case, stacked over the steps. A ``Superoperator`` is
+refused, to be converted once by the caller. A schedule of local steps
 ``(positions, channel)`` (see ``channels``) is accepted wherever a channel
 is: the parent vectors are pushed through the steps factor-locally, one
 branch per product of Kraus operators, and the blocks are read from the
@@ -36,18 +39,18 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import Dynamics, Schedule, apply, steps
+from .channels import Dynamics, GeneratorFlow, Schedule, apply, flow, steps
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     NormalizationError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout, apply_local
+from .linalg import SystemLayout, apply_local, check_memory
 from .states import DEFAULT_THRESHOLD, EpistemicState, State, extract_epistemic
 
 # Row sums must equal one within ROW_SUM_TOL in conditional tables and
@@ -162,10 +165,10 @@ def _block_probabilities(
     block_bases: Sequence[np.ndarray],
     part: Partition,
 ) -> np.ndarray:
-    """``probs[w, i_1..i_n] = sum_k |<b_1(i_1)..b_n(i_n)| K_k |w>|^2``.
+    """``probs[w, i_1..i_n] = sum_r |<b_1(i_1)..b_n(i_n)| A_w[:, r]|^2``.
 
-    ``amplitudes`` holds ``K_k @ V_parent`` for each Kraus operator, the
-    parent vectors ``|w>`` being the columns of ``V_parent`` over the
+    ``amplitudes[r]`` holds column ``r`` of every parent's stack ``A_w`` as
+    its column ``w`` (``K_r @ V_parent`` for a Kraus family), over the
     partition's layout; ``block_bases[a]`` holds block ``a``'s vectors as
     columns over that block's factors in layout order. Entries are real and
     nonnegative by construction; values above ``1 + CLAMP_TOL`` raise, and
@@ -209,20 +212,45 @@ def _spectra(
     channel: Dynamics,
     part: Partition,
     threshold: float,
-) -> tuple[Schedule, EpistemicState, tuple[EpistemicState, ...]]:
-    """The channel's schedule, the parent spectrum at t and block spectra after it."""
+) -> tuple[
+    Union[Schedule, GeneratorFlow], EpistemicState, tuple[EpistemicState, ...]
+]:
+    """The channel's steps or flow, the parent spectrum at t and block spectra after it."""
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
-    schedule = steps(channel, part.layout)
+    dynamics = steps(channel, part.layout)
     parent = extract_epistemic(rho_w_t, threshold)
-    rho_tprime = apply(schedule, rho_w_t)
+    rho_tprime = apply(dynamics, rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
     )
-    return schedule, parent, blocks
+    return dynamics, parent, blocks
+
+
+def _amplitudes(
+    dynamics: Union[Schedule, GeneratorFlow], basis: np.ndarray, layout: SystemLayout
+) -> Sequence[np.ndarray]:
+    """The kernel's amplitude stacks of the parent columns ``basis``.
+
+    A schedule gives ``K @ basis`` for each of its Kraus operators ``K``. A
+    flow gives, for each column ``w``, the eigen-factor ``V sqrt(lambda)``
+    of the flowed ``|w><w|`` (round-off negative eigenvalues clipped to 0),
+    stacked ``[r, :, w]``; the projectors are flowed in one stacked call.
+    """
+    if not isinstance(dynamics, GeneratorFlow):
+        return _kraus_amplitudes(dynamics, basis, layout)
+    d, n = basis.shape
+    # the projectors, their images, eigenvectors and factors, and the
+    # kernel's copies: at most 4.1 stacks at d = 16..64 (tracemalloc; the
+    # flow checks its own peak)
+    check_memory(5 * n * d * d, f"flowing {n} parent projectors of dimension {d}")
+    kets = basis.T
+    images = flow(dynamics, kets[:, :, None] * kets.conj()[:, None, :])
+    lam, vecs = np.linalg.eigh(images)
+    return (vecs * np.sqrt(np.maximum(lam, 0.0))[:, None, :]).transpose(2, 1, 0)
 
 
 def _validate_query(
@@ -266,10 +294,10 @@ def joint_conditional(
     precondition.
     """
     mode = _check_mode(mode)
-    schedule, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     w, idx = _validate_query(parent, blocks, w, indices, mode)
     probs = _block_probabilities(
-        _kraus_amplitudes(schedule, parent.vectors[:, w : w + 1], part.layout),
+        _amplitudes(dynamics, parent.vectors[:, w : w + 1], part.layout),
         [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx)],
         part,
     )
@@ -382,18 +410,18 @@ def conditional_table(
 
     ``channel=None`` means the identity (single-time table); a schedule of
     local steps ``(positions, KrausChannel)`` is applied step by step, with
-    no dense composed channel. In strict mode any degenerate cluster in the
-    parent or a block refuses the whole table, since a table necessarily
-    touches every entry.
+    no dense composed channel; a ``GeneratorFlow`` is applied matrix-free.
+    In strict mode any degenerate cluster in the parent or a block refuses
+    the whole table, since a table necessarily touches every entry.
     """
     mode = _check_mode(mode)
-    schedule, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
     if mode == STRICT:
         _refuse_any_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
     probs = _block_probabilities(
-        _kraus_amplitudes(schedule, parent.vectors, part.layout),
+        _amplitudes(dynamics, parent.vectors, part.layout),
         [b.vectors for b in blocks],
         part,
     )

@@ -17,10 +17,10 @@ import numpy as np
 
 from .channels import (
     Dynamics,
+    GeneratorFlow,
     LindbladGenerator,
     Schedule,
     apply,
-    evolve,
     unitary_channel,
 )
 from .errors import InvalidAmplitudesError
@@ -59,11 +59,12 @@ class Scenario:
     def dynamics_to(self, t: float) -> tuple[Dynamics, str]:
         """Dynamics that carry the initial state to time ``t``, and their id.
 
-        A generator runs for any ``t != 0`` (``evolve`` refuses ``t < 0``), a
-        schedule in full whatever ``t``; a static scenario has ``None``.
+        A generator gives its ``GeneratorFlow`` over ``t`` for any ``t != 0``
+        (the flow refuses ``t < 0``), a schedule runs in full whatever ``t``;
+        a static scenario has ``None``.
         """
         if self.generator is not None and t != 0:
-            return evolve(self.generator, float(t)), f"{self.name}:lindblad"
+            return GeneratorFlow(self.generator, t), f"{self.name}:lindblad"
         if self.schedule:
             return self.schedule, f"{self.name}:schedule"
         return None, "identity"

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, steps
+from .channels import GeneratorFlow, KrausChannel, _not_kraus, steps
 from .conditional import (
     CHAIN_ROW_SUM_TOL,
     STRICT,
@@ -211,11 +211,14 @@ def build_step_chain(
 
     ``step_channel`` carries the state over one grid step: for generator
     dynamics ``channels.evolve(generator, grid.dt)``, or any discrete map.
+    A ``GeneratorFlow`` has no Kraus operators and is refused.
     In strict mode any degenerate spectrum along the grid refuses the chain.
     """
     mode = _check_mode(mode)
     layout = rho0.layout
     step = steps(step_channel, layout)
+    if isinstance(step, GeneratorFlow):
+        raise _not_kraus(step)
     d = layout.total_dim
     ops = step_channel.operators
     n_times, n_steps = grid.n_steps + 1, grid.n_steps

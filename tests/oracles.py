@@ -55,6 +55,41 @@ def naive_kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_lindblad_expm(h, jumps, t: float) -> np.ndarray:
+    """``exp(t L)`` on column-stacked vectors, ``vec(X)[a + d b] = X[a, b]``.
+
+    Column ``a + d b`` of L is the generator's image of ``|a><b|``, formed
+    one basis matrix at a time from ``-i[H, X] + sum rate (J X J^dag -
+    {J^dag J, X}/2)`` over the ``(J, rate)`` pairs of ``jumps``; the matrix
+    is exponentiated by ``scipy.linalg.expm``. No Kronecker product and no
+    row-major vectorization is involved.
+    """
+    import scipy.linalg
+
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            x = np.zeros((d, d), dtype=complex)
+            x[a, b] = 1.0
+            image = -1j * (h @ x - x @ h)
+            for op, rate in jumps:
+                op = np.asarray(op, dtype=complex)
+                ldl = op.conj().T @ op
+                image += rate * (op @ x @ op.conj().T - 0.5 * (ldl @ x + x @ ldl))
+            gen[:, a + d * b] = image.reshape(-1, order="F")
+    return scipy.linalg.expm(t * gen)
+
+
+def naive_lindblad_apply(h, jumps, t: float, rho: np.ndarray) -> np.ndarray:
+    """``exp(t L)`` of :func:`naive_lindblad_expm` applied to one matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    vec = naive_lindblad_expm(h, jumps, t) @ rho.reshape(-1, order="F")
+    return vec.reshape(d, d, order="F")
+
+
 def naive_chain_states(operators, rho0: np.ndarray, n_steps: int) -> list[np.ndarray]:
     """``rho0`` and its images under 1..n_steps repeated applications of a Kraus map."""
     states = [np.asarray(rho0, dtype=complex)]

@@ -1,10 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modaldyn.cli import main
 from modaldyn.serialize import matrix_to_pairs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -561,6 +568,10 @@ CONFIG_ERRORS = {
         ("epistemic", "--scenario", "von-neumann", "--alpha2", "1.5"),
         "--alpha2 must lie in [0, 1]: 1.5",
     ),
+    "flow-norm-overflows": (
+        ("epistemic", "--scenario", "damping", "--gamma", "1e300", "--time", "1e10"),
+        "duration times the generator's norm bound is inf, not a finite number",
+    ),
     "rho0-unknown": (
         ("epistemic", "--scenario", "dephasing", "--rho0", "bogus"),
         "unknown --rho0 'bogus'; use plus, zero, one, or diag:p0,p1",
@@ -792,3 +803,94 @@ def test_verify_channel_over_the_memory_budget_exits_2(capsys, tmp_path, monkeyp
         "configuration error: evolving a generator of dimension 4 needs 36864 bytes, "
         "over the budget of 36863 bytes\n"
     )
+
+
+def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
+    """A random n-qubit state under a random three-jump generator, as a file."""
+    from modaldyn import Scenario, SystemLayout
+    from modaldyn.random_objects import random_density_matrix, random_lindblad
+    from modaldyn.serialize import scenario_to_document
+
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout.qubits(tuple(f"Q{k}" for k in range(1, n_qubits + 1)))
+    sc = Scenario(
+        name=f"lindblad-{n_qubits}",
+        layout=layout,
+        initial_state=random_density_matrix(layout, rng),
+        generator=random_lindblad(layout.total_dim, 3, rng),
+    )
+    path = tmp_path / f"lindblad-{n_qubits}.json"
+    path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
+    return str(path)
+
+
+def _fresh_process(argv, code=None):
+    """``(exit code, stdout bytes)`` of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    script = code or "import sys; from modaldyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_a_flowed_state_is_the_same_in_every_process(tmp_path):
+    # each process seeds numpy's global generator differently; on this file
+    # a flow that estimated norms from it (scipy's expm_multiply on a
+    # LinearOperator) gives two documents
+    path = _lindblad_scenario_file(tmp_path, 5, 40)
+    argv = ["epistemic", "--scenario", path, "--time", "0.5", "--subsystem", "Q1,Q2"]
+    script = (
+        "import sys, numpy; numpy.random.seed(int(sys.argv[1])); "
+        "from modaldyn.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    first, second = (_fresh_process([seed, *argv], script) for seed in ("1", "2"))
+    assert first[0] == 0 and first[1]
+    assert hashlib.sha256(first[1]).digest() == hashlib.sha256(second[1]).digest()
+
+
+def test_a_generator_time_query_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "from modaldyn import cli\n"
+        "code = cli.main(['epistemic', '--scenario', 'damping', '--time', '1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    code, out = _fresh_process([], script)
+    assert code == 0
+    assert out.decode().splitlines()[-1] == "0 []"
+
+
+def test_a_time_query_over_the_flow_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
+    from modaldyn import linalg
+
+    def refused(argv, budget, what, nbytes):
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", budget)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"configuration error: {what} needs {nbytes} bytes, "
+            f"over the budget of {budget} bytes\n"
+        )
+
+    # one 2 x 2 state and one jump: (5 + 2 + 3) 2 x 2 complex arrays
+    argv = ("epistemic", "--scenario", "damping", "--time", "1")
+    refused(argv, 639, "flowing 1 matrices of dimension 2", 640)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 640)
+    assert run(capsys, *argv)[0] == 0
+    # a table on 2 qubits, 3 jumps: the state (5 + 6 + 3 arrays of 4 x 4),
+    # then its 4 parent projectors (5 stacks) and their flow (20 + 6 + 3)
+    path = _lindblad_scenario_file(tmp_path, 2, 44)
+    argv = ("conditional", "--scenario", path, "--time", "1", "--blocks", "Q1,Q2")
+    refused(argv, 3583, "flowing 1 matrices of dimension 4", 3584)
+    refused(argv, 5119, "flowing 4 parent projectors of dimension 4", 5120)
+    refused(argv, 7423, "flowing 4 matrices of dimension 4", 7424)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 7424)
+    assert run(capsys, *argv, "--mode", "permissive")[0] == 0
+
+
+def test_a_six_qubit_generator_time_query_runs(capsys, tmp_path):
+    path = _lindblad_scenario_file(tmp_path, 6, 43)
+    code, out, err = run(capsys, "epistemic", "--scenario", path, "--time", "0.5")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["probabilities"]) == 64
