@@ -19,8 +19,10 @@ A generator's map ``exp(t L)`` reaches a state or a table as a
 ``GeneratorFlow``, applied by :func:`flow` without forming L: a truncated
 Taylor series with scaling whose degree and step count keep the backward
 error below unit round-off, so semigroup identities hold to solver
-precision. ``evolve`` forms the map as a Kraus family (one dense ``expm``),
-for the callers that need Kraus operators or the whole map.
+precision. Its work grows with the duration, and a flow over a fixed work
+budget is refused before it starts. ``evolve`` forms the map as a Kraus
+family (one dense ``expm``), for the callers that need Kraus operators or
+the whole map.
 
 A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
 channel's operators act on the layout factors at ``positions``, listed in the
@@ -45,6 +47,7 @@ from .errors import (
     LayoutMismatchError,
     NotHermitianError,
     NotUnitaryError,
+    ProblemTooLargeError,
 )
 from .linalg import HERMITICITY_TOL, SystemLayout, apply_local, check_memory
 from .states import DensityMatrix, PureState, State
@@ -153,8 +156,13 @@ class GeneratorFlow:
 
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), for a
 # backward error of at most 2^-53: degree m of the Taylor polynomial -> the
-# largest 1-norm of the scaled argument it may take (m <= 30 from Higham,
-# Functions of Matrices, Table A.3; the rest from their Table 3.1).
+# largest 1-norm of the scaled argument it may take (Higham, Functions of
+# Matrices, Table A.3). Their degrees 35..55 (theta up to 9.9) are left out:
+# a step's terms then reach e^theta / sqrt(2 pi theta), about 2,500 times
+# the result, and the round-off of thousands of such steps adds up. A
+# qubit under H = Z alone, flowed for 10,000 time units from |+>, kept a
+# spurious eigenvalue of 1.6e-10 with them and 9e-14 without, at about
+# half again as many terms.
 _THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
@@ -162,9 +170,15 @@ _THETA = {
     16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
     21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+
+# Most work one flow may take, in complex multiply-adds, and numpy's
+# overhead per array operation counted in the same unit. Measured with one
+# BLAS thread, a multiply-add in a batched product took 0.06 to 0.24 ns and
+# an operation on 2 x 2 matrices 1 to 2 us: the budget is 5 to 20 s.
+FLOW_WORK_BUDGET = 1 << 36
+_CALL_OVERHEAD = 1 << 13
 
 
 def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
@@ -182,20 +196,17 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
     is estimated and nothing is random. Each step's series stops early once
     two terms are below 2^-53 of the sum, as in their Algorithm 3.2. At zero
     duration the result equals the stack exactly.
+
+    The work grows with ``duration * b``, since an action cannot be squared:
+    a flow over ``FLOW_WORK_BUDGET`` multiply-adds, or over the memory
+    budget, is refused with :class:`ProblemTooLargeError` before it starts
+    (:func:`check_flow`).
     """
-    g, t = f.generator, f.duration
     mats = np.asarray(mats, dtype=complex)
-    n, d = mats.shape[0], g.dim
-    # the peak measured with tracemalloc (d = 16..128, n = 1..d+1, 1..6
-    # jumps): five stacks and 2 (jumps + 1) generator-sized matrices
-    check_memory(
-        (5 * n + 2 * len(g.jumps) + 3) * d * d,
-        f"flowing {n} matrices of dimension {d}",
-    )
-    k, jumps, mu, bound = _shifted_generator(g)
+    t = f.duration
+    k, jumps, mu, m, s = _flow_plan(f, mats.shape[0])
     k_dag = k.conj().T
     pairs = [(j, j.conj().T) for j in jumps]
-    m, s = _taylor_parameters(t * bound)
     eta = math.exp(t * mu / s)
     out = mats
     for _ in range(s):
@@ -215,6 +226,38 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
             c1 = c2
         out = eta * out
     return out
+
+
+def check_flow(f: GeneratorFlow, n: int) -> None:
+    """Refuse a flow of ``n`` matrices over the memory or the work budget."""
+    _flow_plan(f, n)
+
+
+def _flow_plan(
+    f: GeneratorFlow, n: int
+) -> tuple[np.ndarray, list[np.ndarray], float, int, int]:
+    """``(K', [J_k], mu, m, s)`` of a flow of ``n`` matrices, refused with
+    :class:`ProblemTooLargeError` over either budget before it starts."""
+    g, t, d = f.generator, f.duration, f.dim
+    # the peak measured with tracemalloc (d = 16..128, n = 1..d+1, 1..6
+    # jumps): five stacks and 2 (jumps + 1) generator-sized matrices
+    check_memory(
+        (5 * n + 2 * len(g.jumps) + 3) * d * d,
+        f"flowing {n} matrices of dimension {d}",
+    )
+    k, jumps, mu, bound = _shifted_generator(g)
+    m, s = _taylor_parameters(t * bound)
+    # each term takes 2 + 2 jumps products of n d x d matrices and nine
+    # other array operations
+    products = 2 + 2 * len(jumps)
+    work = m * s * (products * n * d**3 + (products + 9) * _CALL_OVERHEAD)
+    if work > FLOW_WORK_BUDGET:
+        raise ProblemTooLargeError(
+            f"flowing {n} matrices of dimension {d} for a duration of {t:g} "
+            f"takes {s} steps of degree {m}, about {work:.2e} multiply-adds, "
+            f"over the budget of {FLOW_WORK_BUDGET:.2e}"
+        )
+    return k, jumps, mu, m, s
 
 
 def _shifted_generator(

@@ -43,14 +43,22 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import Dynamics, GeneratorFlow, Schedule, apply, flow, steps
+from .channels import (
+    Dynamics,
+    GeneratorFlow,
+    Schedule,
+    apply,
+    check_flow,
+    flow,
+    steps,
+)
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     NormalizationError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout, apply_local, check_memory
+from .linalg import SystemLayout, apply_local
 from .states import DEFAULT_THRESHOLD, EpistemicState, State, extract_epistemic
 
 # Row sums must equal one within ROW_SUM_TOL in conditional tables and
@@ -212,16 +220,23 @@ def _spectra(
     channel: Dynamics,
     part: Partition,
     threshold: float,
+    every_ket: bool = False,
 ) -> tuple[
     Union[Schedule, GeneratorFlow], EpistemicState, tuple[EpistemicState, ...]
 ]:
-    """The channel's steps or flow, the parent spectrum at t and block spectra after it."""
+    """The channel's steps or flow, the parent spectrum at t and block spectra after it.
+
+    With ``every_ket`` (a table), a flow of every retained parent projector
+    is checked against the flow's budgets before the state is flowed.
+    """
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
     dynamics = steps(channel, part.layout)
     parent = extract_epistemic(rho_w_t, threshold)
+    if every_ket and isinstance(dynamics, GeneratorFlow):
+        check_flow(dynamics, parent.vectors.shape[1])
     rho_tprime = apply(dynamics, rho_w_t)
     blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
@@ -242,11 +257,10 @@ def _amplitudes(
     """
     if not isinstance(dynamics, GeneratorFlow):
         return _kraus_amplitudes(dynamics, basis, layout)
-    d, n = basis.shape
     # the projectors, their images, eigenvectors and factors, and the
-    # kernel's copies: at most 4.1 stacks at d = 16..64 (tracemalloc; the
-    # flow checks its own peak)
-    check_memory(5 * n * d * d, f"flowing {n} parent projectors of dimension {d}")
+    # kernel's copies take at most 4.1 stacks at d = 16..64 (tracemalloc),
+    # within the estimate of a flow of n matrices, which was checked when
+    # the state was flowed (n = 1) or before it (a table)
     kets = basis.T
     images = flow(dynamics, kets[:, :, None] * kets.conj()[:, None, :])
     lam, vecs = np.linalg.eigh(images)
@@ -415,7 +429,7 @@ def conditional_table(
     the whole table, since a table necessarily touches every entry.
     """
     mode = _check_mode(mode)
-    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold, True)
     if mode == STRICT:
         _refuse_any_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):

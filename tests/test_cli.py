@@ -572,6 +572,11 @@ CONFIG_ERRORS = {
         ("epistemic", "--scenario", "damping", "--gamma", "1e300", "--time", "1e10"),
         "duration times the generator's norm bound is inf, not a finite number",
     ),
+    "flow-over-work-budget": (
+        ("epistemic", "--scenario", "damping", "--time", "1e9"),
+        "flowing 1 matrices of dimension 2 for a duration of 1e+09 takes 423728814 "
+        "steps of degree 30, about 1.35e+15 multiply-adds, over the budget of 6.87e+10",
+    ),
     "rho0-unknown": (
         ("epistemic", "--scenario", "dephasing", "--rho0", "bogus"),
         "unknown --rho0 'bogus'; use plus, zero, one, or diag:p0,p1",
@@ -878,15 +883,36 @@ def test_a_time_query_over_the_flow_memory_budget_exits_2(capsys, tmp_path, monk
     refused(argv, 639, "flowing 1 matrices of dimension 2", 640)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 640)
     assert run(capsys, *argv)[0] == 0
-    # a table on 2 qubits, 3 jumps: the state (5 + 6 + 3 arrays of 4 x 4),
-    # then its 4 parent projectors (5 stacks) and their flow (20 + 6 + 3)
+    # a table on 2 qubits, 3 jumps: its 4 parent projectors flow as one
+    # stack of (20 + 6 + 3) 4 x 4 arrays, checked before the state flows
     path = _lindblad_scenario_file(tmp_path, 2, 44)
     argv = ("conditional", "--scenario", path, "--time", "1", "--blocks", "Q1,Q2")
-    refused(argv, 3583, "flowing 1 matrices of dimension 4", 3584)
-    refused(argv, 5119, "flowing 4 parent projectors of dimension 4", 5120)
     refused(argv, 7423, "flowing 4 matrices of dimension 4", 7424)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 7424)
     assert run(capsys, *argv, "--mode", "permissive")[0] == 0
+
+
+def test_a_time_query_over_the_flow_work_budget_exits_2_before_it_flows(
+    capsys, tmp_path, monkeypatch
+):
+    from modaldyn import channels
+
+    flowed = []
+    flow = channels.flow
+    monkeypatch.setattr(channels, "flow", lambda f, mats: flowed.append(mats) or flow(f, mats))
+    # the same table: 9 steps of degree 29 take 3.648e7 multiply-adds for
+    # its state, which fit this budget, and 3.688e7 for its 4 projectors
+    monkeypatch.setattr(channels, "FLOW_WORK_BUDGET", 36_700_000)
+    path = _lindblad_scenario_file(tmp_path, 2, 44)
+    assert run(capsys, "epistemic", "--scenario", path, "--time", "1")[0] == 0
+    assert len(flowed) == 1
+    code, out, err = run(
+        capsys, "conditional", "--scenario", path, "--time", "1", "--blocks", "Q1,Q2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: flowing 4 matrices of dimension 4 ")
+    assert err.endswith(" multiply-adds, over the budget of 3.67e+07\n")
+    assert len(flowed) == 1
 
 
 def test_a_six_qubit_generator_time_query_runs(capsys, tmp_path):

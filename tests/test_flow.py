@@ -13,6 +13,7 @@ from modaldyn import (
     GeneratorFlow,
     LindbladGenerator,
     Partition,
+    ProblemTooLargeError,
     PureState,
     SystemLayout,
     TimeGrid,
@@ -148,6 +149,47 @@ def test_flowing_twice_equals_flowing_once_for_twice_as_long():
     twice = apply(GeneratorFlow(g, 0.7), apply(GeneratorFlow(g, 0.7), rho))
     once = apply(GeneratorFlow(g, 1.4), rho)
     assert np.abs(twice.matrix - once.matrix).max() < FLOW_TOL
+
+
+def test_a_long_unitary_flow_keeps_its_state_pure():
+    # H = Z from |+>: 2,000 radians, 283 steps of degree 30; with degrees to
+    # 55 (theta 9.9) the series cancels terms 2,500 times the result and
+    # the state was 1.0e-11 off
+    g = LindbladGenerator(np.diag([1.0, -1.0]).astype(complex))
+    got = flow(GeneratorFlow(g, 1000.0), np.full((1, 2, 2), 0.5, dtype=complex))[0]
+    phase = np.exp(-2000j)
+    want = 0.5 * np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+    assert np.abs(got - want).max() < FLOW_TOL
+
+
+def test_a_flow_over_the_work_budget_is_refused_before_it_starts(monkeypatch):
+    # one jump on a qubit for 1 time unit: degree 21, one step, each term
+    # four products of a 2 x 2 stack and 13 array operations
+    work = 21 * (4 * 8 + 13 * 2**13)
+    g = LindbladGenerator(
+        np.zeros((2, 2)), ((np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0),)
+    )
+    stack = np.full((1, 2, 2), 0.5, dtype=complex)
+    stack_norms = []
+    abs_sum_max = channels._abs_sum_max
+
+    def spy_norm(a):
+        if a.ndim == 3:
+            stack_norms.append(a)
+        return abs_sum_max(a)
+
+    monkeypatch.setattr(channels, "_abs_sum_max", spy_norm)
+    monkeypatch.setattr(channels, "FLOW_WORK_BUDGET", work - 1)
+    with pytest.raises(
+        ProblemTooLargeError,
+        match=r"^flowing 1 matrices of dimension 2 for a duration of 1 takes 1 steps "
+        r"of degree 21, about 2\.24e\+06 multiply-adds, over the budget of 2\.24e\+06$",
+    ):
+        flow(GeneratorFlow(g, 1.0), stack)
+    assert stack_norms == []
+    monkeypatch.setattr(channels, "FLOW_WORK_BUDGET", work)
+    flow(GeneratorFlow(g, 1.0), stack)
+    assert stack_norms
 
 
 def test_a_zero_duration_flow_is_exactly_the_identity():
