@@ -143,16 +143,20 @@ def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
     if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        raise ConfigError(
-            f"sampling needs --seed or the {SEED_ENV_VAR} environment variable"
-        )
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
+        seed, source = arg_seed, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            raise ConfigError(
+                f"sampling needs --seed or the {SEED_ENV_VAR} environment variable"
+            )
+        try:
+            seed, source = int(env), SEED_ENV_VAR
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0: {seed}")
+    return seed
 
 
 def _write(text: str, path: Optional[str]) -> None:

@@ -23,7 +23,7 @@ from .errors import LayoutMismatchError, ModalDynError
 from .linalg import SystemLayout, apply_local, check_memory
 from .scenarios import Scenario
 from .states import DensityMatrix, EpistemicState, PureState
-from .trajectories import EnsembleReport, Trajectory
+from .trajectories import RNG_CONTRACT, EnsembleReport, Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -175,6 +175,7 @@ def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
         "kind": "trajectory",
         "scenario": scenario,
         "seed": traj.seed,
+        "rng": dict(RNG_CONTRACT),
         "points": [[float(t), int(i), float(p)] for t, i, p in traj.points],
     }
 
@@ -197,6 +198,7 @@ def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
         "max_abs_deviation": float(report.max_abs_deviation),
         "sample_count": int(report.sample_count),
         "base_seed": int(report.base_seed),
+        "rng": dict(RNG_CONTRACT),
     }
 
 

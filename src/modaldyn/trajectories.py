@@ -25,21 +25,26 @@ a trajectory label follows one physical branch through eigenvalue crossings
 instead of jumping with the descending-eigenvalue sort order. Labels are
 created as branches appear (rank growth) and retired as they vanish.
 
-Randomness: each trajectory uses its own PCG64 generator seeded explicitly;
-a trajectory draws ``n_steps + 1`` uniforms up front, the first selecting the
-initial entry and the k-th thereafter selecting the jump at step k. Ensembles
-use consecutive seeds ``base_seed .. base_seed + n - 1``, which makes every
-sample reproducible in isolation and the aggregate independent of execution
-order. ``_uniforms`` is the one place this contract is written, and
-``StepChain._walk`` the one walk: a single trajectory is its one-row case,
-and an ensemble walks budget-sized blocks of at most ``ENSEMBLE_BLOCK``
-trajectories, so its memory does not grow with the number of trajectories.
+Randomness: trajectory ``i`` of an ensemble with base seed ``s`` draws its
+``n_steps + 1`` uniforms up front, the first selecting the initial entry and
+the k-th thereafter selecting the jump at step k. They are row
+``i mod ENSEMBLE_BLOCK`` of ``Generator(PCG64([s, i // ENSEMBLE_BLOCK]))
+.random((ENSEMBLE_BLOCK, n_steps + 1))``, drawn row-major: one keyed
+generator per block of 4,096 trajectories, not one per trajectory. Every
+trajectory is reproducible by drawing its block, and the aggregate does not
+depend on execution order or on how a block is sliced to fit memory. A
+single sample with seed ``s`` is trajectory 0. ``_uniforms`` is the one place
+this contract is written, and ``StepChain._walk`` the one walk: a single
+trajectory is its one-row case, and an ensemble walks budget-sized slices of
+at most ``ENSEMBLE_BLOCK`` trajectories, so its memory does not grow with the
+number of trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -56,10 +61,17 @@ from .errors import InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
 from .states import DEFAULT_THRESHOLD, DensityMatrix, _density_fault, _read_spectra
 
-# Trajectories per block of an ensemble walk. A fixed count rather than a
-# fixed number of uniforms: blocks of 2^20 uniforms walk a 4,096-step chain
-# 255 trajectories at a time, which took 1.3x as long.
+# Trajectories per keyed generator: part of the RNG contract, not a tuning
+# value, since changing it changes every draw past trajectory 4,095. It is
+# also the largest walk slice of an ensemble: in fresh processes, slices of
+# 2,048 were no faster at 65 and 257 grid points.
 ENSEMBLE_BLOCK = 4096
+
+# The RNG contract as documents name it; the version counts contract changes
+# (1 was one PCG64(base_seed + i) per trajectory).
+RNG_CONTRACT = {
+    "algorithm": "PCG64", "block_size": ENSEMBLE_BLOCK, "contract_version": 2
+}
 
 
 @dataclass(frozen=True)
@@ -168,17 +180,22 @@ class StepChain:
         the entry held at ``k - 1`` (the initial row at ``k = 0``), the
         number of cumulative values ``<= u``: the inverse CDF. The pick is
         clamped to the last kept entry, which also covers round-off leaving
-        the row's last cumulative value below ``u``.
+        the row's last cumulative value below ``u``. Cumulative rows do not
+        decrease, so counting over the columns before the last kept entry
+        applies the clamp; each column is one gather of the held rows.
         """
-        entries = np.empty(uniforms.shape, dtype=int)
+        picks = np.zeros(uniforms.shape[::-1], dtype=int)  # [time, trajectory]
         held = np.zeros(len(uniforms), dtype=int)
-        for k, (cum, last) in enumerate(zip(self.cum, self.counts - 1)):
-            picked = (cum[held] <= uniforms[:, k, None]).sum(axis=1)
-            held = entries[:, k] = np.minimum(picked, last)
-        return entries
+        cum_t = np.ascontiguousarray(self.cum.transpose(0, 2, 1))  # [k, column, row]
+        for u, columns, picked, n in zip(uniforms.T, cum_t, picks, self.counts.tolist()):
+            for column in columns[: n - 1]:
+                picked += column[held] <= u
+            held = picked
+        return picks.T
 
     def sample(self, seed: int) -> Trajectory:
-        entries = self._walk(_uniforms(int(seed), 1, self.n_times))[0]
+        """Trajectory 0 of the ensemble with base seed ``seed``."""
+        entries = self._walk(next(_uniforms(int(seed), 1, self.n_times, 1)))[0]
         at = np.arange(self.n_times)
         points = zip(
             self.grid.times.tolist(),
@@ -188,16 +205,28 @@ class StepChain:
         return Trajectory(points=tuple(points), seed=int(seed))
 
 
-def _uniforms(first_seed: int, n_rows: int, n_times: int) -> np.ndarray:
-    """Row ``i`` is ``PCG64(first_seed + i).random(n_times)``, for ``i < n_rows``.
+def _uniforms(
+    base_seed: int, n_rows: int, n_times: int, max_rows: int
+) -> Iterator[np.ndarray]:
+    """Uniforms ``[trajectory, time]`` of trajectories ``0 .. n_rows - 1``.
 
-    The package's RNG contract: trajectory ``first_seed + i`` draws these
-    uniforms, whatever else is drawn with it.
+    The package's RNG contract: trajectory ``i`` reads row
+    ``i mod ENSEMBLE_BLOCK`` of ``Generator(PCG64([base_seed, b]))
+    .random((ENSEMBLE_BLOCK, n_times))`` with ``b = i // ENSEMBLE_BLOCK``.
+    Yields consecutive slices of at most ``max_rows`` rows, none across a
+    block; a block's slices come from its one generator in turn and give the
+    rows of one whole draw, whatever their size. Every slice is drawn into
+    one buffer, which the next slice overwrites: with a fresh array per
+    slice, 10^6 trajectories of 65 grid points took twice as long and
+    395,000 page faults against 13,000.
     """
-    out = np.empty((n_rows, n_times))
-    for i in range(n_rows):
-        out[i] = np.random.Generator(np.random.PCG64(first_seed + i)).random(n_times)
-    return out
+    buffer = np.empty((min(max_rows, n_rows), n_times))
+    for first in range(0, n_rows, ENSEMBLE_BLOCK):
+        key = [base_seed, first // ENSEMBLE_BLOCK]
+        generator = np.random.Generator(np.random.PCG64(key))
+        end = min(first + ENSEMBLE_BLOCK, n_rows)
+        for start in range(first, end, max_rows):
+            yield generator.random(out=buffer[: min(max_rows, end - start)])
 
 
 def build_step_chain(
@@ -303,29 +332,32 @@ def build_step_chain(
 
 
 def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleReport:
-    """Aggregate ``n_samples`` trajectories of ``chain`` with seeds ``base_seed + k``.
+    """Aggregate trajectories ``0 .. n_samples - 1`` of base seed ``base_seed``.
 
-    Trajectories are walked together in consecutive blocks of
-    ``ENSEMBLE_BLOCK``, each with the uniforms of its own seeded generator,
-    and their label counts are added up; so results are bit-identical to
-    sampling the trajectories one by one, and no array grows with
-    ``n_samples``. A block holds 16 bytes per grid point and trajectory, so
-    a long chain walks fewer at a time to stay within the memory budget; the
-    chain's own memory guard has left room for one.
+    Trajectories are walked together in consecutive slices of at most
+    ``ENSEMBLE_BLOCK``, with the uniforms the RNG contract gives them (see
+    ``_uniforms``), and their entry counts are added up; so results are
+    bit-identical to sampling the trajectories one by one, and no array
+    grows with ``n_samples``. A slice holds 17 bytes per grid point and
+    trajectory (its uniforms, its picks and a mask that counts them), so a
+    long chain walks fewer at a time to stay within the memory budget; the
+    counts do not depend on the slice size. The chain's own memory guard has
+    left room for one.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
-    n_times = chain.n_times
-    block = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (16 * n_times))
-    counts = np.zeros((n_times, chain.n_labels), dtype=np.int64)
-    for start in range(0, n_samples, block):
-        n_rows = min(block, n_samples - start)
-        entries = chain._walk(_uniforms(int(base_seed) + start, n_rows, n_times))
-        for k in range(n_times):
-            labels_k = chain.labels[k, entries[:, k]]
-            counts[k] += np.bincount(labels_k, minlength=chain.n_labels)
-        del entries  # before the next block's arrays are allocated
+    n_times, m = chain.cum.shape[:2]
+    rows = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (17 * n_times))
+    # at_least[k, e]: trajectories on entry e or a later one at grid point k
+    at_least = np.zeros((n_times, m + 1), dtype=np.int64)
+    at_least[:, 0] = n_samples
+    for uniforms in _uniforms(int(base_seed), n_samples, n_times, rows):
+        entries = chain._walk(uniforms)
+        for e in range(1, m):
+            at_least[:, e] += np.count_nonzero(entries >= e, axis=0)
+        del entries  # before the next slice's picks are allocated
+    counts = chain._by_label(at_least[:, :-1] - at_least[:, 1:])
     frequencies = counts / n_samples
     eigenvalues = chain.eigenvalue_table()
     max_dev = float(np.abs(frequencies - eigenvalues).max())

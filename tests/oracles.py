@@ -200,18 +200,24 @@ def naive_ordered_columns(w, v) -> np.ndarray:
     return np.column_stack([cols[j] for j in reversed(order)])
 
 
-def naive_walk(initial_probs, raw_rows, seed) -> list[int]:
+def naive_walk(initial_probs, raw_rows, seed, trajectory=0) -> list[int]:
     """Entry indices of one trajectory through a step chain, one draw at a time.
 
-    ``PCG64(seed).random(n_times)`` gives one uniform per grid point. The
-    first picks the initial entry from ``initial_probs``; the k-th picks the
-    entry at grid point k from the row ``raw_rows[k - 1][e]`` of the entry
-    ``e`` held at k - 1. Each pick is the inverse CDF: ``searchsorted`` of
-    the uniform on the cumulative normalized weights, clamped to the last
-    entry.
+    Trajectory ``i`` of base seed ``seed`` reads row ``i mod 4096`` of the
+    row-major ``(4096, n_times)`` draw of ``PCG64([seed, i // 4096])``: its
+    own generator, advanced past the ``(i mod 4096) * n_times`` doubles of
+    the rows before it (one 64-bit output each), gives its ``n_times``
+    uniforms. The first picks the initial entry from ``initial_probs``; the
+    k-th picks the entry at grid point k from the row ``raw_rows[k - 1][e]``
+    of the entry ``e`` held at k - 1. Each pick is the inverse CDF:
+    ``searchsorted`` of the uniform on the cumulative normalized weights,
+    clamped to the last entry.
     """
     n_times = len(raw_rows) + 1
-    uniforms = np.random.Generator(np.random.PCG64(int(seed))).random(n_times)
+    block, row = divmod(int(trajectory), 4096)
+    bits = np.random.PCG64([int(seed), block])
+    bits.advance(row * n_times)
+    uniforms = np.random.Generator(bits).random(n_times)
     entries = []
     for k in range(n_times):
         weights = np.asarray(initial_probs if k == 0 else raw_rows[k - 1][entries[-1]])

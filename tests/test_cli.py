@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modaldyn import cli
 from modaldyn.cli import main
 from modaldyn.serialize import matrix_to_pairs
 
@@ -118,6 +119,41 @@ def test_sample_seed_flag_overrides_env(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (("--seed", "-1"), "7", "--seed must be >= 0: -1"),
+        ((), "-3", "MODALDYN_SEED must be >= 0: -3"),
+    ],
+    ids=["flag", "env"],
+)
+def test_a_negative_seed_exits_2_before_the_chain_is_built(
+    capsys, monkeypatch, flag, env, message
+):
+    def build_step_chain(*args, **kwargs):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(cli, "build_step_chain", build_step_chain)
+    monkeypatch.setenv("MODALDYN_SEED", env)
+    code, out, err = run(
+        capsys, "sample", "--scenario", "damping", "--t", "1", "--steps", "20000",
+        "--n", "2", *flag,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_sample_documents_name_their_rng_contract(capsys, n):
+    code, out, _ = run(
+        capsys, "sample", "--scenario", "damping", "--t", "1", "--steps", "4",
+        "--n", n, "--seed", "5",
+    )
+    assert code == 0
+    rng = {"algorithm": "PCG64", "block_size": 4096, "contract_version": 2}
+    assert json.loads(out)["rng"] == rng
 
 
 def test_sample_static_scenario_rejected(capsys):

@@ -83,3 +83,52 @@ def test_the_check_finds_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def rng_constructors(sources: dict[str, str]) -> list[str]:
+    """``file: function`` for each function that constructs a ``PCG64``.
+
+    A construction is a call of ``PCG64`` by name or as an attribute
+    (``np.random.PCG64``); one at module level counts as ``<module>``.
+    ``sources`` maps file name to source.
+    """
+    found = []
+
+    def visit(node, file, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name == "PCG64" and f"{file}: {function}" not in found:
+                found.append(f"{file}: {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, function)
+
+    for file, source in sources.items():
+        visit(ast.parse(source), file, "<module>")
+    return found
+
+
+def test_the_check_finds_a_second_rng_construction():
+    sources = {
+        "a.py": (
+            "import numpy as np\n"
+            "def _draw(seed):\n"
+            "    bits = np.random.PCG64(seed)\n"
+            "    return np.random.Generator(np.random.PCG64([seed, 1])), bits\n"
+        ),
+        "b.py": (
+            "from numpy.random import PCG64\n"
+            "DEFAULT = PCG64(0)\n"
+            "class Walker:\n"
+            "    def draw(self):\n"
+            "        return PCG64(1)\n"
+        ),
+    }
+    assert rng_constructors(sources) == ["a.py: _draw", "b.py: <module>", "b.py: draw"]
+
+
+def test_the_rng_contract_is_constructed_in_one_function():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert rng_constructors(sources) == ["trajectories.py: _uniforms"]

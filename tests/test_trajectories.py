@@ -137,15 +137,21 @@ def test_ensemble_matches_sequential_sampling_bitwise():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 0.25, 4)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
-    n = 64
+    n = ENSEMBLE_BLOCK + 64  # and 64 trajectories of the second block
     base = 1234
     report = run_ensemble(chain, n_samples=n, base_seed=base)
+    at = np.arange(chain.n_times)
     counts = np.zeros_like(report.frequencies)
-    for i in range(n):
-        traj = chain.sample(base + i)
-        for k, (_, label, _) in enumerate(traj.points):
-            counts[k, label] += 1
+    for block in range(2):
+        bits = np.random.PCG64([base, block])
+        draw = np.random.Generator(bits).random((ENSEMBLE_BLOCK, chain.n_times))
+        for row in draw[: n - block * ENSEMBLE_BLOCK]:
+            counts[at, chain.labels[at, chain._walk(row[None])[0]]] += 1
     assert np.array_equal(report.frequencies, counts / n)
+    # a single sample with seed s is trajectory 0 of base seed s
+    first = np.random.Generator(np.random.PCG64([base, 0])).random((1, chain.n_times))
+    labels = chain.labels[at, chain._walk(first)[0]]
+    assert [label for _, label, _ in chain.sample(base).points] == labels.tolist()
 
 
 def _unpadded(chain):
@@ -183,6 +189,30 @@ def test_sample_matches_naive_walk(dims, n_ops, n_steps, seed):
         assert chain.sample(s).points == want
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_walk_picks_what_a_gathered_row_count_picks(dims, n_ops, n_steps, seed):
+    # the earlier walk: gather each held row, count its values <= u, clamp
+    rng = np.random.default_rng(seed)
+    chain = _random_chain(dims, n_ops, n_steps, rng)
+    n_times, m = chain.cum.shape[:2]
+    # uniforms that hit cumulative values exactly, and both ends of [0, 1)
+    ties = rng.choice(chain.cum.ravel(), size=(300, n_times))
+    ends = np.array([[0.0], [np.nextafter(1.0, 0.0)]]).repeat(n_times, axis=1)
+    uniforms = np.concatenate((rng.random((300, n_times)), ties % 1.0, ends))
+    want = np.empty(uniforms.shape, dtype=int)
+    held = np.zeros(len(uniforms), dtype=int)
+    for k in range(n_times):
+        picked = (chain.cum[k][held] <= uniforms[:, k, None]).sum(axis=1)
+        held = want[:, k] = np.minimum(picked, chain.counts[k] - 1)
+    assert np.array_equal(chain._walk(uniforms), want)
+
+
 def test_ensemble_counts_match_naive_walks_across_blocks():
     chain = _random_chain([3], 2, 3, np.random.default_rng(5))
     n = 2 * ENSEMBLE_BLOCK + 123  # three blocks, the last one partial
@@ -190,7 +220,7 @@ def test_ensemble_counts_match_naive_walks_across_blocks():
     report = run_ensemble(chain, n_samples=n, base_seed=base)
     counts = np.zeros_like(report.frequencies)
     for i in range(n):
-        for k, e in enumerate(naive_walk(*_unpadded(chain), base + i)):
+        for k, e in enumerate(naive_walk(*_unpadded(chain), base, i)):
             counts[k, chain.labels[k, e]] += 1
     assert counts.sum() == n * chain.n_times
     assert np.array_equal(report.frequencies, counts / n)
@@ -342,7 +372,7 @@ def test_padding_is_never_read(dims, n_ops, n_steps, seed):
     report = run_ensemble(chain, n_samples=n, base_seed=seed)
     counts = np.zeros_like(report.frequencies)
     for i in range(n):
-        for k, e in enumerate(naive_walk(*_unpadded(chain), seed + i)):
+        for k, e in enumerate(naive_walk(*_unpadded(chain), seed, i)):
             counts[k, chain.labels[k, e]] += 1
     assert np.array_equal(report.frequencies, counts / n)
 
@@ -361,19 +391,88 @@ def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     grid = TimeGrid(0.0, 1.0 / 64, 64)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
-    want = run_ensemble(chain, n_samples=250, base_seed=5)
+    n = ENSEMBLE_BLOCK + 250
+    want = run_ensemble(chain, n_samples=n, base_seed=5)
     rows = []
     uniforms = trajectories._uniforms
 
-    def spy(first_seed, n_rows, n_times):
-        rows.append(n_rows)
-        return uniforms(first_seed, n_rows, n_times)
+    def spy(*args):
+        for slice_ in uniforms(*args):
+            rows.append(len(slice_))
+            yield slice_
 
-    # 16 bytes per cell: 100 rows of 65 grid points fit, 101 do not
-    budget = 16 * 65 * 101 - 1
+    # 17 bytes per cell: 100 rows of 65 grid points fit, 101 do not
+    budget = 17 * 65 * 101 - 1
     monkeypatch.setattr(trajectories, "_uniforms", spy)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", budget)
-    got = run_ensemble(chain, n_samples=250, base_seed=5)
-    assert rows == [100, 100, 50]
+    got = run_ensemble(chain, n_samples=n, base_seed=5)
+    # slices of one block's generator stop at the block's end
+    assert rows == [100] * 40 + [96, 100, 100, 50]
     assert np.array_equal(got.frequencies, want.frequencies)
     assert got.max_abs_deviation == want.max_abs_deviation
+
+
+def _consumed_uniforms(monkeypatch, chain, n_samples, base_seed):
+    """The uniforms ``run_ensemble`` hands the walk, in order, and their slice sizes."""
+    seen = []
+    walk = trajectories.StepChain._walk
+
+    def spy(self, uniforms):
+        seen.append(uniforms.copy())
+        return walk(self, uniforms)
+
+    monkeypatch.setattr(trajectories.StepChain, "_walk", spy)
+    run_ensemble(chain, n_samples=n_samples, base_seed=base_seed)
+    return np.concatenate(seen), [len(u) for u in seen]
+
+
+def _damping_chain(n_steps):
+    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
+    grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
+    return build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
+
+
+def test_walked_uniforms_pass_a_chi_square_smoke_test(monkeypatch):
+    # 12,293 trajectories of 17 grid points, three blocks and a part, in 64
+    # bins: chi^2 with 63 degrees of freedom lies in [23.2, 131.4] but for
+    # a 2e-6 chance (its 1e-6 and 1 - 1e-6 quantiles)
+    n = 3 * ENSEMBLE_BLOCK + 5
+    u, _ = _consumed_uniforms(monkeypatch, _damping_chain(16), n, 2718)
+    assert u.shape == (n, 17)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    observed = np.bincount((u * 64).astype(int).ravel(), minlength=64)
+    expected = u.size / 64
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert 23.2 < chi2 < 131.4
+
+
+def _correlation(a, b):
+    """12 mean((a - 1/2)(b - 1/2)): about N(0, 1/len) for independent uniforms."""
+    return 12.0 * float(np.mean((a - 0.5) * (b - 0.5)))
+
+
+def test_adjacent_steps_of_a_trajectory_are_uncorrelated(monkeypatch):
+    # 5 standard deviations of the pooled statistic: exceeded with chance 6e-7
+    n = 3 * ENSEMBLE_BLOCK + 5
+    u, _ = _consumed_uniforms(monkeypatch, _damping_chain(16), n, 31)
+    pairs = u[:, :-1].size
+    assert abs(_correlation(u[:, :-1], u[:, 1:])) < 5.0 / np.sqrt(pairs)
+
+
+def test_adjacent_trajectories_are_uncorrelated_across_block_and_slice_ends(
+    monkeypatch,
+):
+    # 257 grid points per trajectory; the budget walks 1,000 at a time, so
+    # slices end at trajectories 999, 1999, ..., and blocks end at 4095, 8191
+    chain = _damping_chain(256)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 17 * 257 * 1000)
+    n = 2 * ENSEMBLE_BLOCK + 10
+    u, sizes = _consumed_uniforms(monkeypatch, chain, n, 4242)
+    starts = np.cumsum(sizes)[:-1]
+    assert {1000, ENSEMBLE_BLOCK, ENSEMBLE_BLOCK + 1000} <= set(starts.tolist())
+    assert len(np.unique(u, axis=0)) == n  # no trajectory repeats another
+    # 5 standard deviations each, pooled over all adjacent pairs and over
+    # the 10 pairs that straddle a slice or block end
+    assert abs(_correlation(u[:-1], u[1:])) < 5.0 / np.sqrt(u[:-1].size)
+    ends = u[starts - 1], u[starts]
+    assert abs(_correlation(*ends)) < 5.0 / np.sqrt(ends[0].size)
