@@ -21,8 +21,8 @@ Taylor series with scaling whose degree and step count keep the backward
 error below unit round-off, so semigroup identities hold to solver
 precision. Its work grows with the duration, and a flow over a fixed work
 budget is refused before it starts. ``evolve`` forms the map as a Kraus
-family (one dense ``expm``), for the callers that need Kraus operators or
-the whole map.
+family (one dense ``expm``, in numpy), for the callers that need Kraus
+operators or the whole map.
 
 A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
 channel's operators act on the layout factors at ``positions``, listed in the
@@ -49,7 +49,7 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import HERMITICITY_TOL, SystemLayout, apply_local, check_memory
+from .linalg import HERMITICITY_TOL, SystemLayout, apply_local, check_memory, expm
 from .states import DensityMatrix, PureState, State
 
 CHOI_EIG_CUTOFF = 1e-12
@@ -194,8 +194,10 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
     1-norm of ``L - mu I`` (``||A kron B||_1 = ||A||_1 ||B||_1``); their
     backward-error bound holds for any upper bound on that norm, so no norm
     is estimated and nothing is random. Each step's series stops early once
-    two terms are below 2^-53 of the sum, as in their Algorithm 3.2. At zero
-    duration the result equals the stack exactly.
+    two terms are below 2^-53 of the sum, as in their Algorithm 3.2; the
+    sum's norm is taken only where the sum of the terms' norms, which bounds
+    it, lets the test pass. At zero duration the result equals the stack
+    exactly.
 
     The work grows with ``duration * b``, since an action cannot be squared:
     a flow over ``FLOW_WORK_BUDGET`` multiply-adds, or over the memory
@@ -211,7 +213,7 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
     out = mats
     for _ in range(s):
         term = out
-        c1 = _abs_sum_max(term)
+        c1 = upper = _abs_sum_max(term)
         for j in range(1, m + 1):
             nxt = k @ term
             nxt += term @ k_dag
@@ -221,8 +223,14 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
             term = nxt
             c2 = _abs_sum_max(term)
             out = out + term
-            if c1 + c2 <= _UNIT_ROUNDOFF * _abs_sum_max(out):
-                break
+            # the norms of the terms so far bound ||out||; twice their sum
+            # covers the round-off of both sums, so the stop test below
+            # skips no norm that could pass it
+            upper += c2
+            small = c1 + c2
+            if small <= 2 * _UNIT_ROUNDOFF * upper:
+                if small <= _UNIT_ROUNDOFF * _abs_sum_max(out):
+                    break
             c1 = c2
         out = eta * out
     return out
@@ -609,19 +617,18 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     For the callers that need Kraus operators or the whole map: a trajectory
     chain's step channel and the check of a ``lindblad`` channel file. A
     state or a table is carried by a ``GeneratorFlow`` instead, which never
-    forms the map. Here the dense d^2 x d^2 exponential is taken in one
-    scaling-and-squaring ``expm`` call, read as a Choi matrix and decomposed
-    into at most d^2 Kraus operators. The family is renormalized to exact
-    completeness when the residual is within ``CPT_TOL``; larger residuals
-    raise. The ``KrausChannel`` constructor's completeness check is the only
-    check on the result: complete positivity needs none, because a Kraus
-    family's Choi matrix ``W W^dag`` is positive semidefinite by
-    construction. The route peaks at about nine d^2 x d^2 complex arrays
-    (measured), and is refused above the memory budget before the first is
-    allocated.
+    forms the map. Here the dense d^2 x d^2 exponential is taken by
+    :func:`linalg.expm` (scaling and squaring with a Pade approximant in
+    numpy, its degree picked on the exact 1-norm), read as a Choi matrix
+    and decomposed into at most d^2 Kraus operators. The family is
+    renormalized to exact completeness when the residual is within
+    ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
+    constructor's completeness check is the only check on the result:
+    complete positivity needs none, because a Kraus family's Choi matrix
+    ``W W^dag`` is positive semidefinite by construction. The route peaks
+    at about nine d^2 x d^2 complex arrays (measured), and is refused above
+    the memory budget before the first is allocated.
     """
-    from scipy.linalg import expm  # scipy.linalg is slow to import; only needed here
-
     duration = _duration(duration)
     check_memory(9 * g.dim**4, f"evolving a generator of dimension {g.dim}")
     total = expm(lindblad_superoperator(g).matrix * duration)

@@ -48,6 +48,9 @@ EXIT_DEGENERATE = 4
 EXIT_CHANNEL = 5
 
 SEED_ENV_VAR = "MODALDYN_SEED"
+# numpy's seed sequence ignores trailing zero 32-bit words, so the key
+# [k 2^32 + x, 0] of a larger seed would be the key [x, k] of block k
+SEED_BOUND = 1 << 32
 
 _NAMED_RHO0 = {
     "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
@@ -156,6 +159,8 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
             raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
     if seed < 0:
         raise ConfigError(f"{source} must be >= 0: {seed}")
+    if seed >= SEED_BOUND:
+        raise ConfigError(f"{source} must be below {SEED_BOUND}: {seed}")
     return seed
 
 

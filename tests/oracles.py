@@ -9,6 +9,7 @@ fast implementations against these.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -88,6 +89,38 @@ def naive_lindblad_apply(h, jumps, t: float, rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     vec = naive_lindblad_expm(h, jumps, t) @ rho.reshape(-1, order="F")
     return vec.reshape(d, d, order="F")
+
+
+def flow_norm_every_term(k, jumps, mu: float, m: int, s: int, t: float, mats) -> np.ndarray:
+    """The generator flow's Taylor loop, taking the sum's norm on every term.
+
+    ``(k, jumps, mu, m, s)`` is the plan of the flow (``K'``, the scaled jump
+    operators, the trace shift, the degree and the step count) and ``mats``
+    the stack it carries. Each step stops once two successive terms are at
+    most 2^-53 of the partial sum, in the 1-norm of the stack's columns.
+    """
+
+    def norm(a):
+        return float(np.abs(a).sum(axis=0).max())
+
+    out = np.asarray(mats, dtype=complex)
+    for _ in range(s):
+        term = out
+        c1 = norm(term)
+        for j in range(1, m + 1):
+            nxt = k @ term
+            nxt += term @ k.conj().T
+            for op in jumps:
+                nxt += op @ term @ op.conj().T
+            nxt *= t / (s * j)
+            term = nxt
+            c2 = norm(term)
+            out = out + term
+            if c1 + c2 <= 2.0**-53 * norm(out):
+                break
+            c1 = c2
+        out = math.exp(t * mu / s) * out
+    return out
 
 
 def naive_chain_states(operators, rho0: np.ndarray, n_steps: int) -> list[np.ndarray]:

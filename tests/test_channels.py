@@ -183,6 +183,17 @@ def test_evolve_semigroup_property():
     assert np.abs(apply(composed, rho).matrix - one_shot.matrix).max() < 1e-8
 
 
+@pytest.mark.parametrize("t", [1e8, 1e30])
+def test_evolve_over_a_long_duration_keeps_trace_and_decays(t):
+    # amplitude damping: the generator matrix is triangular, with an exact
+    # eigenvalue 0 that 2^s squarings would otherwise round away
+    lowering = np.array([[0.0, 1.0], [0.0, 0.0]])
+    g = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((lowering, 1.0),))
+    excited = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
+    out = apply(evolve(g, t), excited)
+    assert np.abs(out.matrix - np.diag([1.0, 0.0])).max() < 1e-12
+
+
 def test_evolve_rejects_negative_duration():
     g = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, 1.0),))
     with pytest.raises(ValueError):
@@ -194,6 +205,21 @@ def test_evolve_rejects_non_finite_duration():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="duration must be finite"):
             evolve(g, bad)
+
+
+@pytest.mark.parametrize("t", [1e-4, 30.0], ids=["low-degree", "squared"])
+def test_evolve_peaks_within_its_memory_estimate(t):
+    # the budget check counts nine d^2 x d^2 complex arrays
+    import tracemalloc
+
+    g = random_lindblad(16, 3, np.random.default_rng(20))
+    tracemalloc.start()
+    try:
+        evolve(g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 16 * 16**4
 
 
 def test_evolve_is_refused_over_the_memory_budget(monkeypatch):

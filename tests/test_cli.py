@@ -145,6 +145,27 @@ def test_a_negative_seed_exits_2_before_the_chain_is_built(
     assert err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (("--seed", "4294967296"), "7", "--seed must be below 4294967296: 4294967296"),
+        ((), "12884901899", "MODALDYN_SEED must be below 4294967296: 12884901899"),
+    ],
+    ids=["flag", "env"],
+)
+def test_a_seed_of_2_to_the_32_or_more_exits_2(capsys, monkeypatch, flag, env, message):
+    # numpy ignores a seed's trailing zero 32-bit words: block 0 of seed
+    # 3 * 2^32 + 11 would draw what block 3 of seed 11 draws
+    monkeypatch.setenv("MODALDYN_SEED", env)
+    argv = ("sample", "--scenario", "damping", "--t", "1", "--steps", "4", "--n", "2")
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {message}\n"
+    code, out, _ = run(capsys, *argv, "--seed", "4294967295")
+    assert code == 0
+    assert json.loads(out)["base_seed"] == 4294967295
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_sample_documents_name_their_rng_contract(capsys, n):
     code, out, _ = run(
@@ -291,6 +312,32 @@ def test_verify_channel_malformed_json(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "verify-channel", "--channel", str(path))
     assert code == 2
+
+
+def _lindblad_channel_file(tmp_path, n_qubits: int, seed: int, duration: float) -> str:
+    """A random three-jump generator on n qubits and a duration, as a file."""
+    from modaldyn.random_objects import random_lindblad
+
+    g = random_lindblad(2**n_qubits, 3, np.random.default_rng(seed))
+    doc = {
+        "schema_version": 1,
+        "kind": "lindblad",
+        "hamiltonian": matrix_to_pairs(g.hamiltonian),
+        "jumps": [{"operator": matrix_to_pairs(op), "rate": rate} for op, rate in g.jumps],
+        "duration": duration,
+    }
+    path = tmp_path / f"lindblad-channel-{n_qubits}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_channel_on_a_long_lindblad_duration(capsys, tmp_path):
+    # the exponential takes 15 squarings here
+    path = _lindblad_channel_file(tmp_path, 2, 45, 1e4)
+    code, out, _ = run(capsys, "verify-channel", "--channel", path)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["is_cp"], payload["is_tp"]) == (True, True)
 
 
 def test_verify_channel_lindblad_document(capsys, tmp_path):
@@ -890,16 +937,25 @@ def test_a_flowed_state_is_the_same_in_every_process(tmp_path):
     assert hashlib.sha256(first[1]).digest() == hashlib.sha256(second[1]).digest()
 
 
-def test_a_generator_time_query_loads_no_scipy():
+def test_a_generator_time_query_loads_no_scipy(tmp_path):
+    # a flowed state, a sampled chain and a lindblad channel check: the last
+    # two exponentiate the generator
+    lindblad = _lindblad_channel_file(tmp_path, 2, 46, 0.5)
     script = (
         "import sys\n"
         "from modaldyn import cli\n"
-        "code = cli.main(['epistemic', '--scenario', 'damping', '--time', '1'])\n"
+        "code = cli.main(sys.argv[1:])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    code, out = _fresh_process([], script)
-    assert code == 0
-    assert out.decode().splitlines()[-1] == "0 []"
+    for argv in (
+        ["epistemic", "--scenario", "damping", "--time", "1"],
+        ["sample", "--scenario", "damping", "--t", "1", "--steps", "8", "--n", "3",
+         "--seed", "1"],
+        ["verify-channel", "--channel", lindblad],
+    ):
+        code, out = _fresh_process(argv, script)
+        assert code == 0
+        assert out.decode().splitlines()[-1] == "0 []", argv
 
 
 def test_a_time_query_over_the_flow_memory_budget_exits_2(capsys, tmp_path, monkeypatch):

@@ -27,13 +27,19 @@ from modaldyn import (
     trivial_partition,
 )
 from modaldyn import channels
+from modaldyn.scenarios import amplitude_damping_qubit
 from modaldyn.random_objects import (
     random_density_matrix,
     random_lindblad,
     random_state_vector,
 )
 
-from oracles import naive_lindblad_apply, naive_lindblad_expm, product_amplitudes
+from oracles import (
+    flow_norm_every_term,
+    naive_lindblad_apply,
+    naive_lindblad_expm,
+    product_amplitudes,
+)
 
 FLOW_TOL = 1e-12
 
@@ -228,6 +234,24 @@ def test_the_flow_draws_no_random_numbers():
         np.random.seed(seed)
         results.append(flow(GeneratorFlow(g, 0.5), rho.matrix[None]).tobytes())
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("case", ["damping", "three-qubits"])
+def test_the_flow_stops_where_a_norm_on_every_term_stops(case):
+    # the flow takes the sum's norm only where the terms' norms let the stop
+    # test pass; the oracle takes it on every term
+    if case == "damping":
+        sc = amplitude_damping_qubit(1.0)
+        f = GeneratorFlow(sc.generator, 1000.0)
+        stack = sc.initial_state.matrix[None]
+    else:
+        rng = np.random.default_rng(34)
+        f = GeneratorFlow(random_lindblad(8, 3, rng), 2.5)
+        layout = SystemLayout.qubits(("A", "B", "C"))
+        stack = np.stack([random_density_matrix(layout, rng).matrix for _ in range(3)])
+    k, jumps, mu, m, s = channels._flow_plan(f, len(stack))
+    reference = flow_norm_every_term(k, jumps, mu, m, s, f.duration, stack)
+    assert np.array_equal(flow(f, stack), reference)
 
 
 def test_a_flow_of_the_wrong_dim_or_duration_is_refused():

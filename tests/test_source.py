@@ -40,6 +40,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages the module imports, wherever the import stands."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_check_finds_a_deferred_import():
+    source = (
+        "import numpy as np\n"
+        "from . import linalg\n"
+        "def f():\n"
+        "    from scipy.linalg import expm\n"
+        "    return expm\n"
+    )
+    assert imported_packages(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy.linalg alone takes about a quarter second to import
+    assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` definitions that no module reads.
 
