@@ -14,6 +14,13 @@ same configuration and seed produce byte-identical files.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # Objects made at import live until exit; the collector need not walk
+    # them while they are made. entry() freezes them before main() runs.
+    gc.disable()
+
 import argparse
 import json
 import math
@@ -25,7 +32,6 @@ import numpy as np
 
 from . import channels as channels_mod
 from . import serialize
-from .conditional import PERMISSIVE, STRICT, Partition, conditional_table
 from .errors import (
     CptVerificationError,
     DegenerateBasisError,
@@ -38,8 +44,7 @@ from .errors import (
 from .linalg import SystemLayout
 from .scenarios import SCENARIOS, Scenario
 from .serialize import SchemaError
-from .states import DEFAULT_THRESHOLD, DensityMatrix, extract_epistemic
-from .trajectories import TimeGrid, build_step_chain, run_ensemble
+from .states import DEFAULT_THRESHOLD, PERMISSIVE, STRICT, DensityMatrix, extract_epistemic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,6 +203,8 @@ def _cmd_epistemic(args: argparse.Namespace) -> int:
 
 
 def _cmd_conditional(args: argparse.Namespace) -> int:
+    from .conditional import Partition, conditional_table
+
     sc = _scenario(args)
     blocks = _parse_blocks(args.blocks)
     try:
@@ -223,6 +230,8 @@ def _cmd_conditional(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .trajectories import TimeGrid, build_step_chain, run_ensemble
+
     sc = _scenario(args)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1: {args.steps}")
@@ -439,5 +448,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> int:
+    """``main()`` for a command-line process.
+
+    Objects that exist now, mostly made by imports, live until exit, so they
+    are frozen out of every later collection, interpreter exit included.
+    ``main()`` itself leaves the collector alone, for callers in a library.
+    """
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

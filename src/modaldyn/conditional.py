@@ -59,17 +59,20 @@ from .errors import (
     ProbabilityBoundsError,
 )
 from .linalg import SystemLayout, apply_local
-from .states import DEFAULT_THRESHOLD, EpistemicState, State, extract_epistemic
+from .states import (
+    DEFAULT_THRESHOLD,
+    STRICT,
+    EpistemicState,
+    State,
+    _check_mode,
+    extract_epistemic,
+)
 
 # Row sums must equal one within ROW_SUM_TOL in conditional tables and
 # within CHAIN_ROW_SUM_TOL in the step rows of a trajectory chain.
 ROW_SUM_TOL = 1e-8
 CHAIN_ROW_SUM_TOL = 1e-6
 CLAMP_TOL = 1e-10
-
-STRICT = "strict"
-PERMISSIVE = "permissive"
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -120,12 +123,6 @@ class Partition:
 
 def trivial_partition(layout: SystemLayout) -> Partition:
     return Partition(layout, (tuple(layout.labels),))
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in (STRICT, PERMISSIVE):
-        raise ValueError(f"mode must be 'strict' or 'permissive': {mode!r}")
-    return mode
 
 
 def _entry_index(e: EpistemicState, index: int, what: str) -> int:

@@ -13,17 +13,20 @@ Conventions (see SCHEMA.md at the repository root):
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from .channels import KrausChannel, LindbladGenerator, unitary_channel
-from .conditional import ConditionalTable
 from .errors import LayoutMismatchError, ModalDynError
 from .linalg import SystemLayout, apply_local, check_memory
 from .scenarios import Scenario
 from .states import DensityMatrix, EpistemicState, PureState
-from .trajectories import RNG_CONTRACT, EnsembleReport, Trajectory
+
+# Annotations only: the CLI loads these modules just for the subcommands that run them.
+if TYPE_CHECKING:
+    from .conditional import ConditionalTable
+    from .trajectories import EnsembleReport, Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -170,6 +173,8 @@ def table_csv(table: ConditionalTable) -> str:
 
 
 def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
+    from .trajectories import RNG_CONTRACT
+
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "trajectory",
@@ -188,6 +193,8 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
+    from .trajectories import RNG_CONTRACT
+
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "ensemble",

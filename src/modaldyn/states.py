@@ -39,6 +39,16 @@ MASS_BALANCE_TOL = 1e-9
 DEFAULT_THRESHOLD = 1e-12
 PURITY_SHORTCUT = 1e-10
 
+# Degeneracy policies of the spectral readings built on these states.
+STRICT = "strict"
+PERMISSIVE = "permissive"
+
+
+def _check_mode(mode: str) -> str:
+    if mode not in (STRICT, PERMISSIVE):
+        raise ValueError(f"mode must be 'strict' or 'permissive': {mode!r}")
+    return mode
+
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a contiguous complex vector by numpy's pairwise sum.

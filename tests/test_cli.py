@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modaldyn import cli
 from modaldyn.cli import main
 from modaldyn.serialize import matrix_to_pairs
 
@@ -132,10 +131,13 @@ def test_sample_seed_flag_overrides_env(capsys, monkeypatch):
 def test_a_negative_seed_exits_2_before_the_chain_is_built(
     capsys, monkeypatch, flag, env, message
 ):
+    from modaldyn import trajectories
+
     def build_step_chain(*args, **kwargs):
         raise AssertionError("the chain was built")
 
-    monkeypatch.setattr(cli, "build_step_chain", build_step_chain)
+    # sample imports build_step_chain from its module when it runs
+    monkeypatch.setattr(trajectories, "build_step_chain", build_step_chain)
     monkeypatch.setenv("MODALDYN_SEED", env)
     code, out, err = run(
         capsys, "sample", "--scenario", "damping", "--t", "1", "--steps", "20000",
@@ -1012,3 +1014,91 @@ def test_a_six_qubit_generator_time_query_runs(capsys, tmp_path):
     code, out, err = run(capsys, "epistemic", "--scenario", path, "--time", "0.5")
     assert (code, err) == (0, "")
     assert len(json.loads(out)["probabilities"]) == 64
+
+
+def _one_request_per_subcommand(tmp_path) -> dict:
+    return {
+        "epistemic": ["epistemic", "--scenario", "dephasing", "--time", "0.5"],
+        "conditional": ["conditional", "--scenario", "ghz", "--blocks", "A,B+C",
+                        "--mode", "permissive"],
+        "sample": ["sample", "--scenario", "damping", "--t", "1", "--steps", "8",
+                   "--n", "3", "--seed", "1"],
+        "verify-channel": ["verify-channel", "--channel",
+                           _lindblad_channel_file(tmp_path, 1, 47, 0.5)],
+    }
+
+
+# The table's and the chain's modules, as each subcommand loads them.
+_HEAVY_MODULES = {
+    "epistemic": set(),
+    "conditional": {"modaldyn.conditional"},
+    "sample": {"modaldyn.conditional", "modaldyn.trajectories"},
+    "verify-channel": set(),
+}
+
+
+@pytest.mark.parametrize("command", _HEAVY_MODULES)
+def test_a_cli_process_loads_only_the_modules_it_runs_and_prints_what_main_prints(
+    capsys, tmp_path, command
+):
+    argv = _one_request_per_subcommand(tmp_path)[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "modaldyn.cli", *argv],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    assert loaded & {"modaldyn.conditional", "modaldyn.trajectories"} == _HEAVY_MODULES[command]
+    assert proc.stdout == run(capsys, *argv)[1].encode("utf-8")
+
+
+def test_importing_the_package_loads_no_numpy():
+    script = (
+        "import sys, modaldyn\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('modaldyn', 'numpy')))\n"
+    )
+    code, out = _fresh_process([], script)
+    assert (code, out.decode()) == (0, "['modaldyn']\n")
+
+
+def test_every_public_name_resolves_on_first_use():
+    import modaldyn
+
+    star = {}
+    exec("from modaldyn import *", star)
+    assert set(modaldyn.__all__) <= set(star) & set(dir(modaldyn))
+    for name in modaldyn.__all__:
+        assert star[name] is getattr(modaldyn, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        modaldyn.no_such_name
+    with pytest.raises(ImportError):
+        exec("from modaldyn import no_such_name", {})
+
+
+def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path):
+    # a library caller of main() keeps its collector on and nothing frozen
+    script = (
+        "import gc, json, sys\n"
+        "from modaldyn import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    requests = list(_one_request_per_subcommand(tmp_path).values())
+    code, out = _fresh_process([json.dumps(requests)], script)
+    assert code == 0
+    assert out.decode().splitlines()[-1] == "[0, 0, 0, 0] True 0"
+
+
+def test_entry_runs_main_with_the_collector_on_and_import_time_objects_frozen():
+    script = (
+        "import gc, sys\n"
+        "from modaldyn import cli\n"
+        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0\n"
+        "sys.exit(cli.entry())\n"
+    )
+    assert _fresh_process([], script) == (0, b"True True\n")

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "modaldyn"
-# __init__.py imports names to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,10 +61,67 @@ def test_the_check_finds_a_deferred_import():
     assert imported_packages(source) == {"numpy", "scipy"}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
     # scipy.linalg alone takes about a quarter second to import
     assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
+def eager_imports(source: str) -> set[str]:
+    """Modules that executing the source as a module imports.
+
+    Imports inside functions and under ``if TYPE_CHECKING:`` do not count.
+    A module of this package is named relative to it, as ``.conditional``.
+    """
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                if node.module is None:
+                    found.update(base + alias.name for alias in node.names)
+                else:
+                    found.add(base)
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(source).body)
+    return {"." + m[len("modaldyn."):] if m.startswith("modaldyn.") else m for m in found}
+
+
+def test_the_check_finds_an_eager_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import serialize, trajectories as tr\n"
+        "if TYPE_CHECKING:\n"
+        "    from .conditional import ConditionalTable\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    from modaldyn.states import STRICT\n"
+        "def run():\n"
+        "    from .conditional import conditional_table\n"
+        "class Box:\n"
+        "    from .linalg import expm\n"
+    )
+    assert eager_imports(source) == {
+        "typing", ".serialize", ".trajectories", "json", ".states", ".linalg"
+    }
+
+
+@pytest.mark.parametrize("name", ["cli.py", "serialize.py"])
+def test_the_table_and_chain_modules_load_only_where_they_run(name):
+    # the CLI imports them inside the subcommands that use them
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert eager_imports(source) & {".conditional", ".trajectories"} == set()
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
