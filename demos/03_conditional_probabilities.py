@@ -52,7 +52,7 @@ def main():
     # entry into a branching over the emerging pointer entries.
     sc = dephasing_qubit(gamma=1.0)
     t = 0.6
-    ch = evolve(sc.generator, t)
+    ch = evolve(sc.dynamics, t)
     print(f"\ndephasing qubit, p(j at t={t} | i at t=0):")
     for i in range(1):  # the initial plus state is pure: one entry
         row = [

@@ -322,7 +322,9 @@ class Superoperator:
     ``kind`` distinguishes finished maps from generators, because the
     trace-preservation row condition differs: a map satisfies
     ``vec(I)^T S = vec(I)^T`` while a generator satisfies
-    ``vec(I)^T L = 0`` (trace preserved infinitesimally).
+    ``vec(I)^T L = 0`` (trace preserved infinitesimally). A map's row is
+    held to ``CPT_TOL``; a generator's row sums entries as large as its
+    rates, so it is held to ``CPT_TOL`` times its 1-norm when that exceeds 1.
     """
 
     matrix: np.ndarray
@@ -340,11 +342,16 @@ class Superoperator:
             raise ValueError(f"kind must be 'map' or 'generator': {self.kind!r}")
         vec_i = np.eye(d, dtype=complex).reshape(-1)
         row = mat.T @ vec_i
-        target = vec_i if self.kind == "map" else np.zeros_like(vec_i)
+        if self.kind == "map":
+            target, bound = vec_i, CPT_TOL
+        else:
+            target, bound = 0.0, CPT_TOL * max(1.0, _abs_sum_max(mat))
         resid = np.abs(row - target).max()
-        if not resid <= CPT_TOL:
+        # a NaN residual or an infinite bound (an infinite entry) fails too
+        if not resid <= bound < math.inf:
             raise CptVerificationError(
-                f"trace row condition violated by {resid:.3e} for kind={self.kind!r}"
+                f"trace row condition violated by {resid:.3e} (bound {bound:.3e}) "
+                f"for kind={self.kind!r}"
             )
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dim", d)

@@ -238,12 +238,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1: {args.n}")
     seed = _resolve_seed(args.seed)
-    if sc.generator is None:
+    if not isinstance(sc.dynamics, channels_mod.LindbladGenerator):
         raise ConfigError(
             f"scenario {args.scenario!r} has no generator dynamics to sample"
         )
     grid = TimeGrid(0.0, args.t / args.steps, args.steps)
-    step = channels_mod.evolve(sc.generator, grid.dt)
+    step = channels_mod.evolve(sc.dynamics, grid.dt)
     chain = build_step_chain(step, sc.initial_state, grid, args.threshold, args.mode)
     if args.n == 1:
         traj = chain.sample(seed)

@@ -1,8 +1,8 @@
 """Canned physical setups, each an initial state and its dynamics.
 
-Each constructor returns a :class:`Scenario` bundling a layout, an initial
-state and its dynamics (a Lindblad generator, a discrete schedule, or
-nothing); its docstring gives the closed forms the setup obeys.
+Each constructor returns a :class:`Scenario` bundling an initial state and
+its dynamics (a Lindblad generator, a discrete schedule, or nothing); its
+docstring gives the closed forms the setup obeys.
 ``SCENARIOS`` names the constructors the command line offers, with the
 parameters each takes and their defaults.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .linalg import SystemLayout, check_memory, kron_all
 from .states import DensityMatrix, PureState, State
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 
@@ -42,19 +41,22 @@ class Scenario:
     """A named system, its initial state, and how it moves.
 
     ``initial_state`` is a ``DensityMatrix``, or a ``PureState`` when the
-    scenario starts pure and its dynamics keep it so. ``schedule`` is a
-    sequence of steps ``(positions, KrausChannel)``, applied in order: each
-    channel acts on the layout factors at ``positions``, listed in the
-    channel's own factor order, so its operators have the size of those
-    factors only. A schedule read from a scenario file acts on every factor
-    in layout order.
+    scenario starts pure and its dynamics keep it so; its layout is the
+    scenario's. ``dynamics`` is a ``LindbladGenerator``, a schedule, or
+    ``None``. A schedule is a sequence of steps ``(positions, KrausChannel)``,
+    applied in order: each channel acts on the layout factors at
+    ``positions``, listed in the channel's own factor order, so its operators
+    have the size of those factors only. A schedule read from a scenario file
+    acts on every factor in layout order.
     """
 
     name: str
-    layout: SystemLayout
     initial_state: State
-    generator: Optional[LindbladGenerator] = None
-    schedule: Schedule = ()
+    dynamics: Union[LindbladGenerator, Schedule, None] = None
+
+    @property
+    def layout(self) -> SystemLayout:
+        return self.initial_state.layout
 
     def dynamics_to(self, t: float) -> tuple[Dynamics, str]:
         """Dynamics that carry the initial state to time ``t``, and their id.
@@ -63,10 +65,11 @@ class Scenario:
         (the flow refuses ``t < 0``), a schedule runs in full whatever ``t``;
         a static scenario has ``None``.
         """
-        if self.generator is not None and t != 0:
-            return GeneratorFlow(self.generator, t), f"{self.name}:lindblad"
-        if self.schedule:
-            return self.schedule, f"{self.name}:schedule"
+        if isinstance(self.dynamics, LindbladGenerator):
+            if t != 0:
+                return GeneratorFlow(self.dynamics, t), f"{self.name}:lindblad"
+        elif self.dynamics:
+            return self.dynamics, f"{self.name}:schedule"
         return None, "identity"
 
     def state_at(self, t: float) -> State:
@@ -140,12 +143,7 @@ def von_neumann_measurement(
     copy = unitary_channel(_controlled_gate(PAULI_X))
     read = unitary_channel(_controlled_gate(ry))
     schedule = (((0, 1), copy),) + tuple(((1, 2 + k), read) for k in range(n_env))
-    return Scenario(
-        name="von-neumann",
-        layout=layout,
-        initial_state=initial,
-        schedule=schedule,
-    )
+    return Scenario(name="von-neumann", initial_state=initial, dynamics=schedule)
 
 
 def epr_bohm() -> Scenario:
@@ -154,11 +152,7 @@ def epr_bohm() -> Scenario:
     outcome pair has probability 1/2, each equal pair 0."""
     layout = SystemLayout.qubits(("A", "B"))
     vec = (np.kron(KET_ZERO, KET_ONE) - np.kron(KET_ONE, KET_ZERO)) / math.sqrt(2.0)
-    return Scenario(
-        name="epr-bohm",
-        layout=layout,
-        initial_state=DensityMatrix.from_vector(vec, layout),
-    )
+    return Scenario("epr-bohm", DensityMatrix.from_vector(vec, layout))
 
 
 def ghz_mermin() -> Scenario:
@@ -167,25 +161,20 @@ def ghz_mermin() -> Scenario:
     all-zero and all-one outcomes have probability 1/2, mixed outcomes 0."""
     layout = SystemLayout.qubits(("A", "B", "C"))
     vec = (kron_all([KET_ZERO] * 3) + kron_all([KET_ONE] * 3)) / math.sqrt(2.0)
-    return Scenario(
-        name="ghz-mermin",
-        layout=layout,
-        initial_state=DensityMatrix.from_vector(vec, layout),
-    )
+    return Scenario("ghz-mermin", DensityMatrix.from_vector(vec, layout))
 
 
 def _one_jump_qubit(
     name: str, jump: np.ndarray, gamma: float, rho0: Optional[DensityMatrix], ket
 ) -> Scenario:
-    """Qubit ``Q`` from ``rho0`` (``|ket>`` if ``None``), one jump at rate ``gamma``."""
-    layout = SystemLayout.qubits(("Q",))
+    """A qubit from ``rho0`` (``|ket>`` on ``Q`` if ``None``), one jump at ``gamma``."""
     if rho0 is None:
-        rho0 = DensityMatrix.from_vector(ket, layout)
+        rho0 = DensityMatrix.from_vector(ket, SystemLayout.qubits(("Q",)))
     generator = LindbladGenerator(
         hamiltonian=np.zeros((2, 2), dtype=complex),
         jumps=((jump, gamma),),
     )
-    return Scenario(name=name, layout=layout, initial_state=rho0, generator=generator)
+    return Scenario(name=name, initial_state=rho0, dynamics=generator)
 
 
 def dephasing_qubit(

@@ -325,33 +325,30 @@ def scenario_from_document(data: dict) -> Scenario:
     state = pairs_to_matrix(_require(data, "initial_state"))
     square("'initial_state'", state)
     every = tuple(range(layout.n_factors))
-    dynamics = data.get("dynamics")
-    generator = None
-    schedule: tuple = ()
-    if dynamics is not None:
-        dkind = _require(dynamics, "kind")
+    doc = data.get("dynamics")
+    dynamics = None
+    if doc is not None:
+        dkind = _require(doc, "kind")
         if dkind == "lindblad":
-            hamiltonian, jumps = _lindblad(dynamics)
+            hamiltonian, jumps = _lindblad(doc)
             square("'hamiltonian'", hamiltonian)
             for i, (op, _) in enumerate(jumps):
                 square(f"jump {i} operator", op)
-            generator = LindbladGenerator(hamiltonian, jumps)
+            dynamics = LindbladGenerator(hamiltonian, jumps)
         elif dkind == "schedule":
-            unitaries = pairs_to_matrix(_require(dynamics, "unitaries"), ndim=3)
+            unitaries = pairs_to_matrix(_require(doc, "unitaries"), ndim=3)
             square("each of 'unitaries'", unitaries)
-            schedule = tuple((every, unitary_channel(u)) for u in unitaries)
+            dynamics = tuple((every, unitary_channel(u)) for u in unitaries)
         elif dkind == "kraus":
-            ops = pairs_to_matrix(_require(dynamics, "operators"), ndim=3)
+            ops = pairs_to_matrix(_require(doc, "operators"), ndim=3)
             square("each of 'operators'", ops)
-            schedule = ((every, KrausChannel(tuple(ops))),)
+            dynamics = ((every, KrausChannel(tuple(ops))),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
     return Scenario(
         name=str(data.get("name", "file-scenario")),
-        layout=layout,
         initial_state=DensityMatrix(state, layout),
-        generator=generator,
-        schedule=schedule,
+        dynamics=dynamics,
     )
 
 
@@ -376,23 +373,22 @@ def scenario_to_document(sc: Scenario) -> dict:
 
     Discrete schedules are stored through their Kraus operators, each
     embedded as a dense operator on every factor in layout order; a
-    ``PureState`` is stored as its density matrix. Oracle callables are not
-    serialized.
+    ``PureState`` is stored as its density matrix.
     """
     dynamics: Optional[dict] = None
-    if sc.generator is not None:
+    if isinstance(sc.dynamics, LindbladGenerator):
         dynamics = {
             "kind": "lindblad",
-            "hamiltonian": matrix_to_pairs(sc.generator.hamiltonian),
+            "hamiltonian": matrix_to_pairs(sc.dynamics.hamiltonian),
             "jumps": [
                 {"operator": matrix_to_pairs(op), "rate": float(rate)}
-                for op, rate in sc.generator.jumps
+                for op, rate in sc.dynamics.jumps
             ],
         }
-    elif sc.schedule:
+    elif sc.dynamics:
         steps = [
             [matrix_to_pairs(_embed(k, sc.layout, positions)) for k in ch.operators]
-            for positions, ch in sc.schedule
+            for positions, ch in sc.dynamics
         ]
         if all(len(ops) == 1 for ops in steps):
             dynamics = {"kind": "schedule", "unitaries": [ops[0] for ops in steps]}

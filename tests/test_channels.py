@@ -319,6 +319,23 @@ def test_constructors_reject_nan():
         LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, np.nan),))
 
 
+def test_a_generator_trace_row_is_held_to_its_norm():
+    # rates 2.2e6 and 7.0e6 leave a round-off of 3.8e-9 in the trace row
+    fast = random_lindblad(4, 2, np.random.default_rng(0), rate_scale=1e7)
+    mat = lindblad_superoperator(fast).matrix
+    norm = np.abs(mat).sum(axis=0).max()
+    off = mat.copy()
+    off[0, 0] += 1e-6 * norm  # entry (0, 0) of the row vec(I)^T L
+    with pytest.raises(CptVerificationError, match="trace row"):
+        Superoperator(off, 4, kind="generator")
+    for bad in (np.nan, np.inf):
+        broken = mat.copy()
+        broken[5, 3] = bad
+        # an infinite entry times a zero of vec(I) is NaN in the row
+        with np.errstate(invalid="ignore"), pytest.raises(CptVerificationError):
+            Superoperator(broken, 4, kind="generator")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),

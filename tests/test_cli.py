@@ -247,6 +247,68 @@ def test_outputs_are_byte_identical(capsys):
         assert out1
 
 
+# The CSV form of a document: its header, its rows and its "# key: value"
+# comments, each value written as the CSV writer writes it (repr floats).
+def _epistemic_csv(doc):
+    probs, clusters = doc["probabilities"], doc["degenerate_clusters"]
+    rows = [
+        [str(i), repr(p), str(int(any(i in c for c in clusters)))]
+        for i, p in enumerate(probs)
+    ]
+    comments = {"truncation_mass": repr(doc["truncation_mass"])}
+    return ["index", "probability", "degenerate"], rows, comments
+
+
+def _ensemble_csv(doc):
+    rows = [
+        [repr(t), str(lab), repr(f), repr(e)]
+        for t, fs, es in zip(doc["times"], doc["frequencies"], doc["eigenvalues"])
+        for lab, (f, e) in enumerate(zip(fs, es))
+    ]
+    comments = {
+        "max_abs_deviation": repr(doc["max_abs_deviation"]),
+        "sample_count": str(doc["sample_count"]),
+    }
+    return ["time", "index", "frequency", "eigenvalue"], rows, comments
+
+
+def _report_csv(doc):
+    return ["field", "value"], [[key, str(doc[key])] for key in sorted(doc)], {}
+
+
+@pytest.mark.parametrize(
+    "argv, csv_of",
+    [
+        (("epistemic", "--scenario", "dephasing", "--time", "0.3"), _epistemic_csv),
+        (("epistemic", "--scenario", "epr-bohm", "--subsystem", "A"), _epistemic_csv),
+        (
+            ("sample", "--scenario", "damping", "--t", "1", "--steps", "4")
+            + ("--n", "50", "--seed", "3"),
+            _ensemble_csv,
+        ),
+        (("verify-channel", "--channel", "kraus.json"), _report_csv),
+    ],
+    ids=["epistemic", "epistemic-degenerate", "sample", "verify-channel"],
+)
+def test_a_csv_document_carries_the_values_of_its_json_document(
+    capsys, tmp_path, monkeypatch, argv, csv_of
+):
+    ops = [np.diag([1.0, np.sqrt(0.6)]), np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])]
+    doc = {"schema_version": 1, "kind": "kraus", "operators": matrix_to_pairs(ops)}
+    (tmp_path / "kraus.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, text, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "# schema_version: 1"
+    comments = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    del comments["schema_version"]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert (header, rows, comments) == csv_of(json.loads(out))
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "epistemic", "--scenario", "epr-bohm")
@@ -316,11 +378,13 @@ def test_verify_channel_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
-def _lindblad_channel_file(tmp_path, n_qubits: int, seed: int, duration: float) -> str:
-    """A random three-jump generator on n qubits and a duration, as a file."""
+def _lindblad_channel_file(
+    tmp_path, n_qubits: int, seed: int, duration: float, n_jumps=3, rate_scale=1.0
+) -> str:
+    """A random generator on n qubits and a duration, as a file."""
     from modaldyn.random_objects import random_lindblad
 
-    g = random_lindblad(2**n_qubits, 3, np.random.default_rng(seed))
+    g = random_lindblad(2**n_qubits, n_jumps, np.random.default_rng(seed), rate_scale)
     doc = {
         "schema_version": 1,
         "kind": "lindblad",
@@ -340,6 +404,29 @@ def test_verify_channel_on_a_long_lindblad_duration(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0
     assert (payload["is_cp"], payload["is_tp"]) == (True, True)
+
+
+def test_a_fast_generator_is_sampled_and_verified(capsys, tmp_path):
+    # rates 2.2e6 and 7.0e6: the generator's trace row is off by 3.8e-9 in
+    # round-off, within CPT_TOL of the generator's 1-norm
+    from modaldyn import Scenario, SystemLayout
+    from modaldyn.random_objects import random_density_matrix, random_lindblad
+    from modaldyn.serialize import scenario_to_document
+
+    channel = _lindblad_channel_file(tmp_path, 2, 0, 1e-7, n_jumps=2, rate_scale=1e7)
+    code, out, err = run(capsys, "verify-channel", "--channel", channel)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["is_cp"], payload["is_tp"]) == (True, True)
+
+    g = random_lindblad(4, 2, np.random.default_rng(0), rate_scale=1e7)
+    layout = SystemLayout.qubits(("A", "B"))
+    sc = Scenario("fast", random_density_matrix(layout, np.random.default_rng(1)), g)
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
+    argv = ("--t", "1e-6", "--steps", "10", "--n", "100", "--seed", "1")
+    code, _, err = run(capsys, "sample", "--scenario", str(path), *argv)
+    assert code == 0, err
 
 
 def test_verify_channel_lindblad_document(capsys, tmp_path):
@@ -905,9 +992,8 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
     layout = SystemLayout.qubits(tuple(f"Q{k}" for k in range(1, n_qubits + 1)))
     sc = Scenario(
         name=f"lindblad-{n_qubits}",
-        layout=layout,
         initial_state=random_density_matrix(layout, rng),
-        generator=random_lindblad(layout.total_dim, 3, rng),
+        dynamics=random_lindblad(layout.total_dim, 3, rng),
     )
     path = tmp_path / f"lindblad-{n_qubits}.json"
     path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")

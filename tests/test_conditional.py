@@ -241,7 +241,7 @@ def test_schedule_table_equals_composed_dense_channel(blocks):
     dims = sc.layout.dims
     dense = [
         unitary_channel(naive_embed(ch.operators[0], dims, positions))
-        for positions, ch in sc.schedule
+        for positions, ch in sc.dynamics
     ]
     composed = dense[0]
     for nxt in dense[1:]:
@@ -249,7 +249,7 @@ def test_schedule_table_equals_composed_dense_channel(blocks):
     part = Partition(sc.layout, tuple(tuple(b.split("+")) for b in blocks.split(",")))
     rho = DensityMatrix.from_vector(sc.initial_state.vector, sc.layout)
     want = conditional_table(rho, composed, part)
-    got = conditional_table(sc.initial_state, sc.schedule, part)
+    got = conditional_table(sc.initial_state, sc.dynamics, part)
     assert got.probabilities.shape == want.probabilities.shape
     assert np.abs(got.probabilities - want.probabilities).max() < 1e-12
     for a, b in zip(got.blocks, want.blocks):
@@ -366,7 +366,7 @@ def test_dynamics_of_the_wrong_dim_or_positions_are_refused_by_one_gate():
 
 def test_generator_dynamics_is_refused_with_the_conversion():
     sc = amplitude_damping_qubit(1.0)
-    rho, gen = sc.initial_state, sc.generator
+    rho, gen = sc.initial_state, sc.dynamics
     hint = re.escape(
         "not a LindbladGenerator; convert a LindbladGenerator first with "
         "evolve(generator, dt)"

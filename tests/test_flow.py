@@ -242,7 +242,7 @@ def test_the_flow_stops_where_a_norm_on_every_term_stops(case):
     # test pass; the oracle takes it on every term
     if case == "damping":
         sc = amplitude_damping_qubit(1.0)
-        f = GeneratorFlow(sc.generator, 1000.0)
+        f = GeneratorFlow(sc.dynamics, 1000.0)
         stack = sc.initial_state.matrix[None]
     else:
         rng = np.random.default_rng(34)

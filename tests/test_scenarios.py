@@ -1,10 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from modaldyn import (
+    DensityMatrix,
+    GeneratorFlow,
     InvalidAmplitudesError,
+    LindbladGenerator,
+    Partition,
+    Scenario,
+    SystemLayout,
     amplitude_damping_qubit,
     apply,
+    conditional_table,
     dephasing_qubit,
     epr_bohm,
     evolve,
@@ -12,6 +21,8 @@ from modaldyn import (
     ghz_mermin,
     von_neumann_measurement,
 )
+from modaldyn.scenarios import KET_PLUS, SCENARIOS
+from modaldyn.serialize import scenario_from_document, scenario_to_document
 
 from oracles import (
     damping_excited_population,
@@ -142,5 +153,38 @@ def test_state_at_a_negative_time_raises_on_a_generator():
 def test_state_at_agrees_with_direct_evolution():
     sc = amplitude_damping_qubit(gamma=1.0)
     t = 0.7
-    direct = apply(evolve(sc.generator, t), sc.initial_state)
+    direct = apply(evolve(sc.dynamics, t), sc.initial_state)
     assert np.abs(sc.state_at(t).matrix - direct.matrix).max() < 1e-12
+
+
+def test_a_scenario_is_a_state_and_its_dynamics():
+    assert [f.name for f in dataclasses.fields(Scenario)] == [
+        "name",
+        "initial_state",
+        "dynamics",
+    ]
+    built = [build(**params) for build, params in SCENARIOS.values()]
+    for sc in built + [scenario_from_document(scenario_to_document(dephasing_qubit(0.5)))]:
+        assert sc.layout == sc.initial_state.layout
+
+
+def test_the_layout_is_read_from_the_state():
+    # a qubit labelled X: the scenario's blocks are the state's labels
+    rho0 = DensityMatrix.from_vector(KET_PLUS, SystemLayout.qubits(("X",)))
+    sc = dephasing_qubit(0.5, rho0=rho0)
+    part = Partition(sc.layout, (sc.layout.labels,))
+    table = conditional_table(sc.initial_state, sc.dynamics_to(1.0)[0], part)
+    assert table.probabilities.shape == (1, 2)
+    assert sc.layout.labels == ("X",)
+
+
+def test_dynamics_to_names_the_dynamics_that_carry_the_state():
+    damping = amplitude_damping_qubit(1.0)
+    assert isinstance(damping.dynamics, LindbladGenerator)
+    flow, flow_id = damping.dynamics_to(0.5)
+    assert flow == GeneratorFlow(damping.dynamics, 0.5) and flow_id == "damping:lindblad"
+    assert damping.dynamics_to(0) == (None, "identity")
+    assert epr_bohm().dynamics_to(1.0) == (None, "identity")
+    chain = von_neumann_measurement(1.0, 0.0, n_env=1)
+    for t in (0.0, 3.0):
+        assert chain.dynamics_to(t) == (chain.dynamics, "von-neumann:schedule")

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from modaldyn import (
     DensityMatrix,
+    LindbladGenerator,
     Partition,
     SystemLayout,
     conditional_table,
@@ -210,7 +211,7 @@ def test_scenario_document_roundtrip():
     }
     sc = scenario_from_document(doc)
     assert sc.name == "custom"
-    assert sc.generator is not None
+    assert isinstance(sc.dynamics, LindbladGenerator)
     doc2 = scenario_to_document(sc)
     assert scenario_from_document(doc2).layout == sc.layout
     assert np.array_equal(
@@ -227,7 +228,7 @@ def test_scenario_document_static_and_schedule():
         "initial_state": matrix_to_pairs(np.diag([1.0, 0.0])),
     }
     static = scenario_from_document(dict(base, dynamics=None))
-    assert static.generator is None and static.schedule == ()
+    assert static.dynamics is None
     had = dict(
         base,
         dynamics={
@@ -236,7 +237,7 @@ def test_scenario_document_static_and_schedule():
         },
     )
     flip = scenario_from_document(had)
-    assert len(flip.schedule) == 1
+    assert len(flip.dynamics) == 1
     after = flip.state_at(0)
     assert np.abs(after.matrix - np.diag([0.0, 1.0])).max() < 1e-12
 

@@ -247,7 +247,7 @@ def test_row_sum_error_reports_plain_numbers():
     sc = amplitude_damping_qubit(1.0, rho0)
     grid = TimeGrid(0.0, 1.25, 4)
     with pytest.raises(NormalizationError) as info:
-        step = evolve(sc.generator, grid.dt)
+        step = evolve(sc.dynamics, grid.dt)
         build_step_chain(step, sc.initial_state, grid, threshold=0.01)
     message = str(info.value)
     assert "np.float64" not in message
