@@ -11,6 +11,7 @@ import numpy as np
 
 from modaldyn import (
     DensityMatrix,
+    KrausChannel,
     LindbladGenerator,
     Superoperator,
     SystemLayout,
@@ -20,18 +21,20 @@ from modaldyn import (
     verify_cpt,
     verify_superoperator_matrix,
 )
-from modaldyn.random_objects import random_kraus_channel
 
 QUBIT = SystemLayout.qubits(("Q",))
 
 
 def main():
-    rng = np.random.default_rng(7)
-
-    # A random Kraus channel and its verification report.
-    ch = random_kraus_channel(2, 3, rng)
+    # Amplitude damping at gamma = 0.3: the excited state decays with
+    # probability gamma. Its two Kraus operators and their verification report.
+    gamma = 0.3
+    ch = KrausChannel((
+        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+    ))
     rep = verify_cpt(ch)
-    print("random Kraus channel:")
+    print(f"amplitude-damping channel (gamma = {gamma}):")
     print(f"  trace preserving: {rep.is_tp} (residual {rep.completeness_residual:.2e})")
     print(f"  completely positive: {rep.is_cp} (Choi min eig {rep.choi_min_eigenvalue:.2e})")
     choi = kraus_to_choi(ch)

@@ -25,7 +25,7 @@ QUBIT = SystemLayout.qubits(("Q",))
 
 def main():
     sc = amplitude_damping_qubit(gamma=1.0)
-    grid = TimeGrid(0.0, 0.125, 12)  # out to gamma t = 1.5, past the crossing
+    grid = TimeGrid(0.125, 12)  # out to gamma t = 1.5, past the crossing
     chain = build_step_chain(evolve(sc.dynamics, grid.dt), sc.initial_state, grid)
 
     # The excited branch keeps label 0 even after its eigenvalue dips below

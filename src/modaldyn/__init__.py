@@ -19,8 +19,7 @@ _EXPORTS = {
     "channels": (
         "Channel", "CptReport", "GeneratorFlow", "KrausChannel",
         "LindbladGenerator", "Superoperator", "apply", "choi_to_kraus",
-        "compose", "completeness_residual", "evolve", "flow",
-        "identity_channel", "kraus_to_choi", "kraus_to_superoperator",
+        "compose", "completeness_residual", "evolve", "flow", "kraus_to_choi",
         "lindblad_superoperator", "superoperator_to_choi", "unitary_channel",
         "verify_cpt", "verify_kraus_operators", "verify_superoperator_matrix",
     ),
@@ -39,7 +38,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "SystemLayout", "canonical_phase", "hermitian_eig", "kron_all",
-        "partial_trace", "trace_distance",
+        "partial_trace",
     ),
     "scenarios": (
         "Scenario", "amplitude_damping_qubit", "dephasing_qubit", "epr_bohm",

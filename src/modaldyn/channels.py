@@ -92,8 +92,8 @@ class KrausChannel:
 class LindbladGenerator:
     """Markovian generator data: Hamiltonian plus weighted jump operators.
 
-    ``jumps`` is a sequence of ``(operator, rate)`` pairs with nonnegative
-    rates; the generated motion is
+    ``jumps`` is a sequence of ``(operator, rate)`` pairs with finite
+    operator entries and finite nonnegative rates; the generated motion is
     ``drho/dt = -i[H, rho] + sum_k rate_k (L rho L^dag - {L^dag L, rho}/2)``.
     """
 
@@ -116,9 +116,12 @@ class LindbladGenerator:
                 raise DimensionMismatchError(
                     f"jump operator shape {op.shape} does not match {h.shape}"
                 )
+            bad = op[~np.isfinite(op)]
+            if bad.size:
+                raise ValueError(f"jump operator entries must be finite: {bad[0]}")
             rate = float(rate)
-            if not rate >= 0:
-                raise ValueError(f"jump rate must be nonnegative: {rate}")
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"jump rate must be finite and nonnegative: {rate}")
             jumps.append((op, rate))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(jumps))
@@ -317,19 +320,11 @@ def _abs_sum_max(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix acting on row-major vectorized operators.
-
-    ``kind`` distinguishes finished maps from generators, because the
-    trace-preservation row condition differs: a map satisfies
-    ``vec(I)^T S = vec(I)^T`` while a generator satisfies
-    ``vec(I)^T L = 0`` (trace preserved infinitesimally). A map's row is
-    held to ``CPT_TOL``; a generator's row sums entries as large as its
-    rates, so it is held to ``CPT_TOL`` times its 1-norm when that exceeds 1.
-    """
+    """Dense map on row-major vectorized operators, whose trace row
+    ``vec(I)^T S = vec(I)^T`` is checked to ``CPT_TOL`` on construction."""
 
     matrix: np.ndarray
     dim: int
-    kind: str = "map"
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -338,20 +333,12 @@ class Superoperator:
             raise DimensionMismatchError(
                 f"superoperator shape {mat.shape} is not ({d * d}, {d * d})"
             )
-        if self.kind not in ("map", "generator"):
-            raise ValueError(f"kind must be 'map' or 'generator': {self.kind!r}")
         vec_i = np.eye(d, dtype=complex).reshape(-1)
-        row = mat.T @ vec_i
-        if self.kind == "map":
-            target, bound = vec_i, CPT_TOL
-        else:
-            target, bound = 0.0, CPT_TOL * max(1.0, _abs_sum_max(mat))
-        resid = np.abs(row - target).max()
-        # a NaN residual or an infinite bound (an infinite entry) fails too
-        if not resid <= bound < math.inf:
+        resid = np.abs(mat.T @ vec_i - vec_i).max()
+        # a NaN residual (a non-finite entry) fails too
+        if not resid <= CPT_TOL:
             raise CptVerificationError(
-                f"trace row condition violated by {resid:.3e} (bound {bound:.3e}) "
-                f"for kind={self.kind!r}"
+                f"trace row condition violated by {resid:.3e} (bound {CPT_TOL:.3e})"
             )
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dim", d)
@@ -384,10 +371,6 @@ def _completeness_sum(ops: Sequence[np.ndarray]) -> np.ndarray:
 def completeness_residual(ops: Sequence[np.ndarray]) -> float:
     """Frobenius norm of ``sum K^dag K - I``."""
     return float(np.linalg.norm(_completeness_sum(ops) - np.eye(ops[0].shape[0])))
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -498,14 +481,6 @@ def apply(dynamics: Dynamics, state: State) -> State:
     return state
 
 
-def kraus_to_superoperator(ch: KrausChannel) -> Superoperator:
-    d = ch.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.operators:
-        mat += np.kron(k, k.conj())
-    return Superoperator(mat, d, kind="map")
-
-
 def _kraus_columns(ops: Sequence[np.ndarray]) -> np.ndarray:
     """``W = [vec K_1 ... vec K_n]``, so that the Choi matrix is ``W W^dag``."""
     return np.stack([np.asarray(k).reshape(-1) for k in ops], axis=1)
@@ -603,8 +578,13 @@ def verify_cpt(ch: Channel, tol: float = CPT_TOL) -> CptReport:
     return verify_superoperator_matrix(ch.matrix, ch.dim, tol)
 
 
-def lindblad_superoperator(g: LindbladGenerator) -> Superoperator:
-    """Generator matrix on vectorized operators (not exponentiated)."""
+def lindblad_superoperator(g: LindbladGenerator) -> np.ndarray:
+    """The d^2 x d^2 generator matrix L on row-major vectorized operators.
+
+    Not exponentiated. ``vec(I)^T L = 0`` holds by construction: the
+    commutator is traceless, and the trace each jump's ``op rho op^dag``
+    adds, its anticommutator term takes away.
+    """
     d = g.dim
     eye = np.eye(d, dtype=complex)
     h = g.hamiltonian
@@ -615,7 +595,7 @@ def lindblad_superoperator(g: LindbladGenerator) -> Superoperator:
             np.kron(op, op.conj())
             - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
         )
-    return Superoperator(mat, d, kind="generator")
+    return mat
 
 
 def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
@@ -638,7 +618,7 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     """
     duration = _duration(duration)
     check_memory(9 * g.dim**4, f"evolving a generator of dimension {g.dim}")
-    total = expm(lindblad_superoperator(g).matrix * duration)
+    total = expm(lindblad_superoperator(g) * duration)
     ops = choi_to_kraus(_realign(total, g.dim), g.dim)
     return KrausChannel(_renormalize_completeness(ops))
 

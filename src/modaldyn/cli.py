@@ -242,7 +242,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"scenario {args.scenario!r} has no generator dynamics to sample"
         )
-    grid = TimeGrid(0.0, args.t / args.steps, args.steps)
+    grid = TimeGrid(args.t / args.steps, args.steps)
     step = channels_mod.evolve(sc.dynamics, grid.dt)
     chain = build_step_chain(step, sc.initial_state, grid, args.threshold, args.mode)
     if args.n == 1:

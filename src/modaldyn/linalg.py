@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     LayoutMismatchError,
     NotHermitianError,
     ProblemTooLargeError,
@@ -314,19 +313,3 @@ def partial_trace(
     return np.einsum(rho_t, row_idx + col_idx, out_idx).reshape(
         int(np.prod([layout.dims[p] for p in keep_pos])), -1
     )
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance (1/2)*sum |eigenvalues of rho - sigma|.
-
-    Valid for Hermitian operands; intended for pairs of density matrices.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(
-            f"operand shapes differ: {rho.shape} vs {sigma.shape}"
-        )
-    diff = rho - sigma
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

@@ -77,14 +77,12 @@ RNG_CONTRACT = {
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid ``t0 + k*dt`` for ``k = 0..n_steps``."""
+    """Uniform time grid ``k*dt`` for ``k = 0..n_steps``."""
 
-    t0: float
     dt: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n_steps", int(self.n_steps))
         if not 0.0 < self.dt < math.inf:
@@ -94,7 +92,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ def build_step_chain(
     w, v = _ordered_eig(states)
 
     def point(k: int) -> str:
-        return f"grid point {k} (t={grid.t0 + k * grid.dt:g})"
+        return f"grid point {k} (t={k * grid.dt:g})"
 
     # errors come in grid order, as if each point were read as it is reached
     fault = _density_fault(states, w)

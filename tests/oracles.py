@@ -168,6 +168,24 @@ def naive_choi(operators) -> np.ndarray:
     return choi
 
 
+def naive_superoperator(operators) -> np.ndarray:
+    """``sum_k K_k kron conj(K_k)``, the map on row-major ``vec(rho)``, by
+    explicit entrywise loops."""
+    operators = [np.asarray(k, dtype=complex) for k in operators]
+    d = operators[0].shape[0]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for k in operators:
+        for a, b, c, e in itertools.product(range(d), repeat=4):
+            out[a * d + b, c * d + e] += k[a, c] * np.conj(k[b, e])
+    return out
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """``(1/2) sum |eigenvalues of rho - sigma|`` for Hermitian operands."""
+    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+
+
 def product_amplitudes(dims, block_positions, block_vectors) -> np.ndarray:
     """Full-space amplitudes of a tensor product of block vectors.
 

@@ -1,12 +1,12 @@
-"""Seeded random states, unitaries, and channels for tests and demos."""
+"""Seeded random states, unitaries, channels and generators for the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, LindbladGenerator
-from .linalg import SystemLayout
-from .states import DensityMatrix
+from modaldyn.channels import KrausChannel, LindbladGenerator
+from modaldyn.linalg import SystemLayout
+from modaldyn.states import DensityMatrix
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +384,7 @@ def _lindblad_channel_file(
     tmp_path, n_qubits: int, seed: int, duration: float, n_jumps=3, rate_scale=1.0
 ) -> str:
     """A random generator on n qubits and a duration, as a file."""
-    from modaldyn.random_objects import random_lindblad
+    from random_objects import random_lindblad
 
     g = random_lindblad(2**n_qubits, n_jumps, np.random.default_rng(seed), rate_scale)
     doc = {
@@ -407,10 +409,10 @@ def test_verify_channel_on_a_long_lindblad_duration(capsys, tmp_path):
 
 
 def test_a_fast_generator_is_sampled_and_verified(capsys, tmp_path):
-    # rates 2.2e6 and 7.0e6: the generator's trace row is off by 3.8e-9 in
-    # round-off, within CPT_TOL of the generator's 1-norm
+    # rates 2.2e6 and 7.0e6: the generator matrix's trace row holds 3.8e-9
+    # of round-off, which no check may take for a defect
     from modaldyn import Scenario, SystemLayout
-    from modaldyn.random_objects import random_density_matrix, random_lindblad
+    from random_objects import random_density_matrix, random_lindblad
     from modaldyn.serialize import scenario_to_document
 
     channel = _lindblad_channel_file(tmp_path, 2, 0, 1e-7, n_jumps=2, rate_scale=1e7)
@@ -985,7 +987,7 @@ def test_verify_channel_over_the_memory_budget_exits_2(capsys, tmp_path, monkeyp
 def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
     """A random n-qubit state under a random three-jump generator, as a file."""
     from modaldyn import Scenario, SystemLayout
-    from modaldyn.random_objects import random_density_matrix, random_lindblad
+    from random_objects import random_density_matrix, random_lindblad
     from modaldyn.serialize import scenario_to_document
 
     rng = np.random.default_rng(seed)
@@ -998,6 +1000,40 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
     path = tmp_path / f"lindblad-{n_qubits}.json"
     path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
     return str(path)
+
+
+def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
+    # an infinite rate or jump-operator entry is refused as the generator is
+    # built, before any product can turn it into NaN and numpy warnings
+    scenario = json.loads(Path(_lindblad_scenario_file(tmp_path, 2, 3)).read_text())
+    scenario["dynamics"]["jumps"][0]["rate"] = math.inf
+    scenario_path = tmp_path / "infinite-rate.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    channel = json.loads(Path(_lindblad_channel_file(tmp_path, 2, 3, 1.0)).read_text())
+    channel["jumps"][0]["rate"] = math.inf
+    rate_path = tmp_path / "channel-infinite-rate.json"
+    rate_path.write_text(json.dumps(channel), encoding="utf-8")
+    channel["jumps"][0]["rate"] = 1.0
+    channel["jumps"][1]["operator"][0][0] = [math.inf, 0.0]
+    entry_path = tmp_path / "channel-infinite-entry.json"
+    entry_path.write_text(json.dumps(channel), encoding="utf-8")
+    assert '"rate": Infinity' in rate_path.read_text()
+    rate = "rate must be finite and nonnegative: inf"
+    requests = [
+        (("sample", "--scenario", str(scenario_path), "--t", "1", "--steps", "2",
+          "--seed", "1"), rate),
+        (("epistemic", "--scenario", str(scenario_path), "--time", "1"), rate),
+        (("verify-channel", "--channel", str(rate_path)), rate),
+        (("verify-channel", "--channel", str(entry_path)),
+         "jump operator entries must be finite: (inf+0j)"),
+    ]
+    for argv, message in requests:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("configuration error: ") and message in err, (argv, err)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def _fresh_process(argv, code=None):

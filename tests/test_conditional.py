@@ -14,6 +14,7 @@ from modaldyn import (
     LayoutMismatchError,
     Partition,
     ProbabilityBoundsError,
+    Superoperator,
     SystemLayout,
     TimeGrid,
     amplitude_damping_qubit,
@@ -26,18 +27,16 @@ from modaldyn import (
     evolve,
     extract_epistemic,
     ghz_mermin,
-    identity_channel,
     joint_conditional,
     kinematic_conditional,
-    kraus_to_superoperator,
     trivial_partition,
     unitary_channel,
     von_neumann_measurement,
 )
 from modaldyn.conditional import _block_probabilities
-from modaldyn.random_objects import random_density_matrix, random_kraus_channel
 
 from oracles import naive_embed, naive_joint_probability
+from random_objects import random_density_matrix, random_kraus_channel
 
 
 def test_partition_validation():
@@ -101,7 +100,7 @@ def test_joint_matches_loop_oracle_identity_channel():
             range(len(parent)), range(len(block_b)), range(len(block_a))
         ):
             got = joint_conditional(
-                rho, identity_channel(6), part, w, (i, j), mode="permissive"
+                rho, unitary_channel(np.eye(6)), part, w, (i, j), mode="permissive"
             )
             want = naive_joint_probability(
                 layout.dims,
@@ -152,7 +151,7 @@ def test_kinematic_equals_joint_with_identity():
         ):
             a = kinematic_conditional(rho, part, w, (i, j), mode="permissive")
             b = joint_conditional(
-                rho, identity_channel(6), part, w, (i, j), mode="permissive"
+                rho, unitary_channel(np.eye(6)), part, w, (i, j), mode="permissive"
             )
             assert abs(a - b) < 1e-12
 
@@ -330,14 +329,14 @@ def test_scalar_queries_are_table_entries(case):
 def test_superoperator_dynamics_is_refused():
     rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), SystemLayout.qubits(("Q",)))
     part = trivial_partition(rho.layout)
-    sup = kraus_to_superoperator(identity_channel(2))
+    sup = Superoperator(np.eye(4), 2)
     hint = re.escape("KrausChannel(choi_to_kraus(superoperator_to_choi(s), d))")
     calls = [
         lambda: conditional_table(rho, sup, part),
         lambda: conditional_table(rho, (((0,), sup),), part),
         lambda: joint_conditional(rho, sup, part, 0, (0,)),
         lambda: dynamical_conditional(rho, sup, 0, 0),
-        lambda: build_step_chain(sup, rho, TimeGrid(0.0, 1.0, 2)),
+        lambda: build_step_chain(sup, rho, TimeGrid(1.0, 2)),
         lambda: apply(sup, rho),
     ]
     for call in calls:
@@ -349,11 +348,11 @@ def test_dynamics_of_the_wrong_dim_or_positions_are_refused_by_one_gate():
     qubit = SystemLayout.qubits(("Q",))
     rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), qubit)
     part = trivial_partition(rho.layout)
-    wide = identity_channel(4)
+    wide = unitary_channel(np.eye(4))
     for call in (
         lambda: conditional_table(rho, wide, part),
         lambda: conditional_table(rho, (((0,), wide),), part),
-        lambda: build_step_chain(wide, rho, TimeGrid(0.0, 1.0, 2)),
+        lambda: build_step_chain(wide, rho, TimeGrid(1.0, 2)),
         lambda: apply(wide, rho),
     ):
         with pytest.raises(DimensionMismatchError, match="channel dim 4 does not match"):
@@ -371,7 +370,7 @@ def test_generator_dynamics_is_refused_with_the_conversion():
         "not a LindbladGenerator; convert a LindbladGenerator first with "
         "evolve(generator, dt)"
     )
-    grid = TimeGrid(0.0, 0.25, 2)
+    grid = TimeGrid(0.25, 2)
     calls = [
         lambda: conditional_table(rho, gen, trivial_partition(rho.layout)),
         lambda: conditional_table(rho, (((0,), gen),), trivial_partition(rho.layout)),

@@ -28,17 +28,17 @@ from modaldyn import (
 )
 from modaldyn import channels
 from modaldyn.scenarios import amplitude_damping_qubit
-from modaldyn.random_objects import (
-    random_density_matrix,
-    random_lindblad,
-    random_state_vector,
-)
 
 from oracles import (
     flow_norm_every_term,
     naive_lindblad_apply,
     naive_lindblad_expm,
     product_amplitudes,
+)
+from random_objects import (
+    random_density_matrix,
+    random_lindblad,
+    random_state_vector,
 )
 
 FLOW_TOL = 1e-12
@@ -141,7 +141,7 @@ def test_the_norm_bound_covers_the_shifted_generator():
     generators += [_generator(d, n, 3.0, d + n) for d in (2, 3, 5) for n in (0, 1, 3)]
     for g in generators:
         d = g.dim
-        dense = lindblad_superoperator(g).matrix
+        dense = lindblad_superoperator(g)
         _, _, mu, bound = channels._shifted_generator(g)
         assert abs(mu - np.trace(dense).real / d**2) < 1e-12
         shifted = dense - mu * np.eye(d * d)
@@ -268,7 +268,7 @@ def test_a_chain_refuses_a_flow_and_names_evolve():
     g = _generator(2, 1, 1.0, 31)
     rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), SystemLayout.qubits(("Q",)))
     with pytest.raises(TypeError, match=r"not a GeneratorFlow; .*evolve\(generator, dt\)"):
-        build_step_chain(GeneratorFlow(g, 0.25), rho, TimeGrid(0.0, 0.25, 2))
+        build_step_chain(GeneratorFlow(g, 0.25), rho, TimeGrid(0.25, 2))
 
 
 def test_a_pure_state_flows_as_its_density_matrix():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
-    DimensionMismatchError,
     LayoutMismatchError,
     NotHermitianError,
     SystemLayout,
@@ -13,12 +12,11 @@ from modaldyn import (
     canonical_phase,
     hermitian_eig,
     partial_trace,
-    trace_distance,
 )
 from modaldyn.linalg import _ordered_eig, expm
-from modaldyn.random_objects import random_density_matrix, random_hermitian
 
 from oracles import naive_canonical_phase, naive_ordered_columns, naive_partial_trace
+from random_objects import random_density_matrix, random_hermitian
 
 
 def test_layout_basics():
@@ -177,24 +175,6 @@ def test_partial_trace_of_product_state():
     joint = np.kron(rho_a, rho_b)
     assert np.abs(partial_trace(joint, layout, ("A",)) - rho_a).max() < 1e-14
     assert np.abs(partial_trace(joint, layout, ("B",)) - rho_b).max() < 1e-14
-
-
-def test_trace_distance_properties():
-    rng = np.random.default_rng(7)
-    layout = SystemLayout(dims=(3,), labels=("Q",))
-    a = random_density_matrix(layout, rng).matrix
-    b = random_density_matrix(layout, rng).matrix
-    assert trace_distance(a, a) < 1e-14
-    d = trace_distance(a, b)
-    assert 0.0 <= d <= 1.0 + 1e-12
-    assert abs(d - trace_distance(b, a)) < 1e-14
-    # orthogonal pure states sit at distance one
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    assert abs(trace_distance(p0, p1) - 1.0) < 1e-14
-    with pytest.raises(DimensionMismatchError):
-        trace_distance(a, p0)
-
 
 
 # 1-norms inside the theta bands of the Pade degrees 3, 5, 7, 9 and 13, then

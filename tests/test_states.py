@@ -15,7 +15,8 @@ from modaldyn import (
     extract_epistemic,
 )
 from modaldyn import linalg
-from modaldyn.random_objects import random_density_matrix, random_state_vector
+
+from random_objects import random_density_matrix, random_state_vector
 
 QUBIT = SystemLayout.qubits(("Q",))
 

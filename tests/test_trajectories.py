@@ -21,14 +21,14 @@ from modaldyn import (
     run_ensemble,
 )
 from modaldyn import linalg, trajectories
-from modaldyn.random_objects import (
+from modaldyn.trajectories import ENSEMBLE_BLOCK
+
+from oracles import naive_chain_states, naive_kraus_apply, naive_walk
+from random_objects import (
     random_density_matrix,
     random_kraus_channel,
     random_lindblad,
 )
-from modaldyn.trajectories import ENSEMBLE_BLOCK
-
-from oracles import naive_chain_states, naive_kraus_apply, naive_walk
 
 QUBIT = SystemLayout.qubits(("Q",))
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -44,24 +44,26 @@ def damping(gamma=1.0):
 
 
 def test_time_grid_validation():
-    grid = TimeGrid(0.0, 0.5, 4)
+    grid = TimeGrid(0.5, 4)
     assert np.abs(grid.times - np.array([0.0, 0.5, 1.0, 1.5, 2.0])).max() == 0.0
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 0.0, 4)
+        TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 0.5, -1)
+        TimeGrid(0.5, -1)
+    with pytest.raises(TypeError):  # a grid starts at 0: there is no t0
+        TimeGrid(0.0, 0.5, 4)
 
 
 def test_time_grid_rejects_non_finite_step():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dt must be finite"):
-            TimeGrid(0.0, bad, 4)
+            TimeGrid(bad, 4)
 
 
 def test_dephasing_keeps_populations_frozen():
     # diagonal state, dephasing noise: branches never switch
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.2, 5)
+    grid = TimeGrid(0.2, 5)
     chain = build_step_chain(evolve(dephasing(), grid.dt), rho0, grid)
     assert chain.counts.tolist() == [2] * 6
     assert np.abs(chain.rows - np.eye(2)).max() < 1e-10
@@ -72,7 +74,7 @@ def test_dephasing_keeps_populations_frozen():
 
 def test_dephasing_ensemble_frequencies():
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.2, 5)
+    grid = TimeGrid(0.2, 5)
     chain = build_step_chain(evolve(dephasing(), grid.dt), rho0, grid)
     report = run_ensemble(chain, n_samples=2000, base_seed=7)
     # binomial 4 sigma for p=0.7, n=2000
@@ -83,7 +85,7 @@ def test_dephasing_ensemble_frequencies():
 
 def test_damping_labels_follow_branches_through_crossing():
     # eigenvalues cross at t = ln 2; the excited branch keeps its label
-    grid = TimeGrid(0.0, 0.25, 6)
+    grid = TimeGrid(0.25, 6)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     table = chain.eigenvalue_table()
@@ -93,7 +95,7 @@ def test_damping_labels_follow_branches_through_crossing():
 
 
 def test_damping_first_step_row():
-    grid = TimeGrid(0.0, 0.25, 1)
+    grid = TimeGrid(0.25, 1)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     # pure start: one entry at t=0, survival probability e^{-gamma dt}
@@ -104,7 +106,7 @@ def test_damping_first_step_row():
 
 def test_propagated_marginals_match_eigenvalues():
     rng = np.random.default_rng(41)
-    grid = TimeGrid(0.0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     assert np.abs(chain.propagated_marginals() - chain.eigenvalue_table()).max() < 1e-7
@@ -117,7 +119,7 @@ def test_propagated_marginals_match_eigenvalues():
 
 def test_strict_mode_refuses_degenerate_grid_point():
     rho0 = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
-    grid = TimeGrid(0.0, 0.1, 3)
+    grid = TimeGrid(0.1, 3)
     step = evolve(dephasing(), grid.dt)
     with pytest.raises(DegenerateBasisError):
         build_step_chain(step, rho0, grid, mode="strict")
@@ -127,7 +129,7 @@ def test_strict_mode_refuses_degenerate_grid_point():
 
 def test_sampling_is_deterministic():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
     a = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid).sample(seed=99)
     b = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid).sample(seed=99)
     assert a == b
@@ -135,7 +137,7 @@ def test_sampling_is_deterministic():
 
 def test_ensemble_matches_sequential_sampling_bitwise():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     n = ENSEMBLE_BLOCK + 64  # and 64 trajectories of the second block
     base = 1234
@@ -166,7 +168,7 @@ def _random_chain(dims, n_ops, n_steps, rng):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    grid = TimeGrid(0.0, 1.0, n_steps)
+    grid = TimeGrid(1.0, n_steps)
     return build_step_chain(ch, rho0, grid, mode="permissive")
 
 
@@ -229,7 +231,7 @@ def test_ensemble_counts_match_naive_walks_across_blocks():
 def test_damping_is_absorbing():
     # a decayed trajectory must never re-excite
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 0.5, 6)
+    grid = TimeGrid(0.5, 6)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     for i in range(200):
         traj = chain.sample(5000 + i)
@@ -245,7 +247,7 @@ def test_row_sum_error_reports_plain_numbers():
     # threshold 0.01 drops the decayed branch, so a row loses that mass
     rho0 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex), QUBIT)
     sc = amplitude_damping_qubit(1.0, rho0)
-    grid = TimeGrid(0.0, 1.25, 4)
+    grid = TimeGrid(1.25, 4)
     with pytest.raises(NormalizationError) as info:
         step = evolve(sc.dynamics, grid.dt)
         build_step_chain(step, sc.initial_state, grid, threshold=0.01)
@@ -268,7 +270,7 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, 2), mode="permissive")
+    chain = build_step_chain(ch, rho0, TimeGrid(1.0, 2), mode="permissive")
     c = chain.counts
     for k, rows in enumerate(_unpadded(chain)[1]):
         vecs_t, vecs_tp = chain.vectors[k, :, : c[k]], chain.vectors[k + 1, :, : c[k + 1]]
@@ -287,7 +289,7 @@ def test_intermediate_states_are_validated():
     step = KrausChannel((np.sqrt(1.0 + 4e-10) * np.eye(2, dtype=complex),))
     rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
     with pytest.raises(InvalidDensityMatrixError) as info:
-        build_step_chain(step, rho0, TimeGrid(0.0, 1.0, 3))
+        build_step_chain(step, rho0, TimeGrid(1.0, 3))
     message = str(info.value)
     assert "grid point 1 " in message and "np.float64" not in message
     numbers = [float(x) for x in re.findall(r"\d+\.?\d*(?:e[-+]?\d+)?", message)]
@@ -296,7 +298,7 @@ def test_intermediate_states_are_validated():
     # faults come in grid order: the degenerate start is refused first
     half = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
     with pytest.raises(DegenerateBasisError, match="grid point 0 "):
-        build_step_chain(step, half, TimeGrid(0.0, 1.0, 3))
+        build_step_chain(step, half, TimeGrid(1.0, 3))
 
 
 def test_pure_start_reads_one_entry_of_probability_one():
@@ -304,7 +306,7 @@ def test_pure_start_reads_one_entry_of_probability_one():
     # shortcut reads it as exactly one
     vec = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
     rho0 = DensityMatrix.from_vector(vec, QUBIT)
-    chain = build_step_chain(evolve(damping(1.0), 0.25), rho0, TimeGrid(0.0, 0.25, 3))
+    chain = build_step_chain(evolve(damping(1.0), 0.25), rho0, TimeGrid(0.25, 3))
     assert chain.probs[0, : chain.counts[0]].tolist() == [1.0]
 
 
@@ -321,7 +323,7 @@ def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
     d = layout.total_dim
     rho0 = random_density_matrix(layout, rng)
     ch = random_kraus_channel(d, n_ops, rng)
-    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive")
+    chain = build_step_chain(ch, rho0, TimeGrid(1.0, n_steps), mode="permissive")
     oracle = naive_chain_states(ch.operators, rho0.matrix, n_steps)
     assert chain.n_times == len(oracle)
     for k, rho in enumerate(oracle):
@@ -354,7 +356,7 @@ def test_padding_is_never_read(dims, n_ops, n_steps, seed):
     d = layout.total_dim
     rho0 = DensityMatrix.from_vector(rng.normal(size=d) + 1j * rng.normal(size=d), layout)
     ch = random_kraus_channel(d, n_ops, rng)
-    chain = build_step_chain(ch, rho0, TimeGrid(0.0, 1.0, n_steps), mode="permissive")
+    chain = build_step_chain(ch, rho0, TimeGrid(1.0, n_steps), mode="permissive")
     assert chain.counts[0] == 1 and chain.counts.max() > 1
     pad = np.arange(chain.counts.max()) >= chain.counts[:, None]
     assert np.all(chain.probs[pad] == 0.0) and np.all(chain.labels[pad] == -1)
@@ -384,12 +386,12 @@ def test_memory_guard_counts_the_whole_chain(monkeypatch):
     step = evolve(damping(1.0), 0.25)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 2 * 4096)
     with pytest.raises(ProblemTooLargeError, match="4096 bytes for the states alone"):
-        build_step_chain(step, rho0, TimeGrid(0.0, 0.25, 63))
+        build_step_chain(step, rho0, TimeGrid(0.25, 63))
 
 
 def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 1.0 / 64, 64)
+    grid = TimeGrid(1.0 / 64, 64)
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     n = ENSEMBLE_BLOCK + 250
     want = run_ensemble(chain, n_samples=n, base_seed=5)
@@ -428,7 +430,7 @@ def _consumed_uniforms(monkeypatch, chain, n_samples, base_seed):
 
 def _damping_chain(n_steps):
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), QUBIT)
-    grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
+    grid = TimeGrid(1.0 / n_steps, n_steps)
     return build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
 
 
