@@ -49,7 +49,14 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import HERMITICITY_TOL, SystemLayout, apply_local, check_memory, expm
+from .linalg import (
+    HERMITICITY_TOL,
+    SystemLayout,
+    apply_local,
+    check_finite,
+    check_memory,
+    expm,
+)
 from .states import DensityMatrix, PureState, State
 
 CHOI_EIG_CUTOFF = 1e-12
@@ -92,8 +99,9 @@ class KrausChannel:
 class LindbladGenerator:
     """Markovian generator data: Hamiltonian plus weighted jump operators.
 
-    ``jumps`` is a sequence of ``(operator, rate)`` pairs with finite
-    operator entries and finite nonnegative rates; the generated motion is
+    The Hamiltonian's entries are finite, and ``jumps`` is a sequence of
+    ``(operator, rate)`` pairs with finite operator entries and finite
+    nonnegative rates; the generated motion is
     ``drho/dt = -i[H, rho] + sum_k rate_k (L rho L^dag - {L^dag L, rho}/2)``.
     """
 
@@ -104,6 +112,7 @@ class LindbladGenerator:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise NotHermitianError(f"Hamiltonian must be square, got {h.shape}")
+        check_finite(h, "Hamiltonian")
         dev = np.abs(h - h.conj().T).max()
         if not dev <= HERMITICITY_TOL:
             raise NotHermitianError(
@@ -116,9 +125,7 @@ class LindbladGenerator:
                 raise DimensionMismatchError(
                     f"jump operator shape {op.shape} does not match {h.shape}"
                 )
-            bad = op[~np.isfinite(op)]
-            if bad.size:
-                raise ValueError(f"jump operator entries must be finite: {bad[0]}")
+            check_finite(op, "jump operator")
             rate = float(rate)
             if not 0.0 <= rate < math.inf:
                 raise ValueError(f"jump rate must be finite and nonnegative: {rate}")

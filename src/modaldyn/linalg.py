@@ -31,6 +31,13 @@ DEGENERACY_GAP = 1e-9
 MEMORY_BUDGET_BYTES = 1 << 28
 
 
+def check_finite(a: np.ndarray, what: str) -> None:
+    """Refuse input with an infinite or NaN entry, naming the first one."""
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"{what} entries must be finite: {bad[0]}")
+
+
 def check_memory(n_entries: int, what: str) -> None:
     """Refuse, before allocating it, a complex array over the memory budget."""
     nbytes = 16 * int(n_entries)

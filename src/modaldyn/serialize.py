@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import KrausChannel, LindbladGenerator, unitary_channel
 from .errors import LayoutMismatchError, ModalDynError
-from .linalg import SystemLayout, apply_local, check_memory
+from .linalg import SystemLayout, apply_local, check_finite, check_memory
 from .scenarios import Scenario
 from .states import DensityMatrix, EpistemicState, PureState
 
@@ -307,7 +307,8 @@ def scenario_from_document(data: dict) -> Scenario:
     """Build a Scenario from its JSON document.
 
     Every matrix is checked to be ``d x d``, ``d`` the layout's dimension,
-    before anything is built from it.
+    and the initial state to have finite entries, before anything is built
+    from it.
     """
     check_schema_version(data)
     if data.get("kind") != "scenario":
@@ -324,6 +325,7 @@ def scenario_from_document(data: dict) -> Scenario:
 
     state = pairs_to_matrix(_require(data, "initial_state"))
     square("'initial_state'", state)
+    check_finite(state, "initial state")
     every = tuple(range(layout.n_factors))
     doc = data.get("dynamics")
     dynamics = None

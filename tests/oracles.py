@@ -278,6 +278,38 @@ def naive_walk(initial_probs, raw_rows, seed, trajectory=0) -> list[int]:
     return entries
 
 
+def naive_branch_labels(overlaps, counts) -> tuple[np.ndarray, int]:
+    """Branch labels ``[grid point, entry]`` (-1 on padding) by the step-by-step greedy match.
+
+    ``overlaps[k][a][b]`` is ``|<psi_a(k)|psi_b(k + 1)>|`` and ``counts[k]``
+    the entries kept at grid point ``k``. At each step the largest overlap
+    among pairs whose previous and new entries are both free is taken, the
+    first in row-major order on a tie (the lowest (previous, new) pair),
+    until one side runs out; a taken new entry inherits its partner's label,
+    and the other new entries get fresh labels in entry order.
+    """
+    counts = [int(c) for c in counts]
+    labels = np.full((len(counts), max(counts)), -1)
+    labels[0, : counts[0]] = range(counts[0])
+    n_labels = counts[0]
+    for k in range(1, len(counts)):
+        rows, cols = list(range(counts[k - 1])), list(range(counts[k]))
+        while rows and cols:
+            best = None
+            for a in rows:
+                for b in cols:
+                    if best is None or overlaps[k - 1][a][b] > best[0]:
+                        best = (overlaps[k - 1][a][b], a, b)
+            _, a, b = best
+            labels[k, b] = labels[k - 1, a]
+            rows.remove(a)
+            cols.remove(b)
+        for b in cols:
+            labels[k, b] = n_labels
+            n_labels += 1
+    return labels, n_labels
+
+
 def dephasing_offdiagonal(initial_offdiag: complex, gamma: float, t: float) -> complex:
     return initial_offdiag * np.exp(-2.0 * gamma * t)
 

@@ -10,7 +10,6 @@ from modaldyn import (
     InvalidDensityMatrixError,
     KrausChannel,
     LindbladGenerator,
-    NotHermitianError,
     NotUnitaryError,
     ProblemTooLargeError,
     PureState,
@@ -324,7 +323,8 @@ def test_constructors_reject_nan():
     s[0, 0] = np.nan
     with pytest.raises(CptVerificationError):
         Superoperator(s, 2)
-    with pytest.raises(NotHermitianError):
+    # refused as input, before the Hermiticity check can read it
+    with pytest.raises(ValueError, match=r"Hamiltonian entries must be finite: \(nan\+0j\)"):
         LindbladGenerator(hamiltonian=nan_diag)
     with pytest.raises(ValueError):
         LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, np.nan),))

@@ -522,11 +522,22 @@ def _scenario_file(tmp_path, **changes):
 
 
 def test_nan_initial_state_is_rejected(capsys, tmp_path):
-    rho = np.diag([np.nan, 0.5])
-    path = _scenario_file(tmp_path, initial_state=matrix_to_pairs(rho))
-    code, out, _ = run(capsys, "epistemic", "--scenario", path)
-    assert code == 3
-    assert out == ""
+    # refused as the file is read, before a state check turns it into NaN
+    # and numpy warnings
+    for bad in (np.nan, np.inf):
+        rho = np.diag([bad, 0.5])
+        path = _scenario_file(tmp_path, initial_state=matrix_to_pairs(rho))
+        for argv in (
+            ("epistemic", "--scenario", path),
+            ("sample", "--scenario", path, "--t", "1", "--steps", "2", "--seed", "1"),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, err)
+            message = f"initial state entries must be finite: ({bad}+0j)"
+            assert err == f"configuration error: {message}\n"
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_non_hermitian_initial_state_is_rejected(capsys, tmp_path):
@@ -1003,8 +1014,9 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
 
 
 def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
-    # an infinite rate or jump-operator entry is refused as the generator is
-    # built, before any product can turn it into NaN and numpy warnings
+    # an infinite rate, jump-operator or Hamiltonian entry is refused as the
+    # generator is built, before any product can turn it into NaN and numpy
+    # warnings
     scenario = json.loads(Path(_lindblad_scenario_file(tmp_path, 2, 3)).read_text())
     scenario["dynamics"]["jumps"][0]["rate"] = math.inf
     scenario_path = tmp_path / "infinite-rate.json"
@@ -1017,8 +1029,17 @@ def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
     channel["jumps"][1]["operator"][0][0] = [math.inf, 0.0]
     entry_path = tmp_path / "channel-infinite-entry.json"
     entry_path.write_text(json.dumps(channel), encoding="utf-8")
+    channel["jumps"][1]["operator"][0][0] = [0.0, 0.0]
+    channel["hamiltonian"][1][1] = [math.inf, 0.0]
+    hamiltonian_path = tmp_path / "channel-infinite-hamiltonian.json"
+    hamiltonian_path.write_text(json.dumps(channel), encoding="utf-8")
+    scenario["dynamics"]["jumps"][0]["rate"] = 1.0
+    scenario["dynamics"]["hamiltonian"][0][0] = [math.inf, 0.0]
+    scenario_h_path = tmp_path / "infinite-hamiltonian.json"
+    scenario_h_path.write_text(json.dumps(scenario), encoding="utf-8")
     assert '"rate": Infinity' in rate_path.read_text()
     rate = "rate must be finite and nonnegative: inf"
+    hamiltonian = "Hamiltonian entries must be finite: (inf+0j)"
     requests = [
         (("sample", "--scenario", str(scenario_path), "--t", "1", "--steps", "2",
           "--seed", "1"), rate),
@@ -1026,6 +1047,10 @@ def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
         (("verify-channel", "--channel", str(rate_path)), rate),
         (("verify-channel", "--channel", str(entry_path)),
          "jump operator entries must be finite: (inf+0j)"),
+        (("verify-channel", "--channel", str(hamiltonian_path)), hamiltonian),
+        (("sample", "--scenario", str(scenario_h_path), "--t", "1", "--steps", "2",
+          "--seed", "1"), hamiltonian),
+        (("epistemic", "--scenario", str(scenario_h_path), "--time", "1"), hamiltonian),
     ]
     for argv, message in requests:
         with warnings.catch_warnings(record=True) as caught:

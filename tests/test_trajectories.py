@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
@@ -23,11 +23,17 @@ from modaldyn import (
 from modaldyn import linalg, trajectories
 from modaldyn.trajectories import ENSEMBLE_BLOCK
 
-from oracles import naive_chain_states, naive_kraus_apply, naive_walk
+from oracles import (
+    naive_branch_labels,
+    naive_chain_states,
+    naive_kraus_apply,
+    naive_walk,
+)
 from random_objects import (
     random_density_matrix,
     random_kraus_channel,
     random_lindblad,
+    random_unitary,
 )
 
 QUBIT = SystemLayout.qubits(("Q",))
@@ -226,6 +232,103 @@ def test_ensemble_counts_match_naive_walks_across_blocks():
             counts[k, chain.labels[k, e]] += 1
     assert counts.sum() == n * chain.n_times
     assert np.array_equal(report.frequencies, counts / n)
+
+
+def _channel_onto(d, r, n_ops, rng):
+    """A random Kraus channel on dimension ``d`` whose image has dimension ``r``.
+
+    ``K_k = W A_k``: ``W`` is a d x r isometry and the ``A_k`` are the r x d
+    blocks of a random isometry from d to ``r n_ops`` dimensions.
+    """
+    g = rng.normal(size=(r * n_ops, d)) + 1j * rng.normal(size=(r * n_ops, d))
+    q = np.linalg.qr(g)[0]
+    w = random_unitary(d, rng)[:, :r]
+    return KrausChannel(tuple(w @ q[k * r : (k + 1) * r] for k in range(n_ops)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 8),
+    st.integers(0, 1),
+    st.booleans(),
+    st.integers(1, 6),
+    st.sampled_from([1e-12, 1e-4, 1e-2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_branch_labels_match_the_greedy_loop(d, r, extra, pure, n_steps, threshold, seed):
+    # a pure start grows in rank step by step; a channel onto r < d
+    # dimensions drops a mixed start's rank at the first step
+    rng = np.random.default_rng(seed)
+    r = min(r, d)
+    layout = SystemLayout((d,), ("Q",))
+    if pure:
+        rho0 = DensityMatrix.from_vector(rng.normal(size=d) + 1j * rng.normal(size=d), layout)
+    else:
+        rho0 = random_density_matrix(layout, rng)
+    ch = _channel_onto(d, r, -(-d // r) + extra, rng)
+    grid = TimeGrid(1.0, n_steps)
+    try:
+        chain = build_step_chain(ch, rho0, grid, threshold=threshold, mode="permissive")
+    except NormalizationError:
+        reject()  # an entry dropped under the threshold took part of a row's mass
+    overlaps = np.abs(chain.vectors[:-1].transpose(0, 2, 1) @ chain.vectors[1:].conj())
+    labels, n_labels = naive_branch_labels(overlaps, chain.counts)
+    assert np.array_equal(chain.labels, labels)
+    assert chain.n_labels == n_labels
+
+
+def test_tied_overlaps_go_to_the_lowest_pair():
+    every = np.ones((2, 3), dtype=bool)
+    # all overlaps equal: each new entry keeps the label of its own index
+    labels, n_labels = trajectories._branch_labels(np.full((1, 3, 3), 0.5), every)
+    assert labels.tolist() == [[0, 1, 2], [0, 1, 2]] and n_labels == 3
+    # previous entry 0 ties between new entries 1 and 2: the lower, 1, wins,
+    # then (1, 0) and (2, 2) are the best free pairs; a third grid point
+    # adds a fourth entry, which gets the next label
+    overlaps = np.zeros((2, 4, 4))
+    overlaps[0, :3, :3] = [[0.1, 0.9, 0.9], [0.8, 0.2, 0.7], [0.3, 0.4, 0.6]]
+    overlaps[1, :3, :4] = 0.25
+    kept = np.arange(4) < np.array([3, 3, 4])[:, None]
+    labels, n_labels = trajectories._branch_labels(overlaps, kept)
+    assert labels.tolist() == [[0, 1, 2, -1], [1, 0, 2, -1], [1, 0, 2, 3]]
+    assert n_labels == 4
+    # many ties: overlaps drawn from a few values, against the loop
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        m, n_steps = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        counts = rng.integers(1, m + 1, size=n_steps + 1)
+        kept = np.arange(m) < counts[:, None]
+        overlaps = rng.integers(0, 3, size=(n_steps, m, m)) / 2.0
+        labels, n_labels = trajectories._branch_labels(overlaps, kept)
+        want, want_n = naive_branch_labels(overlaps, counts)
+        assert np.array_equal(labels[:, : counts.max()], want) and n_labels == want_n
+        assert np.all(labels[:, counts.max() :] == -1)
+
+
+@pytest.mark.parametrize("d, n_steps", [(2, 20000), (8, 2000)])
+def test_chain_peaks_within_its_memory_estimate(monkeypatch, d, n_steps):
+    import tracemalloc
+
+    rng = np.random.default_rng(d)
+    layout = SystemLayout((d,), ("Q",))
+    rho0 = random_density_matrix(layout, rng)
+    step = random_kraus_channel(d, 2, rng)
+    estimates = []
+    check = trajectories.check_memory
+
+    def spy(n_entries, what):
+        estimates.append(16 * n_entries)
+        check(n_entries, what)
+
+    monkeypatch.setattr(trajectories, "check_memory", spy)
+    tracemalloc.start()
+    try:
+        build_step_chain(step, rho0, TimeGrid(1.0 / n_steps, n_steps), mode="permissive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and peak <= estimates[0]
 
 
 def test_damping_is_absorbing():
