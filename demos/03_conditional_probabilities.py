@@ -66,10 +66,7 @@ def main():
     from modaldyn import trivial_partition
 
     triv = trivial_partition(layout)
-    t2 = conditional_table(
-        sc.initial_state, ch, triv, mode="permissive", times=(0.0, t),
-        channel_id="dephasing:lindblad",
-    )
+    t2 = conditional_table(sc.initial_state, ch, triv, mode="permissive")
     print(
         f"\naudit: max row deviation {t2.max_row_deviation:.2e}, "
         f"max marginal deviation {t2.max_marginal_deviation:.2e}"

@@ -49,19 +49,9 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import (
-    HERMITICITY_TOL,
-    SystemLayout,
-    apply_local,
-    check_finite,
-    check_memory,
-    expm,
-)
+from .linalg import SystemLayout, apply_local, check_finite, check_memory, expm
 from .states import DensityMatrix, PureState, State
-
-CHOI_EIG_CUTOFF = 1e-12
-CPT_TOL = 1e-9
-UNITARITY_TOL = 1e-10
+from .tolerances import CHOI_EIG_CUTOFF, CPT_TOL, HERMITICITY_TOL, UNITARITY_TOL
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ class KrausChannel:
     """CPT map presented as a Kraus family ``rho -> sum_k K_k rho K_k^dag``.
 
     Construction verifies the completeness relation
-    ``||sum_k K_k^dag K_k - I||_F <= 1e-9``; on the channels the program
+    ``||sum_k K_k^dag K_k - I||_F <= CPT_TOL``; on the channels the program
     makes (``evolve``, ``compose``) it is the one CPT check.
     """
 

@@ -44,7 +44,8 @@ from .errors import (
 from .linalg import SystemLayout
 from .scenarios import SCENARIOS, Scenario
 from .serialize import SchemaError
-from .states import DEFAULT_THRESHOLD, PERMISSIVE, STRICT, DensityMatrix, extract_epistemic
+from .states import PERMISSIVE, STRICT, DensityMatrix, extract_epistemic
+from .tolerances import CPT_TOL, DEFAULT_THRESHOLD
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,18 +214,14 @@ def _cmd_conditional(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --blocks: {exc}") from exc
     channel, channel_id = sc.dynamics_to(args.time)
     table = conditional_table(
-        sc.initial_state,
-        channel,
-        part,
-        mode=args.mode,
-        threshold=args.threshold,
-        times=(0.0, args.time),
-        channel_id=channel_id,
+        sc.initial_state, channel, part, mode=args.mode, threshold=args.threshold
     )
     if args.format == "csv":
         text = serialize.table_csv(table)
     else:
-        text = serialize.dumps_json(serialize.table_payload(table, args.scenario))
+        text = serialize.dumps_json(
+            serialize.table_payload(table, args.scenario, (0.0, args.time), channel_id)
+        )
     _write(text, args.output)
     return EXIT_OK
 
@@ -288,22 +285,9 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
     except ModalDynError as exc:
         sys.stderr.write(f"channel rejected: {exc}\n")
         return EXIT_CHANNEL
-    payload = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "kind": "cpt_report",
-        "channel_kind": kind,
-        "dim": int(doc["dim"]),
-        "tol": tol,
-        "is_cp": report.is_cp,
-        "is_tp": report.is_tp,
-        "choi_min_eigenvalue": report.choi_min_eigenvalue,
-        "completeness_residual": report.completeness_residual,
-    }
+    payload = serialize.cpt_report_payload(report, kind, doc["dim"], tol)
     if args.format == "csv":
-        lines = serialize._csv_lines("field,value")
-        for key in sorted(payload):
-            lines.append(f"{key},{payload[key]}")
-        text = "\n".join(lines) + "\n"
+        text = serialize.cpt_report_csv(payload)
     else:
         text = serialize.dumps_json(payload)
     _write(text, args.output)
@@ -392,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-channel", help="CPT verification report")
     p_ver.add_argument("--channel", required=True, help="channel .json file")
-    p_ver.add_argument("--tol", type=float, default=channels_mod.CPT_TOL)
+    p_ver.add_argument("--tol", type=float, default=CPT_TOL)
     _add_output(p_ver)
 
     return parser

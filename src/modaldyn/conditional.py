@@ -59,20 +59,9 @@ from .errors import (
     ProbabilityBoundsError,
 )
 from .linalg import SystemLayout, apply_local
-from .states import (
-    DEFAULT_THRESHOLD,
-    STRICT,
-    EpistemicState,
-    State,
-    _check_mode,
-    extract_epistemic,
-)
+from .states import STRICT, EpistemicState, State, _check_mode, extract_epistemic
+from .tolerances import CLAMP_TOL, DEFAULT_THRESHOLD, ROW_SUM_TOL
 
-# Row sums must equal one within ROW_SUM_TOL in conditional tables and
-# within CHAIN_ROW_SUM_TOL in the step rows of a trajectory chain.
-ROW_SUM_TOL = 1e-8
-CHAIN_ROW_SUM_TOL = 1e-6
-CLAMP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Partition:
@@ -352,9 +341,9 @@ class ConditionalTable:
     """Full conditional-probability table with its audit numbers.
 
     ``probabilities[w, i_1, ..., i_n]`` is the conditional probability of the
-    block entries given parent entry ``w``. Rows must sum to one within 1e-8
-    (violations raise at construction); marginal deviations are recorded but
-    left to the caller's judgement.
+    block entries given parent entry ``w``. Rows must sum to one within
+    ``ROW_SUM_TOL`` (violations raise at construction); marginal deviations
+    are recorded but left to the caller's judgement.
     """
 
     parent: EpistemicState
@@ -362,8 +351,6 @@ class ConditionalTable:
     partition: Partition
     probabilities: np.ndarray
     mode: str
-    times: tuple[float, float] = (0.0, 0.0)
-    channel_id: str = "identity"
     row_sums: np.ndarray = field(init=False)
     max_row_deviation: float = field(init=False)
     max_marginal_deviation: float = field(init=False)
@@ -400,13 +387,6 @@ class ConditionalTable:
         object.__setattr__(self, "max_row_deviation", dev)
         object.__setattr__(self, "max_marginal_deviation", marg_dev)
 
-    @property
-    def degenerate(self) -> bool:
-        return bool(
-            self.parent.degenerate_clusters
-            or any(b.degenerate_clusters for b in self.blocks)
-        )
-
 
 def conditional_table(
     rho_w_t: State,
@@ -414,8 +394,6 @@ def conditional_table(
     part: Partition,
     mode: str = STRICT,
     threshold: float = DEFAULT_THRESHOLD,
-    times: tuple[float, float] = (0.0, 0.0),
-    channel_id: str = "identity",
 ) -> ConditionalTable:
     """Evaluate the conditional probability over every retained combination.
 
@@ -442,6 +420,4 @@ def conditional_table(
         partition=part,
         probabilities=probs,
         mode=mode,
-        times=(float(times[0]), float(times[1])),
-        channel_id=str(channel_id),
     )

@@ -23,9 +23,7 @@ from .errors import (
     ProblemTooLargeError,
     UnknownLabelError,
 )
-
-HERMITICITY_TOL = 1e-10
-DEGENERACY_GAP = 1e-9
+from .tolerances import HERMITICITY_TOL
 
 # Largest complex array a layout-sized allocation may take (256 MiB).
 MEMORY_BUDGET_BYTES = 1 << 28

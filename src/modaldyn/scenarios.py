@@ -26,6 +26,7 @@ from .channels import (
 from .errors import InvalidAmplitudesError
 from .linalg import SystemLayout, check_memory, kron_all
 from .states import DensityMatrix, PureState, State
+from .tolerances import AMPLITUDE_NORM_TOL
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -113,7 +114,7 @@ def von_neumann_measurement(
     alpha = complex(alpha)
     beta = complex(beta)
     norm_dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-    if norm_dev > 1e-12:
+    if norm_dev > AMPLITUDE_NORM_TOL:
         raise InvalidAmplitudesError(
             f"|alpha|^2 + |beta|^2 deviates from 1 by {norm_dev:.3e}"
         )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from .channels import KrausChannel, LindbladGenerator, unitary_channel
+from .channels import CptReport, KrausChannel, LindbladGenerator, unitary_channel
 from .errors import LayoutMismatchError, ModalDynError
 from .linalg import SystemLayout, apply_local, check_finite, check_memory
 from .scenarios import Scenario
@@ -140,14 +140,21 @@ def _entries_summary(e: EpistemicState) -> dict:
     }
 
 
-def table_payload(table: ConditionalTable, scenario: str) -> dict:
+def table_payload(
+    table: ConditionalTable,
+    scenario: str,
+    times: tuple[float, float],
+    channel_id: str,
+) -> dict:
+    """The ``conditional`` document of a table taken at ``times[0]`` and
+    read at ``times[1]``, across the dynamics ``channel_id`` names."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "conditional",
         "scenario": scenario,
         "mode": table.mode,
-        "channel_id": table.channel_id,
-        "times": [float(t) for t in table.times],
+        "channel_id": channel_id,
+        "times": [float(t) for t in times],
         "blocks": [list(b) for b in table.partition.blocks],
         "parent": _entries_summary(table.parent),
         "block_entries": [_entries_summary(b) for b in table.blocks],
@@ -224,6 +231,29 @@ def ensemble_csv(report: EnsembleReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cpt_report_payload(
+    report: CptReport, channel_kind: str, dim: int, tol: float
+) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "cpt_report",
+        "channel_kind": channel_kind,
+        "dim": int(dim),
+        "tol": tol,
+        "is_cp": report.is_cp,
+        "is_tp": report.is_tp,
+        "choi_min_eigenvalue": report.choi_min_eigenvalue,
+        "completeness_residual": report.completeness_residual,
+    }
+
+
+def cpt_report_csv(payload: dict) -> str:
+    """One ``field,value`` row per field of a ``cpt_report`` payload, sorted."""
+    lines = _csv_lines("field,value")
+    lines += [f"{key},{payload[key]}" for key in sorted(payload)]
+    return "\n".join(lines) + "\n"
+
+
 # ------------------------------------------------------------------ input
 
 def _require(data: Any, key: str) -> Any:
@@ -266,23 +296,41 @@ def _lindblad(data: dict) -> tuple[np.ndarray, tuple[tuple[np.ndarray, float], .
     )
 
 
+def _square(what: str, a: np.ndarray, d: Optional[int] = None, of: str = "") -> int:
+    """The side of the matrices on ``a``'s last two axes, refused unless
+    they are square, and ``d x d`` if ``d`` is given (``of`` says why)."""
+    rows, cols = a.shape[-2:]
+    if rows != cols or d not in (None, rows):
+        want = "square" if d is None else f"{d} x {d}{of}"
+        raise SchemaError(f"{what} must be {want}, got {rows} x {cols}")
+    return rows
+
+
 def load_channel_document(data: dict) -> dict:
     """Parse a channel file into raw arrays plus its kind.
 
     Returns a dict with ``kind``, ``dim`` and the kind's arrays: Kraus
     ``operators`` as one ``(n, d, d)`` stack (a unitary is its one
     operator), a superoperator ``matrix``, or a Lindblad ``hamiltonian``,
-    ``jumps`` and ``duration``. Construction of validated channel objects is
-    left to the caller so that verification can report on maps that would
-    fail construction.
+    ``jumps`` and ``duration``. Every matrix is checked to be square, each
+    jump operator to have the Hamiltonian's shape, and Kraus, unitary and
+    superoperator entries to be finite (``LindbladGenerator`` checks its
+    own). Construction of validated channel objects is left to the caller
+    so that verification can report on maps that would fail construction.
     """
     check_schema_version(data)
     kind = _require(data, "kind")
     out: dict[str, Any] = {"kind": kind}
     if kind == "kraus":
-        out["operators"] = pairs_to_matrix(_require(data, "operators"), ndim=3)
+        ops = pairs_to_matrix(_require(data, "operators"), ndim=3)
+        out["dim"] = _square("each of 'operators'", ops)
+        check_finite(ops, "Kraus operator")
+        out["operators"] = ops
     elif kind == "unitary":
-        out["operators"] = pairs_to_matrix(_require(data, "matrix"))[None]
+        mat = pairs_to_matrix(_require(data, "matrix"))
+        out["dim"] = _square("'matrix'", mat)
+        check_finite(mat, "unitary")
+        out["operators"] = mat[None]
     elif kind == "superoperator":
         mat = pairs_to_matrix(_require(data, "matrix"))
         dim = int(round(np.sqrt(mat.shape[0])))
@@ -290,16 +338,19 @@ def load_channel_document(data: dict) -> dict:
             raise SchemaError(
                 f"superoperator shape {mat.shape} is not (d^2, d^2)"
             )
+        check_finite(mat, "superoperator")
         out["matrix"] = mat
         out["dim"] = dim
     elif kind == "lindblad":
-        out["hamiltonian"], out["jumps"] = _lindblad(data)
+        hamiltonian, jumps = _lindblad(data)
+        d = _square("'hamiltonian'", hamiltonian)
+        for i, (op, _) in enumerate(jumps):
+            _square(f"jump {i} operator", op, d, " like 'hamiltonian'")
+        out["hamiltonian"], out["jumps"] = hamiltonian, jumps
         out["duration"] = _number(data, "duration", 1.0)
-        out["dim"] = out["hamiltonian"].shape[0]
+        out["dim"] = d
     else:
         raise SchemaError(f"unknown channel kind {kind!r}")
-    if "operators" in out:
-        out["dim"] = out["operators"].shape[1]
     return out
 
 
@@ -317,11 +368,7 @@ def scenario_from_document(data: dict) -> Scenario:
     d = layout.total_dim
 
     def square(what: str, a: np.ndarray) -> None:
-        if a.shape[-2:] != (d, d):
-            raise SchemaError(
-                f"{what} must be {d} x {d} for layout dims {list(layout.dims)}, "
-                f"got {a.shape[-2]} x {a.shape[-1]}"
-            )
+        _square(what, a, d, f" for layout dims {list(layout.dims)}")
 
     state = pairs_to_matrix(_require(data, "initial_state"))
     square("'initial_state'", state)

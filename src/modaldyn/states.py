@@ -27,17 +27,19 @@ from .errors import (
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
 )
-from .linalg import DEGENERACY_GAP, HERMITICITY_TOL, SystemLayout, check_memory
-
-# Validation tolerances for the value types below.
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-UNIT_NORM_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-9
-MASS_BALANCE_TOL = 1e-9
-
-DEFAULT_THRESHOLD = 1e-12
-PURITY_SHORTCUT = 1e-10
+from .linalg import SystemLayout, check_memory
+from .tolerances import (
+    DEFAULT_THRESHOLD,
+    DEGENERACY_GAP,
+    HERMITICITY_TOL,
+    MASS_BALANCE_TOL,
+    ORTHOGONALITY_TOL,
+    PSD_TOL,
+    PURITY_SHORTCUT,
+    REASSEMBLY_MASS_TOL,
+    TRACE_TOL,
+    UNIT_NORM_TOL,
+)
 
 # Degeneracy policies of the spectral readings built on these states.
 STRICT = "strict"
@@ -66,10 +68,11 @@ def _density_fault(
 ) -> Optional[tuple[int, str]]:
     """The first of a stack of matrices ``(n, d, d)`` that is no density matrix.
 
-    Hermiticity and trace within 1e-10, then a minimum eigenvalue >= -1e-10,
-    are checked; the result is ``(index, why)`` or ``None``. ``w`` holds the
-    eigenvalues of the symmetrized matrices. Without it the stack holds one
-    matrix, whose eigenvalues are computed once it passes the first checks.
+    Hermiticity within ``HERMITICITY_TOL`` and trace within ``TRACE_TOL``,
+    then a minimum eigenvalue >= ``-PSD_TOL``, are checked; the result is
+    ``(index, why)`` or ``None``. ``w`` holds the eigenvalues of the
+    symmetrized matrices. Without it the stack holds one matrix, whose
+    eigenvalues are computed once it passes the first checks.
     """
     herm = np.abs(mats - np.swapaxes(mats.conj(), 1, 2)).max(axis=(1, 2))
     tr = np.trace(mats, axis1=1, axis2=2)
@@ -96,8 +99,9 @@ def _density_fault(
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator with a layout.
 
-    Validation runs at construction: Hermiticity and trace within 1e-10,
-    minimum eigenvalue >= -1e-10. Instances are immutable.
+    Validation runs at construction: Hermiticity within ``HERMITICITY_TOL``,
+    trace within ``TRACE_TOL``, minimum eigenvalue >= ``-PSD_TOL``.
+    Instances are immutable.
     """
 
     matrix: np.ndarray
@@ -119,9 +123,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.layout.total_dim
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def reduce(self, keep: Sequence[str]) -> "DensityMatrix":
         """Reduced density matrix of the named factors."""
@@ -264,10 +265,11 @@ def extract_epistemic(
     """Spectrally decompose a density matrix into an epistemic state.
 
     Eigenvalues below ``threshold`` are dropped into ``truncation_mass``.
-    A nearly pure input (purity within 1e-10 of one) short-circuits to a
-    single entry with probability exactly one; a ``PureState`` is that
-    entry, its own vector with canonical phase. Eigenvalues closer than 1e-9
-    are grouped into degenerate clusters and flagged, never resolved here.
+    A nearly pure input (purity within ``PURITY_SHORTCUT`` of one)
+    short-circuits to a single entry with probability exactly one; a
+    ``PureState`` is that entry, its own vector with canonical phase.
+    Eigenvalues closer than ``DEGENERACY_GAP`` are grouped into degenerate
+    clusters and flagged, never resolved here.
     """
     if not isinstance(rho, (DensityMatrix, PureState)):
         raise InvalidDensityMatrixError(
@@ -346,10 +348,10 @@ def epistemic_to_density(e: EpistemicState) -> DensityMatrix:
     """Reassemble the density matrix of an epistemic state.
 
     Entries must be orthonormal (checked at EpistemicState construction) and
-    the truncation mass small; the missing mass is restored by renormalizing
-    the trace.
+    the truncation mass below ``REASSEMBLY_MASS_TOL``; the missing mass is
+    restored by renormalizing the trace.
     """
-    if e.truncation_mass >= 1e-6:
+    if e.truncation_mass >= REASSEMBLY_MASS_TOL:
         raise ValueError(
             f"truncation mass {e.truncation_mass:.3e} too large to reassemble"
         )

@@ -55,17 +55,11 @@ import numpy as np
 
 from . import linalg
 from .channels import GeneratorFlow, KrausChannel, _not_kraus, steps
-from .conditional import CHAIN_ROW_SUM_TOL, _check_bound, _kraus_amplitudes
+from .conditional import _check_bound, _kraus_amplitudes
 from .errors import InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
-from .states import (
-    DEFAULT_THRESHOLD,
-    STRICT,
-    DensityMatrix,
-    _check_mode,
-    _density_fault,
-    _read_spectra,
-)
+from .states import STRICT, DensityMatrix, _check_mode, _density_fault, _read_spectra
+from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
 # Trajectories per keyed generator: part of the RNG contract, not a tuning
 # value, since changing it changes every draw past trajectory 4,095. It is

@@ -664,6 +664,7 @@ def _bad_channels() -> dict:
         "duration": 0.5,
     }
     kraus = {"schema_version": 1, "kind": "kraus"}
+    wide = matrix_to_pairs(np.eye(2, 3))
     return {
         "jumps-entry-int": dict(lindblad, jumps=[5]),
         "jumps-int": dict(lindblad, jumps=5),
@@ -678,6 +679,10 @@ def _bad_channels() -> dict:
         "kraus-unequal-shapes": dict(
             kraus, operators=[matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
         ),
+        "kraus-not-square": dict(kraus, operators=[wide]),
+        "unitary-not-square": {"schema_version": 1, "kind": "unitary", "matrix": wide},
+        "hamiltonian-not-square": dict(lindblad, hamiltonian=wide),
+        "jump-not-hamiltonian-size": dict(lindblad, jumps=[{"operator": wide, "rate": 1.0}]),
     }
 
 
@@ -868,6 +873,10 @@ BAD_CHANNELS = {
     "entry-numeric-string": NOT_NUMBERS,
     "operators-int": "expected 3 axes of [re, im] pairs, got an array of shape ()",
     "kraus-unequal-shapes": RAGGED,
+    "kraus-not-square": "each of 'operators' must be square, got 2 x 3",
+    "unitary-not-square": "'matrix' must be square, got 2 x 3",
+    "hamiltonian-not-square": "'hamiltonian' must be square, got 2 x 3",
+    "jump-not-hamiltonian-size": "jump 0 operator must be 2 x 2 like 'hamiltonian', got 2 x 3",
 }
 BAD_SCENARIOS = {
     "dynamics-int": "expected a JSON object with key 'kind', got int",
@@ -1059,6 +1068,32 @@ def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
         assert (code, out) == (2, ""), (argv, err)
         assert err.startswith("configuration error: ") and message in err, (argv, err)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "kind, key, message",
+    [
+        ("kraus", "operators", "Kraus operator entries must be finite: (inf+0j)"),
+        ("unitary", "matrix", "unitary entries must be finite: (inf+0j)"),
+        ("superoperator", "matrix", "superoperator entries must be finite: (inf+0j)"),
+    ],
+)
+def test_a_non_finite_channel_file_exits_2_where_it_is_read(
+    capsys, tmp_path, kind, key, message
+):
+    # refused as the file is read: past that point an infinite entry turns
+    # into NaN, which min(0.0, nan) would report as a CP map
+    matrix = np.eye(4 if kind == "superoperator" else 2)
+    matrix[0, 0] = np.inf
+    pairs = matrix_to_pairs(matrix)
+    doc = {"schema_version": 1, "kind": kind, key: [pairs] if kind == "kraus" else pairs}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify-channel", "--channel", str(path))
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def _fresh_process(argv, code=None):

@@ -61,7 +61,8 @@ def test_singlet_anticorrelation_table():
     # the parent is pure, so one row; same-index outcomes are impossible
     expected = np.array([[[0.0, 0.5], [0.5, 0.0]]])
     assert np.abs(table.probabilities - expected).max() < 1e-12
-    assert table.degenerate
+    # each single-qubit block of the singlet is maximally mixed
+    assert [b.degenerate_clusters for b in table.blocks] == [((0, 1),), ((0, 1),)]
     assert table.max_row_deviation < 1e-12
 
 

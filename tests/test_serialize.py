@@ -131,9 +131,10 @@ def test_table_payload_and_csv():
     sc = ghz_mermin()
     part = Partition(sc.layout, (("A",), ("B",), ("C",)))
     table = conditional_table(sc.initial_state, None, part, mode="permissive")
-    payload = table_payload(table, "ghz-mermin")
+    payload = table_payload(table, "ghz-mermin", (0.0, 0.5), "test-channel")
     assert payload["kind"] == "conditional"
     assert payload["mode"] == "permissive"
+    assert (payload["times"], payload["channel_id"]) == ([0.0, 0.5], "test-channel")
     probs = np.asarray(payload["probabilities"])
     assert probs.shape == (1, 2, 2, 2)
     text = table_csv(table)

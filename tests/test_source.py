@@ -216,3 +216,77 @@ def test_the_check_finds_a_second_rng_construction():
 def test_the_rng_contract_is_constructed_in_one_function():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert rng_constructors(sources) == ["trajectories.py: _uniforms"]
+
+
+TOLERANCE_SUFFIXES = ("_TOL", "_GAP", "_CUTOFF", "_THRESHOLD", "_SHORTCUT")
+
+
+def stray_tolerances(sources: dict[str, str]) -> list[str]:
+    """Tolerances stated outside ``tolerances.py``.
+
+    Two kinds are found: a module-level assignment to a name ending in one
+    of ``TOLERANCE_SUFFIXES`` (an import of such a name does not count), and
+    a float literal other than ``0.0`` and ``1.0``, signed or not, as an
+    operand of a comparison. ``sources`` maps file name to source.
+    """
+    found = []
+
+    def is_stray(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (
+            isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and node.value not in (0.0, 1.0)
+        )
+
+    for file, source in sources.items():
+        if file == "tolerances.py":
+            continue
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    f"{file} line {node.lineno}: {name.id}"
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id.endswith(TOLERANCE_SUFFIXES)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                found += [
+                    f"{file} line {node.lineno}: {ast.unparse(operand)}"
+                    for operand in (node.left, *node.comparators)
+                    if is_stray(operand)
+                ]
+    return found
+
+
+def test_the_check_finds_a_stray_tolerance():
+    sources = {
+        "a.py": (
+            "from .tolerances import CPT_TOL\n"
+            "LIMIT_TOL = 1e-9\n"
+            "GAP: float = 0.5\n"
+            "SPLIT_GAP: float = 0.5\n"
+            "def f(x, y):\n"
+            "    BIG_CUTOFF = 3.0\n"
+            "    return x > 1e-12 or 0.0 <= y <= 1.0 or y >= -2.5 or x < CPT_TOL\n"
+        ),
+        "b.py": "PURITY_SHORTCUT, DEFAULT_THRESHOLD = 1, 2\nok = 2 < 3\n",
+        "tolerances.py": "CPT_TOL = 1e-9\nCHECK = 1e-9 < CPT_TOL\n",
+    }
+    assert stray_tolerances(sources) == [
+        "a.py line 2: LIMIT_TOL",
+        "a.py line 4: SPLIT_GAP",
+        "a.py line 7: 1e-12",
+        "a.py line 7: -2.5",
+        "b.py line 1: PURITY_SHORTCUT",
+        "b.py line 1: DEFAULT_THRESHOLD",
+    ]
+
+
+def test_every_tolerance_is_stated_in_the_tolerance_module():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert stray_tolerances(sources) == []
