@@ -3,6 +3,9 @@
 Kraus families, Lindblad generators, and superoperator matrices convert into
 one another through the Choi matrix. Conventions used throughout:
 
+* a Kraus family ``{K_k}`` is one read-only complex ``(n, d, d)`` array, the
+  shape channel and scenario files store; its completeness sum, Choi columns
+  and products are batched matrix products and reshapes of that array;
 * vectorization is row-major (``numpy`` C order), so ``vec(A rho B) =
   (A kron B^T) vec(rho)``;
 * the Choi matrix is ``(E kron id)`` applied to the unnormalized maximally
@@ -29,8 +32,9 @@ channel's operators act on the layout factors at ``positions``, listed in the
 operator's own factor order, so a two-qubit gate in a many-qubit layout is
 stored and checked as a 4x4 matrix. ``apply`` contracts such a local channel
 into a state vector or a density matrix without building its dense embedding.
-Every consumer of dynamics (``apply``, conditional tables, trajectory
-chains) reads them through one gate, ``steps``.
+Both consumers of general dynamics, ``apply`` and conditional tables, read
+them through one gate, ``steps``; a trajectory chain takes its step map as
+one ``KrausChannel``.
 """
 
 from __future__ import annotations
@@ -58,31 +62,38 @@ from .tolerances import CHOI_EIG_CUTOFF, CPT_TOL, HERMITICITY_TOL, UNITARITY_TOL
 class KrausChannel:
     """CPT map presented as a Kraus family ``rho -> sum_k K_k rho K_k^dag``.
 
-    Construction verifies the completeness relation
-    ``||sum_k K_k^dag K_k - I||_F <= CPT_TOL``; on the channels the program
-    makes (``evolve``, ``compose``) it is the one CPT check.
+    ``operators[k]`` is ``K_k`` of one complex ``(n, d, d)`` array, copied
+    from the input and read-only, so the family checked is the family kept.
+    Construction verifies ``||sum_k K_k^dag K_k - I||_F <= CPT_TOL``; on the
+    channels the program makes (``evolve``, ``compose``) it is the one CPT
+    check.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError as exc:
+            shapes = {np.shape(k) for k in self.operators}
+            if len(shapes) < 2:
+                raise
+            why = f"Kraus operator shapes disagree: {sorted(shapes)}"
+            raise DimensionMismatchError(why) from exc
+        if ops.shape[:1] == (0,):
             raise CptVerificationError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"Kraus operator shapes disagree: {k.shape} vs {(d, d)}"
-                )
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            why = f"Kraus operators of shape {ops.shape}, not (n, d, d)"
+            raise DimensionMismatchError(why)
         resid = completeness_residual(ops)
         if not resid <= CPT_TOL:
             raise CptVerificationError(
                 f"completeness residual {resid:.3e} exceeds {CPT_TOL:.1e}"
             )
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", ops.shape[1])
 
 
 @dataclass(frozen=True)
@@ -356,18 +367,15 @@ class CptReport:
     completeness_residual: float
 
 
-def _completeness_sum(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_k K_k^dag K_k``."""
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
-    return acc
+def _completeness_sum(ops: np.ndarray) -> np.ndarray:
+    """``sum_k K_k^dag K_k``, summed from 0 in operator order."""
+    return (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0, initial=0.0)
 
 
 def completeness_residual(ops: Sequence[np.ndarray]) -> float:
     """Frobenius norm of ``sum K^dag K - I``."""
-    return float(np.linalg.norm(_completeness_sum(ops) - np.eye(ops[0].shape[0])))
+    ops = np.asarray(ops, dtype=complex)
+    return float(np.linalg.norm(_completeness_sum(ops) - np.eye(ops.shape[1])))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -378,7 +386,7 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
     if not dev <= UNITARITY_TOL:
         raise NotUnitaryError(f"||U^dag U - I|| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
-    return KrausChannel((u,))
+    return KrausChannel(u[None])
 
 
 def steps(
@@ -386,7 +394,7 @@ def steps(
 ) -> Union[Schedule, GeneratorFlow]:
     """``dynamics`` as schedule steps; a channel is one step on every factor.
 
-    The one gate every consumer of dynamics passes. A ``GeneratorFlow``
+    The one gate of ``apply`` and conditional tables. A ``GeneratorFlow``
     passes through once its dim is the layout's. Anything but a
     ``KrausChannel`` or a schedule of them is otherwise refused with a
     ``TypeError`` naming the conversion. Each step's positions must be
@@ -407,7 +415,7 @@ def steps(
         dynamics = ((tuple(factors), dynamics),)
     for positions, channel in dynamics:
         if not isinstance(channel, KrausChannel):
-            raise _not_kraus(channel)
+            raise _not_kraus(channel, "a KrausChannel or a schedule of them")
         if len(set(positions)) != len(positions) or not set(positions) <= set(factors):
             raise LayoutMismatchError(
                 f"positions {positions} are not distinct factors of {layout.labels}"
@@ -421,14 +429,12 @@ def steps(
     return dynamics
 
 
-def _not_kraus(dynamics: object) -> TypeError:
-    """The refusal of ``dynamics`` where Kraus operators are needed, naming
-    the conversion."""
-    name = type(dynamics).__name__
-    return TypeError(
-        "dynamics must be a KrausChannel or a schedule of them, "
-        f"not a {name}{_CONVERSIONS.get(name, '')}"
-    )
+def _not_kraus(dynamics: object, wanted: str) -> TypeError:
+    """The refusal of ``dynamics`` where ``wanted`` is needed, naming the conversion."""
+    name = "schedule" if isinstance(dynamics, tuple) else type(dynamics).__name__
+    given = "None" if dynamics is None else f"a {name}"
+    hint = _CONVERSIONS.get(name, "")
+    return TypeError(f"dynamics must be {wanted}, not {given}{hint}")
 
 
 _CONVERSIONS = {
@@ -438,6 +444,8 @@ _CONVERSIONS = {
     "evolve(generator, dt), or with GeneratorFlow(generator, t) to carry "
     "a state or a table",
     "GeneratorFlow": "; its Kraus operators are evolve(generator, dt)",
+    "schedule": "; compose(later, earlier) joins two steps on every factor",
+    "NoneType": "; the step that changes nothing is unitary_channel(np.eye(d))",
 }
 
 
@@ -478,13 +486,8 @@ def apply(dynamics: Dynamics, state: State) -> State:
     return state
 
 
-def _kraus_columns(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """``W = [vec K_1 ... vec K_n]``, so that the Choi matrix is ``W W^dag``."""
-    return np.stack([np.asarray(k).reshape(-1) for k in ops], axis=1)
-
-
 def kraus_to_choi(ch: KrausChannel) -> np.ndarray:
-    w = _kraus_columns(ch.operators)
+    w = ch.operators.reshape(len(ch.operators), -1).T
     return w @ w.conj().T
 
 
@@ -497,8 +500,8 @@ def superoperator_to_choi(s: Superoperator) -> np.ndarray:
     return _realign(s.matrix, s.dim)
 
 
-def choi_to_kraus(choi: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
-    """Extract Kraus operators from a Choi matrix eigendecomposition.
+def choi_to_kraus(choi: np.ndarray, dim: int) -> np.ndarray:
+    """Kraus operators ``(n, dim, dim)`` from a Choi matrix eigendecomposition.
 
     Eigenvalues below ``CHOI_EIG_CUTOFF`` are dropped; eigenvalues below
     ``-CPT_TOL`` mean the map is not completely positive and raise.
@@ -510,24 +513,16 @@ def choi_to_kraus(choi: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
         raise CptVerificationError(
             f"Choi matrix has eigenvalue {w.min():.3e}; map is not CP"
         )
-    ops = [
-        np.sqrt(w[k]) * v[:, k].reshape(dim, dim)
-        for k in range(len(w))
-        if w[k] >= CHOI_EIG_CUTOFF
-    ]
-    if not ops:
+    keep = w >= CHOI_EIG_CUTOFF
+    if not keep.any():
         raise CptVerificationError("Choi matrix has no eigenvalue above cutoff")
-    return tuple(ops)
-
-
-def _choi_output_trace(choi: np.ndarray, dim: int) -> np.ndarray:
-    return np.einsum(choi.reshape(dim, dim, dim, dim), [0, 1, 0, 2], [1, 2])
+    return (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, dim, dim)
 
 
 def verify_kraus_operators(
     ops: Sequence[np.ndarray], tol: float = CPT_TOL
 ) -> CptReport:
-    """CPT report for a raw Kraus family (no construction-time checks).
+    """CPT report for a raw Kraus family: only non-finite entries are refused.
 
     The Choi matrix ``W W^dag`` shares its nonzero spectrum with the Gram
     matrix ``W^dag W`` of the n operators, and the smaller of the two is
@@ -536,36 +531,33 @@ def verify_kraus_operators(
     exactly 0.0 for a unitary or an ``evolve`` result, and a round-off-sized
     negative number at worst when the operators are linearly dependent.
     """
-    ops = [np.asarray(k, dtype=complex) for k in ops]
+    ops = np.asarray(ops, dtype=complex)
+    check_finite(ops, "Kraus operator")
     resid = completeness_residual(ops)
-    w = _kraus_columns(ops)
+    w = ops.reshape(len(ops), -1).T
     if len(ops) < w.shape[0]:
         choi_min = min(0.0, float(np.linalg.eigvalsh(w.conj().T @ w).min()))
     else:
         choi_min = float(np.linalg.eigvalsh(w @ w.conj().T).min())
-    return CptReport(
-        is_tp=bool(resid <= tol),
-        is_cp=bool(choi_min >= -tol),
-        choi_min_eigenvalue=choi_min,
-        completeness_residual=float(resid),
-    )
+    return _report(choi_min, resid, tol)
 
 
 def verify_superoperator_matrix(
     matrix: np.ndarray, dim: int, tol: float = CPT_TOL
 ) -> CptReport:
-    """CPT report for a raw superoperator matrix (row-major vectorization)."""
+    """CPT report for a raw superoperator matrix (row-major vectorization);
+    only non-finite entries are refused."""
     matrix = np.asarray(matrix, dtype=complex)
+    check_finite(matrix, "superoperator")
     d = int(dim)
     choi = _realign(matrix, d)
     choi_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
-    resid = float(np.linalg.norm(_choi_output_trace(choi, d) - np.eye(d)))
-    return CptReport(
-        is_tp=bool(resid <= tol),
-        is_cp=bool(choi_min >= -tol),
-        choi_min_eigenvalue=choi_min,
-        completeness_residual=float(resid),
-    )
+    out_trace = np.einsum(choi.reshape(d, d, d, d), [0, 1, 0, 2], [1, 2])
+    return _report(choi_min, float(np.linalg.norm(out_trace - np.eye(d))), tol)
+
+
+def _report(choi_min: float, resid: float, tol: float) -> CptReport:
+    return CptReport(bool(resid <= tol), bool(choi_min >= -tol), choi_min, resid)
 
 
 def verify_cpt(ch: Channel, tol: float = CPT_TOL) -> CptReport:
@@ -620,9 +612,7 @@ def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     return KrausChannel(_renormalize_completeness(ops))
 
 
-def _renormalize_completeness(
-    ops: Sequence[np.ndarray],
-) -> tuple[np.ndarray, ...]:
+def _renormalize_completeness(ops: np.ndarray) -> np.ndarray:
     """Right-multiply by (sum K^dag K)^(-1/2) to pin completeness exactly.
 
     Raises when the family misses completeness by more than ``CPT_TOL``.
@@ -635,7 +625,7 @@ def _renormalize_completeness(
         )
     w, v = np.linalg.eigh(0.5 * (acc + acc.conj().T))
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return tuple(k @ inv_sqrt for k in ops)
+    return ops @ inv_sqrt
 
 
 def compose(later: KrausChannel, earlier: KrausChannel) -> KrausChannel:
@@ -649,5 +639,5 @@ def compose(later: KrausChannel, earlier: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(
             f"cannot compose dims {later.dim} and {earlier.dim}"
         )
-    ops = tuple(a @ b for a in later.operators for b in earlier.operators)
-    return KrausChannel(ops)
+    ops = later.operators[:, None] @ earlier.operators
+    return KrausChannel(ops.reshape(-1, later.dim, later.dim))

@@ -391,7 +391,7 @@ def scenario_from_document(data: dict) -> Scenario:
         elif dkind == "kraus":
             ops = pairs_to_matrix(_require(doc, "operators"), ndim=3)
             square("each of 'operators'", ops)
-            dynamics = ((every, KrausChannel(tuple(ops))),)
+            dynamics = ((every, KrausChannel(ops)),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
     return Scenario(

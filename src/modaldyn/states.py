@@ -264,7 +264,8 @@ def extract_epistemic(
 ) -> EpistemicState:
     """Spectrally decompose a density matrix into an epistemic state.
 
-    Eigenvalues below ``threshold`` are dropped into ``truncation_mass``.
+    Eigenvalues below ``threshold`` are dropped into ``truncation_mass``; a
+    threshold above every eigenvalue is refused with a ``ValueError``.
     A nearly pure input (purity within ``PURITY_SHORTCUT`` of one)
     short-circuits to a single entry with probability exactly one; a
     ``PureState`` is that entry, its own vector with canonical phase.
@@ -311,7 +312,8 @@ def _read_spectra(
     marks kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``.
     The first matrix that keeps no eigenvalue, or with ``refuse_degenerate``
     has close ones, is refused; ``where(k)`` names matrix ``k``, and must be
-    given with ``refuse_degenerate``.
+    given with ``refuse_degenerate``. Keeping no eigenvalue is the
+    threshold's fault, a ``ValueError``.
     """
     _check_threshold(threshold)
     d = w.shape[1]
@@ -325,8 +327,9 @@ def _read_spectra(
     if faults.any():
         k = int(np.argmax(faults))
         if empty[k]:
-            why = "no eigenvalue above threshold; not a usable state"
-            raise InvalidDensityMatrixError(f"{where(k)}: {why}" if where else why)
+            why = f"threshold {threshold:.15g} keeps no eigenvalue, the largest"
+            why += f" being {w[k, 0]:.15g}"
+            raise ValueError(f"{where(k)}: {why}" if where else why)
         raise DegenerateBasisError(
             f"degenerate spectrum at {where(k)}; "
             f"clusters {_degenerate_clusters(close[k])}"

@@ -9,12 +9,13 @@ histories. The chain is the minimal completion consistent with those
 conditionals, and everything downstream of it (sampled paths, ensemble
 frequency reports) should be read with that caveat.
 
-A chain is a fixed set of whole-grid arrays. rho is pushed along the grid by
-the step channel's Kraus sum into one ``(n_times, d, d)`` stack, which one
+A chain is a fixed set of whole-grid arrays, read from the step channel's
+Kraus array ``ops`` as it is. rho is pushed along the grid by the batched
+sum of ``ops @ rho @ ops^dag`` into one ``(n_times, d, d)`` stack, which one
 stacked eigendecomposition reads; the density-matrix checks and the
 epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
 name the grid point and come in grid order. The rows of every step come
-from one stacked contraction, the one-block case of the kernel in
+from ``ops @ kets``, the one-block case of the kernel in
 :mod:`modaldyn.conditional`, and must sum to one within
 ``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the same as for
 conditional tables.
@@ -54,9 +55,9 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .channels import GeneratorFlow, KrausChannel, _not_kraus, steps
-from .conditional import _check_bound, _kraus_amplitudes
-from .errors import InvalidDensityMatrixError, NormalizationError
+from .channels import KrausChannel, _not_kraus
+from .conditional import _check_bound
+from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
 from .states import STRICT, DensityMatrix, _check_mode, _density_fault, _read_spectra
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
@@ -283,17 +284,19 @@ def build_step_chain(
 ) -> StepChain:
     """Precompute spectra and conditional rows along the grid.
 
-    ``step_channel`` carries the state over one grid step: for generator
-    dynamics ``channels.evolve(generator, grid.dt)``, or any discrete map.
-    A ``GeneratorFlow`` has no Kraus operators and is refused.
+    ``step_channel`` is the ``KrausChannel`` carrying the state over one grid
+    step: for generator dynamics ``channels.evolve(generator, grid.dt)``, or
+    any discrete map on every factor. Anything else (a schedule, ``None``, a
+    generator, a flow) is refused with a ``TypeError`` naming the conversion.
     In strict mode any degenerate spectrum along the grid refuses the chain.
     """
     mode = _check_mode(mode)
-    layout = rho0.layout
-    step = steps(step_channel, layout)
-    if isinstance(step, GeneratorFlow):
-        raise _not_kraus(step)
-    d = layout.total_dim
+    if not isinstance(step_channel, KrausChannel):
+        raise _not_kraus(step_channel, "a KrausChannel")
+    d = rho0.dim
+    if step_channel.dim != d:
+        why = f"channel dim {step_channel.dim} does not match dim {d} of the layout"
+        raise DimensionMismatchError(why)
     ops = step_channel.operators
     n_times, n_steps = grid.n_steps + 1, grid.n_steps
     # complex entries per grid point (at most d kept): the state, eigenvectors
@@ -306,11 +309,10 @@ def build_step_chain(
     )
     states = np.empty((n_times, d, d), dtype=complex)
     states[0] = rho0.matrix
-    kraus = np.stack(ops)
-    kraus_dag = kraus.conj().transpose(0, 2, 1)
+    ops_dag = ops.conj().transpose(0, 2, 1)
     for k in range(n_steps):
         # summed from 0 in operator order, as channels.apply does
-        states[k + 1] = (kraus @ states[k] @ kraus_dag).sum(axis=0, initial=0.0)
+        states[k + 1] = (ops @ states[k] @ ops_dag).sum(axis=0, initial=0.0)
     w, v = _ordered_eig(states)
 
     def point(k: int) -> str:
@@ -336,7 +338,7 @@ def build_step_chain(
         np.abs(vectors[:-1].transpose(0, 2, 1) @ bras), kept
     )
     raw = np.zeros((n_steps, m, m))
-    for amp in _kraus_amplitudes(step, kets, layout):
+    for amp in ops @ kets:
         amp = amp.reshape(d, n_steps, m).transpose(1, 2, 0) @ bras
         raw += amp.real**2 + amp.imag**2
     rows = np.minimum(raw, 1.0)

@@ -62,9 +62,7 @@ def random_kraus_channel(
     iso = _ginibre(rng, dim * n_operators, dim)
     q, r = np.linalg.qr(iso)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    q = q * phases
-    ops = tuple(q[k * dim : (k + 1) * dim, :] for k in range(n_operators))
-    return KrausChannel(ops)
+    return KrausChannel((q * phases).reshape(n_operators, dim, dim))
 
 
 def random_lindblad(

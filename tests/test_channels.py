@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from modaldyn import (
     CptVerificationError,
     DensityMatrix,
+    DimensionMismatchError,
     InvalidDensityMatrixError,
     KrausChannel,
     LindbladGenerator,
@@ -67,6 +70,46 @@ def test_kraus_completeness_enforced():
     assert verify_cpt(ch).is_cp
 
 
+def test_a_channel_owns_one_read_only_operator_array():
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.7)]], dtype=complex)
+    k1 = np.array([[0.0, np.sqrt(0.3)], [0.0, 0.0]], dtype=complex)
+    stack = np.stack([k0, k1])
+    ch = KrausChannel(stack)
+    assert ch.operators.shape == (2, 2, 2) and ch.operators.dtype == complex
+    stack[0] = 0.0  # the caller's array, written after the check
+    assert np.array_equal(ch.operators, np.stack([k0, k1]))
+    one = KrausChannel((k0, k1))  # a sequence of matrices stacks the same way
+    k0[0, 0] = 5.0
+    assert np.array_equal(one.operators, ch.operators)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.operators[0, 0, 0] = 2.0
+    assert verify_cpt(ch).is_tp
+
+
+def test_a_channel_refuses_an_operator_array_of_the_wrong_shape():
+    with pytest.raises(CptVerificationError, match="at least one Kraus operator"):
+        KrausChannel(())
+    with pytest.raises(CptVerificationError, match="at least one Kraus operator"):
+        KrausChannel(np.zeros((0, 2, 2)))
+    with pytest.raises(DimensionMismatchError, match=r"disagree: \[\(2, 2\), \(3, 3\)\]"):
+        KrausChannel((np.eye(2), np.eye(3)))
+    for bad in (np.eye(2), np.ones((1, 2, 3))):
+        with pytest.raises(DimensionMismatchError, match=r"not \(n, d, d\)"):
+            KrausChannel(bad)
+
+
+def test_the_cpt_reports_refuse_non_finite_input():
+    inf_diag = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic
+        with pytest.raises(ValueError, match=r"Kraus operator entries must be finite: \(inf"):
+            verify_kraus_operators([inf_diag])
+        s = np.eye(4)
+        s[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"superoperator entries must be finite: \(nan"):
+            verify_superoperator_matrix(s, 2)
+
+
 def test_unitary_channel_requires_unitary():
     with pytest.raises(NotUnitaryError):
         unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -107,7 +150,7 @@ def test_choi_roundtrip():
         choi2 = superoperator_to_choi(Superoperator(naive_superoperator(ch.operators), 3))
         assert np.abs(choi - choi2).max() < 1e-12
         ops = choi_to_kraus(choi, 3)
-        rebuilt = KrausChannel(operators=tuple(ops))
+        rebuilt = KrausChannel(ops)
         rho = random_density_matrix(SystemLayout((3,), ("Q",)), rng)
         a = naive_kraus_apply(ch.operators, rho.matrix)
         b = naive_kraus_apply(rebuilt.operators, rho.matrix)

@@ -446,6 +446,22 @@ def test_verify_channel_lindblad_document(capsys, tmp_path):
     assert json.loads(out)["is_cp"] is True
 
 
+def test_verify_channel_rejects_a_non_hermitian_hamiltonian_without_a_report(
+    capsys, tmp_path
+):
+    doc = {
+        "schema_version": 1,
+        "kind": "lindblad",
+        "hamiltonian": matrix_to_pairs(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        "jumps": [],
+    }
+    path = tmp_path / "lind.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify-channel", "--channel", str(path))
+    assert (code, out) == (5, "")
+    assert err == "channel rejected: Hamiltonian deviates from Hermitian by 1.000e+00\n"
+
+
 @pytest.mark.parametrize(
     "matrix, code, is_tp",
     [(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, True), (np.diag([2.0, 1.0]), 5, False)],
@@ -766,6 +782,22 @@ CONFIG_ERRORS = {
         ("epistemic", "--scenario", "damping", "--time", "1e9"),
         "flowing 1 matrices of dimension 2 for a duration of 1e+09 takes 423728814 "
         "steps of degree 30, about 1.35e+15 multiply-adds, over the budget of 6.87e+10",
+    ),
+    # a threshold above every eigenvalue of a state it reads
+    "threshold-epistemic": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", "A", "--threshold", "0.9"),
+        "threshold 0.9 keeps no eigenvalue, the largest being 0.5",
+    ),
+    "threshold-conditional": (
+        ("conditional", "--scenario", "epr-bohm", "--blocks", "A,B", "--threshold", "0.9",
+         "--mode", "permissive"),
+        "threshold 0.9 keeps no eigenvalue, the largest being 0.5",
+    ),
+    "threshold-sample": (
+        ("sample", "--scenario", "dephasing", "--t", "1", "--steps", "2", "--threshold",
+         "0.9", "--seed", "1", "--mode", "permissive"),
+        "grid point 1 (t=0.5): threshold 0.9 keeps no eigenvalue, the largest being "
+        "0.683939720585722",
     ),
     "rho0-unknown": (
         ("epistemic", "--scenario", "dephasing", "--rho0", "bogus"),

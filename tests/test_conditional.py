@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
@@ -11,6 +11,7 @@ from modaldyn import (
     DensityMatrix,
     DegenerateBasisError,
     DimensionMismatchError,
+    KrausChannel,
     LayoutMismatchError,
     Partition,
     ProbabilityBoundsError,
@@ -36,7 +37,7 @@ from modaldyn import (
 from modaldyn.conditional import _block_probabilities
 
 from oracles import naive_embed, naive_joint_probability
-from random_objects import random_density_matrix, random_kraus_channel
+from random_objects import random_density_matrix, random_kraus_channel, random_unitary
 
 
 def test_partition_validation():
@@ -301,6 +302,38 @@ def test_table_matches_naive_oracle(case, identity):
             kraus_operators=None if identity else ch.operators,
         )
         assert abs(table.probabilities[(w, *idx)] - want) < 1e-12
+
+
+def _spectral_gaps(e):
+    """Gaps between an epistemic state's adjacent probabilities (inf for one)."""
+    return np.append(-np.diff(e.probabilities), np.inf)
+
+
+@PROPERTY_SETTINGS
+@given(random_cases())
+def test_a_local_unitary_frame_change_leaves_every_entry_in_place(case):
+    # rho -> U rho U^dag and K -> U K U^dag with U = U_1 kron ... kron U_n over
+    # the blocks rotate the parent and every block eigenbasis by the same
+    # unitaries and keep every spectrum; so each entry stays where it was.
+    # Eigenvectors are read to round-off over gap, hence the assumed gaps.
+    part, rho, ch, rng = case
+    dims = part.layout.dims
+    u = np.eye(part.layout.total_dim, dtype=complex)
+    for block in part.blocks:
+        positions = part.layout.positions(block)
+        u_block = random_unitary(int(np.prod([dims[p] for p in positions])), rng)
+        u = naive_embed(u_block, dims, positions) @ u
+    table = conditional_table(rho, ch, part, mode="permissive")
+    for e in (table.parent, *table.blocks):
+        assume(_spectral_gaps(e).min() > 1e-3)
+    moved = conditional_table(
+        DensityMatrix(u @ rho.matrix @ u.conj().T, part.layout),
+        KrausChannel(u @ ch.operators @ u.conj().T),
+        part,
+        mode="permissive",
+    )
+    assert moved.probabilities.shape == table.probabilities.shape
+    assert np.abs(moved.probabilities - table.probabilities).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS

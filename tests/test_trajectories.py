@@ -21,6 +21,7 @@ from modaldyn import (
     run_ensemble,
 )
 from modaldyn import linalg, trajectories
+from modaldyn.tolerances import CHAIN_ROW_SUM_TOL
 from modaldyn.trajectories import ENSEMBLE_BLOCK
 
 from oracles import (
@@ -121,6 +122,47 @@ def test_propagated_marginals_match_eigenvalues():
         rho = DensityMatrix(np.diag([0.8, 0.2]).astype(complex), QUBIT)
         ch = build_step_chain(evolve(g, grid.dt), rho, grid, mode="permissive")
         assert np.abs(ch.propagated_marginals() - ch.eigenvalue_table()).max() < 1e-7
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 3),
+    st.floats(0.01, 1.0),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_chain_marginals_keep_total_probability(d, n_jumps, dt, n_steps, seed):
+    # Total probability: with every entry kept, lambda(k) R(k) = lambda(k + 1)
+    # up to round-off, which lies far below tau = CHAIN_ROW_SUM_TOL. The rows
+    # are nonnegative and each sums to at most 1 + tau (the chain checks it),
+    # so a step multiplies an l1 error by at most 1 + tau, and after n steps
+    # the marginals miss the eigenvalues by at most
+    # sum_k tau (1 + tau)^k <= n tau (1 + tau)^n in l1, and so entrywise.
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout((d,), ("Q",))
+    rho0 = random_density_matrix(layout, rng)
+    step = evolve(random_lindblad(d, n_jumps, rng), dt)
+    chain = build_step_chain(step, rho0, TimeGrid(dt, n_steps), mode="permissive")
+    assert chain.counts.tolist() == [d] * (n_steps + 1)  # nothing was dropped
+    tau = CHAIN_ROW_SUM_TOL
+    bound = n_steps * tau * (1.0 + tau) ** n_steps
+    assert np.abs(chain.propagated_marginals() - chain.eigenvalue_table()).max() <= bound
+
+
+def test_a_chain_refuses_a_schedule_or_none_and_names_the_conversion():
+    # generators and flows: test_conditional.py and test_flow.py
+    rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
+    grid = TimeGrid(0.25, 2)
+    step = evolve(damping(), grid.dt)
+    refusals = [
+        ((((0,), step),), "not a schedule; compose(later, earlier) joins two steps"),
+        (None, "not None; the step that changes nothing is unitary_channel("),
+    ]
+    for dynamics, message in refusals:
+        with pytest.raises(TypeError, match="must be a KrausChannel, " + re.escape(message)):
+            build_step_chain(dynamics, rho0, grid)
+    assert build_step_chain(step, rho0, grid).n_times == 3
 
 
 def test_strict_mode_refuses_degenerate_grid_point():
