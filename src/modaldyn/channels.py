@@ -314,7 +314,8 @@ def _taylor_parameters(tb: float) -> tuple[int, int]:
     m, s = 0, 1
     if tb > 0:
         for degree, theta in _THETA.items():
-            n_steps = math.ceil(tb / theta)
+            # a subnormal tb / theta underflows to 0; a positive tb takes a step
+            n_steps = max(1, math.ceil(tb / theta))
             if m == 0 or degree * n_steps < m * s:
                 m, s = degree, n_steps
     return m, s

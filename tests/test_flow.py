@@ -88,6 +88,14 @@ def test_state_image_matches_dense_expm(case):
 
 @FLOW_SETTINGS
 @given(flow_cases())
+@example(
+    (
+        SystemLayout((2,), ("Q0",)),
+        _generator(2, 0, 1.0, 0),
+        5e-324,
+        random_density_matrix(SystemLayout((2,), ("Q0",)), np.random.default_rng(4)),
+    )
+)
 def test_table_entries_match_dense_expm(case):
     layout, g, t, rho = case
     part = Partition(layout, tuple((label,) for label in layout.labels))
@@ -130,6 +138,16 @@ def test_a_long_flow_takes_several_steps_and_stops_each_series_early(monkeypatch
     assert terms < m * s
     want = naive_lindblad_apply(g.hamiltonian, g.jumps, 3.0, rho.matrix)
     assert np.abs(got - want).max() < FLOW_TOL
+
+
+def test_a_subnormal_duration_takes_one_step():
+    # 5e-324 / theta_m underflows to 0 for the larger degrees, which once
+    # chose zero steps and divided by zero in the flow
+    assert channels._taylor_parameters(5e-324) == (1, 1)
+    g = _generator(2, 0, 1.0, 0)
+    rho = random_density_matrix(SystemLayout((2,), ("Q",)), np.random.default_rng(4))
+    got = flow(GeneratorFlow(g, 5e-324), rho.matrix[None])[0]
+    assert np.abs(got - rho.matrix).max() < FLOW_TOL
 
 
 def test_the_norm_bound_covers_the_shifted_generator():
