@@ -30,11 +30,14 @@ operators or the whole map.
 A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
 channel's operators act on the layout factors at ``positions``, listed in the
 operator's own factor order, so a two-qubit gate in a many-qubit layout is
-stored and checked as a 4x4 matrix. ``apply`` contracts such a local channel
-into a state vector or a density matrix without building its dense embedding.
-Both consumers of general dynamics, ``apply`` and conditional tables, read
-them through one gate, ``steps``; a trajectory chain takes its step map as
-one ``KrausChannel``.
+stored and checked as a 4x4 matrix, and contracted into a state or a set of
+vectors without building its dense embedding.
+
+This is the one module that acts with dynamics, and it does so in two
+ways, both through the one gate ``steps``. ``apply`` carries a state.
+``amplitudes`` feeds the conditional-probability kernel: for each parent
+vector ``|w>`` a stack ``A_w`` with ``A_w A_w^dag = E[|w><w|]``, which
+tables, scalar queries and the step rows of a trajectory chain all read.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
     The work grows with ``duration * b``, since an action cannot be squared:
     a flow over ``FLOW_WORK_BUDGET`` multiply-adds, or over the memory
     budget, is refused with :class:`ProblemTooLargeError` before it starts
-    (:func:`check_flow`).
+    (:func:`_flow_plan`).
     """
     mats = np.asarray(mats, dtype=complex)
     t = f.duration
@@ -245,11 +248,6 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
             c1 = c2
         out = eta * out
     return out
-
-
-def check_flow(f: GeneratorFlow, n: int) -> None:
-    """Refuse a flow of ``n`` matrices over the memory or the work budget."""
-    _flow_plan(f, n)
 
 
 def _flow_plan(
@@ -395,7 +393,7 @@ def steps(
 ) -> Union[Schedule, GeneratorFlow]:
     """``dynamics`` as schedule steps; a channel is one step on every factor.
 
-    The one gate of ``apply`` and conditional tables. A ``GeneratorFlow``
+    The one gate of ``apply`` and ``amplitudes``. A ``GeneratorFlow``
     passes through once its dim is the layout's. Anything but a
     ``KrausChannel`` or a schedule of them is otherwise refused with a
     ``TypeError`` naming the conversion. Each step's positions must be
@@ -428,6 +426,38 @@ def steps(
                 f"of factors {positions}"
             )
     return dynamics
+
+
+def amplitudes(
+    dynamics: Dynamics, basis: np.ndarray, layout: SystemLayout
+) -> Sequence[np.ndarray]:
+    """The kernel's amplitude stacks ``A_w`` of the columns ``w`` of ``basis``.
+
+    ``dynamics`` passes the gate :func:`steps`. A schedule gives ``K @
+    basis`` for each of its Kraus operators ``K``, the products of one
+    operator per step: the columns are pushed through the steps with each
+    operator acting on its own factors only. A flow gives, for each column
+    ``w``, the eigen-factor ``V sqrt(lambda)`` of the flowed ``|w><w|``
+    (round-off negative eigenvalues clipped to 0), stacked ``[r, :, w]``;
+    the projectors are flowed in one stacked call, planned before they are
+    made, so a flow over either budget is refused before anything is
+    allocated.
+    """
+    dynamics = steps(dynamics, layout)
+    if not isinstance(dynamics, GeneratorFlow):
+        amps = [basis.reshape(layout.dims + (-1,))]
+        for positions, step in dynamics:
+            amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
+        return [a.reshape(basis.shape) for a in amps]
+    _flow_plan(dynamics, basis.shape[1])
+    # the projectors, their images, eigenvectors and factors, and the
+    # kernel's copies take at most 4.1 stacks at d = 16..64 (tracemalloc),
+    # within the estimate of a flow of n matrices that the plan checked; a
+    # table keeps the result, one stack, while its state flows
+    kets = basis.T
+    images = flow(dynamics, kets[:, :, None] * kets.conj()[:, None, :])
+    lam, vecs = np.linalg.eigh(images)
+    return (vecs * np.sqrt(np.maximum(lam, 0.0))[:, None, :]).transpose(2, 1, 0)
 
 
 def _not_kraus(dynamics: object, wanted: str) -> TypeError:

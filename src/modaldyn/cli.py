@@ -9,7 +9,9 @@ configuration or parse problems (including a ``--rho0`` that is not a state,
 a scenario flag the scenario does not take, and problems too large for the
 memory budget), 3 numerical invariant failures, 4 strict-mode degeneracy
 refusals, 5 channel verification failures. Outputs are deterministic: the
-same configuration and seed produce byte-identical files.
+same configuration and seed produce byte-identical files on the same numpy,
+BLAS library and BLAS thread count; another thread count may round a float
+differently in its last bits.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ def _cmd_epistemic(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--subsystem labels {sorted(unknown)} not in layout {sc.layout.labels}"
         )
+    repeated = {s for s in labels if labels.count(s) > 1}
+    if repeated:
+        raise ConfigError(f"--subsystem labels {sorted(repeated)} named more than once")
     labels = labels or sc.layout.labels
     state = sc.state_at(args.time)
     if set(labels) != set(sc.layout.labels):

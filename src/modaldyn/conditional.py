@@ -18,17 +18,15 @@ takes an amplitude stack ``A_w`` with ``A_w A_w^dag = E[P_W(w)]``, so the
 quantity is ``sum_r |<b_1(i_1) kron ... kron b_n(i_n)| A_w[:, r]|^2``,
 evaluated for all parent columns and block indices at once: it reorders the
 tensor factors into block order and contracts each block's eigenbasis along
-its axes. A Kraus family gives ``A_w[:, k] = K_k |w>``; a generator flow
-(see ``channels``) gives the eigen-factor ``V sqrt(lambda)`` of the flowed
-image of ``|w><w|``, all parent projectors flowed in one stacked call. A
-table is the full result; a scalar query is the kernel on one parent
-column and one basis vector per block; the step rows of a trajectory chain
-are the one-block case, stacked over the steps. A ``Superoperator`` is
-refused, to be converted once by the caller. A schedule of local steps
-``(positions, channel)`` (see ``channels``) is accepted wherever a channel
-is: the parent vectors are pushed through the steps factor-locally, one
-branch per product of Kraus operators, and the blocks are read from the
-reduced final state.
+its axes. This module never acts with the dynamics itself: the stacks come
+from ``channels.amplitudes`` and the state at t' from ``channels.apply``,
+both behind the gate ``channels.steps``, which takes a Kraus channel, a
+schedule of local steps ``(positions, channel)`` or a generator flow, and
+refuses a ``Superoperator``, to be converted once by the caller. The blocks
+are read from the reduced state at t'. A table is the full result; a
+scalar query is the kernel on one parent column and one basis vector per
+block; the step rows of a trajectory chain are the one-block case, stacked
+over the steps.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
@@ -39,26 +37,18 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    Dynamics,
-    GeneratorFlow,
-    Schedule,
-    apply,
-    check_flow,
-    flow,
-    steps,
-)
+from .channels import Dynamics, amplitudes, apply, steps
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
     NormalizationError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout, apply_local
+from .linalg import SystemLayout
 from .states import STRICT, EpistemicState, State, _check_mode, extract_epistemic
 from .tolerances import CLAMP_TOL, DEFAULT_THRESHOLD, ROW_SUM_TOL
 
@@ -139,29 +129,14 @@ def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
         )
 
 
-def _kraus_amplitudes(
-    schedule: Schedule, basis: np.ndarray, layout: SystemLayout
-) -> list[np.ndarray]:
-    """``K @ basis`` for every Kraus operator ``K`` of ``schedule``.
-
-    A schedule's Kraus operators are the products of one operator per step;
-    the columns are pushed through the steps with each operator acting on
-    its own factors only.
-    """
-    amps = [basis.reshape(layout.dims + (-1,))]
-    for positions, step in schedule:
-        amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
-    return [a.reshape(basis.shape) for a in amps]
-
-
 def _block_probabilities(
-    amplitudes: Sequence[np.ndarray],
+    stacks: Sequence[np.ndarray],
     block_bases: Sequence[np.ndarray],
     part: Partition,
 ) -> np.ndarray:
     """``probs[w, i_1..i_n] = sum_r |<b_1(i_1)..b_n(i_n)| A_w[:, r]|^2``.
 
-    ``amplitudes[r]`` holds column ``r`` of every parent's stack ``A_w`` as
+    ``stacks[r]`` holds column ``r`` of every parent's stack ``A_w`` as
     its column ``w`` (``K_r @ V_parent`` for a Kraus family), over the
     partition's layout; ``block_bases[a]`` holds block ``a``'s vectors as
     columns over that block's factors in layout order. Entries are real and
@@ -173,7 +148,7 @@ def _block_probabilities(
     shape = tuple(b.shape[0] for b in block_bases) + (-1,)
     bras = [np.conj(b) for b in block_bases]
     probs = 0.0
-    for amp in amplitudes:
+    for amp in stacks:
         amp = amp.reshape(dims + (-1,)).transpose(axes).reshape(shape)
         for bra in bras:
             amp = np.tensordot(amp, bra, axes=(0, 0))
@@ -201,56 +176,27 @@ def _check_bound(probs: np.ndarray) -> None:
         )
 
 
-def _spectra(
-    rho_w_t: State,
-    channel: Dynamics,
-    part: Partition,
-    threshold: float,
-    every_ket: bool = False,
-) -> tuple[
-    Union[Schedule, GeneratorFlow], EpistemicState, tuple[EpistemicState, ...]
-]:
-    """The channel's steps or flow, the parent spectrum at t and block spectra after it.
-
-    With ``every_ket`` (a table), a flow of every retained parent projector
-    is checked against the flow's budgets before the state is flowed.
-    """
+def _parent(
+    rho_w_t: State, channel: Dynamics, part: Partition, threshold: float
+) -> tuple[Dynamics, EpistemicState]:
+    """The dynamics through the gate, and the parent spectrum at t."""
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
     dynamics = steps(channel, part.layout)
-    parent = extract_epistemic(rho_w_t, threshold)
-    if every_ket and isinstance(dynamics, GeneratorFlow):
-        check_flow(dynamics, parent.vectors.shape[1])
+    return dynamics, extract_epistemic(rho_w_t, threshold)
+
+
+def _blocks(
+    rho_w_t: State, dynamics: Dynamics, part: Partition, threshold: float
+) -> tuple[EpistemicState, ...]:
+    """The block spectra at t', after ``dynamics``."""
     rho_tprime = apply(dynamics, rho_w_t)
-    blocks = tuple(
+    return tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
     )
-    return dynamics, parent, blocks
-
-
-def _amplitudes(
-    dynamics: Union[Schedule, GeneratorFlow], basis: np.ndarray, layout: SystemLayout
-) -> Sequence[np.ndarray]:
-    """The kernel's amplitude stacks of the parent columns ``basis``.
-
-    A schedule gives ``K @ basis`` for each of its Kraus operators ``K``. A
-    flow gives, for each column ``w``, the eigen-factor ``V sqrt(lambda)``
-    of the flowed ``|w><w|`` (round-off negative eigenvalues clipped to 0),
-    stacked ``[r, :, w]``; the projectors are flowed in one stacked call.
-    """
-    if not isinstance(dynamics, GeneratorFlow):
-        return _kraus_amplitudes(dynamics, basis, layout)
-    # the projectors, their images, eigenvectors and factors, and the
-    # kernel's copies take at most 4.1 stacks at d = 16..64 (tracemalloc),
-    # within the estimate of a flow of n matrices, which was checked when
-    # the state was flowed (n = 1) or before it (a table)
-    kets = basis.T
-    images = flow(dynamics, kets[:, :, None] * kets.conj()[:, None, :])
-    lam, vecs = np.linalg.eigh(images)
-    return (vecs * np.sqrt(np.maximum(lam, 0.0))[:, None, :]).transpose(2, 1, 0)
 
 
 def _validate_query(
@@ -294,10 +240,11 @@ def joint_conditional(
     precondition.
     """
     mode = _check_mode(mode)
-    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold)
+    dynamics, parent = _parent(rho_w_t, channel, part, threshold)
+    blocks = _blocks(rho_w_t, dynamics, part, threshold)
     w, idx = _validate_query(parent, blocks, w, indices, mode)
     probs = _block_probabilities(
-        _amplitudes(dynamics, parent.vectors[:, w : w + 1], part.layout),
+        amplitudes(dynamics, parent.vectors[:, w : w + 1], part.layout),
         [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx)],
         part,
     )
@@ -404,16 +351,16 @@ def conditional_table(
     the whole table, since a table necessarily touches every entry.
     """
     mode = _check_mode(mode)
-    dynamics, parent, blocks = _spectra(rho_w_t, channel, part, threshold, True)
+    dynamics, parent = _parent(rho_w_t, channel, part, threshold)
+    # before the state is carried: a flow's plan refuses an over-budget
+    # table before anything is flowed
+    stacks = amplitudes(dynamics, parent.vectors, part.layout)
+    blocks = _blocks(rho_w_t, dynamics, part, threshold)
     if mode == STRICT:
         _refuse_any_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):
             _refuse_any_degeneracy(block, f"block {a} spectrum")
-    probs = _block_probabilities(
-        _amplitudes(dynamics, parent.vectors, part.layout),
-        [b.vectors for b in blocks],
-        part,
-    )
+    probs = _block_probabilities(stacks, [b.vectors for b in blocks], part)
     return ConditionalTable(
         parent=parent,
         blocks=blocks,

@@ -92,8 +92,15 @@ class SystemLayout:
             ) from None
 
     def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
-        """Positions of ``labels``, sorted into layout order."""
-        return tuple(sorted(self.position(s) for s in labels))
+        """Positions of ``labels``, sorted into layout order; a label named
+        more than once is refused."""
+        pos = sorted(self.position(s) for s in labels)
+        for p, q in zip(pos, pos[1:]):
+            if p == q:
+                raise LayoutMismatchError(
+                    f"label {self.labels[p]!r} named more than once"
+                )
+        return tuple(pos)
 
     def sublayout(self, labels: Iterable[str]) -> "SystemLayout":
         """Layout of the named factors, kept in this layout's order."""

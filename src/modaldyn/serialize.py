@@ -358,8 +358,7 @@ def scenario_from_document(data: dict) -> Scenario:
     """Build a Scenario from its JSON document.
 
     Every matrix is checked to be ``d x d``, ``d`` the layout's dimension,
-    and the initial state to have finite entries, before anything is built
-    from it.
+    and to have finite entries, before anything is built from it.
     """
     check_schema_version(data)
     if data.get("kind") != "scenario":
@@ -387,10 +386,12 @@ def scenario_from_document(data: dict) -> Scenario:
         elif dkind == "schedule":
             unitaries = pairs_to_matrix(_require(doc, "unitaries"), ndim=3)
             square("each of 'unitaries'", unitaries)
+            check_finite(unitaries, "unitary")
             dynamics = tuple((every, unitary_channel(u)) for u in unitaries)
         elif dkind == "kraus":
             ops = pairs_to_matrix(_require(doc, "operators"), ndim=3)
             square("each of 'operators'", ops)
+            check_finite(ops, "Kraus operator")
             dynamics = ((every, KrausChannel(ops)),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")

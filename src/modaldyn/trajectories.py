@@ -14,9 +14,10 @@ Kraus array ``ops`` as it is. rho is pushed along the grid by the batched
 sum of ``ops @ rho @ ops^dag`` into one ``(n_times, d, d)`` stack, which one
 stacked eigendecomposition reads; the density-matrix checks and the
 epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
-name the grid point and come in grid order. The rows of every step come
-from ``ops @ kets``, the one-block case of the kernel in
-:mod:`modaldyn.conditional`, and must sum to one within
+name the grid point and come in grid order. The rows of every step are the
+one-block case of the kernel in :mod:`modaldyn.conditional`, read from the
+amplitude stacks ``channels.amplitudes`` gives for the kept eigenvectors of
+every grid point at once, and must sum to one within
 ``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the same as for
 conditional tables.
 
@@ -55,7 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, _not_kraus
+from .channels import KrausChannel, _not_kraus, amplitudes
 from .conditional import _check_bound
 from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
@@ -338,7 +339,7 @@ def build_step_chain(
         np.abs(vectors[:-1].transpose(0, 2, 1) @ bras), kept
     )
     raw = np.zeros((n_steps, m, m))
-    for amp in ops @ kets:
+    for amp in amplitudes(step_channel, kets, rho0.layout):
         amp = amp.reshape(d, n_steps, m).transpose(1, 2, 0) @ bras
         raw += amp.real**2 + amp.imag**2
     rows = np.minimum(raw, 1.0)

@@ -13,6 +13,7 @@ from modaldyn import (
     InvalidDensityMatrixError,
     KrausChannel,
     LindbladGenerator,
+    NotHermitianError,
     NotUnitaryError,
     ProblemTooLargeError,
     PureState,
@@ -200,6 +201,53 @@ def test_lindblad_generator_validation():
         op[1, 0] = bad
         with pytest.raises(ValueError, match="jump operator entries must be finite"):
             LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((op, 1.0),))
+
+
+REFUSALS = {
+    "hamiltonian-not-square": (
+        lambda: LindbladGenerator(np.zeros((2, 3))),
+        NotHermitianError, "Hamiltonian must be square, got (2, 3)",
+    ),
+    "jump-shape": (
+        lambda: LindbladGenerator(np.zeros((2, 2)), ((np.eye(3), 1.0),)),
+        DimensionMismatchError, "jump operator shape (3, 3) does not match (2, 2)",
+    ),
+    "superoperator-shape": (
+        lambda: Superoperator(np.eye(4), 3),
+        DimensionMismatchError, "superoperator shape (4, 4) is not (9, 9)",
+    ),
+    "unitary-not-square": (
+        lambda: unitary_channel(np.eye(3)[:2]),
+        NotUnitaryError, "expected a square matrix, got (2, 3)",
+    ),
+    "choi-zero": (
+        lambda: choi_to_kraus(np.zeros((4, 4)), 2),
+        CptVerificationError, "Choi matrix has no eigenvalue above cutoff",
+    ),
+    "compose-dims": (
+        lambda: compose(unitary_channel(np.eye(2)), unitary_channel(np.eye(4))),
+        DimensionMismatchError, "cannot compose dims 2 and 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_constructors_and_conversions_refuse_bad_shapes(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
+
+
+@pytest.mark.parametrize("cp", [True, False], ids=["kraus", "transpose"])
+def test_verify_cpt_reads_a_superoperator_by_its_matrix(cp):
+    ops = random_kraus_channel(2, 3, np.random.default_rng(61)).operators
+    # the transpose map, vec(rho) -> vec(rho^T), is TP and not CP
+    matrix = naive_superoperator(ops) if cp else np.eye(4)[[0, 2, 1, 3]]
+    sup = Superoperator(matrix, 2)
+    report = verify_cpt(sup)
+    assert report == verify_superoperator_matrix(sup.matrix, sup.dim)
+    assert (report.is_cp, report.is_tp) == (cp, True)
 
 
 def test_lindblad_superoperator_action_on_dephasing():

@@ -556,6 +556,30 @@ def test_nan_initial_state_is_rejected(capsys, tmp_path):
             assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "kind, key, what",
+    [("kraus", "operators", "Kraus operator"), ("schedule", "unitaries", "unitary")],
+)
+@pytest.mark.parametrize(
+    "argv", [("epistemic",), ("conditional", "--blocks", "Q")], ids=lambda a: a[0]
+)
+def test_non_finite_scenario_dynamics_entries_are_rejected(
+    capsys, tmp_path, bad, kind, key, what, argv
+):
+    # refused as the file is read, before a completeness or unitarity check
+    # does arithmetic on it
+    op = np.diag([1.0, bad])
+    dynamics = {"kind": kind, key: [matrix_to_pairs(op)]}
+    path = _scenario_file(tmp_path, dynamics=dynamics)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--scenario", path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {what} entries must be finite: ({bad}+0j)\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_non_hermitian_initial_state_is_rejected(capsys, tmp_path):
     rho = np.array([[0.5, 0.5], [0.0, 0.5]])
     path = _scenario_file(tmp_path, initial_state=matrix_to_pairs(rho))
@@ -581,23 +605,22 @@ def test_a_file_does_not_shadow_a_scenario_name(capsys, tmp_path, monkeypatch):
 
 
 def test_nan_kraus_dynamics_is_rejected(capsys, tmp_path):
+    # a bad document (exit 2), refused before the completeness check (exit 5)
     k0 = np.array([[1.0, 0.0], [0.0, np.nan]])
     k1 = np.array([[0.0, np.sqrt(0.3)], [0.0, 0.0]])
     dynamics = {"kind": "kraus", "operators": [matrix_to_pairs(k0), matrix_to_pairs(k1)]}
     path = _scenario_file(tmp_path, dynamics=dynamics)
-    code, out, _ = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
-    assert code == 5
-    assert out == ""
+    code, out, err = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
+    assert (code, out) == (2, "")
+    assert err == "configuration error: Kraus operator entries must be finite: (nan+0j)\n"
 
 
-def test_nan_unitary_schedule_exits_like_a_non_unitary_one(capsys, tmp_path):
+def test_a_nan_unitary_schedule_exits_2_and_a_non_unitary_one_exits_3(capsys, tmp_path):
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for bad, name in ((np.diag([np.nan, 1.0]), "nan"), (np.diag([2.0, 1.0]), "non-unitary")):
+    for bad, code in ((np.diag([np.nan, 1.0]), 2), (np.diag([2.0, 1.0]), 3)):
         dynamics = {"kind": "schedule", "unitaries": [matrix_to_pairs(flip), matrix_to_pairs(bad)]}
         path = _scenario_file(tmp_path, dynamics=dynamics)
-        code, out, _ = run(capsys, "conditional", "--scenario", path, "--blocks", "Q")
-        assert code == 3, name
-        assert out == ""
+        assert run(capsys, "conditional", "--scenario", path, "--blocks", "Q")[:2] == (code, "")
 
 
 @pytest.mark.parametrize(
@@ -859,6 +882,26 @@ CONFIG_ERRORS = {
     "subsystem-unknown": (
         ("epistemic", "--scenario", "epr-bohm", "--subsystem", "Z"),
         "--subsystem labels ['Z'] not in layout ('A', 'B')",
+    ),
+    "subsystem-repeated": (
+        ("epistemic", "--scenario", "von-neumann", "--n-env", "2", "--subsystem", "S,P,S"),
+        "--subsystem labels ['S'] named more than once",
+    ),
+    "subsystem-repeated-pair": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", "A,A"),
+        "--subsystem labels ['A'] named more than once",
+    ),
+    "subsystem-repeated-whole": (
+        ("epistemic", "--scenario", "dephasing", "--subsystem", "Q,Q"),
+        "--subsystem labels ['Q'] named more than once",
+    ),
+    "blocks-repeated": (
+        ("conditional", "--scenario", "von-neumann", "--n-env", "2", "--blocks", "S+S,P,E1,E2"),
+        "bad --blocks: label 'S' named more than once",
+    ),
+    "blocks-repeated-whole": (
+        ("conditional", "--scenario", "dephasing", "--blocks", "Q+Q"),
+        "bad --blocks: label 'Q' named more than once",
     ),
     "blocks-empty": (
         ("conditional", "--scenario", "epr-bohm", "--blocks", "A,,B"),

@@ -13,6 +13,7 @@ from modaldyn import (
     DimensionMismatchError,
     KrausChannel,
     LayoutMismatchError,
+    NormalizationError,
     Partition,
     ProbabilityBoundsError,
     Superoperator,
@@ -53,6 +54,66 @@ def test_partition_validation():
     with pytest.raises(Exception):
         Partition(layout, (("A", "Z"), ("B", "C")))  # unknown label
     assert trivial_partition(layout).blocks == (("A", "B", "C"),)
+
+
+def _pair_table():
+    pair = SystemLayout.qubits(("A", "B"))
+    rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), pair)
+    part = Partition(pair, (("A",), ("B",)))
+    return rho, part, conditional_table(rho, None, part)
+
+
+def _refusals():
+    rho, part, table = _pair_table()
+    pair = part.layout
+    other = trivial_partition(SystemLayout.qubits(("X", "Y")))
+    wide = unitary_channel(np.eye(8))
+    fields = (table.parent, table.blocks, table.partition)
+    return {
+        "no-blocks": (
+            lambda: Partition(pair, ()),
+            LayoutMismatchError, "partition needs at least one block",
+        ),
+        "empty-block": (
+            lambda: Partition(pair, (("A",), (), ("B",))),
+            LayoutMismatchError, "empty partition block",
+        ),
+        # the layout is checked first, before the dynamics' gate
+        "table-layout": (
+            lambda: conditional_table(rho, wide, other),
+            LayoutMismatchError,
+            "partition layout does not match the density matrix layout",
+        ),
+        "query-layout": (
+            lambda: joint_conditional(rho, wide, other, 0, (0,)),
+            LayoutMismatchError,
+            "partition layout does not match the density matrix layout",
+        ),
+        "query-index-count": (
+            lambda: joint_conditional(rho, None, part, 0, (0,)),
+            IndexError, "expected 2 subsystem indices, got 1",
+        ),
+        "table-shape": (
+            lambda: ConditionalTable(
+                *fields, np.full((4, 2, 3), 1 / 6), table.mode
+            ),
+            LayoutMismatchError,
+            "table shape (4, 2, 3) does not match entries (4, 2, 2)",
+        ),
+        "table-rows": (
+            lambda: ConditionalTable(*fields, table.probabilities / 2, table.mode),
+            NormalizationError,
+            "conditional rows sum to 1 within 5.000e-01 > 1.0e-08",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_refusals()))
+def test_partitions_queries_and_tables_refuse_bad_input(name):
+    call, error, message = _refusals()[name]
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
 
 
 def test_singlet_anticorrelation_table():

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
+    DensityMatrix,
     LayoutMismatchError,
     NotHermitianError,
+    Partition,
+    PureState,
     SystemLayout,
     UnknownLabelError,
     canonical_phase,
@@ -42,6 +45,22 @@ def test_layout_rejects_bad_input():
     layout = SystemLayout.qubits(("A", "B"))
     with pytest.raises(UnknownLabelError):
         layout.position("Z")
+
+
+def test_a_label_named_twice_is_refused_wherever_labels_are_read():
+    layout = SystemLayout(dims=(2, 3), labels=("A", "B"))
+    rho = DensityMatrix(np.eye(6, dtype=complex) / 6, layout)
+    pure = PureState(np.eye(6, dtype=complex)[0], layout)
+    for call in (
+        lambda: layout.positions(("B", "A", "B")),
+        lambda: layout.sublayout(("A", "A")),
+        lambda: partial_trace(rho.matrix, layout, ("A", "A")),
+        lambda: rho.reduce(("A", "A")),
+        lambda: pure.reduce(("A", "A")),
+        lambda: Partition(layout, (("A", "A"), ("B",))),
+    ):
+        with pytest.raises(LayoutMismatchError, match="^label '[AB]' named more than once$"):
+            call()
 
 
 def test_canonical_phase_fixes_largest_component():

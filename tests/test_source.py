@@ -290,3 +290,69 @@ def test_the_check_finds_a_stray_tolerance():
 def test_every_tolerance_is_stated_in_the_tolerance_module():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert stray_tolerances(sources) == []
+
+
+# Names that act with dynamics, and the modules that may use each:
+# ``channels`` is the one module that acts with dynamics, and ``serialize``
+# embeds a local operator densely for the documents it writes.
+DYNAMICS_NAMES = {
+    "flow": {"channels.py"},
+    "_flow_plan": {"channels.py"},
+    "apply_local": {"channels.py", "serialize.py"},
+}
+
+
+def dynamics_outside_channels(sources: dict[str, str]) -> list[str]:
+    """Uses of ``DYNAMICS_NAMES`` outside the modules allowed each.
+
+    A use is an import of the name, or a read of it as a name or as an
+    attribute (``channels.flow``), which a call is. A definition is not a
+    use. ``sources`` maps file name to source.
+    """
+    found = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{file} line {node.lineno}: {name}"
+                for name in names
+                if name in DYNAMICS_NAMES and file not in DYNAMICS_NAMES[name]
+            ]
+    return sorted(set(found))
+
+
+def test_the_check_finds_dynamics_acted_outside_channels():
+    sources = {
+        "a.py": "from .channels import GeneratorFlow, flow\n",
+        "b.py": (
+            "from . import channels\n"
+            "def f(g, flow_steps):\n"
+            "    return channels._flow_plan(g, flow_steps)\n"
+        ),
+        "c.py": "from .linalg import apply_local\n",
+        "d.py": "def go(x):\n    return x.flow + flow(x)\n",
+        "channels.py": (
+            "from .linalg import apply_local\n"
+            "def flow(f, m):\n"
+            "    return _flow_plan(f, len(m)), apply_local\n"
+        ),
+        "serialize.py": "from .linalg import apply_local, check_finite\n",
+    }
+    assert dynamics_outside_channels(sources) == [
+        "a.py line 1: flow",
+        "b.py line 3: _flow_plan",
+        "c.py line 1: apply_local",
+        "d.py line 2: flow",
+    ]
+
+
+def test_only_channels_acts_with_dynamics():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert dynamics_outside_channels(sources) == []
