@@ -219,8 +219,18 @@ def flow(f: GeneratorFlow, mats: np.ndarray) -> np.ndarray:
     (:func:`_flow_plan`).
     """
     mats = np.asarray(mats, dtype=complex)
+    return _run_flow(f, _flow_plan(f, mats.shape[0]), mats)
+
+
+def _run_flow(
+    f: GeneratorFlow,
+    plan: tuple[np.ndarray, list[np.ndarray], float, int, int],
+    mats: np.ndarray,
+) -> np.ndarray:
+    """:func:`flow` of the stack ``mats`` by the ``plan`` that
+    :func:`_flow_plan` made for it."""
     t = f.duration
-    k, jumps, mu, m, s = _flow_plan(f, mats.shape[0])
+    k, jumps, mu, m, s = plan
     k_dag = k.conj().T
     pairs = [(j, j.conj().T) for j in jumps]
     eta = math.exp(t * mu / s)
@@ -449,13 +459,13 @@ def amplitudes(
         for positions, step in dynamics:
             amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
         return [a.reshape(basis.shape) for a in amps]
-    _flow_plan(dynamics, basis.shape[1])
+    plan = _flow_plan(dynamics, basis.shape[1])
     # the projectors, their images, eigenvectors and factors, and the
     # kernel's copies take at most 4.1 stacks at d = 16..64 (tracemalloc),
     # within the estimate of a flow of n matrices that the plan checked; a
     # table keeps the result, one stack, while its state flows
     kets = basis.T
-    images = flow(dynamics, kets[:, :, None] * kets.conj()[:, None, :])
+    images = _run_flow(dynamics, plan, kets[:, :, None] * kets.conj()[:, None, :])
     lam, vecs = np.linalg.eigh(images)
     return (vecs * np.sqrt(np.maximum(lam, 0.0))[:, None, :]).transpose(2, 1, 0)
 

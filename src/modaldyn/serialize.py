@@ -8,10 +8,18 @@ Conventions (see SCHEMA.md at the repository root):
   nested lists of them; one encoder and one decoder convert whole arrays;
 * JSON is emitted with sorted keys and 2-space indent, CSV with ``repr``
   floats, so identical inputs produce byte-identical files.
+
+The writer formats whole arrays: the payload functions hand it numeric
+``ndarray`` values, and :func:`dumps_json` writes each as one join of
+``float.__repr__`` texts, its bytes those of ``json.dumps(payload_as_lists,
+indent=2, sort_keys=True) + "\n"``; the CSV writers build their lines
+from the same ``repr`` texts, column by column where the data is stored
+by column.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -37,10 +45,15 @@ class SchemaError(ValueError):
 
 # ---------------------------------------------------------------- encoding
 
+def _pair_array(a: Any) -> np.ndarray:
+    """``a`` as floats, each complex entry its ``[re, im]`` pair on a new last axis."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1)
+
+
 def matrix_to_pairs(a: Any) -> list:
     """Nested lists of ``[re, im]`` pairs, one per entry of an array of any shape."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
+    return _pair_array(a).tolist()
 
 
 def pairs_to_matrix(data: Any, ndim: int = 2) -> np.ndarray:
@@ -91,11 +104,82 @@ def layout_from_payload(data: Any) -> SystemLayout:
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, each
+    ``ndarray`` in ``payload`` written as its ``tolist()`` would be.
+
+    Keys, strings, ints, bools and empty containers go through
+    ``json.dumps`` one at a time, and a float or record array is written
+    whole: the standard library's indenting encoder is pure Python and
+    makes several calls per number.
+    """
+    return _json(payload, "\n") + "\n"
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
+def _json(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    where its lines start with ``newline``, a line break and an indent."""
+    if isinstance(value, np.ndarray):
+        if value.ndim and value.size and (value.dtype.kind == "f" or value.dtype.names):
+            return _json_array(value, newline)
+        value = value.tolist()
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, (list, tuple)) and value:
+        items = [_json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _json_array(a: np.ndarray, newline: str) -> str:
+    """A float array, or records of floats and ints (each a list of its
+    fields), as :func:`_json` writes its ``tolist()``, in one join.
+
+    Between two numbers the text depends only on how many trailing axes
+    close there, so it is one of ``ndim`` strings, picked for every
+    position at once; non-finite numbers take JSON's spellings.
+    """
+    leaves = _json_leaves(a)
+    shape = a.shape + ((len(a.dtype.names),) if a.dtype.names else ())
+    k = len(shape)
+    pad = [newline + "  " * depth for depth in range(k + 1)]
+
+    def opens(c: int) -> str:
+        return "".join(pad[m] + "[" for m in range(k - c, k)) + pad[k]
+
+    def closes(c: int) -> str:
+        return "".join(pad[m] + "]" for m in reversed(range(k - c, k)))
+
+    seps = [closes(c) + "," + opens(c) for c in range(k)]
+    closing = np.zeros(len(leaves) - 1, dtype=np.intp)
+    at = np.arange(1, len(leaves))
+    for size in np.cumprod(shape[::-1])[:-1].tolist():
+        closing += at % size == 0
+    text = [""] * (2 * len(leaves) - 1)
+    text[::2] = leaves
+    text[1::2] = np.array(seps, dtype=object)[closing].tolist()
+    return "[" + opens(k - 1) + "".join(text) + closes(k)
+
+
+def _json_leaves(a: np.ndarray) -> list[str]:
+    """JSON text of each number of a float, integer or record array,
+    row-major, a record giving its fields in turn."""
+    if a.dtype.names:
+        columns = [_json_leaves(a[name]) for name in a.dtype.names]
+        return list(itertools.chain.from_iterable(zip(*columns)))
+    if a.dtype.kind != "f":
+        return list(map(repr, a.ravel().tolist()))
+    text = _floats(a)
+    for j in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
+        text[j] = json.dumps(float(a.flat[j]))
+    return text
+
+
+def _floats(a: Any) -> list[str]:
+    """``repr`` of each entry of ``a`` as a float, row-major."""
+    return list(map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist()))
 
 
 def _csv_lines(header: str) -> list[str]:
@@ -120,21 +204,24 @@ def epistemic_payload(
         "time": float(time),
         "layout": layout_payload(e.layout),
         **_entries_summary(e),
-        "vectors": matrix_to_pairs(e.vectors.T),
+        "vectors": _pair_array(e.vectors.T),
     }
 
 
 def epistemic_csv(e: EpistemicState) -> str:
     lines = _csv_lines("index,probability,degenerate")
-    for i, p in enumerate(e.probabilities.tolist()):
-        lines.append(f"{i},{_f(p)},{int(e.is_degenerate(i))}")
-    lines.append(f"# truncation_mass: {_f(e.truncation_mass)}")
+    n = len(e.probabilities)
+    degenerate = np.zeros(n, dtype=int)
+    degenerate[[i for c in e.degenerate_clusters for i in c]] = 1
+    columns = (map(repr, range(n)), _floats(e.probabilities), map(repr, degenerate.tolist()))
+    lines += map(",".join, zip(*columns))
+    lines.append(f"# truncation_mass: {float(e.truncation_mass)!r}")
     return "\n".join(lines) + "\n"
 
 
 def _entries_summary(e: EpistemicState) -> dict:
     return {
-        "probabilities": e.probabilities.tolist(),
+        "probabilities": e.probabilities,
         "degenerate_clusters": [list(c) for c in e.degenerate_clusters],
         "truncation_mass": float(e.truncation_mass),
     }
@@ -158,8 +245,8 @@ def table_payload(
         "blocks": [list(b) for b in table.partition.blocks],
         "parent": _entries_summary(table.parent),
         "block_entries": [_entries_summary(b) for b in table.blocks],
-        "probabilities": table.probabilities.tolist(),
-        "row_sums": table.row_sums.tolist(),
+        "probabilities": table.probabilities,
+        "row_sums": table.row_sums,
         "max_row_deviation": float(table.max_row_deviation),
         "max_marginal_deviation": float(table.max_marginal_deviation),
     }
@@ -170,12 +257,11 @@ def table_csv(table: ConditionalTable) -> str:
     header = "w," + ",".join(f"i{a + 1}" for a in range(n)) + ",probability"
     lines = _csv_lines(header)
     probs = table.probabilities
-    for index, p in zip(np.ndindex(*probs.shape), probs.ravel().tolist()):
-        lines.append(",".join([*map(str, index), _f(p)]))
-    for w, s in enumerate(table.row_sums.tolist()):
-        lines.append(f"# row_sum w={w}: {_f(s)}")
-    lines.append(f"# max_row_deviation: {_f(table.max_row_deviation)}")
-    lines.append(f"# max_marginal_deviation: {_f(table.max_marginal_deviation)}")
+    index = itertools.product(*(list(map(repr, range(n))) for n in probs.shape))
+    lines += map(",".join, zip(map(",".join, index), _floats(probs)))
+    lines += [f"# row_sum w={w}: {s}" for w, s in enumerate(_floats(table.row_sums))]
+    lines.append(f"# max_row_deviation: {float(table.max_row_deviation)!r}")
+    lines.append(f"# max_marginal_deviation: {float(table.max_marginal_deviation)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -188,14 +274,19 @@ def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
         "scenario": scenario,
         "seed": traj.seed,
         "rng": dict(RNG_CONTRACT),
-        "points": [[float(t), int(i), float(p)] for t, i, p in traj.points],
+        # records, which the writer lists as [time, index, probability]
+        "points": np.array(
+            list(traj.points),
+            dtype=[("time", float), ("index", np.int64), ("probability", float)],
+        ),
     }
 
 
 def trajectory_csv(traj: Trajectory) -> str:
+    # the points are stored as rows, and one f-string a row formats them
+    # faster than a round trip through columns
     lines = _csv_lines("time,index,probability")
-    for t, i, p in traj.points:
-        lines.append(f"{_f(t)},{i},{_f(p)}")
+    lines += [f"{float(t)!r},{i},{float(p)!r}" for t, i, p in traj.points]
     return "\n".join(lines) + "\n"
 
 
@@ -206,9 +297,9 @@ def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "ensemble",
         "scenario": scenario,
-        "times": [float(t) for t in report.times],
-        "frequencies": report.frequencies.tolist(),
-        "eigenvalues": report.eigenvalues.tolist(),
+        "times": np.asarray(report.times, dtype=float),
+        "frequencies": report.frequencies,
+        "eigenvalues": report.eigenvalues,
         "max_abs_deviation": float(report.max_abs_deviation),
         "sample_count": int(report.sample_count),
         "base_seed": int(report.base_seed),
@@ -218,15 +309,15 @@ def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
 
 def ensemble_csv(report: EnsembleReport) -> str:
     lines = _csv_lines("time,index,frequency,eigenvalue")
-    rows = zip(
-        report.times.tolist(),
-        report.frequencies.tolist(),
-        report.eigenvalues.tolist(),
+    n_times, n_labels = report.frequencies.shape
+    columns = (
+        _floats(np.repeat(report.times, n_labels)),
+        map(repr, np.tile(np.arange(n_labels), n_times).tolist()),
+        _floats(report.frequencies),
+        _floats(report.eigenvalues),
     )
-    for t, freqs, eigs in rows:
-        for lab, (f, e) in enumerate(zip(freqs, eigs)):
-            lines.append(f"{_f(t)},{lab},{_f(f)},{_f(e)}")
-    lines.append(f"# max_abs_deviation: {_f(report.max_abs_deviation)}")
+    lines += map(",".join, zip(*columns))
+    lines.append(f"# max_abs_deviation: {float(report.max_abs_deviation)!r}")
     lines.append(f"# sample_count: {report.sample_count}")
     return "\n".join(lines) + "\n"
 

@@ -60,7 +60,7 @@ from .channels import KrausChannel, _not_kraus, amplitudes
 from .conditional import _check_bound
 from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
-from .states import STRICT, DensityMatrix, _check_mode, _density_fault, _read_spectra
+from .states import STRICT, PureState, State, _check_mode, _density_fault, _read_spectra
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
 # Trajectories per keyed generator: part of the RNG contract, not a tuning
@@ -278,7 +278,7 @@ def _branch_labels(overlaps: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, 
 
 def build_step_chain(
     step_channel: KrausChannel,
-    rho0: DensityMatrix,
+    rho0: State,
     grid: TimeGrid,
     threshold: float = DEFAULT_THRESHOLD,
     mode: str = STRICT,
@@ -290,10 +290,14 @@ def build_step_chain(
     any discrete map on every factor. Anything else (a schedule, ``None``, a
     generator, a flow) is refused with a ``TypeError`` naming the conversion.
     In strict mode any degenerate spectrum along the grid refuses the chain.
+    A ``PureState`` is read as its density matrix, as ``channels.apply``
+    reads it.
     """
     mode = _check_mode(mode)
     if not isinstance(step_channel, KrausChannel):
         raise _not_kraus(step_channel, "a KrausChannel")
+    if isinstance(rho0, PureState):
+        rho0 = rho0.reduce(rho0.layout.labels)
     d = rho0.dim
     if step_channel.dim != d:
         why = f"channel dim {step_channel.dim} does not match dim {d} of the layout"

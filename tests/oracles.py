@@ -343,3 +343,41 @@ def per_element_pairs(a):
         z = complex(a[()])
         return [float(z.real), float(z.imag)]
     return [per_element_pairs(x) for x in a]
+
+
+def per_entry_csv_rows(kind: str, obj) -> list[str]:
+    """The data and footer lines of a ``serialize`` CSV document of
+    ``kind``, formatted one entry at a time with ``repr(float(x))``.
+
+    ``obj`` is what the writer takes: an epistemic state, a conditional
+    table, a trajectory or an ensemble report.
+    """
+
+    def f(x):
+        return repr(float(x))
+
+    lines = []
+    if kind == "epistemic":
+        for i, p in enumerate(obj.probabilities):
+            degenerate = any(i in c for c in obj.degenerate_clusters)
+            lines.append(f"{i},{f(p)},{int(degenerate)}")
+        lines.append(f"# truncation_mass: {f(obj.truncation_mass)}")
+    elif kind == "table":
+        probs = obj.probabilities
+        for index in itertools.product(*(range(n) for n in probs.shape)):
+            lines.append(",".join([*map(str, index), f(probs[index])]))
+        for w, s in enumerate(obj.row_sums):
+            lines.append(f"# row_sum w={w}: {f(s)}")
+        lines.append(f"# max_row_deviation: {f(obj.max_row_deviation)}")
+        lines.append(f"# max_marginal_deviation: {f(obj.max_marginal_deviation)}")
+    elif kind == "trajectory":
+        for t, i, p in obj.points:
+            lines.append(f"{f(t)},{int(i)},{f(p)}")
+    else:
+        for k, t in enumerate(obj.times):
+            for label in range(obj.frequencies.shape[1]):
+                freq, eig = obj.frequencies[k, label], obj.eigenvalues[k, label]
+                lines.append(f"{f(t)},{label},{f(freq)},{f(eig)}")
+        lines.append(f"# max_abs_deviation: {f(obj.max_abs_deviation)}")
+        lines.append(f"# sample_count: {obj.sample_count}")
+    return lines

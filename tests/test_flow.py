@@ -299,3 +299,16 @@ def test_a_pure_state_flows_as_its_density_matrix():
     from_psi = conditional_table(psi, f, part, mode="permissive")
     from_rho = conditional_table(rho, f, part, mode="permissive")
     assert np.abs(from_psi.probabilities - from_rho.probabilities).max() < 1e-14
+
+
+def test_a_flowed_table_plans_each_flow_once(monkeypatch):
+    # the projectors' plan is the one their flow runs; the state's flow
+    # (apply) plans one matrix
+    sc = amplitude_damping_qubit(1.0)
+    planned = []
+    plan = channels._flow_plan
+    monkeypatch.setattr(channels, "_flow_plan", lambda f, n: planned.append(n) or plan(f, n))
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), sc.layout)
+    f = GeneratorFlow(sc.dynamics, 0.5)
+    conditional_table(rho, f, trivial_partition(sc.layout))
+    assert planned == [2, 1]

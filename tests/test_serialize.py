@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from modaldyn import (
     DensityMatrix,
     LindbladGenerator,
     Partition,
+    PureState,
+    Scenario,
     SystemLayout,
     conditional_table,
+    dephasing_qubit,
     epr_bohm,
     extract_epistemic,
     ghz_mermin,
@@ -22,7 +26,10 @@ from modaldyn import (
 from modaldyn.serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    cpt_report_payload,
     dumps_json,
+    ensemble_csv,
+    ensemble_payload,
     epistemic_csv,
     epistemic_payload,
     layout_from_payload,
@@ -34,9 +41,14 @@ from modaldyn.serialize import (
     scenario_to_document,
     table_csv,
     table_payload,
+    trajectory_csv,
+    trajectory_payload,
 )
+from modaldyn.channels import CptReport
+from modaldyn.trajectories import EnsembleReport, Trajectory
 
-from oracles import per_element_pairs
+from oracles import per_element_pairs, per_entry_csv_rows
+from random_objects import random_density_matrix, random_kraus_channel
 
 
 def test_complex_pair_roundtrip():
@@ -252,3 +264,149 @@ def test_von_neumann_document_round_trip():
     want = sc.state_at(0).reduce(("S", "P")).matrix
     got = back.state_at(0).reduce(("S", "P")).matrix
     assert np.abs(got - want).max() < 1e-12
+
+
+# a scenario name json.dumps must escape: a quote, a backslash, a control
+# character and non-ASCII text
+ESCAPED_NAME = 'psi "\u03c8" \\ tab\t \u2603'
+SPECIAL_ENTRIES = [math.nan, math.inf, -math.inf, -0.0]
+
+
+def _as_lists(value):
+    """``value`` with every array in it replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _with_special_entries(value):
+    """``value`` with the first entries of each float array, and each float,
+    replaced by NaN, infinities and -0.0 in turn."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        out = value.copy()
+        flat = out.reshape(-1)
+        n = min(flat.size, len(SPECIAL_ENTRIES))
+        flat[:n] = SPECIAL_ENTRIES[:n]
+        return out
+    if isinstance(value, float):
+        return SPECIAL_ENTRIES[len(repr(value)) % len(SPECIAL_ENTRIES)]
+    if isinstance(value, dict):
+        return {k: _with_special_entries(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_with_special_entries(v) for v in value]
+    return value
+
+
+def _trajectories():
+    points = ((0.0, 0, 1.0), (0.5, 1, math.nan), (math.inf, 3, -0.0), (-math.inf, 2**40, 5e-324))
+    return [Trajectory(points, 7), Trajectory(points[:1], 0), Trajectory((), 1)]
+
+
+def _ensembles():
+    rng = np.random.default_rng(3)
+    return [
+        EnsembleReport(np.array([0.0, 0.5]), rng.random((2, 3)), rng.random((2, 3)), 0.25, 10, 1),
+        EnsembleReport(np.array([1.0]), np.ones((1, 1)), np.full((1, 1), -0.0), math.inf, 1, 2),
+        EnsembleReport(np.array([0.0, 0.5]), np.zeros((2, 0)), np.zeros((2, 0)), math.nan, 3, 4),
+        EnsembleReport(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)), 0.0, 5, 6),
+    ]
+
+
+def _documents():
+    """One payload or more of every document kind the CLI writes."""
+    ghz = ghz_mermin()
+    table = conditional_table(
+        ghz.initial_state, None, Partition(ghz.layout, (("A",), ("B",), ("C",))), mode="permissive"
+    )
+    rng = np.random.default_rng(5)
+    layout = SystemLayout((2, 3), ("A", "B"))
+    mixed = random_density_matrix(layout, rng)
+    mixed_table = conditional_table(mixed, random_kraus_channel(6, 3, rng), Partition(layout, (("B",), ("A",))))
+    pure = Scenario(ESCAPED_NAME, PureState(np.array([0.6, 0.8j]), SystemLayout.qubits(("Q",))))
+    return {
+        "epistemic": [
+            epistemic_payload(extract_epistemic(ghz.initial_state.reduce(("A",))), ESCAPED_NAME, ("A",), 0.0),
+            epistemic_payload(extract_epistemic(mixed), "mixed", ("A", "B"), 0.25),
+        ],
+        "conditional": [
+            table_payload(table, ESCAPED_NAME, (0.0, 0.5), "c"),
+            table_payload(mixed_table, "mixed", (0.0, 1.0), "kraus"),
+        ],
+        "trajectory": [trajectory_payload(t, ESCAPED_NAME) for t in _trajectories()],
+        "ensemble": [ensemble_payload(r, ESCAPED_NAME) for r in _ensembles()],
+        "cpt_report": [
+            cpt_report_payload(CptReport(True, False, -1.5e-17, 2.0e-16), "kraus", 2, 1e-9),
+            cpt_report_payload(CptReport(False, True, math.nan, math.inf), "lindblad", 4, 0.0),
+        ],
+        "scenario": [
+            scenario_to_document(dephasing_qubit(gamma=0.5)),
+            scenario_to_document(pure),
+            scenario_to_document(von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=1)),
+        ],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_documents()))
+def test_the_writer_gives_the_bytes_of_json_dumps_on_every_document_kind(kind):
+    for payload in _documents()[kind]:
+        assert payload["kind"] == kind
+        for doc in (payload, _with_special_entries(payload)):
+            want = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+            assert dumps_json(doc) == want
+
+
+def test_the_writer_handles_any_shape_of_float_and_record_array():
+    records = np.array([(0.5, -3, 1.0)], dtype=[("t", float), ("i", np.int64), ("p", float)])
+    doc = {
+        "empty": np.zeros(0),
+        "empty_rows": np.zeros((2, 0)),
+        "empty_first": np.zeros((0, 3)),
+        "ones": np.full((1, 1, 1), -0.0),
+        "scalar": np.array(2.5),
+        "mixed": np.arange(24.0).reshape(2, 1, 3, 4) - 11.5,
+        "records": records,
+        "no_records": records[:0],
+        "ints": np.arange(3),
+        "nested": [{"a": np.array([math.inf, -math.inf, math.nan])}, [], {}],
+    }
+    assert dumps_json(doc) == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_every_csv_writer_formats_each_entry_as_its_repr():
+    rng = np.random.default_rng(9)
+    probs = rng.random((2, 1, 3))
+    probs.reshape(-1)[:4] = SPECIAL_ENTRIES
+    table = SimpleNamespace(
+        partition=SimpleNamespace(n_blocks=2),
+        probabilities=probs,
+        row_sums=np.array([math.nan, -0.0]),
+        max_row_deviation=math.inf,
+        max_marginal_deviation=np.float64(1e-17),
+    )
+    ghz = ghz_mermin()
+    real_table = conditional_table(
+        ghz.initial_state, None, Partition(ghz.layout, (("A",), ("B",), ("C",))), mode="permissive"
+    )
+    epistemic = [
+        extract_epistemic(epr_bohm().initial_state.reduce(("A",))),
+        SimpleNamespace(
+            probabilities=np.array([0.5, math.nan, -0.0, math.inf]),
+            degenerate_clusters=((1, 3),),
+            truncation_mass=np.float64(-math.inf),
+        ),
+    ]
+    cases = (
+        [("epistemic", e, epistemic_csv) for e in epistemic]
+        + [("table", t, table_csv) for t in (table, real_table)]
+        + [("trajectory", t, trajectory_csv) for t in _trajectories()]
+        + [("ensemble", r, ensemble_csv) for r in _ensembles()]
+    )
+    for kind, obj, writer in cases:
+        lines = writer(obj).split("\n")
+        assert lines[0] == "# schema_version: 1"
+        assert lines[2:-1] == per_entry_csv_rows(kind, obj)
+        assert lines[-1] == ""

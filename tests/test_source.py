@@ -298,6 +298,7 @@ def test_every_tolerance_is_stated_in_the_tolerance_module():
 DYNAMICS_NAMES = {
     "flow": {"channels.py"},
     "_flow_plan": {"channels.py"},
+    "_run_flow": {"channels.py"},
     "apply_local": {"channels.py", "serialize.py"},
 }
 
@@ -356,3 +357,48 @@ def test_the_check_finds_dynamics_acted_outside_channels():
 def test_only_channels_acts_with_dynamics():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dynamics_outside_channels(sources) == []
+
+
+def json_writers(sources: dict[str, str]) -> list[str]:
+    """Uses of ``json.dump`` or ``json.dumps`` outside ``serialize.py``.
+
+    A use is an import of either name from ``json`` or a read of it as an
+    attribute of the name ``json``. ``sources`` maps file name to source.
+    """
+    found = []
+    for file, source in sources.items():
+        if file == "serialize.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{file} line {node.lineno}: json.{name}"
+                for name in names
+                if name in ("dump", "dumps")
+            ]
+    return sorted(found)
+
+
+def test_the_check_finds_a_document_formatted_outside_serialize():
+    sources = {
+        "a.py": "import json\ndef f(x):\n    return json.dumps(x, indent=2)\n",
+        "b.py": "from json import dump, load\n",
+        "c.py": "import json\ndef g(fh):\n    return json.load(fh), json.loads('1')\n",
+        "serialize.py": "import json\ndef dumps_json(p):\n    return json.dumps(p)\n",
+    }
+    assert json_writers(sources) == ["a.py line 3: json.dumps", "b.py line 1: json.dump"]
+
+
+def test_documents_are_formatted_only_in_serialize():
+    # so the writer's byte-identity test covers every byte the CLI prints
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert json_writers(sources) == []

@@ -13,6 +13,7 @@ from modaldyn import (
     LindbladGenerator,
     NormalizationError,
     ProblemTooLargeError,
+    PureState,
     SystemLayout,
     TimeGrid,
     amplitude_damping_qubit,
@@ -623,3 +624,43 @@ def test_adjacent_trajectories_are_uncorrelated_across_block_and_slice_ends(
     assert abs(_correlation(u[:-1], u[1:])) < 5.0 / np.sqrt(u[:-1].size)
     ends = u[starts - 1], u[starts]
     assert abs(_correlation(*ends)) < 5.0 / np.sqrt(ends[0].size)
+
+
+def test_a_pure_initial_state_gives_the_chain_of_its_density_matrix():
+    grid = TimeGrid(0.1, 3)
+    step = evolve(damping(), grid.dt)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    from_psi = build_step_chain(step, PureState(plus, QUBIT), grid)
+    from_rho = build_step_chain(step, DensityMatrix.from_vector(plus, QUBIT), grid)
+    for name, value in vars(from_rho).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(from_psi, name), value), name
+    assert from_psi.n_labels == from_rho.n_labels
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(ENSEMBLE_BLOCK + 1, 2 * ENSEMBLE_BLOCK + 200),
+    st.integers(200, 999),
+    st.integers(0, 2**32 - 1),
+)
+def test_ensemble_counts_do_not_depend_on_the_slice_size(
+    d, n_ops, n_steps, n_samples, small_rows, seed
+):
+    # run_ensemble walks min(ENSEMBLE_BLOCK, budget // (17 n_times)) rows at
+    # a time; whole blocks and slices of under 1,000 rows must count alike
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout((d,), ("Q",))
+    step = random_kraus_channel(d, n_ops, rng)
+    chain = build_step_chain(
+        step, random_density_matrix(layout, rng), TimeGrid(0.1, n_steps), mode="permissive"
+    )
+    frequencies = []
+    for rows in (ENSEMBLE_BLOCK, small_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "MEMORY_BUDGET_BYTES", rows * 17 * chain.n_times)
+            frequencies.append(run_ensemble(chain, n_samples, seed).frequencies)
+    assert np.array_equal(frequencies[0], frequencies[1])
