@@ -19,8 +19,8 @@ _EXPORTS = {
     "channels": (
         "Channel", "CptReport", "GeneratorFlow", "KrausChannel",
         "LindbladGenerator", "Superoperator", "apply", "choi_to_kraus",
-        "compose", "completeness_residual", "evolve", "flow", "kraus_to_choi",
-        "lindblad_superoperator", "superoperator_to_choi", "unitary_channel",
+        "compose", "completeness_residual", "evolve", "flow", "generator_map",
+        "kraus_to_choi", "superoperator_to_choi", "unitary_channel",
         "verify_cpt", "verify_kraus_operators", "verify_superoperator_matrix",
     ),
     "conditional": (

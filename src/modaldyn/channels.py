@@ -23,9 +23,11 @@ A generator's map ``exp(t L)`` reaches a state or a table as a
 Taylor series with scaling whose degree and step count keep the backward
 error below unit round-off, so semigroup identities hold to solver
 precision. Its work grows with the duration, and a flow over a fixed work
-budget is refused before it starts. ``evolve`` forms the map as a Kraus
-family (one dense ``expm``, in numpy), for the callers that need Kraus
-operators or the whole map.
+budget is refused before it starts. The same flow of the d^2 unit matrices
+over a short step, squared up to the duration, is the whole map
+(:func:`generator_map`), the one matrix exponential of the package: the
+``lindblad`` channel check reads it, and ``evolve`` decomposes it into a
+Kraus family for a trajectory chain's step.
 
 A discrete schedule is a sequence of steps ``(positions, KrausChannel)``: the
 channel's operators act on the layout factors at ``positions``, listed in the
@@ -56,7 +58,7 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import SystemLayout, apply_local, check_finite, check_memory, expm
+from .linalg import SystemLayout, apply_local, check_finite, check_memory
 from .states import DensityMatrix, PureState, State
 from .tolerances import CHOI_EIG_CUTOFF, CPT_TOL, HERMITICITY_TOL, UNITARITY_TOL
 
@@ -288,9 +290,10 @@ def _flow_plan(
 
 
 def _shifted_generator(
-    g: LindbladGenerator,
+    g: LindbladGenerator, shift: bool = True
 ) -> tuple[np.ndarray, list[np.ndarray], float, float]:
-    """``(K', [J_k], mu, b)`` of :func:`flow`, from the generator's data.
+    """``(K', [J_k], mu, b)`` of :func:`flow`, from the generator's data;
+    with ``shift`` false, ``mu`` is 0 and ``K'`` is K.
 
     Entries too large for a float make ``b`` infinite or NaN, which
     :func:`_taylor_parameters` refuses.
@@ -303,7 +306,7 @@ def _shifted_generator(
             k -= 0.5 * (j.conj().T @ j)
         # Tr L = 2d Re Tr K + sum_k |Tr J_k|^2, from Tr(A kron B) = Tr A Tr B
         tr_l = 2 * d * np.trace(k).real + sum(abs(np.trace(j)) ** 2 for j in jumps)
-        mu = float(tr_l) / d**2
+        mu = float(tr_l) / d**2 if shift else 0.0
         k -= 0.5 * mu * np.eye(d)
         norms = [_abs_sum_max(j) for j in jumps]
         bound = 2 * _abs_sum_max(k) + sum(n * n for n in norms)
@@ -327,6 +330,52 @@ def _taylor_parameters(tb: float) -> tuple[int, int]:
             if m == 0 or degree * n_steps < m * s:
                 m, s = degree, n_steps
     return m, s
+
+
+def generator_map(g: LindbladGenerator, duration: float) -> np.ndarray:
+    """The d^2 x d^2 map ``exp(duration * L)`` on row-major vectorized operators.
+
+    Its columns are the :func:`flow` images of the d^2 unit matrices
+    ``E_ij`` over ``duration / 2^q``, where q is the least integer with
+    ``duration * b / 2^q <= theta_30``, so at most 30 Taylor terms; only
+    those with ``i <= j`` are flowed, since the image of ``E_ji`` is the
+    conjugate transpose of that of ``E_ij``. The map is then squared q
+    times. Squaring multiplies the round-off on the map's eigenvalue 1 by
+    about 2^q, so each square is projected back onto trace preservation,
+    ``X <- X + (e/d)(e^T - e^T X)`` with ``e = vec(I)``. The flow here is
+    not shifted by ``mu``, and ``b`` bounds the 1-norm of L itself: a matrix
+    L annihilates then gets terms that vanish wherever the generator's
+    products do so exactly (the populations under damping or dephasing),
+    so its image is exact and no squaring moves it, where the projection
+    covers the trace alone. The work does not grow with the duration beyond
+    q squarings, so the flow's work budget does not apply. The map peaks at
+    about 3.2 d^2 x d^2 complex arrays (tracemalloc, d = 16), and is
+    refused over nine, the estimate that covers :func:`evolve` too, above
+    the memory budget, before the first is allocated. At zero duration it
+    is the identity exactly.
+    """
+    t, d = _duration(duration), g.dim
+    check_memory(9 * d**4, f"evolving a generator of dimension {d}")
+    k, jumps, mu, bound = _shifted_generator(g, shift=False)
+    # a non-finite t b keeps q = 0 and is refused by _taylor_parameters
+    tb, q = t * bound, 0
+    while tb < math.inf and math.ldexp(tb, -q) > _THETA[30]:
+        q += 1
+    h = math.ldexp(t, -q)
+    plan = (k, jumps, mu, *_taylor_parameters(h * bound))
+    rows, cols = np.triu_indices(d)
+    units = np.zeros((len(rows), d, d), dtype=complex)
+    units[np.arange(len(rows)), rows, cols] = 1.0
+    images = _run_flow(GeneratorFlow(g, h), plan, units)
+    x = np.empty((d, d, d, d), dtype=complex)
+    x[:, :, cols, rows] = images.conj().transpose(2, 1, 0)
+    x[:, :, rows, cols] = images.transpose(1, 2, 0)
+    x = x.reshape(d * d, d * d)
+    e = np.eye(d).reshape(-1)
+    for _ in range(q):
+        x = x @ x
+        x[:: d + 1] += (e - x[:: d + 1].sum(axis=0)) / d
+    return x
 
 
 def _abs_sum_max(a: np.ndarray) -> float:
@@ -608,48 +657,22 @@ def verify_cpt(ch: Channel, tol: float = CPT_TOL) -> CptReport:
     return verify_superoperator_matrix(ch.matrix, ch.dim, tol)
 
 
-def lindblad_superoperator(g: LindbladGenerator) -> np.ndarray:
-    """The d^2 x d^2 generator matrix L on row-major vectorized operators.
-
-    Not exponentiated. ``vec(I)^T L = 0`` holds by construction: the
-    commutator is traceless, and the trace each jump's ``op rho op^dag``
-    adds, its anticommutator term takes away.
-    """
-    d = g.dim
-    eye = np.eye(d, dtype=complex)
-    h = g.hamiltonian
-    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, rate in g.jumps:
-        anti = op.conj().T @ op
-        mat += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-        )
-    return mat
-
-
 def evolve(g: LindbladGenerator, duration: float) -> KrausChannel:
     """Exact channel ``exp(L * duration)`` as a Kraus family.
 
-    For the callers that need Kraus operators or the whole map: a trajectory
-    chain's step channel and the check of a ``lindblad`` channel file. A
-    state or a table is carried by a ``GeneratorFlow`` instead, which never
-    forms the map. Here the dense d^2 x d^2 exponential is taken by
-    :func:`linalg.expm` (scaling and squaring with a Pade approximant in
-    numpy, its degree picked on the exact 1-norm), read as a Choi matrix
-    and decomposed into at most d^2 Kraus operators. The family is
-    renormalized to exact completeness when the residual is within
-    ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
+    For the callers that need Kraus operators: a trajectory chain's step
+    channel. A state or a table is carried by a ``GeneratorFlow`` instead,
+    which never forms the map. Here the map is :func:`generator_map`, read
+    as a Choi matrix and decomposed into at most d^2 Kraus operators. The
+    family is renormalized to exact completeness when the residual is
+    within ``CPT_TOL``; larger residuals raise. The ``KrausChannel``
     constructor's completeness check is the only check on the result:
     complete positivity needs none, because a Kraus family's Choi matrix
-    ``W W^dag`` is positive semidefinite by construction. The route peaks
-    at about nine d^2 x d^2 complex arrays (measured), and is refused above
-    the memory budget before the first is allocated.
+    ``W W^dag`` is positive semidefinite by construction. The route is
+    refused above the memory budget by :func:`generator_map`'s check,
+    before the first d^2 x d^2 array is allocated.
     """
-    duration = _duration(duration)
-    check_memory(9 * g.dim**4, f"evolving a generator of dimension {g.dim}")
-    total = expm(lindblad_superoperator(g) * duration)
-    ops = choi_to_kraus(_realign(total, g.dim), g.dim)
+    ops = choi_to_kraus(_realign(generator_map(g, duration), g.dim), g.dim)
     return KrausChannel(_renormalize_completeness(ops))
 
 

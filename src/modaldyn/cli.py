@@ -281,8 +281,8 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             )
         elif kind == "lindblad":
             gen = channels_mod.LindbladGenerator(doc["hamiltonian"], doc["jumps"])
-            ch = channels_mod.evolve(gen, doc["duration"])
-            report = channels_mod.verify_cpt(ch, tol)
+            matrix = channels_mod.generator_map(gen, doc["duration"])
+            report = channels_mod.verify_superoperator_matrix(matrix, doc["dim"], tol)
         else:  # kraus or unitary: a stack of Kraus operators
             report = channels_mod.verify_kraus_operators(doc["operators"], tol)
     except ProblemTooLargeError:

@@ -211,93 +211,6 @@ def _ordered_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the numerator
-# coefficients b_0..b_m of each diagonal Pade degree m, and theta_m, the
-# largest 1-norm at which that degree keeps the backward error below 2^-53.
-_PADE = {
-    3: (120, 60, 12, 1),
-    5: (30240, 15120, 3360, 420, 30, 1),
-    7: (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1),
-    9: (
-        17643225600, 8821612800, 2075673600, 302702400, 30270240,
-        2162160, 110880, 3960, 90, 1,
-    ),
-    13: (
-        64764752532480000, 32382376266240000, 7771770303897600,
-        1187353796428800, 129060195264000, 10559470521600, 670442572800,
-        33522128640, 1323241920, 40840800, 960960, 16380, 182, 1,
-    ),
-}
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 5.371920351148152,
-}
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade approximant.
-
-    Higham's method (SIAM J. Matrix Anal. Appl. 26, 1179, 2005): the lowest
-    of the degrees 3, 5, 7, 9 whose theta bounds the exact 1-norm of ``a``,
-    else degree 13 on ``a / 2^s`` followed by s squarings. The Pade quotient
-    is one ``np.linalg.solve``. A diagonal ``a`` is exponentiated entry by
-    entry, and a triangular one has its diagonal set to the exact
-    exponentials before and after each squaring (Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31, 970, 2009, Code Fragment 2.1, less its
-    superdiagonal update): without that, an eigenvalue 1, which a
-    generator's map has, would drift by s doublings of round-off. No norm is
-    estimated and nothing is drawn at random, so equal inputs give equal
-    outputs; ``expm(0)`` is the identity exactly. A non-diagonal ``a`` with
-    a non-finite 1-norm raises ``ValueError``.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    upper, lower = not np.tril(a, -1).any(), not np.triu(a, 1).any()
-    if upper and lower:
-        return np.diag(np.exp(np.diag(a)))
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not norm < math.inf:
-        raise ValueError(f"expm needs finite entries; the 1-norm is {norm}")
-    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
-    # a / 2^s has a 1-norm of at most theta_13
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
-    if s:
-        a = a * 2.0**-s
-    b = _PADE[m]
-    powers = [a @ a]
-    while len(powers) < (3 if m == 13 else m // 2):
-        powers.append(powers[-1] @ powers[0])
-    if m == 13:
-        a2, a4, a6 = powers
-        odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        odd += b[7] * a6 + b[5] * a4 + b[3] * a2
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        v += b[6] * a6 + b[4] * a4 + b[2] * a2
-        del a2, a4, a6
-    else:
-        odd = sum(b[2 * k + 1] * p for k, p in enumerate(powers, 1))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers, 1))
-    # the powers go before the quotient is formed, which keeps evolve's
-    # peak within its nine d^2 x d^2 arrays
-    del powers
-    odd.flat[:: n + 1] += b[1]
-    v.flat[:: n + 1] += b[0]
-    u = a @ odd
-    del odd
-    x = np.linalg.solve(v - u, v + u)
-    exact_diagonal = s and (upper or lower)
-    for k in range(s, -1, -1):
-        if exact_diagonal:
-            # diag(a) is scaled by 2^-s already
-            x.flat[:: n + 1] = np.exp(np.diag(a) * 2.0 ** (s - k))
-        if k:
-            x = x @ x
-    return x
-
-
 def partial_trace(
     rho: np.ndarray, layout: SystemLayout, keep: Iterable[str]
 ) -> np.ndarray:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from .channels import CptReport, KrausChannel, LindbladGenerator, unitary_channel
+from .channels import CptReport, KrausChannel, LindbladGenerator, amplitudes, unitary_channel
 from .errors import LayoutMismatchError, ModalDynError
-from .linalg import SystemLayout, apply_local, check_finite, check_memory
+from .linalg import SystemLayout, check_finite, check_memory
 from .scenarios import Scenario
 from .states import DensityMatrix, EpistemicState, PureState
 
@@ -494,19 +494,20 @@ def scenario_from_document(data: dict) -> Scenario:
 
 
 def _embed(
-    op: np.ndarray, layout: SystemLayout, positions: tuple[int, ...]
-) -> np.ndarray:
-    """Dense operator on every factor for a step acting on ``positions``.
+    step: tuple[tuple[int, ...], KrausChannel], layout: SystemLayout
+) -> Sequence[np.ndarray]:
+    """Dense operators on every factor of a schedule step ``(positions, channel)``.
 
-    The step is applied to the identity with the same kernel that applies it
-    to states.
+    The step acts on the identity through ``channels.amplitudes``, the kernel
+    that applies it to states. A step on every factor is its own operators,
+    so an entry ``-0.0`` is written as it is, not as a product's ``0.0``.
     """
+    positions, ch = step
     if positions == tuple(range(layout.n_factors)):
-        return op
+        return ch.operators
     d = layout.total_dim
     check_memory(d * d, "a dense schedule step")
-    eye = np.eye(d, dtype=complex).reshape(layout.dims * 2)
-    return apply_local(op, eye, positions).reshape(d, d)
+    return amplitudes((step,), np.eye(d, dtype=complex), layout)
 
 
 def scenario_to_document(sc: Scenario) -> dict:
@@ -528,8 +529,8 @@ def scenario_to_document(sc: Scenario) -> dict:
         }
     elif sc.dynamics:
         steps = [
-            [matrix_to_pairs(_embed(k, sc.layout, positions)) for k in ch.operators]
-            for positions, ch in sc.dynamics
+            [matrix_to_pairs(op) for op in _embed(step, sc.layout)]
+            for step in sc.dynamics
         ]
         if all(len(ops) == 1 for ops in steps):
             dynamics = {"kind": "schedule", "unitaries": [ops[0] for ops in steps]}

@@ -56,17 +56,15 @@ def naive_kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def naive_lindblad_expm(h, jumps, t: float) -> np.ndarray:
-    """``exp(t L)`` on column-stacked vectors, ``vec(X)[a + d b] = X[a, b]``.
+def naive_lindblad_generator(h, jumps, order: str = "F") -> np.ndarray:
+    """The generator matrix L on vectorized matrices, stacked in ``order``.
 
-    Column ``a + d b`` of L is the generator's image of ``|a><b|``, formed
-    one basis matrix at a time from ``-i[H, X] + sum rate (J X J^dag -
-    {J^dag J, X}/2)`` over the ``(J, rate)`` pairs of ``jumps``; the matrix
-    is exponentiated by ``scipy.linalg.expm``. No Kronecker product and no
-    row-major vectorization is involved.
+    ``order="F"`` stacks columns, ``vec(X)[a + d b] = X[a, b]``; ``"C"``
+    stacks rows, ``vec(X)[a d + b] = X[a, b]``. Column ``vec(|a><b|)`` of L
+    is the generator's image of ``|a><b|``, formed one basis matrix at a
+    time from ``-i[H, X] + sum rate (J X J^dag - {J^dag J, X}/2)`` over the
+    ``(J, rate)`` pairs of ``jumps``. No Kronecker product is involved.
     """
-    import scipy.linalg
-
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     gen = np.zeros((d * d, d * d), dtype=complex)
@@ -79,8 +77,34 @@ def naive_lindblad_expm(h, jumps, t: float) -> np.ndarray:
                 op = np.asarray(op, dtype=complex)
                 ldl = op.conj().T @ op
                 image += rate * (op @ x @ op.conj().T - 0.5 * (ldl @ x + x @ ldl))
-            gen[:, a + d * b] = image.reshape(-1, order="F")
-    return scipy.linalg.expm(t * gen)
+            column = np.ravel_multi_index((a, b), (d, d), order=order)
+            gen[:, column] = image.reshape(-1, order=order)
+    return gen
+
+
+def naive_lindblad_expm(h, jumps, t: float) -> np.ndarray:
+    """``exp(t L)`` on column-stacked vectors, by ``scipy.linalg.expm``.
+
+    ``vec(I)^T L = 0`` holds exactly, but not in L's round-off, and
+    scipy's 2^s squarings amplify that round-off in the map's eigenvalue 1:
+    at t = 1e3 with rates near 1e3 the map was off its steady-state limit by
+    up to 4e-10. So L is exponentiated in a real orthonormal basis whose
+    first vector is ``vec(I) / sqrt(d)``, with that basis vector's row set to
+    exact zeros, which every power of the rotated matrix keeps: scipy's map
+    then has the row ``(1, 0, ..., 0)`` exactly, and its squarings no
+    eigenvalue-1 round-off to amplify. No row-major vectorization is
+    involved.
+    """
+    import scipy.linalg
+
+    gen = naive_lindblad_generator(h, jumps)
+    d2 = gen.shape[0]
+    basis = np.eye(d2)
+    basis[:, 0] = np.eye(math.isqrt(d2)).reshape(-1, order="F")
+    q, _ = np.linalg.qr(basis)
+    rotated = q.T @ gen @ q
+    rotated[0] = 0.0
+    return q @ scipy.linalg.expm(t * rotated) @ q.T
 
 
 def naive_lindblad_apply(h, jumps, t: float, rho: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from modaldyn import (
     compose,
     evolve,
     kraus_to_choi,
-    lindblad_superoperator,
     superoperator_to_choi,
     unitary_channel,
     verify_cpt,
@@ -38,6 +37,7 @@ from oracles import (
     naive_choi,
     naive_embed,
     naive_kraus_apply,
+    naive_lindblad_generator,
     naive_partial_trace,
     naive_superoperator,
     trace_distance,
@@ -254,7 +254,7 @@ def test_lindblad_superoperator_action_on_dephasing():
     # generator must act as -2*gamma on the coherence |0><1|
     gamma = 0.7
     g = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, gamma),))
-    ls = lindblad_superoperator(g)
+    ls = naive_lindblad_generator(g.hamiltonian, g.jumps, "C")
     coherence = np.zeros((2, 2), dtype=complex)
     coherence[0, 1] = 1.0
     image = (ls @ coherence.reshape(-1)).reshape(2, 2)
@@ -267,7 +267,7 @@ def test_evolve_matches_expm_action():
     t = 0.37
     ch = evolve(g, t)
     rho = random_density_matrix(QUBIT, rng)
-    step = scipy.linalg.expm(lindblad_superoperator(g) * t)
+    step = scipy.linalg.expm(naive_lindblad_generator(g.hamiltonian, g.jumps, "C") * t)
     ref = (step @ rho.matrix.reshape(-1)).reshape(2, 2)
     out = apply(ch, rho)
     assert np.abs(out.matrix - ref).max() < 1e-9
@@ -424,13 +424,15 @@ def test_constructors_reject_nan():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
 def test_a_generator_matrix_annihilates_the_trace_row(d):
     # vec(I)^T L = 0 by construction, so no constructor checks it; the
-    # round-off left in the row is at most 0.34 * 2^-52 * ||L||_1 here
+    # round-off left in the reference matrix's row, which the squarings of
+    # a map would amplify, is at most 0.34 * 2^-52 * ||L||_1 here
     vec_i = np.eye(d).reshape(-1)
     for n_jumps in range(4):
         for scale in (1.0, 1e3, 1e7):
             for seed in range(3):
                 rng = np.random.default_rng([d, n_jumps, seed])
-                mat = lindblad_superoperator(random_lindblad(d, n_jumps, rng, scale))
+                g = random_lindblad(d, n_jumps, rng, scale)
+                mat = naive_lindblad_generator(g.hamiltonian, g.jumps, "C")
                 norm = np.abs(mat).sum(axis=0).max()
                 row = np.abs(vec_i @ mat).max()
                 assert row <= 4 * 2.0**-52 * norm, (n_jumps, scale, seed, row / norm)

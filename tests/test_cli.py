@@ -400,12 +400,65 @@ def _lindblad_channel_file(
 
 
 def test_verify_channel_on_a_long_lindblad_duration(capsys, tmp_path):
-    # the exponential takes 15 squarings here
+    # the map takes 17 squarings here
     path = _lindblad_channel_file(tmp_path, 2, 45, 1e4)
     code, out, _ = run(capsys, "verify-channel", "--channel", path)
     payload = json.loads(out)
     assert code == 0
     assert (payload["is_cp"], payload["is_tp"]) == (True, True)
+
+
+@pytest.mark.parametrize("duration", [1e7, 1e12])
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_a_dense_generator_is_verified_over_any_duration(capsys, tmp_path, n_qubits, duration):
+    # without the trace projection, 2^q squarings drift the map's eigenvalue
+    # 1: a Kraus family extracted from it missed completeness by 5.8e-9
+    # (2 qubits, 1e7) to 1.5e-3 (3 qubits, 1e12), and the check exited 5
+    path = _lindblad_channel_file(tmp_path, n_qubits, 0, duration)
+    code, out, err = run(capsys, "verify-channel", "--channel", path)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["is_cp"], payload["is_tp"]) == (True, True)
+
+
+@pytest.mark.parametrize("rate", [1e8, 1e12, 1e30, 1e100])
+def test_a_generator_with_fast_rates_is_verified(capsys, tmp_path, rate):
+    # plain squaring missed completeness by 1.9e-8 at 1e8 and by 1.7e-3 at
+    # 1e12; at 1e30 and 1e100 it overflowed, with numpy warnings, into a
+    # Choi matrix LAPACK could not decompose
+    doc = json.loads(Path(_lindblad_channel_file(tmp_path, 2, 1, 1.0, n_jumps=2)).read_text())
+    for jump in doc["jumps"]:
+        jump["rate"] = rate
+    path = tmp_path / "fast-rates.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify-channel", "--channel", str(path))
+    assert (code, err, caught) == (0, "", [])
+    payload = json.loads(out)
+    assert (payload["is_cp"], payload["is_tp"]) == (True, True)
+
+
+def test_a_lindblad_report_measures_the_map_itself(capsys, tmp_path):
+    # the report reads exp(t L) as generator_map forms it, not a Kraus
+    # family extracted from it and renormalized
+    from modaldyn import generator_map
+    from random_objects import random_lindblad
+
+    path = _lindblad_channel_file(tmp_path, 2, 48, 0.7)
+    code, out, _ = run(capsys, "verify-channel", "--channel", path)
+    payload = json.loads(out)
+    assert code == 0
+    d = 4
+    x = generator_map(random_lindblad(d, 3, np.random.default_rng(48)), 0.7)
+    # Choi[(i, k), (j, l)] = X[(i, j), (k, l)]; its output-side partial trace
+    # is the map's trace row, sum_i X[(i, i), :]
+    choi = x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    choi_min = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min()
+    trace_row = sum(x[i * d + i] for i in range(d)).reshape(d, d)
+    residual = np.linalg.norm(trace_row - np.eye(d))
+    assert payload["choi_min_eigenvalue"] == pytest.approx(choi_min, rel=0, abs=1e-15)
+    assert payload["completeness_residual"] == pytest.approx(residual, rel=0, abs=1e-15)
 
 
 def test_a_fast_generator_is_sampled_and_verified(capsys, tmp_path):
@@ -1095,6 +1148,16 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
     path = tmp_path / f"lindblad-{n_qubits}.json"
     path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
     return str(path)
+
+
+def test_a_dense_generator_is_sampled_over_a_long_duration(capsys, tmp_path):
+    # each step channel spans 2.5e6 time units: the Kraus family extracted
+    # from a plainly squared map missed completeness by 2.9e-9 (exit 5)
+    path = _lindblad_scenario_file(tmp_path, 2, 0)
+    argv = ("--t", "1e7", "--steps", "4", "--n", "10", "--seed", "1")
+    code, out, err = run(capsys, "sample", "--scenario", path, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kind"] == "ensemble"
 
 
 def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):

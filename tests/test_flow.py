@@ -1,4 +1,5 @@
-"""The matrix-free generator flow against a dense column-stacked ``expm``."""
+"""The matrix-free generator flow, and the map made from it, against a dense
+column-stacked ``expm``."""
 
 import itertools
 
@@ -22,17 +23,19 @@ from modaldyn import (
     conditional_table,
     dynamical_conditional,
     flow,
+    generator_map,
     joint_conditional,
-    lindblad_superoperator,
     trivial_partition,
+    verify_superoperator_matrix,
 )
 from modaldyn import channels
-from modaldyn.scenarios import amplitude_damping_qubit
+from modaldyn.scenarios import amplitude_damping_qubit, dephasing_qubit
 
 from oracles import (
     flow_norm_every_term,
     naive_lindblad_apply,
     naive_lindblad_expm,
+    naive_lindblad_generator,
     product_amplitudes,
 )
 from random_objects import (
@@ -159,7 +162,7 @@ def test_the_norm_bound_covers_the_shifted_generator():
     generators += [_generator(d, n, 3.0, d + n) for d in (2, 3, 5) for n in (0, 1, 3)]
     for g in generators:
         d = g.dim
-        dense = lindblad_superoperator(g)
+        dense = naive_lindblad_generator(g.hamiltonian, g.jumps, "C")
         _, _, mu, bound = channels._shifted_generator(g)
         assert abs(mu - np.trace(dense).real / d**2) < 1e-12
         shifted = dense - mu * np.eye(d * d)
@@ -312,3 +315,65 @@ def test_a_flowed_table_plans_each_flow_once(monkeypatch):
     f = GeneratorFlow(sc.dynamics, 0.5)
     conditional_table(rho, f, trivial_partition(sc.layout))
     assert planned == [2, 1]
+
+
+def _row_major(column_stacked: np.ndarray, d: int) -> np.ndarray:
+    """A map on column-stacked vectors, taken to row-major vectors."""
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    return column_stacked[np.ix_(swap, swap)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    n_jumps=st.integers(0, 3),
+    rate_scale=st.sampled_from([1.0, 1e3]),
+    log_t=st.floats(-6.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_generator_map_matches_dense_expm(d, n_jumps, rate_scale, log_t, seed):
+    g = random_lindblad(d, n_jumps, np.random.default_rng(seed), rate_scale)
+    t = 10.0**log_t
+    want = _row_major(naive_lindblad_expm(g.hamiltonian, g.jumps, t), d)
+    err = np.abs(generator_map(g, t) - want).sum(axis=0).max()
+    # the exponential's relative condition number is about ||t L||, so two
+    # correct results may differ by ||t L|| 2^-53: a unitary map at t = 1e3
+    # reaches ||t L||_1 = 1e4, where the two differed by up to 1.0 times that
+    norm = np.abs(naive_lindblad_generator(g.hamiltonian, g.jumps)).sum(axis=0).max()
+    assert err <= max(1e-12, 4 * 2.0**-53 * t * norm) * np.abs(want).sum(axis=0).max()
+
+
+def test_a_zero_duration_map_is_exactly_the_identity():
+    for d in (2, 3, 5):
+        assert np.array_equal(generator_map(_generator(d, 2, 1.0, 34 + d), 0.0), np.eye(d * d))
+
+
+@pytest.mark.parametrize(
+    "scenario, limit",
+    [
+        # every state decays to |0><0|
+        (amplitude_damping_qubit, [[1, 0, 0, 1], [0] * 4, [0] * 4, [0] * 4]),
+        # populations stay, coherences go
+        (dephasing_qubit, np.diag([1, 0, 0, 1])),
+    ],
+    ids=["damping", "dephasing"],
+)
+def test_a_long_map_keeps_the_fixed_points_of_damping_and_dephasing(scenario, limit):
+    # the unshifted flow maps their populations exactly, so 2^q squarings
+    # have no round-off to amplify; a flow shifted by mu = Tr L / d^2 moved
+    # dephased populations by 3e-8 at this duration
+    x = generator_map(scenario(1.0).dynamics, 1e9)
+    assert verify_superoperator_matrix(x, 2).completeness_residual <= 1e-14
+    assert np.abs(x - np.asarray(limit)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_a_dense_map_over_a_long_duration_is_its_steady_state(d):
+    # past the mixing time exp(t L) = vec(rho_ss) vec(I)^T, with rho_ss the
+    # generator's null vector; squaring without the trace projection missed
+    # completeness by up to 2e-3 at this duration
+    g = random_lindblad(d, 3, np.random.default_rng([d, 49]))
+    dense = naive_lindblad_generator(g.hamiltonian, g.jumps, "C")
+    null = np.linalg.svd(dense)[2][-1].conj()
+    want = np.outer(null / null.reshape(d, d).trace(), np.eye(d).reshape(-1))
+    assert np.abs(generator_map(g, 1e12) - want).sum(axis=0).max() <= 1e-13

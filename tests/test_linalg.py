@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,7 @@ from modaldyn import (
     hermitian_eig,
     partial_trace,
 )
-from modaldyn.linalg import _ordered_eig, expm
+from modaldyn.linalg import _ordered_eig
 
 from oracles import naive_canonical_phase, naive_ordered_columns, naive_partial_trace
 from random_objects import random_density_matrix, random_hermitian
@@ -194,49 +193,3 @@ def test_partial_trace_of_product_state():
     joint = np.kron(rho_a, rho_b)
     assert np.abs(partial_trace(joint, layout, ("A",)) - rho_a).max() < 1e-14
     assert np.abs(partial_trace(joint, layout, ("B",)) - rho_b).max() < 1e-14
-
-
-# 1-norms inside the theta bands of the Pade degrees 3, 5, 7, 9 and 13, then
-# in the squaring range (4 and 8 squarings)
-@pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 50.0, 1e3])
-@pytest.mark.parametrize("n", [3, 16, 64])
-def test_expm_matches_scipy(n, norm):
-    rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a *= norm / np.abs(a).sum(axis=0).max()
-    ref = scipy.linalg.expm(a)
-    err = np.abs(expm(a) - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
-    # the exponential's relative condition number is at least ||a||, so two
-    # correct results may differ by a few ||a|| 2^-53: at n = 3 and norm 1e3
-    # both differ from a 60-digit value by about 1e-13
-    assert err < 1e-13 * max(1.0, norm / 100)
-
-
-@pytest.mark.parametrize("side", ["upper", "lower"])
-def test_expm_of_a_triangular_matrix_matches_scipy(side):
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    a = np.triu(a) if side == "upper" else np.tril(a)
-    a *= 50.0 / np.abs(a).sum(axis=0).max()
-    ref = scipy.linalg.expm(a)
-    x = expm(a)
-    assert np.array_equal(np.diag(x), np.exp(np.diag(a)))
-    assert np.abs(x - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max() < 1e-13
-
-
-def test_expm_of_a_diagonal_matrix_exponentiates_its_entries():
-    d = np.array([0.0, -3.5, 2.0 + 1.0j, -1e30])
-    assert np.array_equal(expm(np.diag(d)), np.diag(np.exp(d)))
-
-
-def test_expm_of_zero_is_the_identity():
-    for n in (1, 2, 9):
-        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_expm_refuses_non_finite_entries(bad):
-    a = np.eye(3, dtype=complex)
-    a[1, 2] = bad
-    with pytest.raises(ValueError, match="expm needs finite entries"):
-        expm(a)
