@@ -56,9 +56,6 @@ EXIT_DEGENERATE = 4
 EXIT_CHANNEL = 5
 
 SEED_ENV_VAR = "MODALDYN_SEED"
-# numpy's seed sequence ignores trailing zero 32-bit words, so the key
-# [k 2^32 + x, 0] of a larger seed would be the key [x, k] of block k
-SEED_BOUND = 1 << 32
 
 _NAMED_RHO0 = {
     "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
@@ -153,6 +150,8 @@ def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
+    from .trajectories import SEED_BOUND
+
     if arg_seed is not None:
         seed, source = arg_seed, "--seed"
     else:

@@ -49,8 +49,8 @@ from .errors import (
     ProbabilityBoundsError,
 )
 from .linalg import SystemLayout
-from .states import STRICT, EpistemicState, State, _check_mode, extract_epistemic
-from .tolerances import CLAMP_TOL, DEFAULT_THRESHOLD, ROW_SUM_TOL
+from .states import STRICT, EpistemicState, State, _check_bound, _check_mode, extract_epistemic
+from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -155,25 +155,6 @@ def _block_probabilities(
         probs = probs + (amp.real**2 + amp.imag**2)
     _check_bound(probs[None])
     return np.minimum(probs, 1.0)
-
-
-def _check_bound(probs: np.ndarray) -> None:
-    """Refuse the first of a stack of kernel results with a value over one.
-
-    ``probs[n, w, i_1..i_n]`` stacks results of the kernel above. The error
-    names the largest value of the first result over ``1 + CLAMP_TOL`` and
-    its index. A result holding NaN passes here; the table's value bounds
-    and the chain's row sums refuse it.
-    """
-    peaks = probs.max(axis=tuple(range(1, probs.ndim)))
-    over = np.flatnonzero(peaks > 1.0 + CLAMP_TOL)
-    if over.size:
-        n = over[0]
-        at = np.unravel_index(int(np.argmax(probs[n])), probs.shape[1:])
-        raise ProbabilityBoundsError(
-            f"conditional probability {float(peaks[n]):.17g} at [w, i_1..i_n] "
-            f"= {tuple(int(i) for i in at)} exceeds 1 + {CLAMP_TOL:g}"
-        )
 
 
 def _parent(

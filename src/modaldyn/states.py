@@ -26,9 +26,11 @@ from .errors import (
     DimensionMismatchError,
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
+    ProbabilityBoundsError,
 )
 from .linalg import SystemLayout, check_memory
 from .tolerances import (
+    CLAMP_TOL,
     DEFAULT_THRESHOLD,
     DEGENERACY_GAP,
     HERMITICITY_TOL,
@@ -345,6 +347,26 @@ def _degenerate_clusters(close: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """
     edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0])).astype(int)))
     return tuple(tuple(range(a, b + 1)) for a, b in zip(edges[::2], edges[1::2]))
+
+
+def _check_bound(probs: np.ndarray) -> None:
+    """Refuse the first of a stack of kernel results with a value over one.
+
+    ``probs[n, w, i_1..i_n]`` stacks results of the conditional kernel
+    (:mod:`modaldyn.conditional`), whose tables and trajectory chain rows
+    share this check. The error names the largest value of the first result
+    over ``1 + CLAMP_TOL`` and its index. A result holding NaN passes here;
+    the table's value bounds and the chain's row sums refuse it.
+    """
+    peaks = probs.max(axis=tuple(range(1, probs.ndim)))
+    over = np.flatnonzero(peaks > 1.0 + CLAMP_TOL)
+    if over.size:
+        n = over[0]
+        at = np.unravel_index(int(np.argmax(probs[n])), probs.shape[1:])
+        raise ProbabilityBoundsError(
+            f"conditional probability {float(peaks[n]):.17g} at [w, i_1..i_n] "
+            f"= {tuple(int(i) for i in at)} exceeds 1 + {CLAMP_TOL:g}"
+        )
 
 
 def epistemic_to_density(e: EpistemicState) -> DensityMatrix:

@@ -57,16 +57,18 @@ import numpy as np
 
 from . import linalg
 from .channels import KrausChannel, _not_kraus, amplitudes
-from .conditional import _check_bound
 from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
-from .states import STRICT, PureState, State, _check_mode, _density_fault, _read_spectra
+from .states import (
+    STRICT, PureState, State, _check_bound, _check_mode, _density_fault, _read_spectra
+)
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
 # Trajectories per keyed generator: part of the RNG contract, not a tuning
 # value, since changing it changes every draw past trajectory 4,095. It is
-# also the largest walk slice of an ensemble: in fresh processes, slices of
-# 2,048 were no faster at 65 and 257 grid points.
+# also the largest walk slice of an ensemble (40 KiB per grid point at one
+# byte per pick, so whole blocks up to 6,553 grid points): in fresh
+# processes, slices of 2,048 were no faster at 65 and 257 grid points.
 ENSEMBLE_BLOCK = 4096
 
 # The RNG contract as documents name it; the version counts contract changes
@@ -74,6 +76,11 @@ ENSEMBLE_BLOCK = 4096
 RNG_CONTRACT = {
     "algorithm": "PCG64", "block_size": ENSEMBLE_BLOCK, "contract_version": 2
 }
+
+# Seeds run from 0 to SEED_BOUND - 1: numpy's seed sequence ignores trailing
+# zero 32-bit words, so the key [k 2^32 + x, 0] of a larger seed would be the
+# key [x, k] of block k of seed x.
+SEED_BOUND = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,13 @@ class StepChain:
         clamped to the last kept entry, which also covers round-off leaving
         the row's last cumulative value below ``u``. Cumulative rows do not
         decrease, so counting over the columns before the last kept entry
-        applies the clamp; each column is one gather of the held rows. A
-        single trajectory instead bisects the held row once per step, over
-        the same columns, reading the cumulative values as Python floats
-        through a flat memoryview.
+        applies the clamp; each column is one gather of the held rows,
+        compared with the grid point's uniforms copied once into a contiguous
+        buffer. Picks and held entries are the smallest unsigned integer type
+        that holds ``m``: one byte up to 255 entries. A single trajectory
+        instead bisects the held row once per step, over the same columns,
+        reading the cumulative values as Python floats through a flat
+        memoryview.
         """
         if len(uniforms) == 1:
             m = self.cum.shape[1]
@@ -195,12 +205,16 @@ class StepChain:
                 held = bisect_right(flat, u, row, row + n - 1) - row
                 picks.append(held)
             return np.array([picks])
-        picks = np.zeros(uniforms.shape[::-1], dtype=int)  # [time, trajectory]
-        held = np.zeros(len(uniforms), dtype=int)
+        pick = np.min_scalar_type(self.cum.shape[1])
+        picks = np.zeros(uniforms.shape[::-1], dtype=pick)  # [time, trajectory]
+        held = np.zeros(len(uniforms), dtype=pick)
+        u = np.empty(len(uniforms))
         cum_t = np.ascontiguousarray(self.cum.transpose(0, 2, 1))  # [k, column, row]
-        for u, columns, picked, n in zip(uniforms.T, cum_t, picks, self.counts.tolist()):
+        for drawn, columns, picked, n in zip(uniforms.T, cum_t, picks, self.counts.tolist()):
+            # strided, the column made a 4,096 x 257 walk 9.1 ms against 6.1
+            np.copyto(u, drawn)
             for column in columns[: n - 1]:
-                picked += column[held] <= u
+                picked += column.take(held) <= u
             held = picked
         return picks.T
 
@@ -229,8 +243,11 @@ def _uniforms(
     rows of one whole draw, whatever their size. Every slice is drawn into
     one buffer, which the next slice overwrites: with a fresh array per
     slice, 10^6 trajectories of 65 grid points took twice as long and
-    395,000 page faults against 13,000.
+    395,000 page faults against 13,000. A seed outside ``0 .. SEED_BOUND - 1``
+    raises ``ValueError``.
     """
+    if not 0 <= base_seed < SEED_BOUND:
+        raise ValueError(f"seed must lie in 0..{SEED_BOUND - 1}: {base_seed}")
     buffer = np.empty((min(max_rows, n_rows), n_times))
     for first in range(0, n_rows, ENSEMBLE_BLOCK):
         key = [base_seed, first // ENSEMBLE_BLOCK]
@@ -380,17 +397,19 @@ def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleRe
     ``ENSEMBLE_BLOCK``, with the uniforms the RNG contract gives them (see
     ``_uniforms``), and their entry counts are added up; so results are
     bit-identical to sampling the trajectories one by one, and no array
-    grows with ``n_samples``. A slice holds 17 bytes per grid point and
-    trajectory (its uniforms, its picks and a mask that counts them), so a
-    long chain walks fewer at a time to stay within the memory budget; the
-    counts do not depend on the slice size. The chain's own memory guard has
-    left room for one.
+    grows with ``n_samples``. A slice holds ``8 + p + 1`` bytes per grid
+    point and trajectory: its 8-byte uniforms, its picks of ``p`` bytes (1
+    up to 255 entries per grid point, see ``StepChain._walk``) and a
+    one-byte mask that counts them. So a long chain walks fewer at a time to
+    stay within the memory budget; the counts do not depend on the slice
+    size. The chain's own memory guard has left room for one.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
     n_times, m = chain.cum.shape[:2]
-    rows = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (17 * n_times))
+    cell = 8 + np.min_scalar_type(m).itemsize + 1
+    rows = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (cell * n_times))
     # at_least[k, e]: trajectories on entry e or a later one at grid point k
     at_least = np.zeros((n_times, m + 1), dtype=np.int64)
     at_least[:, 0] = n_samples

@@ -1352,7 +1352,7 @@ def _one_request_per_subcommand(tmp_path) -> dict:
 _HEAVY_MODULES = {
     "epistemic": set(),
     "conditional": {"modaldyn.conditional"},
-    "sample": {"modaldyn.conditional", "modaldyn.trajectories"},
+    "sample": {"modaldyn.trajectories"},
     "verify-channel": set(),
 }
 

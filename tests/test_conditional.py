@@ -398,6 +398,30 @@ def test_a_local_unitary_frame_change_leaves_every_entry_in_place(case):
 
 
 @PROPERTY_SETTINGS
+@given(random_cases().filter(lambda case: len(case[0].blocks) > 1), st.data())
+def test_a_channel_on_the_other_blocks_leaves_a_blocks_marginal_rows(case, data):
+    # no-signalling: a channel acting only on the other blocks keeps this
+    # block's reduced state, so p(i_a | w) summed over the other blocks'
+    # entries is its value under the identity; the block's eigenvectors are
+    # read to round-off over gap, hence the assumed gaps
+    part, rho, _, rng = case
+    a = data.draw(st.integers(0, len(part.blocks) - 1))
+    others = sorted(
+        p for k, block in enumerate(part.blocks) if k != a
+        for p in part.layout.positions(block)
+    )
+    support = int(np.prod([part.layout.dims[p] for p in others]))
+    ch = random_kraus_channel(support, int(rng.integers(1, 4)), rng)
+    still = conditional_table(rho, None, part, mode="permissive")
+    assume(_spectral_gaps(still.blocks[a]).min() > 1e-3)
+    acted = conditional_table(rho, ((tuple(others), ch),), part, mode="permissive")
+    axes = tuple(k + 1 for k in range(len(part.blocks)) if k != a)
+    want, got = still.probabilities.sum(axis=axes), acted.probabilities.sum(axis=axes)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
 @given(random_cases())
 def test_scalar_queries_are_table_entries(case):
     part, rho, ch, rng = case

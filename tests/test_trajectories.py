@@ -22,6 +22,7 @@ from modaldyn import (
     run_ensemble,
 )
 from modaldyn import linalg, trajectories
+from modaldyn.scenarios import dephasing_qubit
 from modaldyn.tolerances import CHAIN_ROW_SUM_TOL
 from modaldyn.trajectories import ENSEMBLE_BLOCK
 
@@ -226,7 +227,7 @@ def _random_chain(dims, n_ops, n_steps, rng):
     st.lists(st.integers(2, 3), min_size=1, max_size=2),
     st.integers(1, 3),
     st.integers(1, 6),
-    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 8),
 )
 def test_sample_matches_naive_walk(dims, n_ops, n_steps, seed):
     chain = _random_chain(dims, n_ops, n_steps, np.random.default_rng(seed))
@@ -248,20 +249,50 @@ def test_sample_matches_naive_walk(dims, n_ops, n_steps, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_walk_picks_what_a_gathered_row_count_picks(dims, n_ops, n_steps, seed):
-    # the earlier walk: gather each held row, count its values <= u, clamp
     rng = np.random.default_rng(seed)
     chain = _random_chain(dims, n_ops, n_steps, rng)
-    n_times, m = chain.cum.shape[:2]
-    # uniforms that hit cumulative values exactly, and both ends of [0, 1)
+    uniforms = _probing_uniforms(chain, rng)
+    picks = chain._walk(uniforms)
+    assert picks.dtype == np.uint8
+    assert np.array_equal(picks, _gathered_row_count_walk(chain, uniforms))
+
+
+def _probing_uniforms(chain, rng):
+    """Random uniforms, ones equal to cumulative values, and both ends of [0, 1)."""
+    n_times = chain.n_times
     ties = rng.choice(chain.cum.ravel(), size=(300, n_times))
     ends = np.array([[0.0], [np.nextafter(1.0, 0.0)]]).repeat(n_times, axis=1)
-    uniforms = np.concatenate((rng.random((300, n_times)), ties % 1.0, ends))
+    return np.concatenate((rng.random((300, n_times)), ties % 1.0, ends))
+
+
+def _gathered_row_count_walk(chain, uniforms):
+    """The earlier walk: gather each held row, count its values <= u, clamp."""
     want = np.empty(uniforms.shape, dtype=int)
     held = np.zeros(len(uniforms), dtype=int)
-    for k in range(n_times):
+    for k in range(chain.n_times):
         picked = (chain.cum[k][held] <= uniforms[:, k, None]).sum(axis=1)
         held = want[:, k] = np.minimum(picked, chain.counts[k] - 1)
-    assert np.array_equal(chain._walk(uniforms), want)
+    return want
+
+
+def test_walk_picks_in_two_bytes_past_255_entries():
+    # a synthetic chain: only cum and counts are walked; 300 entries at
+    # some grid points need uint16 picks
+    rng = np.random.default_rng(255)
+    m, n_steps = 300, 4
+    counts = np.array([300, 257, 300, 120, 290])
+    kept = np.arange(m) < counts[:, None]
+    weights = np.where(kept[:, None, :], rng.random((n_steps + 1, m, m)), 0.0)
+    weights[0] = weights[0, 0]  # every row of cum[0] is the initial row
+    cum = np.cumsum(weights / weights.sum(axis=2, keepdims=True), axis=2)
+    chain = trajectories.StepChain(
+        grid=TimeGrid(1.0, n_steps), counts=counts, probs=None, vectors=None,
+        labels=None, rows=None, cum=cum, n_labels=0,
+    )
+    uniforms = _probing_uniforms(chain, rng)
+    picks = chain._walk(uniforms)
+    assert picks.dtype == np.uint16 and picks.max() > 255
+    assert np.array_equal(picks, _gathered_row_count_walk(chain, uniforms))
 
 
 def test_ensemble_counts_match_naive_walks_across_blocks():
@@ -493,7 +524,7 @@ def test_chain_spectra_match_repeated_kraus_oracle(dims, n_ops, n_steps, seed):
     st.lists(st.integers(2, 3), min_size=1, max_size=2),
     st.integers(2, 3),
     st.integers(1, 2),
-    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 4),
 )
 def test_padding_is_never_read(dims, n_ops, n_steps, seed):
     # a pure start keeps one entry, and the channel raises the rank after it
@@ -549,8 +580,9 @@ def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
             rows.append(len(slice_))
             yield slice_
 
-    # 17 bytes per cell: 100 rows of 65 grid points fit, 101 do not
-    budget = 17 * 65 * 101 - 1
+    # 10 bytes per cell (uniform, one-byte pick, mask): 100 rows of 65 grid
+    # points fit, 101 do not
+    budget = 10 * 65 * 101 - 1
     monkeypatch.setattr(trajectories, "_uniforms", spy)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", budget)
     got = run_ensemble(chain, n_samples=n, base_seed=5)
@@ -558,6 +590,49 @@ def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
     assert rows == [100] * 40 + [96, 100, 100, 50]
     assert np.array_equal(got.frequencies, want.frequencies)
     assert got.max_abs_deviation == want.max_abs_deviation
+
+
+def test_an_ensemble_slice_peaks_within_its_estimate():
+    import tracemalloc
+
+    # the dephasing request of the ensemble benchmark, one block of it
+    sc = dephasing_qubit(0.5)
+    grid = TimeGrid(2.0 / 256, 256)
+    chain = build_step_chain(evolve(sc.dynamics, grid.dt), sc.initial_state, grid)
+    estimate = 10 * ENSEMBLE_BLOCK * chain.n_times  # 10 bytes per cell
+    tracemalloc.start()
+    try:
+        run_ensemble(chain, n_samples=ENSEMBLE_BLOCK, base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + 2 * 2**20
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 3 * 2**32 + 11, -1])
+def test_a_seed_outside_32_bits_is_refused(seed):
+    # numpy's seed sequence would key seed k 2^32 + x as block k of seed x
+    chain = _damping_chain(4)
+    message = rf"seed must lie in 0\.\.4294967295: {seed}$"
+    with pytest.raises(ValueError, match=message):
+        next(trajectories._uniforms(seed, 1, chain.n_times, 1))
+    with pytest.raises(ValueError, match=message):
+        chain.sample(seed)
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(chain, n_samples=2, base_seed=seed)
+
+
+def test_the_largest_seed_is_its_own_key():
+    chain = _damping_chain(4)
+    top = trajectories.SEED_BOUND - 1
+    assert top == 2**32 - 1
+    want = np.random.Generator(np.random.PCG64([top, 0])).random((2, chain.n_times))
+    assert np.array_equal(next(trajectories._uniforms(top, 2, chain.n_times, 2)), want)
+    entries = naive_walk(*_unpadded(chain), top)
+    assert [label for _, label, _ in chain.sample(top).points] == [
+        int(chain.labels[k, e]) for k, e in enumerate(entries)
+    ]
+    assert run_ensemble(chain, n_samples=2, base_seed=top).base_seed == top
 
 
 def _consumed_uniforms(monkeypatch, chain, n_samples, base_seed):
@@ -613,7 +688,7 @@ def test_adjacent_trajectories_are_uncorrelated_across_block_and_slice_ends(
     # 257 grid points per trajectory; the budget walks 1,000 at a time, so
     # slices end at trajectories 999, 1999, ..., and blocks end at 4095, 8191
     chain = _damping_chain(256)
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 17 * 257 * 1000)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 10 * 257 * 1000)
     n = 2 * ENSEMBLE_BLOCK + 10
     u, sizes = _consumed_uniforms(monkeypatch, chain, n, 4242)
     starts = np.cumsum(sizes)[:-1]
@@ -650,7 +725,7 @@ def test_a_pure_initial_state_gives_the_chain_of_its_density_matrix():
 def test_ensemble_counts_do_not_depend_on_the_slice_size(
     d, n_ops, n_steps, n_samples, small_rows, seed
 ):
-    # run_ensemble walks min(ENSEMBLE_BLOCK, budget // (17 n_times)) rows at
+    # run_ensemble walks min(ENSEMBLE_BLOCK, budget // (10 n_times)) rows at
     # a time; whole blocks and slices of under 1,000 rows must count alike
     rng = np.random.default_rng(seed)
     layout = SystemLayout((d,), ("Q",))
@@ -661,6 +736,6 @@ def test_ensemble_counts_do_not_depend_on_the_slice_size(
     frequencies = []
     for rows in (ENSEMBLE_BLOCK, small_rows):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "MEMORY_BUDGET_BYTES", rows * 17 * chain.n_times)
+            patch.setattr(linalg, "MEMORY_BUDGET_BYTES", rows * 10 * chain.n_times)
             frequencies.append(run_ensemble(chain, n_samples, seed).frequencies)
     assert np.array_equal(frequencies[0], frequencies[1])
