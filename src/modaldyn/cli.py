@@ -245,9 +245,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
     grid = TimeGrid(args.t / args.steps, args.steps)
     step = channels_mod.evolve(sc.dynamics, grid.dt)
-    chain = build_step_chain(step, sc.initial_state, grid, args.threshold, args.mode)
+    # each branch lets the chain go before its document is written
+    inputs = (step, sc.initial_state, grid, args.threshold, args.mode)
     if args.n == 1:
-        traj = chain.sample(seed)
+        traj = build_step_chain(*inputs).sample(seed)
         if args.format == "csv":
             text = serialize.trajectory_csv(traj)
         else:
@@ -255,7 +256,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 serialize.trajectory_payload(traj, args.scenario)
             )
     else:
-        report = run_ensemble(chain, args.n, seed)
+        report = run_ensemble(build_step_chain(*inputs), args.n, seed)
         if args.format == "csv":
             text = serialize.ensemble_csv(report)
         else:

@@ -41,7 +41,7 @@ trajectory is reproducible by drawing its block, and the aggregate does not
 depend on execution order or on how a block is sliced to fit memory. A
 single sample with seed ``s`` is trajectory 0. ``_uniforms`` is the one place
 this contract is written, and ``StepChain._walk`` the one walk: a single
-trajectory is its one-row case, and an ensemble walks budget-sized slices of
+trajectory is its one-row case, and an ensemble walks cache-sized slices of
 at most ``ENSEMBLE_BLOCK`` trajectories, so its memory does not grow with the
 number of trajectories.
 """
@@ -65,11 +65,15 @@ from .states import (
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
 # Trajectories per keyed generator: part of the RNG contract, not a tuning
-# value, since changing it changes every draw past trajectory 4,095. It is
-# also the largest walk slice of an ensemble (40 KiB per grid point at one
-# byte per pick, so whole blocks up to 6,553 grid points): in fresh
-# processes, slices of 2,048 were no faster at 65 and 257 grid points.
+# value, since changing it changes every draw past trajectory 4,095. Walk
+# slices are the most of 4,096, 2,048 and 1,024 trajectories whose uniforms
+# fit in SLICE_CELLS (2.1 MB), unless the memory budget allows fewer: whole
+# 4,096 x 257 slices raised a 20,000-trajectory ensemble's peak RSS from
+# 41.8 to 49.6 MB and walked no faster; slices of 256 walked slower.
 ENSEMBLE_BLOCK = 4096
+SLICE_CELLS, SLICE_ROWS_MIN = ENSEMBLE_BLOCK * 65, 1024
+# steps per chunk of the chain's amplitude stage, whose temporaries so stay fixed
+CHAIN_CHUNK = 1024
 
 # The RNG contract as documents name it; the version counts contract changes
 # (1 was one PCG64(base_seed + i) per trajectory).
@@ -189,13 +193,12 @@ class StepChain:
         clamped to the last kept entry, which also covers round-off leaving
         the row's last cumulative value below ``u``. Cumulative rows do not
         decrease, so counting over the columns before the last kept entry
-        applies the clamp; each column is one gather of the held rows,
-        compared with the grid point's uniforms copied once into a contiguous
-        buffer. Picks and held entries are the smallest unsigned integer type
-        that holds ``m``: one byte up to 255 entries. A single trajectory
-        instead bisects the held row once per step, over the same columns,
-        reading the cumulative values as Python floats through a flat
-        memoryview.
+        applies the clamp: one gather of those columns at the held rows,
+        compared with the grid point's uniforms as they lie, strided. Picks
+        and held entries are the smallest unsigned integer type that holds
+        ``m``: one byte up to 255 entries. A single trajectory instead
+        bisects the held row once per step, over the same columns, reading
+        the cumulative values as Python floats through a flat memoryview.
         """
         if len(uniforms) == 1:
             m = self.cum.shape[1]
@@ -208,13 +211,10 @@ class StepChain:
         pick = np.min_scalar_type(self.cum.shape[1])
         picks = np.zeros(uniforms.shape[::-1], dtype=pick)  # [time, trajectory]
         held = np.zeros(len(uniforms), dtype=pick)
-        u = np.empty(len(uniforms))
         cum_t = np.ascontiguousarray(self.cum.transpose(0, 2, 1))  # [k, column, row]
-        for drawn, columns, picked, n in zip(uniforms.T, cum_t, picks, self.counts.tolist()):
-            # strided, the column made a 4,096 x 257 walk 9.1 ms against 6.1
-            np.copyto(u, drawn)
-            for column in columns[: n - 1]:
-                picked += column.take(held) <= u
+        for u, columns, picked, n in zip(uniforms.T, cum_t, picks, self.counts.tolist()):
+            below = columns[: n - 1].take(held, axis=1) <= u
+            below.sum(axis=0, dtype=pick, out=picked)
             held = picked
         return picks.T
 
@@ -243,8 +243,8 @@ def _uniforms(
     rows of one whole draw, whatever their size. Every slice is drawn into
     one buffer, which the next slice overwrites: with a fresh array per
     slice, 10^6 trajectories of 65 grid points took twice as long and
-    395,000 page faults against 13,000. A seed outside ``0 .. SEED_BOUND - 1``
-    raises ``ValueError``.
+    395,000 page faults against 13,000; ``run_ensemble`` keeps it in cache.
+    A seed outside ``0 .. SEED_BOUND - 1`` raises ``ValueError``.
     """
     if not 0 <= base_seed < SEED_BOUND:
         raise ValueError(f"seed must lie in 0..{SEED_BOUND - 1}: {base_seed}")
@@ -321,11 +321,11 @@ def build_step_chain(
         raise DimensionMismatchError(why)
     ops = step_channel.operators
     n_times, n_steps = grid.n_steps + 1, grid.n_steps
-    # complex entries per grid point (at most d kept): the state, eigenvectors
-    # twice, the chain's vectors, kets, bras, one amplitude per Kraus operator,
-    # a product, and six real arrays: rows twice, cum, overlaps, two squares
+    # complex entries: per grid point (at most d kept), the measured peak of
+    # the states and their eigenvectors; per step of one amplitude chunk, its
+    # kets, bras, one amplitude per Kraus operator, a product and squares
     check_memory(
-        n_times * ((10 + len(ops)) * d * d + d),
+        n_times * (5 * d * d + d) + min(n_steps, CHAIN_CHUNK) * (4 + len(ops)) * d * d,
         f"a chain over {n_times} grid states "
         f"({16 * n_times * d * d} bytes for the states alone)",
     )
@@ -351,18 +351,21 @@ def build_step_chain(
     kept = np.arange(m) < counts[:, None]
     probs = np.where(kept, probs[:, :m], 0.0)
     vectors = np.where(kept[:, None, :], v[:, :, :m], 0.0)
-    kets = vectors[:-1].transpose(1, 0, 2).reshape(d, n_steps * m)
-    bras = vectors[1:].conj()
+    del states, w, v
     # read before the rows: after them, the scan's temporaries kept the
     # freed row arrays from going back to the system (peak RSS 149.5 MB
     # against 134.6 MB for sample --steps 100000 --n 1 on glibc)
     labels, n_labels = _branch_labels(
-        np.abs(vectors[:-1].transpose(0, 2, 1) @ bras), kept
+        np.abs(vectors[:-1].transpose(0, 2, 1) @ vectors[1:].conj()), kept
     )
     raw = np.zeros((n_steps, m, m))
-    for amp in amplitudes(step_channel, kets, rho0.layout):
-        amp = amp.reshape(d, n_steps, m).transpose(1, 2, 0) @ bras
-        raw += amp.real**2 + amp.imag**2
+    for lo in range(0, n_steps, CHAIN_CHUNK):
+        part = vectors[lo : lo + CHAIN_CHUNK + 1]
+        n, bras = len(part) - 1, part[1:].conj()
+        kets = part[:-1].transpose(1, 0, 2).reshape(d, n * m)
+        for amp in amplitudes(step_channel, kets, rho0.layout):
+            amp = amp.reshape(d, n, m).transpose(1, 2, 0) @ bras
+            raw[lo : lo + n] += amp.real**2 + amp.imag**2
     rows = np.minimum(raw, 1.0)
     sums = rows.sum(axis=2)
     # negated so that a NaN sum fails too; rows past the counts are padding
@@ -393,23 +396,28 @@ def build_step_chain(
 def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleReport:
     """Aggregate trajectories ``0 .. n_samples - 1`` of base seed ``base_seed``.
 
-    Trajectories are walked together in consecutive slices of at most
-    ``ENSEMBLE_BLOCK``, with the uniforms the RNG contract gives them (see
-    ``_uniforms``), and their entry counts are added up; so results are
-    bit-identical to sampling the trajectories one by one, and no array
-    grows with ``n_samples``. A slice holds ``8 + p + 1`` bytes per grid
-    point and trajectory: its 8-byte uniforms, its picks of ``p`` bytes (1
-    up to 255 entries per grid point, see ``StepChain._walk``) and a
-    one-byte mask that counts them. So a long chain walks fewer at a time to
-    stay within the memory budget; the counts do not depend on the slice
-    size. The chain's own memory guard has left room for one.
+    Trajectories are walked together in consecutive slices, with the
+    uniforms the RNG contract gives them (see ``_uniforms``), and their
+    entry counts are added up; so results are bit-identical to sampling the
+    trajectories one by one, and no array grows with ``n_samples``. A slice
+    is the most of 4,096, 2,048 and 1,024 trajectories whose uniforms fit
+    in ``SLICE_CELLS``. It holds ``8 + p + 1`` bytes per grid point and
+    trajectory: its 8-byte uniforms, its picks of ``p`` bytes (1 up to 255
+    entries per grid point, see ``StepChain._walk``) and a one-byte mask
+    that counts them. So a chain longer than 26,213 steps walks fewer than
+    1,024 at a time to stay within the memory budget; the counts do not
+    depend on the slice size. The chain's own memory guard has left room
+    for one.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
     n_times, m = chain.cum.shape[:2]
     cell = 8 + np.min_scalar_type(m).itemsize + 1
-    rows = min(ENSEMBLE_BLOCK, linalg.MEMORY_BUDGET_BYTES // (cell * n_times))
+    rows = ENSEMBLE_BLOCK
+    while rows > SLICE_ROWS_MIN and rows * n_times > SLICE_CELLS:
+        rows //= 2
+    rows = min(rows, linalg.MEMORY_BUDGET_BYTES // (cell * n_times))
     # at_least[k, e]: trajectories on entry e or a later one at grid point k
     at_least = np.zeros((n_times, m + 1), dtype=np.int64)
     at_least[:, 0] = n_samples

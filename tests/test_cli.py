@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1242,6 +1243,35 @@ def _fresh_process(argv, code=None):
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120
     )
     return proc.returncode, proc.stdout
+
+
+# the CLI as ``python -m modaldyn.cli``, then its own high-water mark on a
+# last line of stdout: a new process's starts with its own address space,
+# unlike the ``ru_maxrss`` a parent reads of a child
+_REPORT_HWM = """
+import runpy, sys
+try:
+    runpy.run_module("modaldyn.cli", run_name="__main__", alter_sys=True)
+finally:
+    status = open("/proc/self/status").read().split("VmHWM:")[1]
+    print(f"\\nVmHWM {status.split()[0]}")
+"""
+
+
+def _peak_kb(argv):
+    code, out = _fresh_process(argv, _REPORT_HWM)
+    assert code == 0
+    return int(re.fullmatch(rb"VmHWM (\d+)", out.splitlines()[-1])[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_a_long_ensemble_peaks_near_a_short_one():
+    # the dephasing ensembles of the benchmark: 20,000 x 257 walks slices of
+    # 1,024 x 257 cells, within cache like the whole 2,000 x 17 draw
+    common = ["sample", "--scenario", "dephasing", "--gamma", "0.5", "--seed", "12"]
+    short = _peak_kb([*common, "--t", "1.0", "--steps", "16", "--n", "2000"])
+    long = _peak_kb([*common, "--t", "2.0", "--steps", "256", "--n", "20000"])
+    assert long - short <= 3000
 
 
 def test_a_flowed_state_is_the_same_in_every_process(tmp_path):

@@ -380,14 +380,19 @@ def test_tied_overlaps_go_to_the_lowest_pair():
         assert np.all(labels[:, counts.max() :] == -1)
 
 
-@pytest.mark.parametrize("d, n_steps", [(2, 20000), (8, 2000)])
-def test_chain_peaks_within_its_memory_estimate(monkeypatch, d, n_steps):
+@pytest.mark.parametrize(
+    "d, n_steps, n_ops",
+    [(2, 20000, 2), (8, 2000, 2), (4, 1000, 16)],
+    ids=["2-20000", "8-2000", "4-1000-16"],
+)
+def test_chain_peaks_within_its_memory_estimate(monkeypatch, d, n_steps, n_ops):
     import tracemalloc
 
+    # the last case is one amplitude chunk, with the most Kraus operators
     rng = np.random.default_rng(d)
     layout = SystemLayout((d,), ("Q",))
     rho0 = random_density_matrix(layout, rng)
-    step = random_kraus_channel(d, 2, rng)
+    step = random_kraus_channel(d, n_ops, rng)
     estimates = []
     check = trajectories.check_memory
 
@@ -403,6 +408,40 @@ def test_chain_peaks_within_its_memory_estimate(monkeypatch, d, n_steps):
     finally:
         tracemalloc.stop()
     assert len(estimates) == 1 and peak <= estimates[0]
+
+
+def test_a_qubit_chain_peaks_within_400_bytes_per_grid_point():
+    import tracemalloc
+
+    # the amplitude stage runs in chunks of CHAIN_CHUNK steps, and the
+    # states and their eigendecomposition are let go once read
+    rho0 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex), QUBIT)
+    grid = TimeGrid(1.0 / 20000, 20000)
+    step = evolve(damping(1.0), grid.dt)
+    tracemalloc.start()
+    try:
+        build_step_chain(step, rho0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * (grid.n_steps + 1)
+
+
+@pytest.mark.parametrize("n_steps", [1500, 1501])
+def test_the_chain_guard_refuses_past_its_estimate(monkeypatch, n_steps):
+    # a qubit chain with two Kraus operators estimates 5 d^2 + d complex
+    # entries per grid point and (4 + 2) d^2 per step of one 1,024-step
+    # chunk; the budget below admits exactly 1,500 steps
+    rho0 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex), QUBIT)
+    step = evolve(damping(1.0), 0.001)
+    assert len(step.operators) == 2
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 16 * (1501 * 22 + 1024 * 24))
+    grid = TimeGrid(0.001, n_steps)
+    if n_steps == 1500:
+        assert build_step_chain(step, rho0, grid).n_times == 1501
+    else:
+        with pytest.raises(ProblemTooLargeError, match="a chain over 1502 grid states"):
+            build_step_chain(step, rho0, grid)
 
 
 def test_damping_is_absorbing():
@@ -572,20 +611,10 @@ def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
     chain = build_step_chain(evolve(damping(1.0), grid.dt), rho0, grid)
     n = ENSEMBLE_BLOCK + 250
     want = run_ensemble(chain, n_samples=n, base_seed=5)
-    rows = []
-    uniforms = trajectories._uniforms
-
-    def spy(*args):
-        for slice_ in uniforms(*args):
-            rows.append(len(slice_))
-            yield slice_
-
     # 10 bytes per cell (uniform, one-byte pick, mask): 100 rows of 65 grid
     # points fit, 101 do not
-    budget = 10 * 65 * 101 - 1
-    monkeypatch.setattr(trajectories, "_uniforms", spy)
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", budget)
-    got = run_ensemble(chain, n_samples=n, base_seed=5)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 10 * 65 * 101 - 1)
+    rows, got = _slice_rows(monkeypatch, chain, n, base_seed=5)
     # slices of one block's generator stop at the block's end
     assert rows == [100] * 40 + [96, 100, 100, 50]
     assert np.array_equal(got.frequencies, want.frequencies)
@@ -595,18 +624,53 @@ def test_ensemble_blocks_fit_the_memory_budget(monkeypatch):
 def test_an_ensemble_slice_peaks_within_its_estimate():
     import tracemalloc
 
-    # the dephasing request of the ensemble benchmark, one block of it
+    # the dephasing request of the ensemble benchmark, one block of it,
+    # walked in slices of 1,024 trajectories
     sc = dephasing_qubit(0.5)
     grid = TimeGrid(2.0 / 256, 256)
     chain = build_step_chain(evolve(sc.dynamics, grid.dt), sc.initial_state, grid)
-    estimate = 10 * ENSEMBLE_BLOCK * chain.n_times  # 10 bytes per cell
+    estimate = 10 * 1024 * chain.n_times  # 10 bytes per cell
     tracemalloc.start()
     try:
         run_ensemble(chain, n_samples=ENSEMBLE_BLOCK, base_seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= estimate + 2 * 2**20
+    assert peak <= estimate + 2**20
+
+
+def _slice_rows(monkeypatch, chain, n_samples, base_seed=3, walk=True):
+    """The rows of the slices ``run_ensemble`` draws, and its report.
+
+    Without ``walk``, nothing is drawn: the rows are the cap on a slice.
+    """
+    rows = []
+    uniforms = trajectories._uniforms
+
+    def spy(base_seed, n_rows, n_times, max_rows):
+        if not walk:
+            rows.append(max_rows)
+            return
+        for slice_ in uniforms(base_seed, n_rows, n_times, max_rows):
+            rows.append(len(slice_))
+            yield slice_
+
+    monkeypatch.setattr(trajectories, "_uniforms", spy)
+    report = run_ensemble(chain, n_samples=n_samples, base_seed=base_seed)
+    return rows, report
+
+
+def test_ensemble_slices_are_cache_sized(monkeypatch):
+    # uniforms of at most 4,096 x 65 cells, in slices of 4,096, 2,048 or
+    # 1,024 trajectories, and never fewer than 1,024 but for the budget
+    n = 2 * ENSEMBLE_BLOCK + 5
+    for n_steps, want in [(64, [4096] * 2), (129, [2048] * 4), (256, [1024] * 8)]:
+        assert _slice_rows(monkeypatch, _damping_chain(n_steps), n)[0] == want + [5]
+    long = _damping_chain(19999)
+    assert _slice_rows(monkeypatch, long, n, walk=False)[0] == [1024]
+    # 10 bytes per cell: 500 rows of 20,000 grid points fit, 501 do not
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 10 * 20000 * 501 - 1)
+    assert _slice_rows(monkeypatch, long, n, walk=False)[0] == [500]
 
 
 @pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 3 * 2**32 + 11, -1])
@@ -725,8 +789,9 @@ def test_a_pure_initial_state_gives_the_chain_of_its_density_matrix():
 def test_ensemble_counts_do_not_depend_on_the_slice_size(
     d, n_ops, n_steps, n_samples, small_rows, seed
 ):
-    # run_ensemble walks min(ENSEMBLE_BLOCK, budget // (10 n_times)) rows at
-    # a time; whole blocks and slices of under 1,000 rows must count alike
+    # up to 65 grid points, run_ensemble walks min(ENSEMBLE_BLOCK, budget //
+    # (10 n_times)) rows at a time; whole blocks and slices of under 1,000
+    # rows must count alike
     rng = np.random.default_rng(seed)
     layout = SystemLayout((d,), ("Q",))
     step = random_kraus_channel(d, n_ops, rng)
@@ -737,5 +802,7 @@ def test_ensemble_counts_do_not_depend_on_the_slice_size(
     for rows in (ENSEMBLE_BLOCK, small_rows):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "MEMORY_BUDGET_BYTES", rows * 10 * chain.n_times)
-            frequencies.append(run_ensemble(chain, n_samples, seed).frequencies)
+            sizes, report = _slice_rows(patch, chain, n_samples, seed)
+            assert sizes[0] == rows
+            frequencies.append(report.frequencies)
     assert np.array_equal(frequencies[0], frequencies[1])
