@@ -48,7 +48,7 @@ def main():
     print("\nsample trajectories (label per grid point):")
     for seed in range(5):
         traj = chain.sample(seed)
-        labels = "".join(str(label) for _, label, _ in traj.points)
+        labels = "".join(map(str, traj.points["index"].tolist()))
         print(f"  seed {seed}: {labels}")
 
     # Ensemble frequencies converge on the eigenvalue curves.

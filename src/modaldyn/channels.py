@@ -279,7 +279,7 @@ def _flow_plan(
     # each term takes 2 + 2 jumps products of n d x d matrices and nine
     # other array operations
     products = 2 + 2 * len(jumps)
-    work = m * s * (products * n * d**3 + (products + 9) * _CALL_OVERHEAD)
+    work = m * float(s) * (products * n * d**3 + (products + 9) * _CALL_OVERHEAD)
     if work > FLOW_WORK_BUDGET:
         raise ProblemTooLargeError(
             f"flowing {n} matrices of dimension {d} for a duration of {t:g} "
@@ -325,6 +325,8 @@ def _taylor_parameters(tb: float) -> tuple[int, int]:
     m, s = 0, 1
     if tb > 0:
         for degree, theta in _THETA.items():
+            if tb / theta == math.inf:  # too many steps to count; degree 30 never is
+                continue
             # a subnormal tb / theta underflows to 0; a positive tb takes a step
             n_steps = max(1, math.ceil(tb / theta))
             if m == 0 or degree * n_steps < m * s:

@@ -13,8 +13,7 @@ The writer formats whole arrays: the payload functions hand it numeric
 ``ndarray`` values, and :func:`dumps_json` writes each as one join of
 ``float.__repr__`` texts, its bytes those of ``json.dumps(payload_as_lists,
 indent=2, sort_keys=True) + "\n"``; the CSV writers build their lines
-from the same ``repr`` texts, column by column where the data is stored
-by column.
+from the same ``repr`` texts, column by column.
 """
 
 from __future__ import annotations
@@ -274,19 +273,16 @@ def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
         "scenario": scenario,
         "seed": traj.seed,
         "rng": dict(RNG_CONTRACT),
-        # records, which the writer lists as [time, index, probability]
-        "points": np.array(
-            list(traj.points),
-            dtype=[("time", float), ("index", np.int64), ("probability", float)],
-        ),
+        # the sampled records, which the writer lists as [time, index, probability]
+        "points": traj.points,
     }
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    # the points are stored as rows, and one f-string a row formats them
-    # faster than a round trip through columns
     lines = _csv_lines("time,index,probability")
-    lines += [f"{float(t)!r},{i},{float(p)!r}" for t, i, p in traj.points]
+    p = traj.points
+    columns = (_floats(p["time"]), map(repr, p["index"].tolist()), _floats(p["probability"]))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 

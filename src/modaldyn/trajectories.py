@@ -40,9 +40,9 @@ generator per block of 4,096 trajectories, not one per trajectory. Every
 trajectory is reproducible by drawing its block, and the aggregate does not
 depend on execution order or on how a block is sliced to fit memory. A
 single sample with seed ``s`` is trajectory 0. ``_uniforms`` is the one place
-this contract is written, and ``StepChain._walk`` the one walk: a single
-trajectory is its one-row case, and an ensemble walks cache-sized slices of
-at most ``ENSEMBLE_BLOCK`` trajectories, so its memory does not grow with the
+this contract is written. ``StepChain.sample`` bisects one trajectory's held
+rows, and ``StepChain._walk`` walks an ensemble in cache-sized slices of at
+most ``ENSEMBLE_BLOCK`` trajectories, so its memory does not grow with the
 number of trajectories.
 """
 
@@ -85,6 +85,8 @@ RNG_CONTRACT = {
 # zero 32-bit words, so the key [k 2^32 + x, 0] of a larger seed would be the
 # key [x, k] of block k of seed x.
 SEED_BOUND = 1 << 32
+# a trajectory point, the record its document lists
+POINT = np.dtype([("time", float), ("index", np.int64), ("probability", float)])
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled history: ``(time, branch label, eigenvalue at that time)``."""
+    """One sampled history: read-only ``POINT`` records (time, branch label, eigenvalue)."""
 
-    points: tuple[tuple[float, int, float], ...]
+    points: np.ndarray
     seed: int
 
 
@@ -196,18 +198,8 @@ class StepChain:
         applies the clamp: one gather of those columns at the held rows,
         compared with the grid point's uniforms as they lie, strided. Picks
         and held entries are the smallest unsigned integer type that holds
-        ``m``: one byte up to 255 entries. A single trajectory instead
-        bisects the held row once per step, over the same columns, reading
-        the cumulative values as Python floats through a flat memoryview.
+        ``m``: one byte up to 255 entries.
         """
-        if len(uniforms) == 1:
-            m = self.cum.shape[1]
-            flat, held, picks = memoryview(self.cum.reshape(-1)), 0, []
-            for k, (u, n) in enumerate(zip(uniforms[0].tolist(), self.counts.tolist())):
-                row = (k * m + held) * m
-                held = bisect_right(flat, u, row, row + n - 1) - row
-                picks.append(held)
-            return np.array([picks])
         pick = np.min_scalar_type(self.cum.shape[1])
         picks = np.zeros(uniforms.shape[::-1], dtype=pick)  # [time, trajectory]
         held = np.zeros(len(uniforms), dtype=pick)
@@ -219,15 +211,23 @@ class StepChain:
         return picks.T
 
     def sample(self, seed: int) -> Trajectory:
-        """Trajectory 0 of the ensemble with base seed ``seed``."""
-        entries = self._walk(next(_uniforms(int(seed), 1, self.n_times, 1)))[0]
+        """Trajectory 0 of the ensemble with base seed ``seed``, picked as by
+        ``_walk``: each uniform bisects the held row's columns before its last
+        kept entry, read as Python floats through a flat memoryview."""
+        uniforms = next(_uniforms(int(seed), 1, self.n_times, 1))[0]
+        flat, m, held = memoryview(self.cum.reshape(-1)), self.cum.shape[1], 0
+        entries = np.empty(self.n_times, dtype=np.intp)
+        out = memoryview(entries)
+        for k, (u, n) in enumerate(zip(memoryview(uniforms), memoryview(self.counts))):
+            row = (k * m + held) * m
+            held = out[k] = bisect_right(flat, u, row, row + n - 1) - row
         at = np.arange(self.n_times)
-        points = zip(
-            self.grid.times.tolist(),
-            self.labels[at, entries].tolist(),
-            self.probs[at, entries].tolist(),
-        )
-        return Trajectory(points=tuple(points), seed=int(seed))
+        points = np.empty(self.n_times, dtype=POINT)
+        points["time"] = self.grid.times
+        points["index"] = self.labels[at, entries]
+        points["probability"] = self.probs[at, entries]
+        points.flags.writeable = False
+        return Trajectory(points=points, seed=int(seed))
 
 
 def _uniforms(

@@ -219,6 +219,22 @@ def test_a_flow_over_the_work_budget_is_refused_before_it_starts(monkeypatch):
     assert stack_norms
 
 
+def test_a_finite_but_huge_norm_bound_is_refused_over_the_work_budget():
+    # five qubits, t b about 8e300: t b / theta_m is infinite for the low
+    # degrees, and degree 30's step count times the work of a step is past
+    # the float range
+    d = 32
+    g = LindbladGenerator(
+        np.diag(np.linspace(-1e300, 1e300, d)), ((np.eye(d), 1e300),) * 6
+    )
+    with pytest.raises(
+        ProblemTooLargeError,
+        match=r"^flowing 32 matrices of dimension 32 for a duration of 1 takes \d+ "
+        r"steps of degree 30, about inf multiply-adds, over the budget of 6\.87e\+10$",
+    ):
+        channels._flow_plan(GeneratorFlow(g, 1.0), 32)
+
+
 def test_a_zero_duration_flow_is_exactly_the_identity():
     layout = SystemLayout((2, 2), ("A", "B"))
     rho = random_density_matrix(layout, np.random.default_rng(23))

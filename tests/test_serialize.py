@@ -45,7 +45,7 @@ from modaldyn.serialize import (
     trajectory_payload,
 )
 from modaldyn.channels import CptReport
-from modaldyn.trajectories import EnsembleReport, Trajectory
+from modaldyn.trajectories import POINT, EnsembleReport, Trajectory
 
 from oracles import per_element_pairs, per_entry_csv_rows
 from random_objects import random_density_matrix, random_kraus_channel
@@ -302,8 +302,11 @@ def _with_special_entries(value):
 
 
 def _trajectories():
-    points = ((0.0, 0, 1.0), (0.5, 1, math.nan), (math.inf, 3, -0.0), (-math.inf, 2**40, 5e-324))
-    return [Trajectory(points, 7), Trajectory(points[:1], 0), Trajectory((), 1)]
+    points = np.array(
+        [(0.0, 0, 1.0), (0.5, 1, math.nan), (math.inf, 3, -0.0), (-math.inf, 2**40, 5e-324)],
+        dtype=POINT,
+    )
+    return [Trajectory(points, 7), Trajectory(points[:1], 0), Trajectory(points[:0], 1)]
 
 
 def _ensembles():
