@@ -109,13 +109,15 @@ class LindbladGenerator:
     ``(operator, rate)`` pairs with finite operator entries and finite
     nonnegative rates; the generated motion is
     ``drho/dt = -i[H, rho] + sum_k rate_k (L rho L^dag - {L^dag L, rho}/2)``.
+    The matrices are copied from the input and read-only, so the generator
+    checked is the generator kept.
     """
 
     hamiltonian: np.ndarray
     jumps: tuple[tuple[np.ndarray, float], ...] = ()
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise NotHermitianError(f"Hamiltonian must be square, got {h.shape}")
         check_finite(h, "Hamiltonian")
@@ -126,7 +128,7 @@ class LindbladGenerator:
             )
         jumps = []
         for op, rate in self.jumps:
-            op = np.asarray(op, dtype=complex)
+            op = np.array(op, dtype=complex)
             if op.shape != h.shape:
                 raise DimensionMismatchError(
                     f"jump operator shape {op.shape} does not match {h.shape}"
@@ -135,7 +137,9 @@ class LindbladGenerator:
             rate = float(rate)
             if not 0.0 <= rate < math.inf:
                 raise ValueError(f"jump rate must be finite and nonnegative: {rate}")
+            op.setflags(write=False)
             jumps.append((op, rate))
+        h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(jumps))
 
@@ -283,7 +287,7 @@ def _flow_plan(
     if work > FLOW_WORK_BUDGET:
         raise ProblemTooLargeError(
             f"flowing {n} matrices of dimension {d} for a duration of {t:g} "
-            f"takes {s} steps of degree {m}, about {work:.2e} multiply-adds, "
+            f"takes {float(s):.9g} steps of degree {m}, about {work:.2e} multiply-adds, "
             f"over the budget of {FLOW_WORK_BUDGET:.2e}"
         )
     return k, jumps, mu, m, s
@@ -389,13 +393,14 @@ def _abs_sum_max(a: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Superoperator:
     """Dense map on row-major vectorized operators, whose trace row
-    ``vec(I)^T S = vec(I)^T`` is checked to ``CPT_TOL`` on construction."""
+    ``vec(I)^T S = vec(I)^T`` is checked to ``CPT_TOL`` on construction;
+    the matrix is copied from the input and read-only."""
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         d = int(self.dim)
         if mat.shape != (d * d, d * d):
             raise DimensionMismatchError(
@@ -408,6 +413,7 @@ class Superoperator:
             raise CptVerificationError(
                 f"trace row condition violated by {resid:.3e} (bound {CPT_TOL:.3e})"
             )
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dim", d)
 
@@ -497,17 +503,21 @@ def amplitudes(
     ``dynamics`` passes the gate :func:`steps`. A schedule gives ``K @
     basis`` for each of its Kraus operators ``K``, the products of one
     operator per step: the columns are pushed through the steps with each
-    operator acting on its own factors only. A flow gives, for each column
-    ``w``, the eigen-factor ``V sqrt(lambda)`` of the flowed ``|w><w|``
-    (round-off negative eigenvalues clipped to 0), stacked ``[r, :, w]``;
-    the projectors are flowed in one stacked call, planned before they are
-    made, so a flow over either budget is refused before anything is
-    allocated.
+    operator acting on its own factors only, and a step whose stacks are
+    over the memory budget is refused before it makes them. A flow gives,
+    for each column ``w``, the eigen-factor ``V sqrt(lambda)`` of the
+    flowed ``|w><w|`` (round-off negative eigenvalues clipped to 0),
+    stacked ``[r, :, w]``; the projectors are flowed in one stacked call,
+    planned before they are made, so a flow over either budget is refused
+    before anything is allocated.
     """
     dynamics = steps(dynamics, layout)
     if not isinstance(dynamics, GeneratorFlow):
         amps = [basis.reshape(layout.dims + (-1,))]
         for positions, step in dynamics:
+            stacks = len(amps) * len(step.operators)
+            what = f"making {stacks} amplitude stacks of {basis.size} entries"
+            check_memory(stacks * basis.size, what)
             amps = [apply_local(k, a, positions) for k in step.operators for a in amps]
         return [a.reshape(basis.shape) for a in amps]
     plan = _flow_plan(dynamics, basis.shape[1])

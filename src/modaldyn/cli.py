@@ -4,11 +4,13 @@ Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
 Every flag is declared once, in :func:`build_parser`; ``scenarios.SCENARIOS``
 says which scenario takes which scenario flag, and its default. Each
 ``_cmd_*`` reads the parsed arguments and resolves its own scenario, blocks,
-subsystem and seed. Exit codes are a stable contract: 0 success, 2
-configuration or parse problems (including a ``--rho0`` that is not a state,
-a scenario flag the scenario does not take, and problems too large for the
-memory budget), 3 numerical invariant failures, 4 strict-mode degeneracy
-refusals, 5 channel verification failures. Outputs are deterministic: the
+subsystem and seed, then hands its document and its CSV writer to
+:func:`_emit`, the one place that makes the ``--format`` choice and writes.
+Exit codes are a stable contract: 0 success, 2 configuration or parse
+problems (including a ``--rho0`` that is not a state, a scenario flag the
+scenario does not take, and problems too large for the memory budget), 3
+numerical invariant failures, 4 strict-mode degeneracy refusals, 5 channel
+verification failures. Outputs are deterministic: the
 same configuration and seed produce byte-identical files on the same numpy,
 BLAS library and BLAS thread count; another thread count may round a float
 differently in its last bits.
@@ -28,7 +30,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -179,6 +181,15 @@ def _write(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _emit(
+    args: argparse.Namespace, document: Callable[[], dict], table: Callable[[], str]
+) -> None:
+    """Write a result in the ``--format`` asked for: the JSON of
+    ``document()``, or the CSV text ``table()``; only that one is built."""
+    text = table() if args.format == "csv" else serialize.dumps_json(document())
+    _write(text, args.output)
+
+
 # ----------------------------------------------------------------- commands
 
 def _cmd_epistemic(args: argparse.Namespace) -> int:
@@ -197,13 +208,11 @@ def _cmd_epistemic(args: argparse.Namespace) -> int:
     if set(labels) != set(sc.layout.labels):
         state = state.reduce(labels)
     e = extract_epistemic(state, args.threshold)
-    if args.format == "csv":
-        text = serialize.epistemic_csv(e)
-    else:
-        text = serialize.dumps_json(
-            serialize.epistemic_payload(e, args.scenario, labels, args.time)
-        )
-    _write(text, args.output)
+    _emit(
+        args,
+        lambda: serialize.epistemic_payload(e, args.scenario, labels, args.time),
+        lambda: serialize.epistemic_csv(e),
+    )
     return EXIT_OK
 
 
@@ -220,13 +229,11 @@ def _cmd_conditional(args: argparse.Namespace) -> int:
     table = conditional_table(
         sc.initial_state, channel, part, mode=args.mode, threshold=args.threshold
     )
-    if args.format == "csv":
-        text = serialize.table_csv(table)
-    else:
-        text = serialize.dumps_json(
-            serialize.table_payload(table, args.scenario, (0.0, args.time), channel_id)
-        )
-    _write(text, args.output)
+    _emit(
+        args,
+        lambda: serialize.table_payload(table, args.scenario, (0.0, args.time), channel_id),
+        lambda: serialize.table_csv(table),
+    )
     return EXIT_OK
 
 
@@ -248,22 +255,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # each branch lets the chain go before its document is written
     inputs = (step, sc.initial_state, grid, args.threshold, args.mode)
     if args.n == 1:
-        traj = build_step_chain(*inputs).sample(seed)
-        if args.format == "csv":
-            text = serialize.trajectory_csv(traj)
-        else:
-            text = serialize.dumps_json(
-                serialize.trajectory_payload(traj, args.scenario)
-            )
+        result = build_step_chain(*inputs).sample(seed)
+        payload, csv = serialize.trajectory_payload, serialize.trajectory_csv
     else:
-        report = run_ensemble(build_step_chain(*inputs), args.n, seed)
-        if args.format == "csv":
-            text = serialize.ensemble_csv(report)
-        else:
-            text = serialize.dumps_json(
-                serialize.ensemble_payload(report, args.scenario)
-            )
-    _write(text, args.output)
+        result = run_ensemble(build_step_chain(*inputs), args.n, seed)
+        payload, csv = serialize.ensemble_payload, serialize.ensemble_csv
+    _emit(args, lambda: payload(result, args.scenario), lambda: csv(result))
     return EXIT_OK
 
 
@@ -291,11 +288,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
         sys.stderr.write(f"channel rejected: {exc}\n")
         return EXIT_CHANNEL
     payload = serialize.cpt_report_payload(report, kind, doc["dim"], tol)
-    if args.format == "csv":
-        text = serialize.cpt_report_csv(payload)
-    else:
-        text = serialize.dumps_json(payload)
-    _write(text, args.output)
+    _emit(args, lambda: payload, lambda: serialize.cpt_report_csv(payload))
     return EXIT_OK if (report.is_cp and report.is_tp) else EXIT_CHANNEL
 
 

@@ -271,7 +271,8 @@ class ConditionalTable:
     ``probabilities[w, i_1, ..., i_n]`` is the conditional probability of the
     block entries given parent entry ``w``. Rows must sum to one within
     ``ROW_SUM_TOL`` (violations raise at construction); marginal deviations
-    are recorded but left to the caller's judgement.
+    are recorded but left to the caller's judgement. ``probabilities`` is
+    copied from the input, and it and ``row_sums`` are read-only.
     """
 
     parent: EpistemicState
@@ -284,7 +285,7 @@ class ConditionalTable:
     max_marginal_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = np.array(self.probabilities, dtype=float)
         expected = (len(self.parent),) + tuple(len(b) for b in self.blocks)
         if probs.shape != expected:
             raise LayoutMismatchError(
@@ -310,6 +311,8 @@ class ConditionalTable:
             marg_dev = max(
                 marg_dev, float(np.abs(mixed - block.probabilities).max())
             )
+        probs.setflags(write=False)
+        sums.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "row_sums", sums)
         object.__setattr__(self, "max_row_deviation", dev)

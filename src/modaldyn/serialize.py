@@ -12,15 +12,16 @@ Conventions (see SCHEMA.md at the repository root):
 The writer formats whole arrays: the payload functions hand it numeric
 ``ndarray`` values, and :func:`dumps_json` writes each as one join of
 ``float.__repr__`` texts, its bytes those of ``json.dumps(payload_as_lists,
-indent=2, sort_keys=True) + "\n"``; the CSV writers build their lines
-from the same ``repr`` texts, column by column.
+indent=2, sort_keys=True) + "\n"``. The CSV writers hand :func:`_csv`,
+the one CSV layout, their columns of the same ``repr`` texts and their
+comment lines.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -181,10 +182,18 @@ def _floats(a: Any) -> list[str]:
     return list(map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist()))
 
 
-def _csv_lines(header: str) -> list[str]:
+def _csv(
+    header: str, columns: Sequence[Iterable[str]], comments: Iterable[str] = ()
+) -> str:
+    """The one CSV layout: the schema comment, ``header``, one line per row
+    of ``columns`` (each the texts of one column), a ``# `` line per
+    comment, and a final newline."""
     # CSV outputs carry the schema version as a leading comment so they are
     # versioned like the JSON documents; gnuplot and friends skip # lines
-    return [f"# schema_version: {SCHEMA_VERSION}", header]
+    lines = [f"# schema_version: {SCHEMA_VERSION}", header]
+    lines += map(",".join, zip(*columns))
+    lines += (f"# {c}" for c in comments)
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- documents
@@ -208,14 +217,12 @@ def epistemic_payload(
 
 
 def epistemic_csv(e: EpistemicState) -> str:
-    lines = _csv_lines("index,probability,degenerate")
     n = len(e.probabilities)
     degenerate = np.zeros(n, dtype=int)
     degenerate[[i for c in e.degenerate_clusters for i in c]] = 1
     columns = (map(repr, range(n)), _floats(e.probabilities), map(repr, degenerate.tolist()))
-    lines += map(",".join, zip(*columns))
-    lines.append(f"# truncation_mass: {float(e.truncation_mass)!r}")
-    return "\n".join(lines) + "\n"
+    comment = f"truncation_mass: {float(e.truncation_mass)!r}"
+    return _csv("index,probability,degenerate", columns, [comment])
 
 
 def _entries_summary(e: EpistemicState) -> dict:
@@ -254,14 +261,12 @@ def table_payload(
 def table_csv(table: ConditionalTable) -> str:
     n = table.partition.n_blocks
     header = "w," + ",".join(f"i{a + 1}" for a in range(n)) + ",probability"
-    lines = _csv_lines(header)
     probs = table.probabilities
     index = itertools.product(*(list(map(repr, range(n))) for n in probs.shape))
-    lines += map(",".join, zip(map(",".join, index), _floats(probs)))
-    lines += [f"# row_sum w={w}: {s}" for w, s in enumerate(_floats(table.row_sums))]
-    lines.append(f"# max_row_deviation: {float(table.max_row_deviation)!r}")
-    lines.append(f"# max_marginal_deviation: {float(table.max_marginal_deviation)!r}")
-    return "\n".join(lines) + "\n"
+    comments = [f"row_sum w={w}: {s}" for w, s in enumerate(_floats(table.row_sums))]
+    comments.append(f"max_row_deviation: {float(table.max_row_deviation)!r}")
+    comments.append(f"max_marginal_deviation: {float(table.max_marginal_deviation)!r}")
+    return _csv(header, (map(",".join, index), _floats(probs)), comments)
 
 
 def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
@@ -279,11 +284,9 @@ def trajectory_payload(traj: Trajectory, scenario: str) -> dict:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = _csv_lines("time,index,probability")
     p = traj.points
     columns = (_floats(p["time"]), map(repr, p["index"].tolist()), _floats(p["probability"]))
-    lines += map(",".join, zip(*columns))
-    return "\n".join(lines) + "\n"
+    return _csv("time,index,probability", columns)
 
 
 def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
@@ -304,7 +307,6 @@ def ensemble_payload(report: EnsembleReport, scenario: str) -> dict:
 
 
 def ensemble_csv(report: EnsembleReport) -> str:
-    lines = _csv_lines("time,index,frequency,eigenvalue")
     n_times, n_labels = report.frequencies.shape
     columns = (
         _floats(np.repeat(report.times, n_labels)),
@@ -312,10 +314,11 @@ def ensemble_csv(report: EnsembleReport) -> str:
         _floats(report.frequencies),
         _floats(report.eigenvalues),
     )
-    lines += map(",".join, zip(*columns))
-    lines.append(f"# max_abs_deviation: {float(report.max_abs_deviation)!r}")
-    lines.append(f"# sample_count: {report.sample_count}")
-    return "\n".join(lines) + "\n"
+    comments = (
+        f"max_abs_deviation: {float(report.max_abs_deviation)!r}",
+        f"sample_count: {report.sample_count}",
+    )
+    return _csv("time,index,frequency,eigenvalue", columns, comments)
 
 
 def cpt_report_payload(
@@ -336,9 +339,8 @@ def cpt_report_payload(
 
 def cpt_report_csv(payload: dict) -> str:
     """One ``field,value`` row per field of a ``cpt_report`` payload, sorted."""
-    lines = _csv_lines("field,value")
-    lines += [f"{key},{payload[key]}" for key in sorted(payload)]
-    return "\n".join(lines) + "\n"
+    keys = sorted(payload)
+    return _csv("field,value", (keys, [f"{payload[k]}" for k in keys]))
 
 
 # ------------------------------------------------------------------ input

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaldyn import (
+    ConditionalTable,
     CptVerificationError,
     DensityMatrix,
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from modaldyn import (
     LindbladGenerator,
     NotHermitianError,
     NotUnitaryError,
+    Partition,
     ProblemTooLargeError,
     PureState,
     Superoperator,
@@ -22,6 +24,7 @@ from modaldyn import (
     apply,
     choi_to_kraus,
     compose,
+    conditional_table,
     evolve,
     kraus_to_choi,
     superoperator_to_choi,
@@ -331,6 +334,58 @@ def test_evolve_is_refused_over_the_memory_budget(monkeypatch):
         evolve(g, 0.5)
     monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 36864)
     assert evolve(g, 0.5).dim == 4
+
+
+def test_a_schedule_is_refused_before_a_step_makes_stacks_over_the_budget(monkeypatch):
+    # a 4-operator step on qubit A multiplies the stacks by 4: k steps on
+    # the 16 entries of np.eye(4) make 4^k stacks of 256 bytes
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], SIGMA_Z]
+    pauli = KrausChannel(np.stack(paulis) / 2)
+    layout = SystemLayout.qubits(("A", "B"))
+    basis = np.eye(4, dtype=complex)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 512 * 1024)
+    assert len(channels.amplitudes((((0,), pauli),) * 5, basis, layout)) == 1024
+    made = []
+
+    def counted(*args):
+        made.append(1)
+        return linalg.apply_local(*args)
+
+    monkeypatch.setattr(channels, "apply_local", counted)
+    with pytest.raises(ProblemTooLargeError, match="4096 amplitude stacks of 16 entries"):
+        channels.amplitudes((((0,), pauli),) * 6, basis, layout)
+    assert len(made) == 4 + 16 + 64 + 256 + 1024
+
+
+def _table_of(probabilities):
+    rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
+    table = conditional_table(rho, None, Partition(QUBIT, (("Q",),)))
+    fields = (table.parent, table.blocks, table.partition)
+    return ConditionalTable(*fields, probabilities, table.mode)
+
+
+@pytest.mark.parametrize(
+    "given, kept",
+    [
+        (lambda: np.zeros((2, 2)), lambda a: LindbladGenerator(a).hamiltonian),
+        (
+            lambda: LOWER.copy(),
+            lambda a: LindbladGenerator(np.zeros((2, 2)), ((a, 1.0),)).jumps[0][0],
+        ),
+        (lambda: np.eye(4, dtype=complex), lambda a: Superoperator(a, 2).matrix),
+        (lambda: np.eye(2), lambda a: _table_of(a).probabilities),
+        (lambda: np.eye(2), lambda a: _table_of(a).row_sums),
+    ],
+    ids=["hamiltonian", "jump-operator", "superoperator", "table", "table-row-sums"],
+)
+def test_a_checked_record_keeps_a_read_only_copy_of_its_input(given, kept):
+    # a later write to the caller's array must not reach the checked record
+    array = given()
+    record = kept(array)
+    before = record.copy()
+    array[0, 0] = 7.0
+    assert np.array_equal(record, before)
+    assert not record.flags.writeable
 
 
 def test_dephasing_closed_form():

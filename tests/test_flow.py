@@ -229,7 +229,7 @@ def test_a_finite_but_huge_norm_bound_is_refused_over_the_work_budget():
     )
     with pytest.raises(
         ProblemTooLargeError,
-        match=r"^flowing 32 matrices of dimension 32 for a duration of 1 takes \d+ "
+        match=r"^flowing 32 matrices of dimension 32 for a duration of 1 takes [\d.]+e\+\d+ "
         r"steps of degree 30, about inf multiply-adds, over the budget of 6\.87e\+10$",
     ):
         channels._flow_plan(GeneratorFlow(g, 1.0), 32)

@@ -410,3 +410,76 @@ def test_documents_are_formatted_only_in_serialize():
     # so the writer's byte-identity test covers every byte the CLI prints
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert json_writers(sources) == []
+
+
+# file -> (the calls that write a document, the one function that makes them)
+ONE_WAY_OUT = {
+    "cli.py": ({"dumps_json", "_write"}, "_emit"),
+    "serialize.py": ({"'\\n'.join"}, "_csv"),
+}
+
+
+def second_ways_out(sources: dict[str, str]) -> list[str]:
+    """Calls named in ``ONE_WAY_OUT`` outside the one function allowed them.
+
+    A call is named by its callee's name or attribute (``serialize.dumps_json``
+    is ``dumps_json``), or, for a method of a string constant, as
+    ``'\\n'.join``. A call in a lambda counts for the enclosing function.
+    ``sources`` maps file name to source; other files are not read.
+    """
+    found = []
+
+    def visit(node, file, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Constant):
+                name = f"{callee.value.value!r}.{callee.attr}"
+            else:
+                name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            names, home = ONE_WAY_OUT[file]
+            if name in names and function != home:
+                found.append(f"{file} line {node.lineno}: {name} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, function)
+
+    for file, source in sources.items():
+        if file in ONE_WAY_OUT:
+            visit(ast.parse(source), file, "<module>")
+    return found
+
+
+def test_the_check_finds_a_second_way_out():
+    sources = {
+        "cli.py": (
+            "from . import serialize\n"
+            "def _emit(args, document, table):\n"
+            "    _write(serialize.dumps_json(document()), args.output)\n"
+            "def _cmd(args):\n"
+            "    _write(serialize.dumps_json({}), None)\n"
+            "    return _emit(args, lambda: {}, lambda: serialize.dumps_json({}))\n"
+        ),
+        "serialize.py": (
+            "def _csv(header, columns):\n"
+            "    return '\\n'.join([header, *columns]) + '\\n'\n"
+            "def table_csv(rows):\n"
+            "    return '\\n'.join(rows) + ','.join(rows) + ' '.join(rows)\n"
+            "TEXT = '\\n'.join(['a', 'b'])\n"
+        ),
+        "other.py": "def f(x):\n    return '\\n'.join(x), _write(x), dumps_json(x)\n",
+    }
+    assert second_ways_out(sources) == [
+        "cli.py line 5: _write in _cmd",
+        "cli.py line 5: dumps_json in _cmd",
+        "cli.py line 6: dumps_json in _cmd",
+        "serialize.py line 4: '\\n'.join in table_csv",
+        "serialize.py line 5: '\\n'.join in <module>",
+    ]
+
+
+def test_one_emitter_writes_every_document_and_one_builder_lays_out_every_csv():
+    # every subcommand's --format choice and write go through cli._emit,
+    # and every CSV document's lines through serialize._csv
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert second_ways_out(sources) == []
