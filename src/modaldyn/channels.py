@@ -40,6 +40,9 @@ ways, both through the one gate ``steps``. ``apply`` carries a state.
 ``amplitudes`` feeds the conditional-probability kernel: for each parent
 vector ``|w>`` a stack ``A_w`` with ``A_w A_w^dag = E[|w><w|]``, which
 tables, scalar queries and the step rows of a trajectory chain all read.
+One exception: ``trajectories.build_step_chain`` carries its grid states
+with its own Kraus sum, ``ops @ rho @ ops^dag``, over the step channel's
+array.
 """
 
 from __future__ import annotations

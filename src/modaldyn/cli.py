@@ -195,14 +195,10 @@ def _emit(
 def _cmd_epistemic(args: argparse.Namespace) -> int:
     sc = _scenario(args)
     labels = tuple(s.strip() for s in (args.subsystem or "").split(",") if s.strip())
-    unknown = set(labels) - set(sc.layout.labels)
-    if unknown:
-        raise ConfigError(
-            f"--subsystem labels {sorted(unknown)} not in layout {sc.layout.labels}"
-        )
-    repeated = {s for s in labels if labels.count(s) > 1}
-    if repeated:
-        raise ConfigError(f"--subsystem labels {sorted(repeated)} named more than once")
+    try:
+        sc.layout.positions(labels)
+    except (LayoutMismatchError, UnknownLabelError) as exc:
+        raise ConfigError(f"bad --subsystem: {exc}") from exc
     labels = labels or sc.layout.labels
     state = sc.state_at(args.time)
     if set(labels) != set(sc.layout.labels):

@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channels import CptReport, KrausChannel, LindbladGenerator, amplitudes, unitary_channel
-from .errors import LayoutMismatchError, ModalDynError
-from .linalg import SystemLayout, check_finite, check_memory
+from .channels import CptReport, KrausChannel, LindbladGenerator, unitary_channel
+from .errors import LayoutMismatchError
+from .linalg import SystemLayout, check_finite
 from .scenarios import Scenario
-from .states import DensityMatrix, EpistemicState, PureState
+from .states import DensityMatrix, EpistemicState
 
 # Annotations only: the CLI loads these modules just for the subcommands that run them.
 if TYPE_CHECKING:
@@ -490,62 +490,3 @@ def scenario_from_document(data: dict) -> Scenario:
         dynamics=dynamics,
     )
 
-
-def _embed(
-    step: tuple[tuple[int, ...], KrausChannel], layout: SystemLayout
-) -> Sequence[np.ndarray]:
-    """Dense operators on every factor of a schedule step ``(positions, channel)``.
-
-    The step acts on the identity through ``channels.amplitudes``, the kernel
-    that applies it to states. A step on every factor is its own operators,
-    so an entry ``-0.0`` is written as it is, not as a product's ``0.0``.
-    """
-    positions, ch = step
-    if positions == tuple(range(layout.n_factors)):
-        return ch.operators
-    d = layout.total_dim
-    check_memory(d * d, "a dense schedule step")
-    return amplitudes((step,), np.eye(d, dtype=complex), layout)
-
-
-def scenario_to_document(sc: Scenario) -> dict:
-    """Serialize a Scenario (inverse of :func:`scenario_from_document`).
-
-    Discrete schedules are stored through their Kraus operators, each
-    embedded as a dense operator on every factor in layout order; a
-    ``PureState`` is stored as its density matrix.
-    """
-    dynamics: Optional[dict] = None
-    if isinstance(sc.dynamics, LindbladGenerator):
-        dynamics = {
-            "kind": "lindblad",
-            "hamiltonian": matrix_to_pairs(sc.dynamics.hamiltonian),
-            "jumps": [
-                {"operator": matrix_to_pairs(op), "rate": float(rate)}
-                for op, rate in sc.dynamics.jumps
-            ],
-        }
-    elif sc.dynamics:
-        steps = [
-            [matrix_to_pairs(op) for op in _embed(step, sc.layout)]
-            for step in sc.dynamics
-        ]
-        if all(len(ops) == 1 for ops in steps):
-            dynamics = {"kind": "schedule", "unitaries": [ops[0] for ops in steps]}
-        elif len(steps) == 1:
-            dynamics = {"kind": "kraus", "operators": steps[0]}
-        else:
-            raise ModalDynError(
-                "cannot serialize a multi-step schedule of non-unitary channels"
-            )
-    initial = sc.initial_state
-    if isinstance(initial, PureState):
-        initial = initial.reduce(sc.layout.labels)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scenario",
-        "name": sc.name,
-        "layout": layout_payload(sc.layout),
-        "initial_state": matrix_to_pairs(initial.matrix),
-        "dynamics": dynamics,
-    }

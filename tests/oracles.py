@@ -181,6 +181,33 @@ def naive_embed(op, dims, positions) -> np.ndarray:
     return out
 
 
+def scenario_document(sc) -> dict:
+    """The scenario file of ``sc``: each schedule step embedded densely by
+    :func:`naive_embed`, a one-step schedule of several operators written
+    as ``kraus``, and a pure state written as its density matrix."""
+    dims, g, state = tuple(sc.layout.dims), sc.dynamics, sc.initial_state
+    dynamics = None
+    if hasattr(g, "jumps"):
+        jumps = [{"operator": per_element_pairs(op), "rate": float(r)} for op, r in g.jumps]
+        h = per_element_pairs(g.hamiltonian)
+        dynamics = {"kind": "lindblad", "hamiltonian": h, "jumps": jumps}
+    elif g:
+        steps = [[naive_embed(k, dims, at) for k in ch.operators] for at, ch in g]
+        if len(steps[0]) > 1:
+            dynamics = {"kind": "kraus", "operators": per_element_pairs(steps[0])}
+        else:
+            dynamics = {"kind": "schedule", "unitaries": [per_element_pairs(s[0]) for s in steps]}
+    rho = np.outer(state.vector, state.vector.conj()) if hasattr(state, "vector") else state.matrix
+    return {
+        "schema_version": 1,
+        "kind": "scenario",
+        "name": sc.name,
+        "layout": {"dims": list(dims), "labels": list(sc.layout.labels)},
+        "initial_state": per_element_pairs(rho),
+        "dynamics": dynamics,
+    }
+
+
 def naive_choi(operators) -> np.ndarray:
     """``sum_k vec(K_k) vec(K_k)^dag`` by explicit entrywise loops."""
     operators = [np.asarray(k, dtype=complex) for k in operators]

@@ -14,6 +14,8 @@ import pytest
 from modaldyn.cli import main
 from modaldyn.serialize import matrix_to_pairs
 
+from oracles import naive_joint_probability, scenario_document
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -467,7 +469,6 @@ def test_a_fast_generator_is_sampled_and_verified(capsys, tmp_path):
     # of round-off, which no check may take for a defect
     from modaldyn import Scenario, SystemLayout
     from random_objects import random_density_matrix, random_lindblad
-    from modaldyn.serialize import scenario_to_document
 
     channel = _lindblad_channel_file(tmp_path, 2, 0, 1e-7, n_jumps=2, rate_scale=1e7)
     code, out, err = run(capsys, "verify-channel", "--channel", channel)
@@ -479,7 +480,7 @@ def test_a_fast_generator_is_sampled_and_verified(capsys, tmp_path):
     layout = SystemLayout.qubits(("A", "B"))
     sc = Scenario("fast", random_density_matrix(layout, np.random.default_rng(1)), g)
     path = tmp_path / "fast.json"
-    path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
+    path.write_text(json.dumps(scenario_document(sc)), encoding="utf-8")
     argv = ("--t", "1e-6", "--steps", "10", "--n", "100", "--seed", "1")
     code, _, err = run(capsys, "sample", "--scenario", str(path), *argv)
     assert code == 0, err
@@ -546,9 +547,8 @@ def test_verify_channel_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol
 
 def test_scenario_file_source(capsys, tmp_path):
     from modaldyn import dephasing_qubit
-    from modaldyn.serialize import scenario_to_document
 
-    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(
@@ -569,6 +569,61 @@ def test_scenario_file_source(capsys, tmp_path):
     assert json.loads(out)["kind"] == "trajectory"
 
 
+def _kraus_scenario_file(tmp_path, k1_scale: float = 1.0):
+    """A random 2-qubit mixed state under K0 = sqrt(0.7) I and
+    K1 = sqrt(0.3) (I kron Z), as a ``kraus`` scenario file whose K1 is
+    then scaled by ``k1_scale``; returns the path, the state and the channel."""
+    from modaldyn import KrausChannel, Scenario, SystemLayout
+    from random_objects import random_density_matrix
+
+    layout = SystemLayout.qubits(("A", "B"))
+    rho = random_density_matrix(layout, np.random.default_rng(7))
+    k1 = np.sqrt(0.3) * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    channel = KrausChannel(np.array([np.sqrt(0.7) * np.eye(4), k1]))
+    doc = scenario_document(Scenario("kraus", rho, (((0, 1), channel),)))
+    doc["dynamics"]["operators"][1] = matrix_to_pairs(k1_scale * k1)
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), rho, channel
+
+
+def test_a_kraus_scenario_file_gives_the_in_process_table(capsys, tmp_path):
+    from modaldyn import Partition, conditional_table
+
+    path, rho, channel = _kraus_scenario_file(tmp_path)
+    argv = ("conditional", "--scenario", path, "--blocks", "A,B")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    got = np.array(json.loads(out)["probabilities"])
+    table = conditional_table(rho, channel, Partition(rho.layout, (("A",), ("B",))))
+    assert np.array_equal(got, table.probabilities)
+    for w, i, j in np.ndindex(*got.shape):
+        want = naive_joint_probability(
+            rho.layout.dims,
+            [(0,), (1,)],
+            [table.blocks[0].vectors[:, i], table.blocks[1].vectors[:, j]],
+            table.parent.vectors[:, w],
+            kraus_operators=channel.operators,
+        )
+        assert abs(got[w, i, j] - want) < 1e-12
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [line for line in out.splitlines()[2:] if not line.startswith("#")]
+    assert [float(line.split(",")[-1]) for line in rows] == got.ravel().tolist()
+    code, out, err = run(capsys, "epistemic", "--scenario", path, "--subsystem", "A")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["probabilities"] == table.blocks[0].probabilities.tolist()
+
+
+def test_an_incomplete_kraus_scenario_file_exits_5(capsys, tmp_path):
+    path, _, _ = _kraus_scenario_file(tmp_path, k1_scale=1.001)
+    code, out, err = run(capsys, "conditional", "--scenario", path, "--blocks", "A,B")
+    assert (code, out) == (5, "")
+    assert err == (
+        "channel verification failure: completeness residual 1.201e-03 exceeds 1.0e-09\n"
+    )
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main(["conditional", "--scenario", "epr-bohm"]) == 2  # missing --blocks
     capsys.readouterr()
@@ -582,9 +637,8 @@ def test_argparse_errors_exit_2(capsys):
 def _scenario_file(tmp_path, **changes):
     # json.dumps writes NaN as the bare literal, which json.load accepts
     from modaldyn import dephasing_qubit
-    from modaldyn.serialize import scenario_to_document
 
-    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
     doc.update(changes)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -644,12 +698,12 @@ def test_non_hermitian_initial_state_is_rejected(capsys, tmp_path):
 
 def test_a_file_does_not_shadow_a_scenario_name(capsys, tmp_path, monkeypatch):
     from modaldyn import epr_bohm
-    from modaldyn.serialize import dumps_json, scenario_to_document
+    from modaldyn.serialize import dumps_json
 
     argv = ("epistemic", "--scenario", "damping", "--gamma", "2", "--time", "0.5")
     want = run(capsys, *argv)
     assert want[0] == 0
-    (tmp_path / "damping").write_text(dumps_json(scenario_to_document(epr_bohm())))
+    (tmp_path / "damping").write_text(dumps_json(scenario_document(epr_bohm())))
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == want
     # a path still reads the file
@@ -724,11 +778,10 @@ def test_sample_grid_over_budget_exits_2(capsys):
 
 def _error_inputs(tmp_path):
     from modaldyn import dephasing_qubit
-    from modaldyn.serialize import scenario_to_document
 
     (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
-    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
     (tmp_path / "dephasing.json").write_text(json.dumps(doc), encoding="utf-8")
     del doc["layout"]
     (tmp_path / "nolayout.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -781,9 +834,8 @@ def _bad_channels() -> dict:
 
 def _bad_scenarios() -> dict:
     from modaldyn import dephasing_qubit
-    from modaldyn.serialize import scenario_to_document
 
-    doc = scenario_to_document(dephasing_qubit(gamma=0.5))
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
     lindblad = doc["dynamics"]
     z = lindblad["jumps"][0]["operator"]
     unequal = [matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
@@ -944,19 +996,19 @@ CONFIG_ERRORS = {
     ),
     "subsystem-unknown": (
         ("epistemic", "--scenario", "epr-bohm", "--subsystem", "Z"),
-        "--subsystem labels ['Z'] not in layout ('A', 'B')",
+        "bad --subsystem: label 'Z' not in layout ('A', 'B')",
     ),
     "subsystem-repeated": (
         ("epistemic", "--scenario", "von-neumann", "--n-env", "2", "--subsystem", "S,P,S"),
-        "--subsystem labels ['S'] named more than once",
+        "bad --subsystem: label 'S' named more than once",
     ),
     "subsystem-repeated-pair": (
         ("epistemic", "--scenario", "epr-bohm", "--subsystem", "A,A"),
-        "--subsystem labels ['A'] named more than once",
+        "bad --subsystem: label 'A' named more than once",
     ),
     "subsystem-repeated-whole": (
         ("epistemic", "--scenario", "dephasing", "--subsystem", "Q,Q"),
-        "--subsystem labels ['Q'] named more than once",
+        "bad --subsystem: label 'Q' named more than once",
     ),
     "blocks-repeated": (
         ("conditional", "--scenario", "von-neumann", "--n-env", "2", "--blocks", "S+S,P,E1,E2"),
@@ -1146,7 +1198,6 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
     """A random n-qubit state under a random three-jump generator, as a file."""
     from modaldyn import Scenario, SystemLayout
     from random_objects import random_density_matrix, random_lindblad
-    from modaldyn.serialize import scenario_to_document
 
     rng = np.random.default_rng(seed)
     layout = SystemLayout.qubits(tuple(f"Q{k}" for k in range(1, n_qubits + 1)))
@@ -1156,7 +1207,7 @@ def _lindblad_scenario_file(tmp_path, n_qubits: int, seed: int) -> str:
         dynamics=random_lindblad(layout.total_dim, 3, rng),
     )
     path = tmp_path / f"lindblad-{n_qubits}.json"
-    path.write_text(json.dumps(scenario_to_document(sc)), encoding="utf-8")
+    path.write_text(json.dumps(scenario_document(sc)), encoding="utf-8")
     return str(path)
 
 

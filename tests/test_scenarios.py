@@ -22,12 +22,13 @@ from modaldyn import (
     von_neumann_measurement,
 )
 from modaldyn.scenarios import KET_PLUS, SCENARIOS
-from modaldyn.serialize import scenario_from_document, scenario_to_document
+from modaldyn.serialize import scenario_from_document
 
 from oracles import (
     damping_excited_population,
     dephasing_offdiagonal,
     record_pair_eigenvalues,
+    scenario_document,
 )
 
 
@@ -164,7 +165,7 @@ def test_a_scenario_is_a_state_and_its_dynamics():
         "dynamics",
     ]
     built = [build(**params) for build, params in SCENARIOS.values()]
-    for sc in built + [scenario_from_document(scenario_to_document(dephasing_qubit(0.5)))]:
+    for sc in built + [scenario_from_document(scenario_document(dephasing_qubit(0.5)))]:
         assert sc.layout == sc.initial_state.layout
 
 

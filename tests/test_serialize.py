@@ -38,7 +38,6 @@ from modaldyn.serialize import (
     matrix_to_pairs,
     pairs_to_matrix,
     scenario_from_document,
-    scenario_to_document,
     table_csv,
     table_payload,
     trajectory_csv,
@@ -47,7 +46,7 @@ from modaldyn.serialize import (
 from modaldyn.channels import CptReport
 from modaldyn.trajectories import POINT, EnsembleReport, Trajectory
 
-from oracles import per_element_pairs, per_entry_csv_rows
+from oracles import per_element_pairs, per_entry_csv_rows, scenario_document
 from random_objects import random_density_matrix, random_kraus_channel
 
 
@@ -225,7 +224,7 @@ def test_scenario_document_roundtrip():
     sc = scenario_from_document(doc)
     assert sc.name == "custom"
     assert isinstance(sc.dynamics, LindbladGenerator)
-    doc2 = scenario_to_document(sc)
+    doc2 = scenario_document(sc)
     assert scenario_from_document(doc2).layout == sc.layout
     assert np.array_equal(
         scenario_from_document(doc2).initial_state.matrix, sc.initial_state.matrix
@@ -257,7 +256,7 @@ def test_scenario_document_static_and_schedule():
 
 def test_von_neumann_document_round_trip():
     sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=2)
-    doc = json.loads(dumps_json(scenario_to_document(sc)))
+    doc = json.loads(dumps_json(scenario_document(sc)))
     assert len(doc["dynamics"]["unitaries"]) == 3
     back = scenario_from_document(doc)
     assert back.layout == sc.layout
@@ -320,7 +319,8 @@ def _ensembles():
 
 
 def _documents():
-    """One payload or more of every document kind the CLI writes."""
+    """One payload or more of every document kind the CLI writes, and the
+    scenario files the tests write through ``oracles.scenario_document``."""
     ghz = ghz_mermin()
     table = conditional_table(
         ghz.initial_state, None, Partition(ghz.layout, (("A",), ("B",), ("C",))), mode="permissive"
@@ -346,9 +346,9 @@ def _documents():
             cpt_report_payload(CptReport(False, True, math.nan, math.inf), "lindblad", 4, 0.0),
         ],
         "scenario": [
-            scenario_to_document(dephasing_qubit(gamma=0.5)),
-            scenario_to_document(pure),
-            scenario_to_document(von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=1)),
+            scenario_document(dephasing_qubit(gamma=0.5)),
+            scenario_document(pure),
+            scenario_document(von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=1)),
         ],
     }
 

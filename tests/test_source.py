@@ -300,13 +300,15 @@ def test_every_tolerance_is_stated_in_the_tolerance_module():
 
 
 # Names that act with dynamics, and the modules that may use each:
-# ``channels`` is the one module that acts with dynamics; ``serialize``
-# embeds a local step densely through ``channels.amplitudes``.
+# ``channels`` is the one module that acts with dynamics; ``conditional``
+# and ``trajectories`` take the amplitudes of kets under it through
+# ``channels.amplitudes``.
 DYNAMICS_NAMES = {
     "flow": {"channels.py"},
     "_flow_plan": {"channels.py"},
     "_run_flow": {"channels.py"},
     "apply_local": {"channels.py"},
+    "amplitudes": {"channels.py", "conditional.py", "trajectories.py"},
 }
 
 
@@ -351,7 +353,11 @@ def test_the_check_finds_dynamics_acted_outside_channels():
             "def flow(f, m):\n"
             "    return _flow_plan(f, len(m)), apply_local\n"
         ),
-        "serialize.py": "from .linalg import apply_local, check_finite\n",
+        "serialize.py": (
+            "from .linalg import apply_local, check_finite\n"
+            "from .channels import KrausChannel, amplitudes\n"
+        ),
+        "trajectories.py": "from .channels import amplitudes\n",
     }
     assert dynamics_outside_channels(sources) == [
         "a.py line 1: flow",
@@ -359,6 +365,7 @@ def test_the_check_finds_dynamics_acted_outside_channels():
         "c.py line 1: apply_local",
         "d.py line 2: flow",
         "serialize.py line 1: apply_local",
+        "serialize.py line 2: amplitudes",
     ]
 
 
