@@ -35,14 +35,12 @@ operator's own factor order, so a two-qubit gate in a many-qubit layout is
 stored and checked as a 4x4 matrix, and contracted into a state or a set of
 vectors without building its dense embedding.
 
-This is the one module that acts with dynamics, and it does so in two
-ways, both through the one gate ``steps``. ``apply`` carries a state.
-``amplitudes`` feeds the conditional-probability kernel: for each parent
-vector ``|w>`` a stack ``A_w`` with ``A_w A_w^dag = E[|w><w|]``, which
-tables, scalar queries and the step rows of a trajectory chain all read.
-One exception: ``trajectories.build_step_chain`` carries its grid states
-with its own Kraus sum, ``ops @ rho @ ops^dag``, over the step channel's
-array.
+This is the one module that acts with dynamics. ``apply`` carries a state,
+and ``iterate`` the grid states of a trajectory chain under its step
+channel. ``amplitudes`` feeds the conditional-probability kernel: for each
+parent vector ``|w>`` a stack ``A_w`` with ``A_w A_w^dag = E[|w><w|]``,
+which tables, scalar queries and the step rows of a trajectory chain all
+read. ``apply`` and ``amplitudes`` pass the one gate ``steps``.
 """
 
 from __future__ import annotations
@@ -361,7 +359,8 @@ def generator_map(g: LindbladGenerator, duration: float) -> np.ndarray:
     about 3.2 d^2 x d^2 complex arrays (tracemalloc, d = 16), and is
     refused over nine, the estimate that covers :func:`evolve` too, above
     the memory budget, before the first is allocated. At zero duration it
-    is the identity exactly.
+    is the identity exactly; a map not finite after q squarings raises
+    ``ValueError``.
     """
     t, d = _duration(duration), g.dim
     check_memory(9 * d**4, f"evolving a generator of dimension {d}")
@@ -381,9 +380,12 @@ def generator_map(g: LindbladGenerator, duration: float) -> np.ndarray:
     x[:, :, rows, cols] = images.transpose(1, 2, 0)
     x = x.reshape(d * d, d * d)
     e = np.eye(d).reshape(-1)
-    for _ in range(q):
-        x = x @ x
-        x[:: d + 1] += (e - x[:: d + 1].sum(axis=0)) / d
+    with np.errstate(all="ignore"):
+        for _ in range(q):
+            x = x @ x
+            x[:: d + 1] += (e - x[:: d + 1].sum(axis=0)) / d
+    if not np.isfinite(x).all():
+        raise ValueError(f"the map for duration {t:g} is not finite after {q} squarings")
     return x
 
 
@@ -589,6 +591,19 @@ def apply(dynamics: Dynamics, state: State) -> State:
             )
         state = DensityMatrix(out.reshape(state.dim, state.dim), layout)
     return state
+
+
+def iterate(step: KrausChannel, rho: np.ndarray, n_steps: int) -> np.ndarray:
+    """``rho`` and its images under 1 to ``n_steps`` applications of ``step``,
+    stacked ``(n_steps + 1, d, d)`` and unchecked: a chain's grid states. Each
+    image is summed from 0 in operator order, as :func:`apply` sums it."""
+    ops = step.operators
+    ops_dag = ops.conj().transpose(0, 2, 1)
+    states = np.empty((n_steps + 1, *rho.shape), dtype=complex)
+    states[0] = rho
+    for k in range(n_steps):
+        states[k + 1] = (ops @ states[k] @ ops_dag).sum(axis=0, initial=0.0)
+    return states
 
 
 def kraus_to_choi(ch: KrausChannel) -> np.ndarray:

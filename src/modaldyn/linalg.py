@@ -132,21 +132,11 @@ def apply_local(
     ``op`` kron identity would after a factor permutation. By default ``op``
     multiplies from the left (``op @ x`` on those axes); ``right=True``
     multiplies from the right (``x @ op``), which is how ``K^dag`` acts on
-    the column axes of a density matrix. When the axes are the tensor's
-    leading (left) or trailing (right) axes in order, the contraction is one
-    plain matrix product: an operator on every factor then costs and rounds
-    exactly as ``K @ rho @ K^dag`` does, which the many small steps of a
-    trajectory chain rely on.
+    the column axes of a density matrix.
     """
     axes = tuple(axes)
     k = len(axes)
-    shape = tensor.shape
-    dims = tuple(shape[a] for a in axes)
-    size = math.prod(dims)
-    if not right and axes == tuple(range(k)):
-        return (op @ tensor.reshape(size, -1)).reshape(shape)
-    if right and axes == tuple(range(tensor.ndim - k, tensor.ndim)):
-        return (tensor.reshape(-1, size) @ op).reshape(shape)
+    dims = tuple(tensor.shape[a] for a in axes)
     op = np.asarray(op).reshape(dims * 2)
     if right:
         out = np.tensordot(tensor, op, axes=(axes, tuple(range(k))))

@@ -9,17 +9,16 @@ histories. The chain is the minimal completion consistent with those
 conditionals, and everything downstream of it (sampled paths, ensemble
 frequency reports) should be read with that caveat.
 
-A chain is a fixed set of whole-grid arrays, read from the step channel's
-Kraus array ``ops`` as it is. rho is pushed along the grid by the batched
-sum of ``ops @ rho @ ops^dag`` into one ``(n_times, d, d)`` stack, which one
-stacked eigendecomposition reads; the density-matrix checks and the
-epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
-name the grid point and come in grid order. The rows of every step are the
-one-block case of the kernel in :mod:`modaldyn.conditional`, read from the
-amplitude stacks ``channels.amplitudes`` gives for the kept eigenvectors of
-every grid point at once, and must sum to one within
-``CHAIN_ROW_SUM_TOL``; the strict/permissive mode names are the same as for
-conditional tables.
+A chain is a fixed set of whole-grid arrays, read from the step channel
+as it is. ``channels.iterate`` pushes rho along the grid into one
+``(n_times, d, d)`` stack, which one stacked eigendecomposition reads; the
+density-matrix checks and the epistemic reading of :mod:`modaldyn.states`
+run over it at once. Errors name the grid point and come in grid order. The
+rows of every step are the one-block case of the kernel in
+:mod:`modaldyn.conditional`, read from the amplitude stacks
+``channels.amplitudes`` gives for the kept eigenvectors of every grid point
+at once, and must sum to one within ``CHAIN_ROW_SUM_TOL``; the
+strict/permissive mode names are the same as for conditional tables.
 
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|,
@@ -56,7 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, _not_kraus, amplitudes
+from .channels import KrausChannel, _not_kraus, amplitudes, iterate
 from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
 from .states import (
@@ -319,22 +318,17 @@ def build_step_chain(
     if step_channel.dim != d:
         why = f"channel dim {step_channel.dim} does not match dim {d} of the layout"
         raise DimensionMismatchError(why)
-    ops = step_channel.operators
     n_times, n_steps = grid.n_steps + 1, grid.n_steps
     # complex entries: per grid point (at most d kept), the measured peak of
     # the states and their eigenvectors; per step of one amplitude chunk, its
     # kets, bras, one amplitude per Kraus operator, a product and squares
     check_memory(
-        n_times * (5 * d * d + d) + min(n_steps, CHAIN_CHUNK) * (4 + len(ops)) * d * d,
+        n_times * (5 * d * d + d)
+        + min(n_steps, CHAIN_CHUNK) * (4 + len(step_channel.operators)) * d * d,
         f"a chain over {n_times} grid states "
         f"({16 * n_times * d * d} bytes for the states alone)",
     )
-    states = np.empty((n_times, d, d), dtype=complex)
-    states[0] = rho0.matrix
-    ops_dag = ops.conj().transpose(0, 2, 1)
-    for k in range(n_steps):
-        # summed from 0 in operator order, as channels.apply does
-        states[k + 1] = (ops @ states[k] @ ops_dag).sum(axis=0, initial=0.0)
+    states = iterate(step_channel, rho0.matrix, n_steps)
     w, v = _ordered_eig(states)
 
     def point(k: int) -> str:

@@ -135,6 +135,25 @@ def test_apply_matches_naive_kraus_sum():
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("case", ["qubit-damping", "random-2x3"])
+def test_iterate_equals_repeated_apply_bit_for_bit(case):
+    # a chain's grid states are the states apply carries step by step
+    rng = np.random.default_rng(30)
+    if case == "qubit-damping":
+        layout = QUBIT
+        step = KrausChannel([[[1, 0], [0, np.sqrt(0.7)]], np.sqrt(0.3) * LOWER])
+    else:
+        layout = SystemLayout((2, 3), ("A", "B"))
+        step = random_kraus_channel(6, 3, rng)
+    state = random_density_matrix(layout, rng)
+    stack = channels.iterate(step, state.matrix, 6)
+    expected = [state.matrix]
+    for _ in range(6):
+        state = apply(step, state)
+        expected.append(state.matrix)
+    assert np.array_equal(stack, np.stack(expected))
+
+
 def test_superoperator_reproduces_kraus_action():
     rng = np.random.default_rng(15)
     ch = random_kraus_channel(2, 3, rng)
@@ -421,10 +440,10 @@ def test_trace_distance_contracts_under_channels():
 
 
 def test_verify_large_unitary_uses_gram_path():
-    # 10 qubits: the explicit Choi matrix would be 2^20-sized, so the
+    # 9 qubits: the explicit Choi matrix would be 2^18-sized (1 TiB), so the
     # verifier must fall back to the Gram spectrum and still pass
     rng = np.random.default_rng(21)
-    u = random_unitary(2**10, rng)
+    u = random_unitary(2**9, rng)
     rep = verify_cpt(unitary_channel(u))
     assert rep.is_cp and rep.is_tp
 

@@ -1269,6 +1269,36 @@ def test_a_non_finite_generator_exits_2_where_it_is_read(capsys, tmp_path):
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("subcommand", ["verify-channel", "sample"])
+def test_a_map_squared_past_overflow_exits_2_naming_the_squarings(
+    capsys, tmp_path, subcommand
+):
+    # H = Z over 1e25 time units takes 83 squarings, which overflow the map:
+    # the refusal names the duration and the squarings, with no numpy warning
+    from modaldyn import DensityMatrix, LindbladGenerator, Scenario, SystemLayout
+
+    z = np.diag([1.0, -1.0])
+    channel = tmp_path / "unitary-z.json"
+    doc = {"schema_version": 1, "kind": "lindblad", "hamiltonian": matrix_to_pairs(z),
+           "jumps": [], "duration": 1e25}
+    channel.write_text(json.dumps(doc), encoding="utf-8")
+    plus = DensityMatrix(np.full((2, 2), 0.5), SystemLayout.qubits(("A",)))
+    scenario = tmp_path / "unitary-z-scenario.json"
+    document = scenario_document(Scenario("unitary-z", plus, LindbladGenerator(z)))
+    scenario.write_text(json.dumps(document), encoding="utf-8")
+    argv = {
+        "verify-channel": ("--channel", str(channel)),
+        "sample": ("--scenario", str(scenario), "--t", "1e25", "--steps", "1", "--seed", "1"),
+    }[subcommand]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, subcommand, *argv)
+    assert result == (2, "", (
+        "configuration error: the map for duration 1e+25 is not finite after 83 squarings\n"
+    ))
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "kind, key, message",
     [

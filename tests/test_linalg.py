@@ -15,7 +15,7 @@ from modaldyn import (
     hermitian_eig,
     partial_trace,
 )
-from modaldyn.linalg import _ordered_eig
+from modaldyn.linalg import _ordered_eig, apply_local
 
 from oracles import naive_canonical_phase, naive_ordered_columns, naive_partial_trace
 from random_objects import random_density_matrix, random_hermitian
@@ -193,3 +193,19 @@ def test_partial_trace_of_product_state():
     joint = np.kron(rho_a, rho_b)
     assert np.abs(partial_trace(joint, layout, ("A",)) - rho_a).max() < 1e-14
     assert np.abs(partial_trace(joint, layout, ("B",)) - rho_b).max() < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 8, 128])
+def test_apply_local_on_every_factor_is_a_plain_product(d):
+    # On the leading axes from the left, and on the trailing axes from the
+    # right, the one tensordot path contracts exactly as K @ X and X @ K^dag:
+    # this can fail only on a numpy or BLAS that orders a tensordot and a
+    # matmul differently.
+    rng = np.random.default_rng(d)
+    n = d.bit_length() - 1
+    k, x = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    tensor = x.reshape((2,) * 2 * n)
+    left = apply_local(k, tensor, range(n))
+    right = apply_local(k.conj().T, tensor, range(n, 2 * n), right=True)
+    assert np.array_equal(left.reshape(d, d), k @ x)
+    assert np.array_equal(right.reshape(d, d), x @ k.conj().T)

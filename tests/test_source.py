@@ -302,13 +302,15 @@ def test_every_tolerance_is_stated_in_the_tolerance_module():
 # Names that act with dynamics, and the modules that may use each:
 # ``channels`` is the one module that acts with dynamics; ``conditional``
 # and ``trajectories`` take the amplitudes of kets under it through
-# ``channels.amplitudes``.
+# ``channels.amplitudes``, and ``trajectories`` its grid states through
+# ``channels.iterate``.
 DYNAMICS_NAMES = {
     "flow": {"channels.py"},
     "_flow_plan": {"channels.py"},
     "_run_flow": {"channels.py"},
     "apply_local": {"channels.py"},
     "amplitudes": {"channels.py", "conditional.py", "trajectories.py"},
+    "iterate": {"channels.py", "trajectories.py"},
 }
 
 
@@ -357,12 +359,14 @@ def test_the_check_finds_dynamics_acted_outside_channels():
             "from .linalg import apply_local, check_finite\n"
             "from .channels import KrausChannel, amplitudes\n"
         ),
-        "trajectories.py": "from .channels import amplitudes\n",
+        "trajectories.py": "from .channels import amplitudes, iterate\n",
+        "conditional.py": "from .channels import amplitudes, iterate\n",
     }
     assert dynamics_outside_channels(sources) == [
         "a.py line 1: flow",
         "b.py line 3: _flow_plan",
         "c.py line 1: apply_local",
+        "conditional.py line 1: iterate",
         "d.py line 2: flow",
         "serialize.py line 1: apply_local",
         "serialize.py line 2: amplitudes",
@@ -372,6 +376,63 @@ def test_the_check_finds_dynamics_acted_outside_channels():
 def test_only_channels_acts_with_dynamics():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dynamics_outside_channels(sources) == []
+
+
+def kraus_arithmetic_outside_channels(sources: dict[str, str]) -> list[str]:
+    """Reads of an ``.operators`` attribute outside ``channels.py`` other than
+    as the one argument of ``len(...)``.
+
+    A Kraus array computed with anywhere else (a product, a sum, an index)
+    would be a second Kraus contraction; counting the operators, as a memory
+    estimate does, is not. ``sources`` maps file name to source.
+    """
+    found = []
+    for file, source in sources.items():
+        if file == "channels.py":
+            continue
+        tree = ast.parse(source)
+        counted = {
+            id(node.args[0])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "len"
+            and len(node.args) == 1
+        }
+        found += [
+            f"{file} line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr == "operators"
+            and id(node) not in counted
+        ]
+    return sorted(found)
+
+
+def test_the_check_finds_kraus_arithmetic_outside_channels():
+    sources = {
+        "a.py": (
+            "def f(ch, rho):\n"
+            "    ops = ch.operators\n"
+            "    return len(ch.operators), ops @ rho\n"
+        ),
+        "b.py": (
+            "def g(step):\n"
+            "    step.operators = None\n"
+            "    return len(step.operators[0]), sum(step.operators)\n"
+        ),
+        "channels.py": "def h(ch, rho):\n    return ch.operators @ rho\n",
+    }
+    assert kraus_arithmetic_outside_channels(sources) == [
+        "a.py line 2: ch.operators",
+        "b.py line 3: step.operators",
+        "b.py line 3: step.operators",
+    ]
+
+
+def test_only_channels_computes_with_kraus_arrays():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert kraus_arithmetic_outside_channels(sources) == []
 
 
 def json_writers(sources: dict[str, str]) -> list[str]:

@@ -611,7 +611,9 @@ def test_padding_is_never_read(dims, n_ops, n_steps, seed):
         assert np.all(entries < chain.counts)
     for s in range(seed, seed + 4):
         assert all(label >= 0 for _, label, _ in chain.sample(s).points)
-    n = 2 * ENSEMBLE_BLOCK + 1
+    # two blocks, the second of one trajectory; more blocks add nothing to
+    # padding (test_ensemble_counts_match_naive_walks_across_blocks walks three)
+    n = ENSEMBLE_BLOCK + 1
     report = run_ensemble(chain, n_samples=n, base_seed=seed)
     counts = np.zeros_like(report.frequencies)
     for i in range(n):
