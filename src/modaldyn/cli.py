@@ -176,9 +176,13 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
 def _write(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        what = exc.strerror or exc
+        raise ConfigError(f"cannot write --output {path!r}: {what}") from exc
 
 
 def _emit(

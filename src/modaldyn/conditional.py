@@ -18,15 +18,18 @@ takes an amplitude stack ``A_w`` with ``A_w A_w^dag = E[P_W(w)]``, so the
 quantity is ``sum_r |<b_1(i_1) kron ... kron b_n(i_n)| A_w[:, r]|^2``,
 evaluated for all parent columns and block indices at once: it reorders the
 tensor factors into block order and contracts each block's eigenbasis along
-its axes. This module never acts with the dynamics itself: the stacks come
-from ``channels.amplitudes`` and the state at t' from ``channels.apply``,
-both behind the gate ``channels.steps``, which takes a Kraus channel, a
-schedule of local steps ``(positions, channel)`` or a generator flow, and
-refuses a ``Superoperator``, to be converted once by the caller. The blocks
-are read from the reduced state at t'. A table is the full result; a
-scalar query is the kernel on one parent column and one basis vector per
-block; the step rows of a trajectory chain are the one-block case, stacked
-over the steps.
+its axes. Tables and scalar queries reach it by one path: the layout check,
+the parent spectrum at t, the stacks of the requested parent columns from
+``channels.amplitudes`` (first, so that a flow's plan refuses an
+over-budget table before the state is flowed), the state at t' from
+``channels.apply``, and the block spectra of its reduced matrices. Only
+``amplitudes`` and ``apply`` act with the dynamics, each behind the gate
+``channels.steps``, which takes a Kraus channel, a schedule of local steps
+``(positions, channel)`` or a generator flow, and refuses a
+``Superoperator``, to be converted once by the caller. A table is the full
+result; a scalar query is the kernel on one parent column and one basis
+vector per block; the step rows of a trajectory chain are the one-block
+case, stacked over the steps.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
@@ -37,11 +40,11 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import Dynamics, amplitudes, apply, steps
+from .channels import Dynamics, amplitudes, apply
 from .errors import (
     DegenerateBasisError,
     LayoutMismatchError,
@@ -104,29 +107,20 @@ def trivial_partition(layout: SystemLayout) -> Partition:
     return Partition(layout, (tuple(layout.labels),))
 
 
-def _entry_index(e: EpistemicState, index: int, what: str) -> int:
-    index = int(index)
-    if not 0 <= index < len(e):
-        raise IndexError(
-            f"{what} index {index} out of range for {len(e)} retained entries"
-        )
-    return index
-
-
-def _refuse_degenerate_entry(e: EpistemicState, index: int, what: str) -> None:
-    if e.is_degenerate(index):
-        raise DegenerateBasisError(
-            f"{what} index {index} lies in a degenerate eigenvalue cluster; "
-            "rerun in permissive mode to answer against the canonical basis"
-        )
-
-
-def _refuse_any_degeneracy(e: EpistemicState, what: str) -> None:
-    if e.degenerate_clusters:
-        raise DegenerateBasisError(
-            f"{what} has degenerate eigenvalue clusters {e.degenerate_clusters}; "
-            "rerun in permissive mode to answer against the canonical basis"
-        )
+def _refuse_degeneracy(
+    e: EpistemicState, what: str, index: Optional[int] = None
+) -> None:
+    """Refuse a degenerate cluster of ``e``: any (a table), or the one
+    holding ``index`` (a scalar query)."""
+    if index is None and e.degenerate_clusters:
+        found = f"{what} has degenerate eigenvalue clusters {e.degenerate_clusters}"
+    elif index is not None and e.is_degenerate(index):
+        found = f"{what} index {index} lies in a degenerate eigenvalue cluster"
+    else:
+        return
+    raise DegenerateBasisError(
+        f"{found}; rerun in permissive mode to answer against the canonical basis"
+    )
 
 
 def _block_probabilities(
@@ -157,49 +151,24 @@ def _block_probabilities(
     return np.minimum(probs, 1.0)
 
 
-def _parent(
-    rho_w_t: State, channel: Dynamics, part: Partition, threshold: float
-) -> tuple[Dynamics, EpistemicState]:
-    """The dynamics through the gate, and the parent spectrum at t."""
+def _kernel_inputs(
+    rho_w_t: State, channel: Dynamics, part: Partition, threshold: float, columns: slice
+) -> tuple[EpistemicState, Sequence[np.ndarray], tuple[EpistemicState, ...]]:
+    """The parent spectrum at t, the kernel's stacks of its ``columns``, and
+    the block spectra at t' after ``channel``; the module docstring gives
+    the order and its reason."""
     if part.layout != rho_w_t.layout:
         raise LayoutMismatchError(
             "partition layout does not match the density matrix layout"
         )
-    dynamics = steps(channel, part.layout)
-    return dynamics, extract_epistemic(rho_w_t, threshold)
-
-
-def _blocks(
-    rho_w_t: State, dynamics: Dynamics, part: Partition, threshold: float
-) -> tuple[EpistemicState, ...]:
-    """The block spectra at t', after ``dynamics``."""
-    rho_tprime = apply(dynamics, rho_w_t)
-    return tuple(
+    parent = extract_epistemic(rho_w_t, threshold)
+    stacks = amplitudes(channel, parent.vectors[:, columns], part.layout)
+    rho_tprime = apply(channel, rho_w_t)
+    blocks = tuple(
         extract_epistemic(rho_tprime.reduce(block), threshold)
         for block in part.blocks
     )
-
-
-def _validate_query(
-    parent: EpistemicState,
-    blocks: tuple[EpistemicState, ...],
-    w: int,
-    indices: Sequence[int],
-    mode: str,
-) -> tuple[int, tuple[int, ...]]:
-    if len(indices) != len(blocks):
-        raise IndexError(
-            f"expected {len(blocks)} subsystem indices, got {len(indices)}"
-        )
-    w = _entry_index(parent, w, "parent")
-    idx = tuple(
-        _entry_index(blocks[a], i, f"block {a}") for a, i in enumerate(indices)
-    )
-    if mode == STRICT:
-        _refuse_degenerate_entry(parent, w, "parent")
-        for a, i in enumerate(idx):
-            _refuse_degenerate_entry(blocks[a], i, f"block {a}")
-    return w, idx
+    return parent, stacks, blocks
 
 
 def joint_conditional(
@@ -221,15 +190,27 @@ def joint_conditional(
     precondition.
     """
     mode = _check_mode(mode)
-    dynamics, parent = _parent(rho_w_t, channel, part, threshold)
-    blocks = _blocks(rho_w_t, dynamics, part, threshold)
-    w, idx = _validate_query(parent, blocks, w, indices, mode)
-    probs = _block_probabilities(
-        amplitudes(dynamics, parent.vectors[:, w : w + 1], part.layout),
-        [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx)],
-        part,
+    w = int(w)
+    parent, stacks, blocks = _kernel_inputs(
+        rho_w_t, channel, part, threshold, slice(w, w + 1)
     )
-    return probs.item()
+    if len(indices) != len(blocks):
+        raise IndexError(
+            f"expected {len(blocks)} subsystem indices, got {len(indices)}"
+        )
+    names = ["parent"] + [f"block {a}" for a in range(len(blocks))]
+    spectra = (parent, *blocks)
+    idx = (w, *(int(i) for i in indices))
+    for what, e, i in zip(names, spectra, idx):
+        if not 0 <= i < len(e):
+            raise IndexError(
+                f"{what} index {i} out of range for {len(e)} retained entries"
+            )
+    if mode == STRICT:
+        for what, e, i in zip(names, spectra, idx):
+            _refuse_degeneracy(e, what, i)
+    bases = [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx[1:])]
+    return _block_probabilities(stacks, bases, part).item()
 
 
 def kinematic_conditional(
@@ -335,15 +316,13 @@ def conditional_table(
     the whole table, since a table necessarily touches every entry.
     """
     mode = _check_mode(mode)
-    dynamics, parent = _parent(rho_w_t, channel, part, threshold)
-    # before the state is carried: a flow's plan refuses an over-budget
-    # table before anything is flowed
-    stacks = amplitudes(dynamics, parent.vectors, part.layout)
-    blocks = _blocks(rho_w_t, dynamics, part, threshold)
+    parent, stacks, blocks = _kernel_inputs(
+        rho_w_t, channel, part, threshold, slice(None)
+    )
     if mode == STRICT:
-        _refuse_any_degeneracy(parent, "parent spectrum")
+        _refuse_degeneracy(parent, "parent spectrum")
         for a, block in enumerate(blocks):
-            _refuse_any_degeneracy(block, f"block {a} spectrum")
+            _refuse_degeneracy(block, f"block {a} spectrum")
     probs = _block_probabilities(stacks, [b.vectors for b in blocks], part)
     return ConditionalTable(
         parent=parent,

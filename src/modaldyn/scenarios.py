@@ -23,8 +23,8 @@ from .channels import (
     apply,
     unitary_channel,
 )
-from .errors import InvalidAmplitudesError
-from .linalg import SystemLayout, check_memory, kron_all
+from .errors import InvalidAmplitudesError, ProblemTooLargeError
+from .linalg import MEMORY_BUDGET_BYTES, SystemLayout, check_memory, kron_all
 from .states import DensityMatrix, PureState, State
 from .tolerances import AMPLITUDE_NORM_TOL
 
@@ -125,7 +125,15 @@ def von_neumann_measurement(
     if not 0.0 <= coupling <= 1.0:
         raise ValueError(f"coupling must lie in [0, 1]: {coupling}")
 
-    check_memory(2 ** (n_env + 2), f"the von-neumann state vector for n_env={n_env}")
+    what = f"the von-neumann state vector for n_env={n_env}"
+    # 16 * 2 ** (n_env + 2) bytes: a count past 2**64 is refused by its
+    # exponent, before a power of thousands of digits is formed
+    if n_env + 6 >= 64:
+        raise ProblemTooLargeError(
+            f"{what} needs 2**{n_env + 6} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes"
+        )
+    check_memory(2 ** (n_env + 2), what)
     labels = ("S", "P") + tuple(f"E{k}" for k in range(1, n_env + 1))
     layout = SystemLayout.qubits(labels)
     system = alpha * KET_ZERO + beta * KET_ONE

@@ -3,11 +3,12 @@
 The two-time conditional probabilities p(j at t+dt | i at t) define, step by
 step, a classical Markov chain over the retained spectral entries of
 rho(t). Chaining them into full multi-time trajectories is a modeling
-completion made by this package: the underlying theory fixes only the
-two-time conditionals, not any particular joint distribution over whole
-histories. The chain is the minimal completion consistent with those
-conditionals, and everything downstream of it (sampled paths, ensemble
-frequency reports) should be read with that caveat.
+completion made by this package. The underlying theory fixes p(b at t' | a
+at t) for every pair of times, and the chain reproduces it only for
+adjacent grid points: its composed law between farther times in general
+departs from the theory's (README, "Modeling note"). Everything downstream
+of the chain (sampled paths, ensemble frequency reports) should be read
+with that caveat.
 
 A chain is a fixed set of whole-grid arrays, read from the step channel
 as it is. ``channels.iterate`` pushes rho along the grid into one
@@ -406,6 +407,10 @@ def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleRe
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples}")
+    if n_samples >= 2**63:
+        raise ValueError(
+            f"n_samples must be below 2**63, the bound of its int64 counts: {n_samples}"
+        )
     n_times, m = chain.cum.shape[:2]
     cell = 8 + np.min_scalar_type(m).itemsize + 1
     rows = ENSEMBLE_BLOCK

@@ -325,6 +325,18 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/out.json", "No such file or directory"), (".", "Is a directory")],
+)
+def test_an_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, where, reason):
+    target = str(tmp_path / where)
+    code, out, err = run(capsys, "epistemic", "--scenario", "epr-bohm", "--output", target)
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: cannot write --output {target!r}: {reason}\n"
+
+
 def test_verify_channel_accepts_valid_kraus(capsys, tmp_path):
     p = 0.3
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]])
@@ -757,6 +769,19 @@ def test_von_neumann_state_vector_over_budget_exits_2(capsys):
     assert "70368744177664 bytes" in err and "budget" in err
 
 
+def test_a_huge_n_env_is_refused_by_its_exponent(capsys):
+    # 2 ** 20002 amplitudes: the byte count alone has over 6,000 digits
+    argv = ["epistemic", "--scenario", "von-neumann", "--n-env", "20000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "configuration error: the von-neumann state vector for n_env=20000 "
+        "needs 2**20006 bytes, over the budget of 268435456 bytes\n"
+    )
+    assert len(err) < 200
+
+
 def test_dense_reduced_matrix_over_budget_exits_2(capsys):
     # the E block's reduced matrix would be 2^16 x 2^16 complex: 64 GiB
     env = "+".join(f"E{k}" for k in range(1, 17))
@@ -765,6 +790,18 @@ def test_dense_reduced_matrix_over_budget_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "68719476736 bytes" in err and "budget" in err
+
+
+@pytest.mark.parametrize("n", [2**63, 10**22])
+def test_a_sample_count_past_int64_exits_2(capsys, n):
+    argv = ["sample", "--scenario", "damping", "--t", "1", "--steps", "1", "--seed", "1"]
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"configuration error: n_samples must be below 2**63, "
+        f"the bound of its int64 counts: {n}\n"
+    )
 
 
 def test_sample_grid_over_budget_exits_2(capsys):

@@ -11,8 +11,10 @@ from modaldyn import (
     DensityMatrix,
     DegenerateBasisError,
     DimensionMismatchError,
+    GeneratorFlow,
     KrausChannel,
     LayoutMismatchError,
+    LindbladGenerator,
     NormalizationError,
     Partition,
     ProbabilityBoundsError,
@@ -68,6 +70,9 @@ def _refusals():
     pair = part.layout
     other = trivial_partition(SystemLayout.qubits(("X", "Y")))
     wide = unitary_channel(np.eye(8))
+    flip = unitary_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    decay = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+    flowed = GeneratorFlow(LindbladGenerator(np.zeros((4, 4)), [(decay, 0.3)]), 0.5)
     fields = (table.parent, table.blocks, table.partition)
     return {
         "no-blocks": (
@@ -88,6 +93,19 @@ def _refusals():
             lambda: joint_conditional(rho, wide, other, 0, (0,)),
             LayoutMismatchError,
             "partition layout does not match the density matrix layout",
+        ),
+        # the stacks of the empty column are taken first, and change nothing
+        "query-parent-index": (
+            lambda: joint_conditional(rho, None, part, 4, (0, 0)),
+            IndexError, "parent index 4 out of range for 4 retained entries",
+        ),
+        "query-parent-index-local": (
+            lambda: joint_conditional(rho, (((0,), flip),), part, -1, (0, 0)),
+            IndexError, "parent index -1 out of range for 4 retained entries",
+        ),
+        "query-parent-index-flow": (
+            lambda: joint_conditional(rho, flowed, part, 9, (0, 0)),
+            IndexError, "parent index 9 out of range for 4 retained entries",
         ),
         "query-index-count": (
             lambda: joint_conditional(rho, None, part, 0, (0,)),
@@ -204,7 +222,8 @@ def test_kinematic_equals_joint_with_identity():
     rng = np.random.default_rng(33)
     layout = SystemLayout(dims=(2, 3), labels=("A", "B"))
     part = Partition(layout, (("A",), ("B",)))
-    for _ in range(10):
+    # an identity per entry: three generic states query every entry index
+    for _ in range(3):
         rho = random_density_matrix(layout, rng, min_eigenvalue_gap=1e-3)
         parent = extract_epistemic(rho)
         e_a = extract_epistemic(rho.reduce(("A",)))
@@ -432,6 +451,13 @@ def test_scalar_queries_are_table_entries(case):
     table = conditional_table(rho, ch, part, mode="permissive")
     w, *idx = some_entry(table)
     got = joint_conditional(rho, ch, part, w, idx, mode="permissive")
+    assert abs(got - table.probabilities[(w, *idx)]) < 1e-14
+
+    # a one-step local schedule, on the first factor only
+    local = (((0,), random_kraus_channel(part.layout.dims[0], 2, rng)),)
+    table = conditional_table(rho, local, part, mode="permissive")
+    w, *idx = some_entry(table)
+    got = joint_conditional(rho, local, part, w, idx, mode="permissive")
     assert abs(got - table.probabilities[(w, *idx)]) < 1e-14
 
     table = conditional_table(rho, None, part, mode="permissive")

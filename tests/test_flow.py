@@ -89,7 +89,10 @@ def test_state_image_matches_dense_expm(case):
     assert np.abs(got - want).max() < FLOW_TOL
 
 
-@FLOW_SETTINGS
+# the flow's accuracy over the drawn durations and norms is the state
+# image's property above; a table adds the stacked flow, its eigen-factor and
+# the block contraction, for which half the draws suffice
+@settings(FLOW_SETTINGS, max_examples=10)
 @given(flow_cases())
 @example(
     (
@@ -106,15 +109,17 @@ def test_table_entries_match_dense_expm(case):
     positions = [layout.positions(block) for block in part.blocks]
     step = naive_lindblad_expm(g.hamiltonian, g.jumps, t)
     d = layout.total_dim
-    for w, *idx in itertools.product(*(range(n) for n in table.probabilities.shape)):
-        parent = table.parent.vectors[:, w]
-        projector = np.outer(parent, parent.conj()).reshape(-1, order="F")
-        image = (step @ projector).reshape(d, d, order="F")
+    images = [
+        (step @ np.outer(v, v.conj()).reshape(-1, order="F")).reshape(d, d, order="F")
+        for v in table.parent.vectors.T
+    ]
+    for idx in itertools.product(*(range(len(b)) for b in table.blocks)):
         amp = product_amplitudes(
             layout.dims, positions, [b.vectors[:, i] for b, i in zip(table.blocks, idx)]
         )
-        want = (amp.conj() @ image @ amp).real
-        assert abs(table.probabilities[(w, *idx)] - want) < FLOW_TOL
+        for w, image in enumerate(images):
+            want = (amp.conj() @ image @ amp).real
+            assert abs(table.probabilities[(w, *idx)] - want) < FLOW_TOL
 
 
 def test_a_long_flow_takes_several_steps_and_stops_each_series_early(monkeypatch):
