@@ -26,6 +26,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -181,8 +182,11 @@ def _write(text: str, path: Optional[str]) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        what = exc.strerror or exc
-        raise ConfigError(f"cannot write --output {path!r}: {what}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write --output {path!r}: {exc.strerror or exc}")
 
 
 def _emit(
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """``args`` once the numeric checks argparse cannot make have passed."""
+    """``args`` once the number and ``--output`` checks argparse cannot make pass."""
     if args.command == "verify-channel":
         if not 0.0 <= args.tol < math.inf:
             raise ConfigError(f"--tol must be finite and >= 0: {args.tol}")
@@ -390,6 +394,14 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"--t must be finite and > 0: {args.t}")
     elif not 0.0 <= args.time < math.inf:
         raise ConfigError(f"--time must be finite and >= 0: {args.time}")
+    # _write's refusals, before the work: a directory, or a parent "p/" that cannot stat
+    if args.output is not None:
+        try:
+            if args.output.endswith(os.sep) or os.path.isdir(args.output):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            os.stat(os.path.join(os.path.dirname(args.output) or ".", ""))
+        except OSError as exc:
+            raise _unwritable(args.output, exc) from exc
     return args
 
 

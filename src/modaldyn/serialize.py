@@ -10,11 +10,11 @@ Conventions (see SCHEMA.md at the repository root):
   floats, so identical inputs produce byte-identical files.
 
 The writer formats whole arrays: the payload functions hand it numeric
-``ndarray`` values, and :func:`dumps_json` writes each as one join of
-``float.__repr__`` texts, its bytes those of ``json.dumps(payload_as_lists,
-indent=2, sort_keys=True) + "\n"``. The CSV writers hand :func:`_csv`,
-the one CSV layout, their columns of the same ``repr`` texts and their
-comment lines.
+``ndarray`` values, and :func:`dumps_json` joins the ``float.__repr__``
+texts of each one axis at a time, innermost first, its bytes those of
+``json.dumps(payload_as_lists, indent=2, sort_keys=True) + "\n"``. The
+CSV writers hand :func:`_csv`, the one CSV layout, their columns of the
+same ``repr`` texts and their comment lines.
 """
 
 from __future__ import annotations
@@ -135,32 +135,19 @@ def _json(value: Any, newline: str) -> str:
 
 def _json_array(a: np.ndarray, newline: str) -> str:
     """A float array, or records of floats and ints (each a list of its
-    fields), as :func:`_json` writes its ``tolist()``, in one join.
+    fields), as :func:`_json` writes its ``tolist()``.
 
-    Between two numbers the text depends only on how many trailing axes
-    close there, so it is one of ``ndim`` strings, picked for every
-    position at once; non-finite numbers take JSON's spellings.
+    The number texts are joined one axis at a time, innermost first: each
+    run of ``shape[depth]`` texts becomes one list at that depth's indent.
+    Non-finite numbers take JSON's spellings.
     """
-    leaves = _json_leaves(a)
+    items = _json_leaves(a)
     shape = a.shape + ((len(a.dtype.names),) if a.dtype.names else ())
-    k = len(shape)
-    pad = [newline + "  " * depth for depth in range(k + 1)]
-
-    def opens(c: int) -> str:
-        return "".join(pad[m] + "[" for m in range(k - c, k)) + pad[k]
-
-    def closes(c: int) -> str:
-        return "".join(pad[m] + "]" for m in reversed(range(k - c, k)))
-
-    seps = [closes(c) + "," + opens(c) for c in range(k)]
-    closing = np.zeros(len(leaves) - 1, dtype=np.intp)
-    at = np.arange(1, len(leaves))
-    for size in np.cumprod(shape[::-1])[:-1].tolist():
-        closing += at % size == 0
-    text = [""] * (2 * len(leaves) - 1)
-    text[::2] = leaves
-    text[1::2] = np.array(seps, dtype=object)[closing].tolist()
-    return "[" + opens(k - 1) + "".join(text) + closes(k)
+    for depth in reversed(range(len(shape))):
+        inner, outer = newline + "  " * (depth + 1), newline + "  " * depth
+        runs, sep = zip(*[iter(items)] * shape[depth]), "," + inner
+        items = [f"[{inner}{sep.join(run)}{outer}]" for run in runs]
+    return items[0]
 
 
 def _json_leaves(a: np.ndarray) -> list[str]:
@@ -374,25 +361,44 @@ def check_schema_version(data: dict) -> None:
         )
 
 
-def _lindblad(data: dict) -> tuple[np.ndarray, tuple[tuple[np.ndarray, float], ...]]:
-    """The raw Hamiltonian and ``(operator, rate)`` jumps of Lindblad data."""
-    hamiltonian = pairs_to_matrix(_require(data, "hamiltonian"))
-    jumps = data.get("jumps", [])
-    if not isinstance(jumps, list):
-        raise SchemaError(f"'jumps' must be a list, got {type(jumps).__name__}")
-    return hamiltonian, tuple(
-        (pairs_to_matrix(_require(j, "operator")), _number(j, "rate")) for j in jumps
-    )
-
-
-def _square(what: str, a: np.ndarray, d: Optional[int] = None, of: str = "") -> int:
-    """The side of the matrices on ``a``'s last two axes, refused unless
-    they are square, and ``d x d`` if ``d`` is given (``of`` says why)."""
+def _square(what: str, a: np.ndarray, d: Optional[int] = None, of: str = "") -> None:
+    """Refuse ``a`` unless the matrices on its last two axes are square, and
+    ``d x d`` if ``d`` is given (``of`` says why)."""
     rows, cols = a.shape[-2:]
     if rows != cols or d not in (None, rows):
         want = "square" if d is None else f"{d} x {d}{of}"
         raise SchemaError(f"{what} must be {want}, got {rows} x {cols}")
-    return rows
+
+
+def _matrix(
+    data: Any, key: str, name: str, ndim: int = 2, d: Optional[int] = None, of: str = ""
+) -> np.ndarray:
+    """The matrix under ``key``, or with ``ndim=3`` the stack of matrices,
+    refused unless square (``d x d`` if ``d`` is given, ``of`` saying why)
+    and finite (``name`` names its entries in the message)."""
+    a = pairs_to_matrix(_require(data, key), ndim)
+    _square(("each of " if ndim == 3 else "") + repr(key), a, d, of)
+    check_finite(a, name)
+    return a
+
+
+def _lindblad(
+    data: dict, d: Optional[int] = None, of: str = ""
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, float], ...]]:
+    """The raw Hamiltonian and ``(operator, rate)`` jumps of Lindblad data, their
+    shapes checked as :func:`_matrix` checks one (each jump like the Hamiltonian);
+    their entries are left to ``LindbladGenerator``."""
+    hamiltonian = pairs_to_matrix(_require(data, "hamiltonian"))
+    jumps = data.get("jumps", [])
+    if not isinstance(jumps, list):
+        raise SchemaError(f"'jumps' must be a list, got {type(jumps).__name__}")
+    jumps = tuple(
+        (pairs_to_matrix(_require(j, "operator")), _number(j, "rate")) for j in jumps
+    )
+    _square("'hamiltonian'", hamiltonian, d, of)
+    for i, (op, _) in enumerate(jumps):
+        _square(f"jump {i} operator", op, len(hamiltonian), of or " like 'hamiltonian'")
+    return hamiltonian, jumps
 
 
 def load_channel_document(data: dict) -> dict:
@@ -411,33 +417,22 @@ def load_channel_document(data: dict) -> dict:
     kind = _require(data, "kind")
     out: dict[str, Any] = {"kind": kind}
     if kind == "kraus":
-        ops = pairs_to_matrix(_require(data, "operators"), ndim=3)
-        out["dim"] = _square("each of 'operators'", ops)
-        check_finite(ops, "Kraus operator")
-        out["operators"] = ops
+        ops = _matrix(data, "operators", "Kraus operator", ndim=3)
+        out["operators"], out["dim"] = ops, ops.shape[-1]
     elif kind == "unitary":
-        mat = pairs_to_matrix(_require(data, "matrix"))
-        out["dim"] = _square("'matrix'", mat)
-        check_finite(mat, "unitary")
-        out["operators"] = mat[None]
+        mat = _matrix(data, "matrix", "unitary")
+        out["operators"], out["dim"] = mat[None], len(mat)
     elif kind == "superoperator":
         mat = pairs_to_matrix(_require(data, "matrix"))
         dim = int(round(np.sqrt(mat.shape[0])))
         if dim * dim != mat.shape[0] or mat.shape[0] != mat.shape[1]:
-            raise SchemaError(
-                f"superoperator shape {mat.shape} is not (d^2, d^2)"
-            )
+            raise SchemaError(f"superoperator shape {mat.shape} is not (d^2, d^2)")
         check_finite(mat, "superoperator")
-        out["matrix"] = mat
-        out["dim"] = dim
+        out["matrix"], out["dim"] = mat, dim
     elif kind == "lindblad":
-        hamiltonian, jumps = _lindblad(data)
-        d = _square("'hamiltonian'", hamiltonian)
-        for i, (op, _) in enumerate(jumps):
-            _square(f"jump {i} operator", op, d, " like 'hamiltonian'")
-        out["hamiltonian"], out["jumps"] = hamiltonian, jumps
+        out["hamiltonian"], out["jumps"] = _lindblad(data)
         out["duration"] = _number(data, "duration", 1.0)
-        out["dim"] = d
+        out["dim"] = len(out["hamiltonian"])
     else:
         raise SchemaError(f"unknown channel kind {kind!r}")
     return out
@@ -453,34 +448,20 @@ def scenario_from_document(data: dict) -> Scenario:
     if data.get("kind") != "scenario":
         raise SchemaError(f"expected kind 'scenario', got {data.get('kind')!r}")
     layout = layout_from_payload(_require(data, "layout"))
-    d = layout.total_dim
-
-    def square(what: str, a: np.ndarray) -> None:
-        _square(what, a, d, f" for layout dims {list(layout.dims)}")
-
-    state = pairs_to_matrix(_require(data, "initial_state"))
-    square("'initial_state'", state)
-    check_finite(state, "initial state")
+    d, of = layout.total_dim, f" for layout dims {list(layout.dims)}"
+    state = _matrix(data, "initial_state", "initial state", d=d, of=of)
     every = tuple(range(layout.n_factors))
     doc = data.get("dynamics")
     dynamics = None
     if doc is not None:
         dkind = _require(doc, "kind")
         if dkind == "lindblad":
-            hamiltonian, jumps = _lindblad(doc)
-            square("'hamiltonian'", hamiltonian)
-            for i, (op, _) in enumerate(jumps):
-                square(f"jump {i} operator", op)
-            dynamics = LindbladGenerator(hamiltonian, jumps)
+            dynamics = LindbladGenerator(*_lindblad(doc, d, of))
         elif dkind == "schedule":
-            unitaries = pairs_to_matrix(_require(doc, "unitaries"), ndim=3)
-            square("each of 'unitaries'", unitaries)
-            check_finite(unitaries, "unitary")
+            unitaries = _matrix(doc, "unitaries", "unitary", 3, d, of)
             dynamics = tuple((every, unitary_channel(u)) for u in unitaries)
         elif dkind == "kraus":
-            ops = pairs_to_matrix(_require(doc, "operators"), ndim=3)
-            square("each of 'operators'", ops)
-            check_finite(ops, "Kraus operator")
+            ops = _matrix(doc, "operators", "Kraus operator", 3, d, of)
             dynamics = ((every, KrausChannel(ops)),)
         else:
             raise SchemaError(f"unknown dynamics kind {dkind!r}")
@@ -489,4 +470,3 @@ def scenario_from_document(data: dict) -> Scenario:
         initial_state=DensityMatrix(state, layout),
         dynamics=dynamics,
     )
-

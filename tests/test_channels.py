@@ -250,6 +250,10 @@ REFUSALS = {
         lambda: compose(unitary_channel(np.eye(2)), unitary_channel(np.eye(4))),
         DimensionMismatchError, "cannot compose dims 2 and 4",
     ),
+    "renormalize-incomplete": (
+        lambda: channels._renormalize_completeness(np.array([1.1 * np.eye(2)])),
+        CptVerificationError, "extracted Kraus family misses completeness by 2.970e-01",
+    ),
 }
 
 

@@ -327,14 +327,36 @@ def test_output_file_matches_stdout(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "where, reason",
-    [("missing/out.json", "No such file or directory"), (".", "Is a directory")],
+    [
+        ("missing/out.json", "No such file or directory"),
+        ("file/out.json", "Not a directory"),
+        (".", "Is a directory"),
+    ],
 )
-def test_an_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, where, reason):
+def test_an_unwritable_output_exits_2_naming_the_path(
+    capsys, tmp_path, monkeypatch, where, reason
+):
+    from modaldyn import channels
+
+    (tmp_path / "file").write_text("kept", encoding="utf-8")
     target = str(tmp_path / where)
-    code, out, err = run(capsys, "epistemic", "--scenario", "epr-bohm", "--output", target)
-    assert code == 2
-    assert out == ""
-    assert err == f"configuration error: cannot write --output {target!r}: {reason}\n"
+    message = f"configuration error: cannot write --output {target!r}: {reason}\n"
+    assert run(capsys, "epistemic", "--scenario", "epr-bohm", "--output", target) == (
+        2, "", message
+    )
+
+    # refused before the work: a sample's step map is never made
+    def evolve(*args):
+        raise ValueError("evolve ran")
+
+    monkeypatch.setattr(channels, "evolve", evolve)
+    assert run(capsys, *SAMPLE, "--seed", "1", "--output", target) == (2, "", message)
+    # and a run that fails after the check leaves an existing file as it was
+    kept = str(tmp_path / "file")
+    assert run(capsys, *SAMPLE, "--seed", "1", "--output", kept) == (
+        2, "", "configuration error: evolve ran\n"
+    )
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
 
 
 def test_verify_channel_accepts_valid_kraus(capsys, tmp_path):
@@ -909,6 +931,12 @@ def _bad_scenarios() -> dict:
                 jumps=[{"operator": z, "rate": 1.0}, {"operator": four[0], "rate": 1.0}],
             ),
         ),
+        "kind-kraus": dict(doc, kind="kraus"),
+        "dynamics-bogus": dict(doc, dynamics={"kind": "bogus"}),
+        "layout-no-dims": dict(doc, layout={"labels": ["Q"]}),
+        "rate-huge": dict(
+            doc, dynamics=dict(lindblad, jumps=[{"operator": z, "rate": 10**400}])
+        ),
     }
 
 
@@ -1127,6 +1155,11 @@ BAD_SCENARIOS = {
         "'hamiltonian' must be 2 x 2 for layout dims [2], got 4 x 4"
     ),
     "jump-not-layout-size": "jump 1 operator must be 2 x 2 for layout dims [2], got 4 x 4",
+    "kind-kraus": "expected kind 'scenario', got 'kraus'",
+    "dynamics-bogus": "unknown dynamics kind 'bogus'",
+    "layout-no-dims": "bad layout payload: 'dims'",
+    # a 401-digit integer: JSON reads it exactly, float() cannot hold it
+    "rate-huge": "'rate' is out of the float range: int too large to convert to float",
 }
 for name, message in BAD_CHANNELS.items():
     CONFIG_ERRORS[f"channel-{name}"] = (

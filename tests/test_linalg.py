@@ -62,6 +62,35 @@ def test_a_label_named_twice_is_refused_wherever_labels_are_read():
             call()
 
 
+QUBIT = SystemLayout.qubits(("Q",))
+REFUSALS = {
+    "sublayout-empty": (
+        lambda: QUBIT.sublayout(()),
+        UnknownLabelError, "sublayout needs at least one label",
+    ),
+    "eig-not-square": (
+        lambda: hermitian_eig(np.ones((2, 3))),
+        NotHermitianError, "expected a square matrix, got shape (2, 3)",
+    ),
+    "trace-shape": (
+        lambda: partial_trace(np.eye(3), QUBIT, ("Q",)),
+        LayoutMismatchError, "matrix shape (3, 3) does not match layout dimension 2",
+    ),
+    "trace-keep-empty": (
+        lambda: partial_trace(np.eye(2), QUBIT, ()),
+        UnknownLabelError, "keep must name at least one factor",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_layouts_eig_and_partial_trace_refuse_bad_arguments(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
+
+
 def test_canonical_phase_fixes_largest_component():
     v = np.array([0.3j, -0.8, 0.1])
     w = canonical_phase(v)

@@ -9,8 +9,10 @@ from modaldyn import (
     EpistemicState,
     InvalidDensityMatrixError,
     NonOrthogonalEntriesError,
+    Partition,
     PureState,
     SystemLayout,
+    conditional_table,
     epistemic_to_density,
     extract_epistemic,
 )
@@ -31,6 +33,30 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex), QUBIT)  # not PSD
     with pytest.raises(InvalidDensityMatrixError):
         DensityMatrix(np.eye(3) / 3.0, QUBIT)  # wrong shape for layout
+
+
+PAIR = SystemLayout.qubits(("A", "B"))
+REFUSALS = {
+    "mode": (
+        lambda: conditional_table(
+            DensityMatrix(np.eye(4) / 4, PAIR), None, Partition(PAIR, (("A",), ("B",))),
+            mode="lenient",
+        ),
+        ValueError, "mode must be 'strict' or 'permissive': 'lenient'",
+    ),
+    "extract-array": (
+        lambda: extract_epistemic(np.eye(2) / 2),
+        InvalidDensityMatrixError, "extract_epistemic expects a DensityMatrix or a PureState",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_readings_refuse_a_bad_mode_or_a_non_state(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
 
 
 def test_density_matrix_is_immutable():

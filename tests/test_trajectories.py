@@ -700,6 +700,12 @@ def test_ensemble_slices_are_cache_sized(monkeypatch):
     assert _slice_rows(monkeypatch, long, n, walk=False)[0] == [500]
 
 
+def test_an_ensemble_of_no_trajectories_is_refused():
+    with pytest.raises(ValueError) as info:
+        run_ensemble(_damping_chain(4), n_samples=0, base_seed=1)
+    assert info.value.args[0] == "n_samples must be >= 1: 0"
+
+
 @pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 3 * 2**32 + 11, -1])
 def test_a_seed_outside_32_bits_is_refused(seed):
     # numpy's seed sequence would key seed k 2^32 + x as block k of seed x
