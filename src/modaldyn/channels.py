@@ -40,7 +40,7 @@ and ``iterate`` the grid states of a trajectory chain under its step
 channel. ``amplitudes`` feeds the conditional-probability kernel: for each
 parent vector ``|w>`` a stack ``A_w`` with ``A_w A_w^dag = E[|w><w|]``,
 which tables, scalar queries and the step rows of a trajectory chain all
-read. ``apply`` and ``amplitudes`` pass the one gate ``steps``.
+read. ``apply``, ``amplitudes`` and a chain's step pass the one gate ``steps``.
 """
 
 from __future__ import annotations
@@ -465,9 +465,9 @@ def steps(
 ) -> Union[Schedule, GeneratorFlow]:
     """``dynamics`` as schedule steps; a channel is one step on every factor.
 
-    The one gate of ``apply`` and ``amplitudes``. A ``GeneratorFlow``
-    passes through once its dim is the layout's. Anything but a
-    ``KrausChannel`` or a schedule of them is otherwise refused with a
+    The one gate of ``apply``, ``amplitudes`` and a chain's step. A
+    ``GeneratorFlow`` passes through once its dim is the layout's. Anything
+    but a ``KrausChannel`` or a schedule of them is otherwise refused with a
     ``TypeError`` naming the conversion. Each step's positions must be
     distinct factors of ``layout``, and its channel's dim the product of
     their dims.

@@ -49,7 +49,7 @@ from .errors import (
 from .linalg import SystemLayout
 from .scenarios import SCENARIOS, Scenario
 from .serialize import SchemaError
-from .states import PERMISSIVE, STRICT, DensityMatrix, extract_epistemic
+from .states import PERMISSIVE, STRICT, DensityMatrix, _check_threshold, extract_epistemic
 from .tolerances import CPT_TOL, DEFAULT_THRESHOLD
 
 EXIT_OK = 0
@@ -394,9 +394,13 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"--t must be finite and > 0: {args.t}")
     elif not 0.0 <= args.time < math.inf:
         raise ConfigError(f"--time must be finite and >= 0: {args.time}")
-    # _write's refusals, before the work: a directory, or a parent "p/" that cannot stat
+    if args.command != "verify-channel":
+        _check_threshold(args.threshold)
+    # _write's refusals, before the work: "", a directory, or a parent "p/" that cannot stat
     if args.output is not None:
         try:
+            if not args.output:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
             if args.output.endswith(os.sep) or os.path.isdir(args.output):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             os.stat(os.path.join(os.path.dirname(args.output) or ".", ""))

@@ -33,26 +33,24 @@ case, stacked over the steps.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
-the canonical basis (with the flags carried on the result) in permissive
-mode.
+the canonical basis (flags carried on the result) in permissive mode. That
+refusal, the threshold's range and the result bound are in :mod:`modaldyn.states`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import Dynamics, amplitudes, apply
-from .errors import (
-    DegenerateBasisError,
-    LayoutMismatchError,
-    NormalizationError,
-    ProbabilityBoundsError,
-)
+from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsError
 from .linalg import SystemLayout
-from .states import STRICT, EpistemicState, State, _check_bound, _check_mode, extract_epistemic
+from .states import (
+    STRICT, EpistemicState, State, _check_bound, _check_mode, _refuse_degeneracy,
+    extract_epistemic,
+)
 from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
 
@@ -105,22 +103,6 @@ class Partition:
 
 def trivial_partition(layout: SystemLayout) -> Partition:
     return Partition(layout, (tuple(layout.labels),))
-
-
-def _refuse_degeneracy(
-    e: EpistemicState, what: str, index: Optional[int] = None
-) -> None:
-    """Refuse a degenerate cluster of ``e``: any (a table), or the one
-    holding ``index`` (a scalar query)."""
-    if index is None and e.degenerate_clusters:
-        found = f"{what} has degenerate eigenvalue clusters {e.degenerate_clusters}"
-    elif index is not None and e.is_degenerate(index):
-        found = f"{what} index {index} lies in a degenerate eigenvalue cluster"
-    else:
-        return
-    raise DegenerateBasisError(
-        f"{found}; rerun in permissive mode to answer against the canonical basis"
-    )
 
 
 def _block_probabilities(
@@ -206,9 +188,8 @@ def joint_conditional(
             raise IndexError(
                 f"{what} index {i} out of range for {len(e)} retained entries"
             )
-    if mode == STRICT:
-        for what, e, i in zip(names, spectra, idx):
-            _refuse_degeneracy(e, what, i)
+    for what, e, i in zip(names, spectra, idx):
+        _refuse_degeneracy(mode, e.degenerate_clusters, what, i)
     bases = [b.vectors[:, i : i + 1] for b, i in zip(blocks, idx[1:])]
     return _block_probabilities(stacks, bases, part).item()
 
@@ -319,10 +300,9 @@ def conditional_table(
     parent, stacks, blocks = _kernel_inputs(
         rho_w_t, channel, part, threshold, slice(None)
     )
-    if mode == STRICT:
-        _refuse_degeneracy(parent, "parent spectrum")
-        for a, block in enumerate(blocks):
-            _refuse_degeneracy(block, f"block {a} spectrum")
+    _refuse_degeneracy(mode, parent.degenerate_clusters, "parent spectrum")
+    for a, block in enumerate(blocks):
+        _refuse_degeneracy(mode, block.degenerate_clusters, f"block {a} spectrum")
     probs = _block_probabilities(stacks, [b.vectors for b in blocks], part)
     return ConditionalTable(
         parent=parent,

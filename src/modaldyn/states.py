@@ -5,8 +5,10 @@ state: each retained eigenvector is a candidate pure state of the system (an
 "ontic state") and its eigenvalue is the probability that the system actually
 occupies that state; :class:`EpistemicState` keeps both as arrays. The
 decomposition is unique exactly when the spectrum is nondegenerate, so
-degenerate eigenvalue clusters are detected and carried as explicit flags
-for downstream policy (refuse or answer-with-annotation).
+degenerate eigenvalue clusters are flagged, and refused in strict mode. The
+reading rules that tables, scalar queries and trajectory chains share live
+here: the threshold's range, checked where a reading starts; the strict-mode
+refusal (``_refuse_degeneracy``); and the bound on a kernel result.
 
 A pure state of a large layout is carried as its vector (:class:`PureState`)
 rather than as a dense matrix; its reductions are formed from the Schmidt
@@ -278,8 +280,8 @@ def extract_epistemic(
         raise InvalidDensityMatrixError(
             "extract_epistemic expects a DensityMatrix or a PureState"
         )
+    _check_threshold(threshold)
     if isinstance(rho, PureState):
-        _check_threshold(threshold)
         return EpistemicState(np.ones(1), rho.vector[:, None], rho.layout)
     # Hermiticity was checked when the DensityMatrix was built
     w, v = linalg._ordered_eig(rho.matrix)
@@ -302,7 +304,7 @@ def _check_threshold(threshold: float) -> None:
 def _read_spectra(
     w: np.ndarray,
     threshold: float,
-    refuse_degenerate: bool = False,
+    mode: str = PERMISSIVE,
     where: Optional[Callable[[int], str]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The epistemic reading of ``n`` density matrices from their spectra.
@@ -312,12 +314,11 @@ def _read_spectra(
     close)``: ``probs`` is ``w`` with a nearly pure spectrum read as
     ``(1, 0, ..)``; ``counts`` are the kept prefix lengths; ``close[:, j]``
     marks kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``.
-    The first matrix that keeps no eigenvalue, or with ``refuse_degenerate``
-    has close ones, is refused; ``where(k)`` names matrix ``k``, and must be
-    given with ``refuse_degenerate``. Keeping no eigenvalue is the
-    threshold's fault, a ``ValueError``.
+    The first matrix that keeps no eigenvalue, or in strict mode has close
+    ones, is refused; ``where(k)`` names matrix ``k``, and must be given in
+    strict mode. Keeping no eigenvalue is the threshold's fault, a
+    ``ValueError``; the threshold's range is the caller's to check.
     """
-    _check_threshold(threshold)
     d = w.shape[1]
     pure = (w * w).sum(axis=1) > 1.0 - PURITY_SHORTCUT
     counts = np.where(pure, 1, (w >= threshold).sum(axis=1))
@@ -325,18 +326,31 @@ def _read_spectra(
     close = np.abs(np.diff(w, axis=1)) < DEGENERACY_GAP
     close &= np.arange(1, d) < counts[:, None]
     empty = counts == 0
-    faults = (empty | close.any(axis=1)) if refuse_degenerate else empty
+    faults = empty | (close.any(axis=1) & (mode == STRICT))
     if faults.any():
         k = int(np.argmax(faults))
         if empty[k]:
             why = f"threshold {threshold:.15g} keeps no eigenvalue, the largest"
             why += f" being {w[k, 0]:.15g}"
             raise ValueError(f"{where(k)}: {why}" if where else why)
-        raise DegenerateBasisError(
-            f"degenerate spectrum at {where(k)}; "
-            f"clusters {_degenerate_clusters(close[k])}"
-        )
+        _refuse_degeneracy(mode, _degenerate_clusters(close[k]), where(k))
     return probs, counts, close
+
+
+def _refuse_degeneracy(
+    mode: str, clusters: tuple[tuple[int, ...], ...], what: str, index: Optional[int] = None
+) -> None:
+    """In strict mode, refuse a degenerate cluster of the reading ``what``: any
+    (a table, a chain's grid point), or the one holding ``index`` (a query)."""
+    if mode == STRICT and index is None and clusters:
+        found = f"{what} has degenerate eigenvalue clusters {clusters}"
+    elif mode == STRICT and any(index in c for c in clusters):
+        found = f"{what} index {index} lies in a degenerate eigenvalue cluster"
+    else:
+        return
+    raise DegenerateBasisError(
+        f"{found}; rerun in permissive mode to answer against the canonical basis"
+    )
 
 
 def _degenerate_clusters(close: np.ndarray) -> tuple[tuple[int, ...], ...]:

@@ -18,8 +18,9 @@ run over it at once. Errors name the grid point and come in grid order. The
 rows of every step are the one-block case of the kernel in
 :mod:`modaldyn.conditional`, read from the amplitude stacks
 ``channels.amplitudes`` gives for the kept eigenvectors of every grid point
-at once, and must sum to one within ``CHAIN_ROW_SUM_TOL``; the
-strict/permissive mode names are the same as for conditional tables.
+at once, and must sum to one within ``CHAIN_ROW_SUM_TOL``. The step passes
+the tables' gate ``channels.steps``, and the chain reads by the tables' rules
+in :mod:`modaldyn.states` (threshold range, strict-mode refusal, result bound).
 
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|,
@@ -56,11 +57,12 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, _not_kraus, amplitudes, iterate
-from .errors import DimensionMismatchError, InvalidDensityMatrixError, NormalizationError
+from .channels import KrausChannel, _not_kraus, amplitudes, iterate, steps
+from .errors import InvalidDensityMatrixError, NormalizationError
 from .linalg import _ordered_eig, check_memory
 from .states import (
-    STRICT, PureState, State, _check_bound, _check_mode, _density_fault, _read_spectra
+    STRICT, PureState, State, _check_bound, _check_mode, _check_threshold, _density_fault,
+    _read_spectra,
 )
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
@@ -311,14 +313,13 @@ def build_step_chain(
     reads it.
     """
     mode = _check_mode(mode)
+    _check_threshold(threshold)
     if not isinstance(step_channel, KrausChannel):
         raise _not_kraus(step_channel, "a KrausChannel")
     if isinstance(rho0, PureState):
         rho0 = rho0.reduce(rho0.layout.labels)
+    steps(step_channel, rho0.layout)
     d = rho0.dim
-    if step_channel.dim != d:
-        why = f"channel dim {step_channel.dim} does not match dim {d} of the layout"
-        raise DimensionMismatchError(why)
     n_times, n_steps = grid.n_steps + 1, grid.n_steps
     # complex entries: per grid point (at most d kept), the measured peak of
     # the states and their eigenvectors; per step of one amplitude chunk, its
@@ -338,7 +339,7 @@ def build_step_chain(
     # errors come in grid order, as if each point were read as it is reached
     fault = _density_fault(states, w)
     n_ok = n_times if fault is None else fault[0]
-    probs, counts, _ = _read_spectra(w[:n_ok], threshold, mode == STRICT, point)
+    probs, counts, _ = _read_spectra(w[:n_ok], threshold, mode, point)
     if fault is not None:
         raise InvalidDensityMatrixError(f"{point(n_ok)}: {fault[1]}")
 

@@ -331,6 +331,7 @@ def test_output_file_matches_stdout(capsys, tmp_path):
         ("missing/out.json", "No such file or directory"),
         ("file/out.json", "Not a directory"),
         (".", "Is a directory"),
+        ("", "No such file or directory"),
     ],
 )
 def test_an_unwritable_output_exits_2_naming_the_path(
@@ -339,7 +340,7 @@ def test_an_unwritable_output_exits_2_naming_the_path(
     from modaldyn import channels
 
     (tmp_path / "file").write_text("kept", encoding="utf-8")
-    target = str(tmp_path / where)
+    target = str(tmp_path / where) if where else ""
     message = f"configuration error: cannot write --output {target!r}: {reason}\n"
     assert run(capsys, "epistemic", "--scenario", "epr-bohm", "--output", target) == (
         2, "", message
@@ -357,6 +358,30 @@ def test_an_unwritable_output_exits_2_naming_the_path(
         2, "", "configuration error: evolve ran\n"
     )
     assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("epistemic", "--scenario", "damping", "--time", "5000"),
+        ("conditional", "--scenario", "damping", "--time", "5000", "--blocks", "Q"),
+        ("sample", "--scenario", "damping", "--t", "1", "--steps", "300000", "--seed", "1"),
+    ],
+    ids=["epistemic", "conditional", "sample"],
+)
+def test_an_out_of_range_threshold_is_refused_before_the_work(
+    capsys, monkeypatch, argv, threshold
+):
+    from modaldyn import channels
+
+    def dynamics(*args):
+        raise ValueError("the dynamics ran")
+
+    monkeypatch.setattr(channels, "flow", dynamics)
+    monkeypatch.setattr(channels, "evolve", dynamics)
+    message = f"configuration error: threshold must lie in [0, 1): {float(threshold)}\n"
+    assert run(capsys, *argv, "--threshold", threshold) == (2, "", message)
 
 
 def test_verify_channel_accepts_valid_kraus(capsys, tmp_path):

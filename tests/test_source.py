@@ -551,3 +551,51 @@ def test_one_emitter_writes_every_document_and_one_builder_lays_out_every_csv():
     # and every CSV document's lines through serialize._csv
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert second_ways_out(sources) == []
+
+
+def degeneracy_refusals(sources: dict[str, str]) -> list[str]:
+    """Raises of ``DegenerateBasisError`` outside ``states.py``.
+
+    A raise names the class as its exception or as the callee that makes it
+    (``DegenerateBasisError(...)``, ``errors.DegenerateBasisError(...)``); a
+    bare re-raise names nothing. ``sources`` maps file name to source.
+    """
+    found = []
+    for file, source in sources.items():
+        if file == "states.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "DegenerateBasisError":
+                    found.append(f"{file} line {node.lineno}")
+    return found
+
+
+def test_the_check_finds_a_degeneracy_refusal_outside_states():
+    sources = {
+        "a.py": (
+            "from .errors import DegenerateBasisError\n"
+            "def f(e):\n"
+            "    raise DegenerateBasisError(f'{e} is degenerate')\n"
+        ),
+        "b.py": (
+            "from . import errors\n"
+            "def g(e):\n"
+            "    try:\n"
+            "        h(e)\n"
+            "    except errors.DegenerateBasisError:\n"
+            "        raise\n"
+            "    raise errors.DegenerateBasisError from None\n"
+        ),
+        "states.py": "def _refuse(x):\n    raise DegenerateBasisError(x)\n",
+    }
+    assert degeneracy_refusals(sources) == ["a.py line 3", "b.py line 7"]
+
+
+def test_the_strict_mode_refusal_is_raised_only_in_states():
+    # tables, scalar queries and chains refuse a degenerate cluster through
+    # states._refuse_degeneracy, so its message is stated once
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert degeneracy_refusals(sources) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modaldyn import (
     DegenerateBasisError,
     DensityMatrix,
+    DimensionMismatchError,
     InvalidDensityMatrixError,
     KrausChannel,
     LindbladGenerator,
@@ -538,8 +539,27 @@ def test_intermediate_states_are_validated():
     assert any(abs(x - (1.0 + 4e-10)) < 1e-15 for x in numbers)
     # faults come in grid order: the degenerate start is refused first
     half = DensityMatrix(np.eye(2, dtype=complex) / 2.0, QUBIT)
-    with pytest.raises(DegenerateBasisError, match="grid point 0 "):
+    with pytest.raises(DegenerateBasisError, match="grid point 0 ") as info:
         build_step_chain(step, half, TimeGrid(1.0, 3))
+    assert "rerun in permissive mode" in str(info.value)
+
+
+def test_an_out_of_range_threshold_is_refused_before_the_grid_states(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the grid states were computed")
+
+    monkeypatch.setattr(trajectories, "iterate", refuse)
+    rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
+    with pytest.raises(ValueError, match=re.escape("threshold must lie in [0, 1): 1.5")):
+        build_step_chain(evolve(damping(), 0.25), rho0, TimeGrid(0.25, 4), threshold=1.5)
+
+
+def test_a_step_of_the_wrong_dim_is_refused_by_the_gate():
+    rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), QUBIT)
+    wide = KrausChannel((np.eye(4, dtype=complex),))
+    with pytest.raises(DimensionMismatchError) as info:
+        build_step_chain(wide, rho0, TimeGrid(1.0, 2))
+    assert str(info.value) == "channel dim 4 does not match dim 2 of factors (0,)"
 
 
 def test_pure_start_reads_one_entry_of_probability_one():
