@@ -46,8 +46,7 @@ from .errors import (
     ProblemTooLargeError,
     UnknownLabelError,
 )
-from .linalg import SystemLayout
-from .scenarios import SCENARIOS, Scenario
+from .scenarios import KET_ONE, KET_PLUS, KET_ZERO, QUBIT, SCENARIOS, Scenario
 from .serialize import SchemaError
 from .states import PERMISSIVE, STRICT, DensityMatrix, _check_threshold, extract_epistemic
 from .tolerances import CPT_TOL, DEFAULT_THRESHOLD
@@ -60,11 +59,7 @@ EXIT_CHANNEL = 5
 
 SEED_ENV_VAR = "MODALDYN_SEED"
 
-_NAMED_RHO0 = {
-    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "zero": np.diag([1.0, 0.0]).astype(complex),
-    "one": np.diag([0.0, 1.0]).astype(complex),
-}
+_NAMED_RHO0 = {"plus": KET_PLUS, "zero": KET_ZERO, "one": KET_ONE}
 
 # Scenario parameter -> (flag, type, help); SCENARIOS says who takes it.
 _SCENARIO_FLAGS = {
@@ -98,21 +93,19 @@ def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
     if text is None:
         return None
     if text in _NAMED_RHO0:
-        matrix = _NAMED_RHO0[text]
-    elif text.startswith("diag:"):
-        try:
-            entries = [float(x) for x in text[len("diag:") :].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --rho0 {text!r}: {exc}") from exc
-        if len(entries) != 2:
-            raise ConfigError("--rho0 diag: expects two comma-separated weights")
-        matrix = np.diag(entries).astype(complex)
-    else:
+        return DensityMatrix.from_vector(_NAMED_RHO0[text], QUBIT)
+    if not text.startswith("diag:"):
         raise ConfigError(
             f"unknown --rho0 {text!r}; use plus, zero, one, or diag:p0,p1"
         )
     try:
-        return DensityMatrix(matrix, SystemLayout.qubits(("Q",)))
+        entries = [float(x) for x in text[len("diag:") :].split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --rho0 {text!r}: {exc}") from exc
+    if len(entries) != 2:
+        raise ConfigError("--rho0 diag: expects two comma-separated weights")
+    try:
+        return DensityMatrix(np.diag(entries).astype(complex), QUBIT)
     except InvalidDensityMatrixError as exc:
         raise ConfigError(f"bad --rho0 {text!r}: {exc}") from exc
 

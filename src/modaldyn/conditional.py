@@ -22,7 +22,8 @@ its axes. Tables and scalar queries reach it by one path: the layout check,
 the parent spectrum at t, the stacks of the requested parent columns from
 ``channels.amplitudes`` (first, so that a flow's plan refuses an
 over-budget table before the state is flowed), the state at t' from
-``channels.apply``, and the block spectra of its reduced matrices. Only
+``channels.apply``, and the block spectra of its reduced matrices (a
+block of every factor reads that state itself, with no partial trace). Only
 ``amplitudes`` and ``apply`` act with the dynamics, each behind the gate
 ``channels.steps``, which takes a Kraus channel, a schedule of local steps
 ``(positions, channel)`` or a generator flow, and refuses a
@@ -58,8 +59,10 @@ from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 class Partition:
     """Ordered split of a layout's factors into disjoint covering blocks.
 
-    Block order fixes the index order of conditional queries. Within each
-    block, labels are canonicalized to parent layout order; blocks themselves
+    Block order fixes the index order of conditional queries. The layout
+    judges the labels: ``SystemLayout.positions`` canonicalizes each block
+    to parent layout order and refuses a label it does not hold or that is
+    named more than once, within a block or across blocks. Blocks themselves
     may interleave arbitrarily (the machinery permutes tensor factors
     explicitly, so non-contiguous blocks are fine).
     """
@@ -70,25 +73,19 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise LayoutMismatchError("partition needs at least one block")
-        canon = []
-        seen: set[str] = set()
-        for block in self.blocks:
-            if not block:
-                raise LayoutMismatchError("empty partition block")
-            pos = self.layout.positions(block)
-            labels = tuple(self.layout.labels[p] for p in pos)
-            if seen & set(labels):
-                raise LayoutMismatchError(
-                    f"blocks overlap on {sorted(seen & set(labels))}"
-                )
-            seen |= set(labels)
-            canon.append(labels)
-        if seen != set(self.layout.labels):
-            missing = set(self.layout.labels) - seen
+        if not all(self.blocks):
+            raise LayoutMismatchError("empty partition block")
+        layout = self.layout
+        canon = tuple(
+            tuple(layout.labels[p] for p in layout.positions(b)) for b in self.blocks
+        )
+        # every label at once: one in two blocks is named more than once
+        if len(layout.positions(s for b in canon for s in b)) < len(layout.labels):
+            missing = set(layout.labels).difference(*canon)
             raise LayoutMismatchError(
                 f"blocks do not cover the layout; missing {sorted(missing)}"
             )
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "blocks", canon)
 
     @property
     def n_blocks(self) -> int:
@@ -147,8 +144,10 @@ def _kernel_inputs(
     stacks = amplitudes(channel, parent.vectors[:, columns], part.layout)
     rho_tprime = apply(channel, rho_w_t)
     blocks = tuple(
-        extract_epistemic(rho_tprime.reduce(block), threshold)
-        for block in part.blocks
+        extract_epistemic(
+            rho_tprime if b == part.layout.labels else rho_tprime.reduce(b), threshold
+        )
+        for b in part.blocks
     )
     return parent, stacks, blocks
 

@@ -35,6 +35,7 @@ LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 KET_ZERO = np.array([1.0, 0.0], dtype=complex)
 KET_ONE = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+QUBIT = SystemLayout.qubits(("Q",))  # the layout of the one-qubit scenarios
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def _one_jump_qubit(
 ) -> Scenario:
     """A qubit from ``rho0`` (``|ket>`` on ``Q`` if ``None``), one jump at ``gamma``."""
     if rho0 is None:
-        rho0 = DensityMatrix.from_vector(ket, SystemLayout.qubits(("Q",)))
+        rho0 = DensityMatrix.from_vector(ket, QUBIT)
     generator = LindbladGenerator(
         hamiltonian=np.zeros((2, 2), dtype=complex),
         jumps=((jump, gamma),),

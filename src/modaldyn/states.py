@@ -200,10 +200,10 @@ class EpistemicState:
 
     ``vectors[:, i]`` is retained eigenvector ``i`` of the density matrix, a
     candidate ontic state (unit norm, canonical global phase), and
-    ``probabilities[i]`` is its eigenvalue, the probability that the system
-    occupies that state; entries are in descending order. Both arrays are
-    read-only. ``truncation_mass`` is the total eigenvalue mass dropped
-    below the extraction threshold; retained probabilities plus the
+    ``probabilities[i]`` is its eigenvalue, the probability (in [0, 1]) that
+    the system occupies that state; entries are in descending order. Both
+    arrays are read-only. ``truncation_mass`` is the total eigenvalue mass
+    dropped below the extraction threshold; retained probabilities plus the
     truncation mass sum to one. ``degenerate_clusters`` lists index groups
     whose eigenvalues are closer than the degeneracy gap; such entries have
     no preferred individual eigenvectors and queries against them are
@@ -238,6 +238,11 @@ class EpistemicState:
                 )
         vecs = linalg.canonical_phase(vecs)
         clusters = tuple(tuple(int(i) for i in c) for c in self.degenerate_clusters)
+        out = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))  # NaN fails too
+        if out.size:
+            raise InvalidDensityMatrixError(
+                f"probability {out[0]} is {float(probs[out[0]])}, outside [0, 1]"
+            )
         total = float(probs.sum()) + self.truncation_mass
         if not abs(total - 1.0) <= MASS_BALANCE_TOL:
             raise InvalidDensityMatrixError(

@@ -1108,6 +1108,10 @@ CONFIG_ERRORS = {
         ("conditional", "--scenario", "dephasing", "--blocks", "Q+Q"),
         "bad --blocks: label 'Q' named more than once",
     ),
+    "blocks-repeated-across": (
+        ("conditional", "--scenario", "epr-bohm", "--blocks", "A,A"),
+        "bad --blocks: label 'A' named more than once",
+    ),
     "blocks-empty": (
         ("conditional", "--scenario", "epr-bohm", "--blocks", "A,,B"),
         "empty block in --blocks 'A,,B'",
@@ -1259,8 +1263,14 @@ def test_rho0_weights_that_are_not_a_state_exit_2(capsys, scenario, weights, fau
             ("conditional", "--scenario", "dephasing", "--time", "0.5", "--blocks", "Q"),
             ("--gamma", "1.0"),
         ),
+        (("epistemic", "--scenario", "dephasing", "--time", "0.3"), ("--rho0", "plus")),
+        (
+            ("sample", "--scenario", "damping", "--t", "1", "--steps", "8", "--n", "100",
+             "--seed", "3"),
+            ("--rho0", "one"),
+        ),
     ],
-    ids=["von-neumann", "dephasing"],
+    ids=["von-neumann", "dephasing", "dephasing-plus", "damping-one"],
 )
 def test_a_default_run_equals_one_that_gives_the_defaults(capsys, argv, defaults):
     code, out, _ = run(capsys, *argv)

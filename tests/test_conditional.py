@@ -18,6 +18,7 @@ from modaldyn import (
     NormalizationError,
     Partition,
     ProbabilityBoundsError,
+    PureState,
     Superoperator,
     SystemLayout,
     TimeGrid,
@@ -51,7 +52,7 @@ def test_partition_validation():
     assert part.n_blocks == 2
     with pytest.raises(LayoutMismatchError):
         Partition(layout, (("A",), ("B",)))  # does not cover C
-    with pytest.raises(LayoutMismatchError):
+    with pytest.raises(LayoutMismatchError, match="named more than once"):
         Partition(layout, (("A", "B"), ("B", "C")))  # overlap
     with pytest.raises(Exception):
         Partition(layout, (("A", "Z"), ("B", "C")))  # unknown label
@@ -335,6 +336,19 @@ def test_schedule_table_equals_composed_dense_channel(blocks):
     assert np.abs(got.probabilities - want.probabilities).max() < 1e-12
     for a, b in zip(got.blocks, want.blocks):
         assert np.abs(a.probabilities - b.probabilities).max() < 1e-12
+
+
+def test_a_block_of_every_factor_reads_the_state_itself(monkeypatch):
+    # the final state is the block's reading: no partial trace densifies it
+    sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=3)
+
+    def refuse(self, keep):
+        raise AssertionError(f"reduced to {keep}")
+
+    monkeypatch.setattr(PureState, "reduce", refuse)
+    table = conditional_table(sc.initial_state, sc.dynamics, trivial_partition(sc.layout))
+    assert table.blocks[0].probabilities.tolist() == [1.0]
+    assert table.probabilities.item() == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ property tests

@@ -163,6 +163,24 @@ def test_epistemic_state_rejects_bad_mass_balance():
         EpistemicState(np.array([0.5, 0.3]), np.eye(2), QUBIT)
 
 
+@pytest.mark.parametrize(
+    "probabilities, vectors, mass, message",
+    [
+        ([1.2, -0.2], np.eye(2), 0.0, "probability 0 is 1.2, outside [0, 1]"),
+        ([1.5], np.array([[1.0], [0.0]]), -0.5, "probability 0 is 1.5, outside [0, 1]"),
+        ([0.9, -0.1], np.eye(2), 0.2, "probability 1 is -0.1, outside [0, 1]"),
+        ([0.5, np.nan], np.eye(2), 0.5, "probability 1 is nan, outside [0, 1]"),
+    ],
+    ids=["above-one", "above-one-with-negative-mass", "negative", "nan"],
+)
+def test_epistemic_state_refuses_a_probability_outside_the_unit_interval(
+    probabilities, vectors, mass, message
+):
+    with pytest.raises(InvalidDensityMatrixError) as info:
+        EpistemicState(np.array(probabilities), vectors, QUBIT, truncation_mass=mass)
+    assert str(info.value) == message
+
+
 def test_state_bounds_reject_nan_and_print_plain_numbers():
     with pytest.raises(InvalidDensityMatrixError):
         EpistemicState(np.ones(1), np.array([[np.nan], [1.0]]), QUBIT)
