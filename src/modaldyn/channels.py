@@ -46,7 +46,6 @@ read. ``apply``, ``amplitudes`` and a chain's step pass the one gate ``steps``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -59,13 +58,12 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import SystemLayout, apply_local, check_finite, check_memory
+from .linalg import Record, SystemLayout, apply_local, check_finite, check_memory
 from .states import DensityMatrix, PureState, State
 from .tolerances import CHOI_EIG_CUTOFF, CPT_TOL, HERMITICITY_TOL, UNITARITY_TOL
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(Record):
     """CPT map presented as a Kraus family ``rho -> sum_k K_k rho K_k^dag``.
 
     ``operators[k]`` is ``K_k`` of one complex ``(n, d, d)`` array, copied
@@ -76,7 +74,11 @@ class KrausChannel:
     """
 
     operators: np.ndarray
-    dim: int = field(init=False)
+    dim: int
+
+    def __init__(self, operators) -> None:
+        vars(self)["operators"] = operators
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -98,12 +100,10 @@ class KrausChannel:
                 f"completeness residual {resid:.3e} exceeds {CPT_TOL:.1e}"
             )
         ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "dim", ops.shape[1])
+        self._bind(ops, ops.shape[1])
 
 
-@dataclass(frozen=True)
-class LindbladGenerator:
+class LindbladGenerator(Record):
     """Markovian generator data: Hamiltonian plus weighted jump operators.
 
     The Hamiltonian's entries are finite, and ``jumps`` is a sequence of
@@ -115,10 +115,10 @@ class LindbladGenerator:
     """
 
     hamiltonian: np.ndarray
-    jumps: tuple[tuple[np.ndarray, float], ...] = ()
+    jumps: tuple[tuple[np.ndarray, float], ...]
 
-    def __post_init__(self) -> None:
-        h = np.array(self.hamiltonian, dtype=complex)
+    def __init__(self, hamiltonian, jumps=()) -> None:
+        h = np.array(hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise NotHermitianError(f"Hamiltonian must be square, got {h.shape}")
         check_finite(h, "Hamiltonian")
@@ -127,8 +127,8 @@ class LindbladGenerator:
             raise NotHermitianError(
                 f"Hamiltonian deviates from Hermitian by {dev:.3e}"
             )
-        jumps = []
-        for op, rate in self.jumps:
+        kept = []
+        for op, rate in jumps:
             op = np.array(op, dtype=complex)
             if op.shape != h.shape:
                 raise DimensionMismatchError(
@@ -139,10 +139,9 @@ class LindbladGenerator:
             if not 0.0 <= rate < math.inf:
                 raise ValueError(f"jump rate must be finite and nonnegative: {rate}")
             op.setflags(write=False)
-            jumps.append((op, rate))
+            kept.append((op, rate))
         h.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(jumps))
+        self._bind(h, tuple(kept))
 
     @property
     def dim(self) -> int:
@@ -156,8 +155,7 @@ def _duration(value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class GeneratorFlow:
+class GeneratorFlow(Record):
     """The map ``exp(duration * L)`` of a generator, applied by :func:`flow`.
 
     Only the generator and the duration are kept; the map itself is never
@@ -167,8 +165,8 @@ class GeneratorFlow:
     generator: LindbladGenerator
     duration: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "duration", _duration(self.duration))
+    def __init__(self, generator, duration) -> None:
+        self._bind(generator, _duration(duration))
 
     @property
     def dim(self) -> int:
@@ -395,14 +393,17 @@ def _abs_sum_max(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-@dataclass(frozen=True)
-class Superoperator:
+class Superoperator(Record):
     """Dense map on row-major vectorized operators, whose trace row
     ``vec(I)^T S = vec(I)^T`` is checked to ``CPT_TOL`` on construction;
     the matrix is copied from the input and read-only."""
 
     matrix: np.ndarray
     dim: int
+
+    def __init__(self, matrix, dim) -> None:
+        self._bind(matrix, dim)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -419,8 +420,7 @@ class Superoperator:
                 f"trace row condition violated by {resid:.3e} (bound {CPT_TOL:.3e})"
             )
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", d)
+        self._bind(mat, d)
 
 
 Channel = Union[KrausChannel, Superoperator]
@@ -428,14 +428,16 @@ Schedule = tuple[tuple[tuple[int, ...], KrausChannel], ...]
 Dynamics = Optional[Union[KrausChannel, Schedule, GeneratorFlow]]
 
 
-@dataclass(frozen=True)
-class CptReport:
+class CptReport(Record):
     """Outcome of a CPT verification pass."""
 
     is_tp: bool
     is_cp: bool
     choi_min_eigenvalue: float
     completeness_residual: float
+
+    def __init__(self, is_tp, is_cp, choi_min_eigenvalue, completeness_residual) -> None:
+        self._bind(is_tp, is_cp, choi_min_eigenvalue, completeness_residual)
 
 
 def _completeness_sum(ops: np.ndarray) -> np.ndarray:

@@ -40,14 +40,13 @@ refusal, the threshold's range and the result bound are in :mod:`modaldyn.states
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .channels import Dynamics, amplitudes, apply
 from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsError
-from .linalg import SystemLayout
+from .linalg import Record, SystemLayout
 from .states import (
     STRICT, EpistemicState, State, _check_bound, _check_mode, _refuse_degeneracy,
     extract_epistemic,
@@ -55,8 +54,7 @@ from .states import (
 from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Ordered split of a layout's factors into disjoint covering blocks.
 
     Block order fixes the index order of conditional queries. The layout
@@ -70,14 +68,13 @@ class Partition:
     layout: SystemLayout
     blocks: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, layout, blocks) -> None:
+        if not blocks:
             raise LayoutMismatchError("partition needs at least one block")
-        if not all(self.blocks):
+        if not all(blocks):
             raise LayoutMismatchError("empty partition block")
-        layout = self.layout
         canon = tuple(
-            tuple(layout.labels[p] for p in layout.positions(b)) for b in self.blocks
+            tuple(layout.labels[p] for p in layout.positions(b)) for b in blocks
         )
         # every label at once: one in two blocks is named more than once
         if len(layout.positions(s for b in canon for s in b)) < len(layout.labels):
@@ -85,7 +82,7 @@ class Partition:
             raise LayoutMismatchError(
                 f"blocks do not cover the layout; missing {sorted(missing)}"
             )
-        object.__setattr__(self, "blocks", canon)
+        self._bind(layout, canon)
 
     @property
     def n_blocks(self) -> int:
@@ -225,8 +222,7 @@ def dynamical_conditional(
     return joint_conditional(rho_q_t, channel, part, i, (j,), mode, threshold)
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(Record):
     """Full conditional-probability table with its audit numbers.
 
     ``probabilities[w, i_1, ..., i_n]`` is the conditional probability of the
@@ -241,20 +237,22 @@ class ConditionalTable:
     partition: Partition
     probabilities: np.ndarray
     mode: str
-    row_sums: np.ndarray = field(init=False)
-    max_row_deviation: float = field(init=False)
-    max_marginal_deviation: float = field(init=False)
+    row_sums: np.ndarray
+    max_row_deviation: float
+    max_marginal_deviation: float
 
-    def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=float)
-        expected = (len(self.parent),) + tuple(len(b) for b in self.blocks)
+    def __init__(self, parent, blocks, partition, probabilities, mode) -> None:
+        probs = np.array(probabilities, dtype=float)
+        expected = (len(parent),) + tuple(len(b) for b in blocks)
         if probs.shape != expected:
             raise LayoutMismatchError(
                 f"table shape {probs.shape} does not match entries {expected}"
             )
-        # negated so that NaN fails too
+        # negated so that NaN fails too; the worst entry is a NaN, else the farthest out
         if not (probs.min() >= 0.0 and probs.max() <= 1.0):
-            raise ProbabilityBoundsError("table values must lie in [0, 1]")
+            at = np.unravel_index(int(np.argmax(np.abs(probs - 0.5))), probs.shape)
+            why = f"the worst is {float(probs[at])} at [w, i_1..i_n] = {tuple(map(int, at))}"
+            raise ProbabilityBoundsError(f"table values must lie in [0, 1]; {why}")
         sums = probs.reshape(probs.shape[0], -1).sum(axis=1)
         dev = float(np.abs(sums - 1.0).max())
         if not dev <= ROW_SUM_TOL:
@@ -262,22 +260,13 @@ class ConditionalTable:
                 f"conditional rows sum to 1 within {dev:.3e} > {ROW_SUM_TOL:.1e}"
             )
         marg_dev = 0.0
-        weights = self.parent.probabilities
-        for a, block in enumerate(self.blocks):
-            axes = tuple(
-                k + 1 for k in range(len(self.blocks)) if k != a
-            )
-            cond_marg = probs.sum(axis=axes) if axes else probs
-            mixed = weights @ cond_marg
-            marg_dev = max(
-                marg_dev, float(np.abs(mixed - block.probabilities).max())
-            )
+        for a, block in enumerate(blocks):
+            axes = tuple(k + 1 for k in range(len(blocks)) if k != a)
+            mixed = parent.probabilities @ (probs.sum(axis=axes) if axes else probs)
+            marg_dev = max(marg_dev, float(np.abs(mixed - block.probabilities).max()))
         probs.setflags(write=False)
         sums.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "row_sums", sums)
-        object.__setattr__(self, "max_row_deviation", dev)
-        object.__setattr__(self, "max_marginal_deviation", marg_dev)
+        self._bind(parent, blocks, partition, probs, mode, sums, dev, marg_dev)
 
 
 def conditional_table(

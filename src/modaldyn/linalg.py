@@ -6,13 +6,12 @@ entries. Tensor-product structure is carried separately by
 desk-sized: dense matrices up to a few thousand on a side, state vectors up
 to a few million entries; no sparse or GPU paths. Arrays whose size grows
 with the layout are checked against ``MEMORY_BUDGET_BYTES`` before they are
-allocated.
+allocated. :class:`Record` is the base of the package's immutable records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,8 +45,42 @@ def check_memory(n_entries: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SystemLayout:
+class Record:
+    """Immutable record whose fields are its class annotations, in order.
+
+    ``__init__`` binds them with ``_bind``; ``==``, ``hash`` and ``repr``
+    read them as a frozen dataclass's do. A record whose checks
+    ``bench/trace.py`` times keeps them in its own ``__post_init__``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _bind(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot rebind or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SystemLayout(Record):
     """Ordered tensor factorization of a composite Hilbert space.
 
     ``dims[k]`` is the dimension of factor ``k`` and ``labels[k]`` its unique
@@ -57,19 +90,17 @@ class SystemLayout:
     dims: tuple[int, ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if len(self.dims) != len(self.labels):
-            raise LayoutMismatchError(
-                f"{len(self.dims)} dims but {len(self.labels)} labels"
-            )
-        if not self.dims:
+    def __init__(self, dims, labels) -> None:
+        dims, labels = tuple(int(d) for d in dims), tuple(str(s) for s in labels)
+        if len(dims) != len(labels):
+            raise LayoutMismatchError(f"{len(dims)} dims but {len(labels)} labels")
+        if not dims:
             raise LayoutMismatchError("layout needs at least one factor")
-        if any(d < 1 for d in self.dims):
-            raise LayoutMismatchError(f"factor dimensions must be >= 1: {self.dims}")
-        if len(set(self.labels)) != len(self.labels):
-            raise LayoutMismatchError(f"duplicate factor labels: {self.labels}")
+        if any(d < 1 for d in dims):
+            raise LayoutMismatchError(f"factor dimensions must be >= 1: {dims}")
+        if len(set(labels)) != len(labels):
+            raise LayoutMismatchError(f"duplicate factor labels: {labels}")
+        self._bind(dims, labels)
 
     @classmethod
     def qubits(cls, labels: Sequence[str]) -> "SystemLayout":

@@ -10,7 +10,6 @@ parameters each takes and their defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -24,7 +23,7 @@ from .channels import (
     unitary_channel,
 )
 from .errors import InvalidAmplitudesError, ProblemTooLargeError
-from .linalg import MEMORY_BUDGET_BYTES, SystemLayout, check_memory, kron_all
+from .linalg import MEMORY_BUDGET_BYTES, Record, SystemLayout, check_memory, kron_all
 from .states import DensityMatrix, PureState, State
 from .tolerances import AMPLITUDE_NORM_TOL
 
@@ -38,8 +37,7 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 QUBIT = SystemLayout.qubits(("Q",))  # the layout of the one-qubit scenarios
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named system, its initial state, and how it moves.
 
     ``initial_state`` is a ``DensityMatrix``, or a ``PureState`` when the
@@ -54,7 +52,10 @@ class Scenario:
 
     name: str
     initial_state: State
-    dynamics: Union[LindbladGenerator, Schedule, None] = None
+    dynamics: Union[LindbladGenerator, Schedule, None]
+
+    def __init__(self, name, initial_state, dynamics=None) -> None:
+        self._bind(name, initial_state, dynamics)
 
     @property
     def layout(self) -> SystemLayout:

@@ -17,7 +17,6 @@ form of the vector and are ordinary validated density matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     NonOrthogonalEntriesError,
     ProbabilityBoundsError,
 )
-from .linalg import SystemLayout, check_memory
+from .linalg import Record, SystemLayout, check_memory
 from .tolerances import (
     CLAMP_TOL,
     DEFAULT_THRESHOLD,
@@ -99,8 +98,7 @@ def _density_fault(
     return k, f"minimum eigenvalue {wmin[k]:.3e} below -{PSD_TOL:.1e}"
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, unit-trace, positive-semidefinite operator with a layout.
 
     Validation runs at construction: Hermiticity within ``HERMITICITY_TOL``,
@@ -110,6 +108,10 @@ class DensityMatrix:
 
     matrix: np.ndarray
     layout: SystemLayout
+
+    def __init__(self, matrix, layout) -> None:
+        self._bind(matrix, layout)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -122,7 +124,7 @@ class DensityMatrix:
         if fault is not None:
             raise InvalidDensityMatrixError(fault[1])
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._bind(mat, self.layout)
 
     @property
     def dim(self) -> int:
@@ -140,8 +142,7 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), layout)
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """Pure state carried as its unit vector over a layout.
 
     Construction normalizes the vector and rejects a zero or non-finite
@@ -156,9 +157,9 @@ class PureState:
     vector: np.ndarray
     layout: SystemLayout
 
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
-        d = self.layout.total_dim
+    def __init__(self, vector, layout) -> None:
+        v = np.ascontiguousarray(vector, dtype=complex).reshape(-1)
+        d = layout.total_dim
         if v.shape[0] != d:
             raise InvalidDensityMatrixError(
                 f"vector length {v.shape[0]} does not match layout dimension {d}"
@@ -168,7 +169,7 @@ class PureState:
             raise InvalidDensityMatrixError(f"a vector of norm {norm} has no state")
         v = v / norm
         v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        self._bind(v, layout)
 
     @property
     def dim(self) -> int:
@@ -194,8 +195,7 @@ class PureState:
 State = Union[DensityMatrix, PureState]
 
 
-@dataclass(frozen=True)
-class EpistemicState:
+class EpistemicState(Record):
     """The spectral reading of one system: ontic candidates and their probabilities.
 
     ``vectors[:, i]`` is retained eigenvector ``i`` of the density matrix, a
@@ -204,22 +204,26 @@ class EpistemicState:
     the system occupies that state; entries are in descending order. Both
     arrays are read-only. ``truncation_mass`` is the total eigenvalue mass
     dropped below the extraction threshold; retained probabilities plus the
-    truncation mass sum to one. ``degenerate_clusters`` lists index groups
-    whose eigenvalues are closer than the degeneracy gap; such entries have
-    no preferred individual eigenvectors and queries against them are
+    truncation mass sum to one, and it is at least ``-(d - n) * PSD_TOL -
+    MASS_BALANCE_TOL``, as a density matrix's eigenvalues are each at least
+    ``-PSD_TOL``. ``degenerate_clusters`` lists index groups whose
+    eigenvalues are closer than the degeneracy gap; such entries have no
+    preferred individual eigenvectors and queries against them are
     policy-dependent.
     """
 
     probabilities: np.ndarray
     vectors: np.ndarray
     layout: SystemLayout
-    degenerate_clusters: tuple[tuple[int, ...], ...] = ()
-    truncation_mass: float = 0.0
+    degenerate_clusters: tuple[tuple[int, ...], ...]
+    truncation_mass: float
 
-    def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=float).reshape(-1)
-        vecs = np.asarray(self.vectors, dtype=complex)
-        d, n = self.layout.total_dim, len(probs)
+    def __init__(
+        self, probabilities, vectors, layout, degenerate_clusters=(), truncation_mass=0.0
+    ) -> None:
+        probs = np.array(probabilities, dtype=float).reshape(-1)
+        vecs = np.asarray(vectors, dtype=complex)
+        d, n = layout.total_dim, len(probs)
         if vecs.shape[1:] != (n,):
             raise DimensionMismatchError(
                 f"vectors of shape {vecs.shape} are not {n} columns, one per entry"
@@ -237,29 +241,34 @@ class EpistemicState:
                     f"ontic state norm {norm} is not 1 within {UNIT_NORM_TOL:.1e}"
                 )
         vecs = linalg.canonical_phase(vecs)
-        clusters = tuple(tuple(int(i) for i in c) for c in self.degenerate_clusters)
+        clusters = tuple(tuple(int(i) for i in c) for c in degenerate_clusters)
         out = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))  # NaN fails too
         if out.size:
             raise InvalidDensityMatrixError(
                 f"probability {out[0]} is {float(probs[out[0]])}, outside [0, 1]"
             )
-        total = float(probs.sum()) + self.truncation_mass
+        total = float(probs.sum()) + truncation_mass
         if not abs(total - 1.0) <= MASS_BALANCE_TOL:
             raise InvalidDensityMatrixError(
                 f"probabilities plus truncation mass sum to {total}, not 1"
             )
-        if any(i < 0 or i >= n for c in clusters for i in c):
-            raise IndexError("degenerate cluster index out of range")
-        gram = vecs.conj().T @ vecs
-        if not np.abs(gram - np.eye(n)).max() <= ORTHOGONALITY_TOL:
+        least = -(d - n) * PSD_TOL - MASS_BALANCE_TOL
+        if not truncation_mass >= least:
+            why = f"truncation mass {truncation_mass} is below {least:.3e}"
+            raise InvalidDensityMatrixError(why)
+        bad = [i for c in clusters for i in c if not 0 <= i < n]
+        if bad:
+            why = f"degenerate cluster index out of range: {bad[0]} is not in [0, {n})"
+            raise IndexError(why)
+        dev = np.abs(vecs.conj().T @ vecs - np.eye(n)).max()
+        if not dev <= ORTHOGONALITY_TOL:
             raise NonOrthogonalEntriesError(
-                "retained ontic states are not mutually orthonormal"
+                "retained ontic states are not mutually orthonormal: max |V^dag V - I|"
+                f" = {dev:.3e} exceeds {ORTHOGONALITY_TOL:.1e}"
             )
         probs.setflags(write=False)
         vecs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "degenerate_clusters", clusters)
+        self._bind(probs, vecs, layout, clusters, truncation_mass)
 
     def __len__(self) -> int:
         return len(self.probabilities)

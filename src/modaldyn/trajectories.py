@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -59,7 +58,7 @@ import numpy as np
 from . import linalg
 from .channels import KrausChannel, _not_kraus, amplitudes, iterate, steps
 from .errors import InvalidDensityMatrixError, NormalizationError
-from .linalg import _ordered_eig, check_memory
+from .linalg import Record, _ordered_eig, check_memory
 from .states import (
     STRICT, PureState, State, _check_bound, _check_mode, _check_threshold, _density_fault,
     _read_spectra,
@@ -91,36 +90,36 @@ SEED_BOUND = 1 << 32
 POINT = np.dtype([("time", float), ("index", np.int64), ("probability", float)])
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Uniform time grid ``k*dt`` for ``k = 0..n_steps``."""
 
     dt: float
     n_steps: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive: {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be nonnegative: {self.n_steps}")
+    def __init__(self, dt, n_steps) -> None:
+        dt, n_steps = float(dt), int(n_steps)
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and positive: {dt}")
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative: {n_steps}")
+        self._bind(dt, n_steps)
 
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """One sampled history: read-only ``POINT`` records (time, branch label, eigenvalue)."""
 
     points: np.ndarray
     seed: int
 
+    def __init__(self, points, seed) -> None:
+        self._bind(points, seed)
 
-@dataclass(frozen=True)
-class EnsembleReport:
+
+class EnsembleReport(Record):
     """Empirical branch occupation against the exact eigenvalue reference.
 
     Arrays are indexed ``[time, branch label]``; a label absent at some time
@@ -135,9 +134,15 @@ class EnsembleReport:
     sample_count: int
     base_seed: int
 
+    def __init__(
+        self, times, frequencies, eigenvalues, max_abs_deviation, sample_count, base_seed
+    ) -> None:
+        self._bind(
+            times, frequencies, eigenvalues, max_abs_deviation, sample_count, base_seed
+        )
 
-@dataclass(frozen=True)
-class StepChain:
+
+class StepChain(Record):
     """Spectra, branch labels and conditional rows along one time grid.
 
     Every array is indexed by grid point ``k`` (``rows`` by step) and padded
@@ -160,6 +165,9 @@ class StepChain:
     rows: np.ndarray
     cum: np.ndarray
     n_labels: int
+
+    def __init__(self, grid, counts, probs, vectors, labels, rows, cum, n_labels) -> None:
+        self._bind(grid, counts, probs, vectors, labels, rows, cum, n_labels)
 
     @property
     def n_times(self) -> int:

@@ -75,6 +75,13 @@ def _refusals():
     decay = np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
     flowed = GeneratorFlow(LindbladGenerator(np.zeros((4, 4)), [(decay, 0.3)]), 0.5)
     fields = (table.parent, table.blocks, table.partition)
+
+    def table_with(*changes):
+        probs = table.probabilities.copy()
+        for at, value in changes:
+            probs[at] = value
+        return ConditionalTable(*fields, probs, table.mode)
+
     return {
         "no-blocks": (
             lambda: Partition(pair, ()),
@@ -123,6 +130,17 @@ def _refusals():
             lambda: ConditionalTable(*fields, table.probabilities / 2, table.mode),
             NormalizationError,
             "conditional rows sum to 1 within 5.000e-01 > 1.0e-08",
+        ),
+        # the value farthest outside [0, 1] is named, or else the first NaN
+        "table-values": (
+            lambda: table_with(((1, 0, 1), -0.25), ((3, 1, 1), 1.5), ((0, 1, 1), 1.25)),
+            ProbabilityBoundsError,
+            "table values must lie in [0, 1]; the worst is 1.5 at [w, i_1..i_n] = (3, 1, 1)",
+        ),
+        "table-values-nan": (
+            lambda: table_with(((0, 0, 0), 2.0), ((2, 1, 0), np.nan), ((3, 0, 0), np.nan)),
+            ProbabilityBoundsError,
+            "table values must lie in [0, 1]; the worst is nan at [w, i_1..i_n] = (2, 1, 0)",
         ),
     }
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -159,13 +157,10 @@ def test_state_at_agrees_with_direct_evolution():
 
 
 def test_a_scenario_is_a_state_and_its_dynamics():
-    assert [f.name for f in dataclasses.fields(Scenario)] == [
-        "name",
-        "initial_state",
-        "dynamics",
-    ]
     built = [build(**params) for build, params in SCENARIOS.values()]
     for sc in built + [scenario_from_document(scenario_document(dephasing_qubit(0.5)))]:
+        assert isinstance(sc, Scenario)
+        assert list(vars(sc)) == ["name", "initial_state", "dynamics"]
         assert sc.layout == sc.initial_state.layout
 
 

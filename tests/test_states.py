@@ -158,6 +158,63 @@ def test_epistemic_state_rejects_non_orthogonal_entries():
         EpistemicState(np.array([0.5, 0.5]), vectors, QUBIT)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, error, message",
+    [
+        (
+            ([0.5, 0.5], np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])),
+            {},
+            NonOrthogonalEntriesError,
+            "retained ontic states are not mutually orthonormal: max |V^dag V - I| = "
+            "7.071e-01 exceeds 1.0e-09",
+        ),
+        (
+            ([0.5, 0.5], np.eye(2)),
+            {"degenerate_clusters": ((0, 1), (2,))},
+            IndexError,
+            "degenerate cluster index out of range: 2 is not in [0, 2)",
+        ),
+        (
+            ([0.6, 0.6], np.eye(2)),
+            {"truncation_mass": -0.2},
+            InvalidDensityMatrixError,
+            "truncation mass -0.2 is below -1.000e-09",
+        ),
+        (
+            ([0.6, 0.4 + 2e-9], np.eye(4)[:, :2]),
+            {"truncation_mass": -2e-9},
+            InvalidDensityMatrixError,
+            "truncation mass -2e-09 is below -1.200e-09",
+        ),
+    ],
+    ids=["non-orthonormal", "cluster-index", "negative-mass", "mass-of-two-dropped"],
+)
+def test_epistemic_state_refusals_name_the_value_and_the_bound(args, kwargs, error, message):
+    probabilities, vectors = args
+    layout = QUBIT if len(vectors) == 2 else PAIR
+    with pytest.raises(error) as info:
+        EpistemicState(np.array(probabilities), vectors, layout, **kwargs)
+    assert str(info.value) == message
+
+
+def test_a_negative_truncation_mass_is_not_reassembled():
+    # accepted, it was reassembled as diag(0.5, 0.5)
+    with pytest.raises(InvalidDensityMatrixError, match="truncation mass -0.2"):
+        epistemic_to_density(EpistemicState([0.6, 0.6], np.eye(2), QUBIT, truncation_mass=-0.2))
+
+
+def test_dropped_eigenvalues_near_the_psd_bound_are_read():
+    # 14 dropped eigenvalues of -0.95 PSD_TOL hold less than -MASS_BALANCE_TOL,
+    # but no less than the bound of 14 dropped eigenvalues
+    layout = SystemLayout.qubits(("A", "B", "C", "D"))
+    w = np.full(16, -0.95e-10)
+    w[:2] = 0.6, 0.4 + 14 * 0.95e-10
+    e = extract_epistemic(DensityMatrix(np.diag(w).astype(complex), layout))
+    assert e.probabilities.tolist() == [0.6, w[1]]
+    assert e.truncation_mass == pytest.approx(-14 * 0.95e-10, rel=1e-12)
+    assert e.truncation_mass < -1e-9
+
+
 def test_epistemic_state_rejects_bad_mass_balance():
     with pytest.raises(InvalidDensityMatrixError, match="sum to 0.8, not 1"):
         EpistemicState(np.array([0.5, 0.3]), np.eye(2), QUBIT)
