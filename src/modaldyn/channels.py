@@ -58,7 +58,7 @@ from .errors import (
     NotUnitaryError,
     ProblemTooLargeError,
 )
-from .linalg import Record, SystemLayout, apply_local, check_finite, check_memory
+from .linalg import Record, SystemLayout, Value, apply_local, check_finite, check_memory
 from .states import DensityMatrix, PureState, State
 from .tolerances import CHOI_EIG_CUTOFF, CPT_TOL, HERMITICITY_TOL, UNITARITY_TOL
 
@@ -77,14 +77,13 @@ class KrausChannel(Record):
     dim: int
 
     def __init__(self, operators) -> None:
-        vars(self)["operators"] = operators
-        self.__post_init__()
+        self.__post_init__(operators)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, operators) -> None:
         try:
-            ops = np.array(self.operators, dtype=complex)
+            ops = np.array(operators, dtype=complex)
         except ValueError as exc:
-            shapes = {np.shape(k) for k in self.operators}
+            shapes = {np.shape(k) for k in operators}
             if len(shapes) < 2:
                 raise
             why = f"Kraus operator shapes disagree: {sorted(shapes)}"
@@ -99,7 +98,6 @@ class KrausChannel(Record):
             raise CptVerificationError(
                 f"completeness residual {resid:.3e} exceeds {CPT_TOL:.1e}"
             )
-        ops.setflags(write=False)
         self._bind(ops, ops.shape[1])
 
 
@@ -140,7 +138,6 @@ class LindbladGenerator(Record):
                 raise ValueError(f"jump rate must be finite and nonnegative: {rate}")
             op.setflags(write=False)
             kept.append((op, rate))
-        h.setflags(write=False)
         self._bind(h, tuple(kept))
 
     @property
@@ -155,7 +152,7 @@ def _duration(value: float) -> float:
     return value
 
 
-class GeneratorFlow(Record):
+class GeneratorFlow(Value):
     """The map ``exp(duration * L)`` of a generator, applied by :func:`flow`.
 
     Only the generator and the duration are kept; the map itself is never
@@ -402,12 +399,11 @@ class Superoperator(Record):
     dim: int
 
     def __init__(self, matrix, dim) -> None:
-        self._bind(matrix, dim)
-        self.__post_init__()
+        self.__post_init__(matrix, dim)
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        d = int(self.dim)
+    def __post_init__(self, matrix, dim) -> None:
+        mat = np.array(matrix, dtype=complex)
+        d = int(dim)
         if mat.shape != (d * d, d * d):
             raise DimensionMismatchError(
                 f"superoperator shape {mat.shape} is not ({d * d}, {d * d})"
@@ -419,7 +415,6 @@ class Superoperator(Record):
             raise CptVerificationError(
                 f"trace row condition violated by {resid:.3e} (bound {CPT_TOL:.3e})"
             )
-        mat.setflags(write=False)
         self._bind(mat, d)
 
 
@@ -428,7 +423,7 @@ Schedule = tuple[tuple[tuple[int, ...], KrausChannel], ...]
 Dynamics = Optional[Union[KrausChannel, Schedule, GeneratorFlow]]
 
 
-class CptReport(Record):
+class CptReport(Value):
     """Outcome of a CPT verification pass."""
 
     is_tp: bool

@@ -46,7 +46,7 @@ import numpy as np
 
 from .channels import Dynamics, amplitudes, apply
 from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsError
-from .linalg import Record, SystemLayout
+from .linalg import Record, SystemLayout, Value
 from .states import (
     STRICT, EpistemicState, State, _check_bound, _check_mode, _refuse_degeneracy,
     extract_epistemic,
@@ -54,7 +54,7 @@ from .states import (
 from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
 
-class Partition(Record):
+class Partition(Value):
     """Ordered split of a layout's factors into disjoint covering blocks.
 
     Block order fixes the index order of conditional queries. The layout
@@ -264,8 +264,6 @@ class ConditionalTable(Record):
             axes = tuple(k + 1 for k in range(len(blocks)) if k != a)
             mixed = parent.probabilities @ (probs.sum(axis=axes) if axes else probs)
             marg_dev = max(marg_dev, float(np.abs(mixed - block.probabilities).max()))
-        probs.setflags(write=False)
-        sums.setflags(write=False)
         self._bind(parent, blocks, partition, probs, mode, sums, dev, marg_dev)
 
 

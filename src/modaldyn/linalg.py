@@ -48,39 +48,47 @@ def check_memory(n_entries: int, what: str) -> None:
 class Record:
     """Immutable record whose fields are its class annotations, in order.
 
-    ``__init__`` binds them with ``_bind``; ``==``, ``hash`` and ``repr``
-    read them as a frozen dataclass's do. A record whose checks
-    ``bench/trace.py`` times keeps them in its own ``__post_init__``.
+    The record contract: ``__init__`` binds each field once with ``_bind``,
+    a writable array as a read-only view of it, no field can be rebound or
+    deleted, a record is equal only to itself and hashes by identity unless
+    it is a :class:`Value`, and ``repr`` lists the fields in order. A record
+    whose checks ``bench/trace.py`` times keeps them in its ``__post_init__``.
     """
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
 
     def _bind(self, *values: object) -> None:
-        vars(self).update(zip(self._fields, values, strict=True))
+        for field, value in zip(self._fields, values, strict=True):
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                value = value.view()
+                value.flags.writeable = False
+            vars(self)[field] = value
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot rebind or delete field {name!r}")
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
-class SystemLayout(Record):
+class Value(Record):
+    """A record that holds no array: equal to a record of its class whose
+    fields are equal, and hashed by its fields."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class SystemLayout(Value):
     """Ordered tensor factorization of a composite Hilbert space.
 
     ``dims[k]`` is the dimension of factor ``k`` and ``labels[k]`` its unique

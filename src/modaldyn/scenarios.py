@@ -23,7 +23,7 @@ from .channels import (
     unitary_channel,
 )
 from .errors import InvalidAmplitudesError, ProblemTooLargeError
-from .linalg import MEMORY_BUDGET_BYTES, Record, SystemLayout, check_memory, kron_all
+from .linalg import MEMORY_BUDGET_BYTES, SystemLayout, Value, check_memory, kron_all
 from .states import DensityMatrix, PureState, State
 from .tolerances import AMPLITUDE_NORM_TOL
 
@@ -37,7 +37,7 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 QUBIT = SystemLayout.qubits(("Q",))  # the layout of the one-qubit scenarios
 
 
-class Scenario(Record):
+class Scenario(Value):
     """A named system, its initial state, and how it moves.
 
     ``initial_state`` is a ``DensityMatrix``, or a ``PureState`` when the

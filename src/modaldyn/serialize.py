@@ -61,19 +61,32 @@ def pairs_to_matrix(data: Any, ndim: int = 2) -> np.ndarray:
 
     The pairs are read bit for bit: each ``[re, im]`` becomes one complex
     entry through a view, so an infinite or NaN part stays in its place.
+    Regular nested lists of floats are read level by level, and their
+    entries in one pass; numpy reads any other input. A boolean is refused.
     """
+    level, lengths = [data], []
     try:
-        arr = np.array(data)
-    except ValueError as exc:
-        raise SchemaError(
-            "expected a regular nested list of [re, im] pairs; "
-            "rows differ in length or depth"
-        ) from exc
+        for _ in range(ndim + 1):
+            lengths.append(set(map(len, level)))
+            level = list(itertools.chain.from_iterable(level))
+        types = set(map(type, level))
+    except TypeError:  # a number or null above the entries
+        types = set()
+    if types == {float} and all(len(n) == 1 for n in lengths):
+        arr = np.fromiter(level, float, len(level)).reshape([n.pop() for n in lengths])
+    else:
+        try:
+            arr = np.array(data)
+        except ValueError as exc:
+            raise SchemaError(
+                "expected a regular nested list of [re, im] pairs; "
+                "rows differ in length or depth"
+            ) from exc
     if arr.size == 0:
         raise SchemaError(
             f"expected [re, im] pairs, got an empty array of shape {arr.shape}"
         )
-    if arr.dtype.kind not in "iuf":
+    if bool in types or arr.dtype.kind not in "iuf":
         raise SchemaError(
             "[re, im] entries must be numbers, not null, booleans, strings, "
             "objects or integers wider than 64 bits"
@@ -82,7 +95,7 @@ def pairs_to_matrix(data: Any, ndim: int = 2) -> np.ndarray:
         raise SchemaError(
             f"expected {ndim} axes of [re, im] pairs, got an array of shape {arr.shape}"
         )
-    return arr.astype(float).view(complex)[..., 0]
+    return arr.astype(float, copy=False).view(complex)[..., 0]
 
 
 def layout_payload(layout: SystemLayout) -> dict:
@@ -91,12 +104,17 @@ def layout_payload(layout: SystemLayout) -> dict:
 
 def layout_from_payload(data: Any) -> SystemLayout:
     try:
-        dims, labels = tuple(data["dims"]), tuple(data["labels"])
+        dims, labels = tuple(data["dims"]), data["labels"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad layout payload: {exc}") from exc
     for d in dims:
         if type(d) is not int or d < 1:
             raise SchemaError(f"layout dims must be positive integers, got {d!r}")
+    if type(labels) is not list:
+        raise SchemaError(f"'labels' must be a list, got {type(labels).__name__}")
+    for s in labels:
+        if type(s) is not str:
+            raise SchemaError(f"layout labels must be strings, got {s!r}")
     try:
         return SystemLayout(dims, labels)
     except LayoutMismatchError as exc:

@@ -110,12 +110,11 @@ class DensityMatrix(Record):
     layout: SystemLayout
 
     def __init__(self, matrix, layout) -> None:
-        self._bind(matrix, layout)
-        self.__post_init__()
+        self.__post_init__(matrix, layout)
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.layout.total_dim
+    def __post_init__(self, matrix, layout) -> None:
+        mat = np.array(matrix, dtype=complex)
+        d = layout.total_dim
         if mat.shape != (d, d):
             raise InvalidDensityMatrixError(
                 f"shape {mat.shape} does not match layout dimension {d}"
@@ -123,8 +122,7 @@ class DensityMatrix(Record):
         fault = _density_fault(mat[None])
         if fault is not None:
             raise InvalidDensityMatrixError(fault[1])
-        mat.setflags(write=False)
-        self._bind(mat, self.layout)
+        self._bind(mat, layout)
 
     @property
     def dim(self) -> int:
@@ -167,9 +165,7 @@ class PureState(Record):
         norm = _norm(v)
         if not 0.0 < norm < np.inf:
             raise InvalidDensityMatrixError(f"a vector of norm {norm} has no state")
-        v = v / norm
-        v.setflags(write=False)
-        self._bind(v, layout)
+        self._bind(v / norm, layout)
 
     @property
     def dim(self) -> int:
@@ -266,8 +262,6 @@ class EpistemicState(Record):
                 "retained ontic states are not mutually orthonormal: max |V^dag V - I|"
                 f" = {dev:.3e} exceeds {ORTHOGONALITY_TOL:.1e}"
             )
-        probs.setflags(write=False)
-        vecs.setflags(write=False)
         self._bind(probs, vecs, layout, clusters, truncation_mass)
 
     def __len__(self) -> int:

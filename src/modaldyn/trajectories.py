@@ -58,7 +58,7 @@ import numpy as np
 from . import linalg
 from .channels import KrausChannel, _not_kraus, amplitudes, iterate, steps
 from .errors import InvalidDensityMatrixError, NormalizationError
-from .linalg import Record, _ordered_eig, check_memory
+from .linalg import Record, Value, _ordered_eig, check_memory
 from .states import (
     STRICT, PureState, State, _check_bound, _check_mode, _check_threshold, _density_fault,
     _read_spectra,
@@ -90,7 +90,7 @@ SEED_BOUND = 1 << 32
 POINT = np.dtype([("time", float), ("index", np.int64), ("probability", float)])
 
 
-class TimeGrid(Record):
+class TimeGrid(Value):
     """Uniform time grid ``k*dt`` for ``k = 0..n_steps``."""
 
     dt: float
@@ -236,7 +236,6 @@ class StepChain(Record):
         points["time"] = self.grid.times
         points["index"] = self.labels[at, entries]
         points["probability"] = self.probs[at, entries]
-        points.flags.writeable = False
         return Trajectory(points=points, seed=int(seed))
 
 

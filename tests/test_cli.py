@@ -905,6 +905,7 @@ def _bad_channels() -> dict:
         "entry-null": dict(kraus, operators=[_with_entry(None)]),
         "entry-object": dict(kraus, operators=[_with_entry({})]),
         "entry-numeric-string": dict(kraus, operators=[_with_entry("0")]),
+        "entry-bool": dict(kraus, operators=[_with_entry(True)]),
         "operators-int": dict(kraus, operators=5),
         "kraus-unequal-shapes": dict(
             kraus, operators=[matrix_to_pairs(np.eye(2)), matrix_to_pairs(np.eye(1))]
@@ -931,6 +932,7 @@ def _bad_scenarios() -> dict:
             doc, dynamics=dict(lindblad, jumps=[{"operator": z, "rate": None}])
         ),
         "entry-null": dict(doc, initial_state=_with_entry(None)),
+        "entry-bool": dict(doc, initial_state=_with_entry(False)),
         "empty-row": dict(doc, initial_state=[[]]),
         "kraus-unequal-shapes": dict(
             doc, dynamics={"kind": "kraus", "operators": unequal}
@@ -939,6 +941,8 @@ def _bad_scenarios() -> dict:
         "dims-string": dict(doc, layout={"dims": ["2"], "labels": ["Q"]}),
         "dims-bool": dict(doc, layout={"dims": [True, True], "labels": ["A", "B"]}),
         "dims-labels-unequal": dict(doc, layout={"dims": [2], "labels": ["A", "B"]}),
+        "labels-null": dict(doc, layout={"dims": [2, 2], "labels": [None, 1]}),
+        "labels-string": dict(doc, layout={"dims": [2, 2], "labels": "AB"}),
         "layout-empty": dict(doc, layout={"dims": [], "labels": []}),
         "state-not-layout-size": dict(doc, layout={"dims": [4], "labels": ["Q"]}),
         "state-not-square": dict(doc, initial_state=matrix_to_pairs(np.ones((2, 3)))),
@@ -1155,6 +1159,7 @@ BAD_CHANNELS = {
     "entry-null": NOT_NUMBERS,
     "entry-object": NOT_NUMBERS,
     "entry-numeric-string": NOT_NUMBERS,
+    "entry-bool": NOT_NUMBERS,
     "operators-int": "expected 3 axes of [re, im] pairs, got an array of shape ()",
     "kraus-unequal-shapes": RAGGED,
     "kraus-not-square": "each of 'operators' must be square, got 2 x 3",
@@ -1167,12 +1172,15 @@ BAD_SCENARIOS = {
     "jumps-entry-int": "expected a JSON object with key 'operator', got int",
     "rate-null": "'rate' must be a number, got None",
     "entry-null": NOT_NUMBERS,
+    "entry-bool": NOT_NUMBERS,
     "empty-row": "expected [re, im] pairs, got an empty array of shape (1, 0)",
     "kraus-unequal-shapes": RAGGED,
     "dims-float": "layout dims must be positive integers, got 2.5",
     "dims-string": "layout dims must be positive integers, got '2'",
     "dims-bool": "layout dims must be positive integers, got True",
     "dims-labels-unequal": "bad layout: 1 dims but 2 labels",
+    "labels-null": "layout labels must be strings, got None",
+    "labels-string": "'labels' must be a list, got str",
     "layout-empty": "bad layout: layout needs at least one factor",
     "state-not-layout-size": "'initial_state' must be 4 x 4 for layout dims [4], got 2 x 2",
     "state-not-square": "'initial_state' must be 2 x 2 for layout dims [2], got 2 x 3",

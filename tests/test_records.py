@@ -1,10 +1,16 @@
 """The contract every record of the package keeps: keyword construction by
-field name, fields that cannot be rebound or deleted, and value equality,
-hashing and repr over the fields in declaration order."""
+field name, fields that cannot be rebound or deleted, arrays that refuse
+writes, and repr over the fields in declaration order. A record that holds
+an array is equal only to itself and hashes by identity; the records that
+hold none compare and hash by value."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import modaldyn
 from modaldyn import (
     ConditionalTable,
     CptReport,
@@ -30,6 +36,7 @@ from modaldyn import (
     run_ensemble,
     verify_cpt,
 )
+from modaldyn.linalg import Record, Value
 
 QUBIT = SystemLayout.qubits(("Q",))
 PAIR = SystemLayout.qubits(("A", "B"))
@@ -97,6 +104,34 @@ def _records():
 
 
 RECORDS = _records()
+VALUES = ("SystemLayout", "GeneratorFlow", "CptReport", "Scenario", "Partition", "TimeGrid")
+ARRAYS = [name for name in RECORDS if name not in VALUES]
+
+
+def _rebuilt(name):
+    record, keywords, _ = RECORDS[name]
+    return record, type(record)(**{k: getattr(record, k) for k in keywords})
+
+
+def _arrays(value):
+    """The arrays in ``value``, and in the tuples it holds, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_the_contract_table_names_every_record_class():
+    for module in pkgutil.iter_modules(modaldyn.__path__):
+        importlib.import_module(f"modaldyn.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        todo += subclasses
+        found.update(c for c in subclasses if c.__module__.startswith("modaldyn."))
+    found.discard(Value)
+    assert {type(r) for r, _, _ in RECORDS.values()} == found
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
@@ -111,6 +146,52 @@ def test_a_record_is_built_by_keyword_and_keeps_its_fields(name):
         with pytest.raises(AttributeError):
             delattr(again, field)
         assert getattr(again, field) is value
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_a_record_equals_itself_and_hashes(name):
+    record = RECORDS[name][0]
+    assert record == record and not record != record
+    assert {record: name}[record] == name
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_a_record_that_holds_arrays_is_equal_only_to_itself(name):
+    record, again = _rebuilt(name)
+    assert not isinstance(record, Value)
+    assert record != again and hash(record) == object.__hash__(record)
+    assert len({record, again}) == 2
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_a_record_that_holds_no_array_equals_its_rebuilt_self(name):
+    record, again = _rebuilt(name)
+    assert isinstance(record, Value)
+    assert record is not again and record == again and hash(record) == hash(again)
+    assert not list(_arrays(tuple(vars(record).values())))
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_every_array_a_record_holds_refuses_writes(name):
+    record, again = _rebuilt(name)
+    arrays = [a for r in (record, again) for a in _arrays(tuple(vars(r).values()))]
+    assert bool(arrays) == (name in ARRAYS)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+@pytest.mark.parametrize("name", ["Trajectory", "EnsembleReport", "StepChain"])
+def test_a_record_keeps_read_only_views_of_the_arrays_it_is_given(name):
+    record, keywords, _ = RECORDS[name]
+    given = {k: getattr(record, k) for k in keywords}
+    given.update((k, v.copy()) for k, v in given.items() if isinstance(v, np.ndarray))
+    again = type(record)(**given)
+    for k, v in given.items():
+        if isinstance(v, np.ndarray):
+            kept = getattr(again, k)
+            assert kept.base is v and not kept.flags.writeable and v.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -95,12 +95,14 @@ def test_array_codec_matches_per_element_encoding_and_round_trips(a):
         ([[[1.0, {}]]], 2, "must be numbers"),
         ([[["1", 0.0]]], 2, "must be numbers"),
         ([[[True, False]]], 2, "must be numbers"),
+        ([[[1.0, True], [0.0, 0.0]], [[0.0, 0.0], [False, 0.0]]], 2, "must be numbers"),
+        ([[[1, 0], [0, True]]], 2, "must be numbers"),
         (5, 3, "3 axes of [re, im] pairs, got an array of shape ()"),
         ([[[1.0, 0.0, 0.0]]], 2, "got an array of shape (1, 1, 3)"),
     ],
     ids=[
-        "ragged", "empty", "empty-row", "null", "object", "string", "bool", "scalar",
-        "triple",
+        "ragged", "empty", "empty-row", "null", "object", "string", "bool",
+        "bool-among-floats", "bool-among-ints", "scalar", "triple",
     ],
 )
 def test_pairs_to_matrix_refuses_what_is_not_an_array_of_pairs(data, ndim, message):
