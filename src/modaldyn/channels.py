@@ -639,7 +639,7 @@ def choi_to_kraus(choi: np.ndarray, dim: int) -> np.ndarray:
 def verify_kraus_operators(
     ops: Sequence[np.ndarray], tol: float = CPT_TOL
 ) -> CptReport:
-    """CPT report for a raw Kraus family: only non-finite entries are refused.
+    """CPT report for a raw Kraus family: only non-finite entries or ``tol`` are refused.
 
     The Choi matrix ``W W^dag`` shares its nonzero spectrum with the Gram
     matrix ``W^dag W`` of the n operators, and the smaller of the two is
@@ -648,6 +648,7 @@ def verify_kraus_operators(
     exactly 0.0 for a unitary or an ``evolve`` result, and a round-off-sized
     negative number at worst when the operators are linearly dependent.
     """
+    _check_tol(tol)
     ops = np.asarray(ops, dtype=complex)
     check_finite(ops, "Kraus operator")
     resid = completeness_residual(ops)
@@ -663,7 +664,8 @@ def verify_superoperator_matrix(
     matrix: np.ndarray, dim: int, tol: float = CPT_TOL
 ) -> CptReport:
     """CPT report for a raw superoperator matrix (row-major vectorization);
-    only non-finite entries are refused."""
+    only non-finite entries or ``tol`` are refused."""
+    _check_tol(tol)
     matrix = np.asarray(matrix, dtype=complex)
     check_finite(matrix, "superoperator")
     d = int(dim)
@@ -673,12 +675,17 @@ def verify_superoperator_matrix(
     return _report(choi_min, float(np.linalg.norm(out_trace - np.eye(d))), tol)
 
 
+def _check_tol(tol: float, what: str = "tol") -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{what} must be finite and >= 0: {tol}")
+
+
 def _report(choi_min: float, resid: float, tol: float) -> CptReport:
     return CptReport(bool(resid <= tol), bool(choi_min >= -tol), choi_min, resid)
 
 
 def verify_cpt(ch: Channel, tol: float = CPT_TOL) -> CptReport:
-    """Check complete positivity and trace preservation; never raises."""
+    """Check complete positivity and trace preservation; raises only on a bad ``tol``."""
     if isinstance(ch, KrausChannel):
         return verify_kraus_operators(ch.operators, tol)
     return verify_superoperator_matrix(ch.matrix, ch.dim, tol)

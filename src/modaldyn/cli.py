@@ -3,8 +3,8 @@
 Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
 Every flag is declared once, in :func:`build_parser`; ``scenarios.SCENARIOS``
 says which scenario takes which scenario flag, and its default. Each
-``_cmd_*`` reads the parsed arguments and resolves its own scenario, blocks,
-subsystem and seed, then hands its document and its CSV writer to
+``_cmd_*`` does its work on arguments that :func:`_config_from_args` has
+judged, then hands its document and its CSV writer to
 :func:`_emit`, the one place that makes the ``--format`` choice and writes.
 Exit codes are a stable contract: 0 success, 2 configuration or parse
 problems (including a ``--rho0`` that is not a state, a scenario flag the
@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,17 +76,22 @@ class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
 
 
-def _load_json(path: str, what: str):
-    """The JSON document at ``path``; ``what`` names the file if it cannot be read."""
+def _load_json(path: str, what: str, parse: Callable, bad: str):
+    """``parse`` of the JSON document at ``path``: ``what`` names the file if it
+    cannot be read, and ``bad`` heads a schema fault that ``parse`` finds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"cannot read {what}: JSON nested too deeply") from exc
+    try:
+        return parse(data)
+    except SchemaError as exc:
+        raise ConfigError(f"{bad}: {exc}") from exc
 
 
 def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
@@ -110,14 +116,17 @@ def _rho0(text: Optional[str]) -> Optional[DensityMatrix]:
         raise ConfigError(f"bad --rho0 {text!r}: {exc}") from exc
 
 
-def _scenario(args: argparse.Namespace) -> Scenario:
-    """The scenario ``--scenario`` names, built from the scenario flags it takes."""
+def _scenario(args: argparse.Namespace) -> Callable[[], Scenario]:
+    """What builds the scenario ``--scenario`` names from the scenario flags it
+    takes, or reads its file; the name and the flags are judged now."""
     source = args.scenario
     given = dict(vars(args), rho0=_rho0(args.rho0))
     if source in SCENARIOS:
         build, params = SCENARIOS[source]
     elif source.endswith(".json") or os.path.isfile(source):
-        build, params = None, {}
+        what, bad = f"scenario file {source!r}", f"bad scenario document {source!r}"
+        build = partial(_load_json, source, what, serialize.scenario_from_document, bad)
+        params = {}
     else:
         raise ConfigError(
             f"unknown scenario {source!r}; names: {', '.join(SCENARIOS)}, "
@@ -126,13 +135,8 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     for param, (flag, _, _) in _SCENARIO_FLAGS.items():
         if getattr(args, param) is not None and param not in params:
             raise ConfigError(f"{flag} does not apply to scenario {source!r}")
-    if build is None:
-        data = _load_json(source, f"scenario file {source!r}")
-        try:
-            return serialize.scenario_from_document(data)
-        except SchemaError as exc:
-            raise ConfigError(f"bad scenario document {source!r}: {exc}") from exc
-    return build(**{p: d if given[p] is None else given[p] for p, d in params.items()})
+    kwargs = {p: d if given[p] is None else given[p] for p, d in params.items()}
+    return partial(build, **kwargs)
 
 
 def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
@@ -146,7 +150,7 @@ def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
-    from .trajectories import SEED_BOUND
+    from .trajectories import _check_seed
 
     if arg_seed is not None:
         seed, source = arg_seed, "--seed"
@@ -160,10 +164,7 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
             seed, source = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0: {seed}")
-    if seed >= SEED_BOUND:
-        raise ConfigError(f"{source} must be below {SEED_BOUND}: {seed}")
+    _check_seed(seed, source)
     return seed
 
 
@@ -194,7 +195,7 @@ def _emit(
 # ----------------------------------------------------------------- commands
 
 def _cmd_epistemic(args: argparse.Namespace) -> int:
-    sc = _scenario(args)
+    sc = args.make_scenario()
     labels = tuple(s.strip() for s in (args.subsystem or "").split(",") if s.strip())
     try:
         sc.layout.positions(labels)
@@ -216,10 +217,9 @@ def _cmd_epistemic(args: argparse.Namespace) -> int:
 def _cmd_conditional(args: argparse.Namespace) -> int:
     from .conditional import Partition, conditional_table
 
-    sc = _scenario(args)
-    blocks = _parse_blocks(args.blocks)
+    sc = args.make_scenario()
     try:
-        part = Partition(sc.layout, blocks)
+        part = Partition(sc.layout, args.blocks)
     except (LayoutMismatchError, UnknownLabelError) as exc:
         raise ConfigError(f"bad --blocks: {exc}") from exc
     channel, channel_id = sc.dynamics_to(args.time)
@@ -237,12 +237,7 @@ def _cmd_conditional(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     from .trajectories import TimeGrid, build_step_chain, run_ensemble
 
-    sc = _scenario(args)
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1: {args.steps}")
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1: {args.n}")
-    seed = _resolve_seed(args.seed)
+    sc = args.make_scenario()
     if not isinstance(sc.dynamics, channels_mod.LindbladGenerator):
         raise ConfigError(
             f"scenario {args.scenario!r} has no generator dynamics to sample"
@@ -252,21 +247,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # each branch lets the chain go before its document is written
     inputs = (step, sc.initial_state, grid, args.threshold, args.mode)
     if args.n == 1:
-        result = build_step_chain(*inputs).sample(seed)
+        result = build_step_chain(*inputs).sample(args.seed)
         payload, csv = serialize.trajectory_payload, serialize.trajectory_csv
     else:
-        result = run_ensemble(build_step_chain(*inputs), args.n, seed)
+        result = run_ensemble(build_step_chain(*inputs), args.n, args.seed)
         payload, csv = serialize.ensemble_payload, serialize.ensemble_csv
     _emit(args, lambda: payload(result, args.scenario), lambda: csv(result))
     return EXIT_OK
 
 
 def _cmd_verify_channel(args: argparse.Namespace) -> int:
-    data = _load_json(args.channel, "channel file")
-    try:
-        doc = serialize.load_channel_document(data)
-    except SchemaError as exc:
-        raise ConfigError(f"bad channel document: {exc}") from exc
+    doc = _load_json(
+        args.channel, "channel file", serialize.load_channel_document, "bad channel document"
+    )
     kind, tol = doc["kind"], args.tol
     try:
         if kind == "superoperator":
@@ -378,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """``args`` once the number and ``--output`` checks argparse cannot make pass."""
+    """``args`` once every check that needs no built scenario passes; then
+    ``make_scenario()`` builds it, and ``blocks`` and ``seed`` hold their values."""
     if args.command == "verify-channel":
-        if not 0.0 <= args.tol < math.inf:
-            raise ConfigError(f"--tol must be finite and >= 0: {args.tol}")
+        channels_mod._check_tol(args.tol, "--tol")
     elif args.command == "sample":
         if not 0.0 < args.t < math.inf:
             raise ConfigError(f"--t must be finite and > 0: {args.t}")
@@ -399,6 +392,18 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             os.stat(os.path.join(os.path.dirname(args.output) or ".", ""))
         except OSError as exc:
             raise _unwritable(args.output, exc) from exc
+    if args.command == "verify-channel":
+        return args
+    args.make_scenario = _scenario(args)
+    if args.command == "conditional":
+        args.blocks = _parse_blocks(args.blocks)
+    elif args.command == "sample":
+        from .trajectories import _check_samples
+
+        if args.steps < 1:
+            raise ConfigError(f"--steps must be >= 1: {args.steps}")
+        _check_samples(args.n, "--n")
+        args.seed = _resolve_seed(args.seed)
     return args
 
 

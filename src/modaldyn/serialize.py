@@ -104,17 +104,16 @@ def layout_payload(layout: SystemLayout) -> dict:
 
 def layout_from_payload(data: Any) -> SystemLayout:
     try:
-        dims, labels = tuple(data["dims"]), data["labels"]
+        dims, labels = data["dims"], data["labels"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad layout payload: {exc}") from exc
-    for d in dims:
-        if type(d) is not int or d < 1:
-            raise SchemaError(f"layout dims must be positive integers, got {d!r}")
-    if type(labels) is not list:
-        raise SchemaError(f"'labels' must be a list, got {type(labels).__name__}")
-    for s in labels:
-        if type(s) is not str:
-            raise SchemaError(f"layout labels must be strings, got {s!r}")
+    rules = (("dims", dims, int, "positive integers"), ("labels", labels, str, "strings"))
+    for key, items, kind, what in rules:
+        if type(items) is not list:
+            raise SchemaError(f"'{key}' must be a list, got {type(items).__name__}")
+        for x in items:
+            if type(x) is not kind or (kind is int and x < 1):
+                raise SchemaError(f"layout {key} must be {what}, got {x!r}")
     try:
         return SystemLayout(dims, labels)
     except LayoutMismatchError as exc:

@@ -239,6 +239,18 @@ class StepChain(Record):
         return Trajectory(points=points, seed=int(seed))
 
 
+def _check_seed(seed: int, what: str = "seed") -> None:
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"{what} must lie in 0..{SEED_BOUND - 1}: {seed}")
+
+
+def _check_samples(n: int, what: str = "n_samples") -> None:
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1: {n}")
+    if n >= 2**63:
+        raise ValueError(f"{what} must be below 2**63, the bound of its int64 counts: {n}")
+
+
 def _uniforms(
     base_seed: int, n_rows: int, n_times: int, max_rows: int
 ) -> Iterator[np.ndarray]:
@@ -255,8 +267,7 @@ def _uniforms(
     395,000 page faults against 13,000; ``run_ensemble`` keeps it in cache.
     A seed outside ``0 .. SEED_BOUND - 1`` raises ``ValueError``.
     """
-    if not 0 <= base_seed < SEED_BOUND:
-        raise ValueError(f"seed must lie in 0..{SEED_BOUND - 1}: {base_seed}")
+    _check_seed(base_seed)
     buffer = np.empty((min(max_rows, n_rows), n_times))
     for first in range(0, n_rows, ENSEMBLE_BLOCK):
         key = [base_seed, first // ENSEMBLE_BLOCK]
@@ -413,12 +424,7 @@ def run_ensemble(chain: StepChain, n_samples: int, base_seed: int) -> EnsembleRe
     for one.
     """
     n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1: {n_samples}")
-    if n_samples >= 2**63:
-        raise ValueError(
-            f"n_samples must be below 2**63, the bound of its int64 counts: {n_samples}"
-        )
+    _check_samples(n_samples)
     n_times, m = chain.cum.shape[:2]
     cell = 8 + np.min_scalar_type(m).itemsize + 1
     rows = ENSEMBLE_BLOCK

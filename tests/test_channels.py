@@ -204,6 +204,28 @@ def test_verify_kraus_reports_completeness_residual():
     assert rep.completeness_residual > 1e-7
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_a_tolerance_not_finite_and_nonnegative_is_refused_before_any_eigensolver(
+    monkeypatch, tol
+):
+    # -1 and NaN reported the identity as neither CP nor TP; inf passed anything
+    def eigensolver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", eigensolver)
+    message = f"tol must be finite and >= 0: {tol}"
+    with pytest.raises(ValueError) as info:
+        verify_kraus_operators(np.eye(2)[None], tol=tol)
+    assert info.value.args[0] == message
+    with pytest.raises(ValueError) as info:
+        verify_superoperator_matrix(np.eye(4), 2, tol=tol)
+    assert info.value.args[0] == message
+    with pytest.raises(ValueError) as info:
+        verify_cpt(unitary_channel(np.eye(2)), tol)
+    assert info.value.args[0] == message
+
+
 def test_identity_channel_is_noop():
     rng = np.random.default_rng(17)
     rho = random_density_matrix(QUBIT, rng)

@@ -128,8 +128,8 @@ def test_sample_seed_flag_overrides_env(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, env, message",
     [
-        (("--seed", "-1"), "7", "--seed must be >= 0: -1"),
-        ((), "-3", "MODALDYN_SEED must be >= 0: -3"),
+        (("--seed", "-1"), "7", "--seed must lie in 0..4294967295: -1"),
+        ((), "-3", "MODALDYN_SEED must lie in 0..4294967295: -3"),
     ],
     ids=["flag", "env"],
 )
@@ -155,8 +155,8 @@ def test_a_negative_seed_exits_2_before_the_chain_is_built(
 @pytest.mark.parametrize(
     "flag, env, message",
     [
-        (("--seed", "4294967296"), "7", "--seed must be below 4294967296: 4294967296"),
-        ((), "12884901899", "MODALDYN_SEED must be below 4294967296: 12884901899"),
+        (("--seed", "4294967296"), "7", "--seed must lie in 0..4294967295: 4294967296"),
+        ((), "12884901899", "MODALDYN_SEED must lie in 0..4294967295: 12884901899"),
     ],
     ids=["flag", "env"],
 )
@@ -846,9 +846,70 @@ def test_a_sample_count_past_int64_exits_2(capsys, n):
     assert code == 2
     assert out == ""
     assert err == (
-        f"configuration error: n_samples must be below 2**63, "
+        f"configuration error: --n must be below 2**63, "
         f"the bound of its int64 counts: {n}\n"
     )
+
+
+FILE_SAMPLE = ("sample", "--scenario", "{file}", "--t", "1")
+BIG_N = 2**63
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (
+            ("sample", "--scenario", "damping", "--t", "1", "--steps", "100000",
+             "--seed", "1", "--n", str(BIG_N)),
+            None,
+            f"--n must be below 2**63, the bound of its int64 counts: {BIG_N}",
+        ),
+        (
+            ("sample", "--scenario", "von-neumann", "--n-env", "2", "--t", "1",
+             "--steps", "0", "--seed", "1"),
+            None,
+            "--steps must be >= 1: 0",
+        ),
+        (
+            ("conditional", "--scenario", "von-neumann", "--n-env", "2", "--blocks", "S,,P"),
+            None,
+            "empty block in --blocks 'S,,P'",
+        ),
+        ((*FILE_SAMPLE, "--steps", "0", "--seed", "1"), None, "--steps must be >= 1: 0"),
+        ((*FILE_SAMPLE, "--steps", "4", "--n", "0", "--seed", "1"), None, "--n must be >= 1: 0"),
+        (
+            (*FILE_SAMPLE, "--steps", "4", "--seed", "-1"),
+            None,
+            "--seed must lie in 0..4294967295: -1",
+        ),
+        ((*FILE_SAMPLE, "--steps", "4"), "-3", "MODALDYN_SEED must lie in 0..4294967295: -3"),
+    ],
+    ids=["n-2**63", "steps-0", "blocks-empty", "file-steps-0", "file-n-0", "file-seed",
+         "file-env-seed"],
+)
+def test_a_flag_fault_is_refused_before_the_scenario_is_built_or_read(
+    capsys, monkeypatch, tmp_path, argv, env, message
+):
+    # at n_env = 22 the von Neumann chain held 543 MB before the refusal
+    from modaldyn import cli, dephasing_qubit, scenarios, trajectories
+
+    path = tmp_path / "scenario.json"
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work began")
+
+    for name, (_, params) in list(scenarios.SCENARIOS.items()):
+        monkeypatch.setitem(scenarios.SCENARIOS, name, (refuse, params))
+    monkeypatch.setattr(cli, "_load_json", refuse)
+    monkeypatch.setattr(trajectories, "build_step_chain", refuse)
+    if env is None:
+        monkeypatch.delenv("MODALDYN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MODALDYN_SEED", env)
+    argv = [a.format(file=path) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"configuration error: {message}\n")
 
 
 def test_sample_grid_over_budget_exits_2(capsys):
@@ -940,6 +1001,9 @@ def _bad_scenarios() -> dict:
         "dims-float": dict(doc, layout={"dims": [2.5], "labels": ["Q"]}),
         "dims-string": dict(doc, layout={"dims": ["2"], "labels": ["Q"]}),
         "dims-bool": dict(doc, layout={"dims": [True, True], "labels": ["A", "B"]}),
+        "dims-object": dict(doc, layout={"dims": {"2": 0}, "labels": ["Q"]}),
+        "dims-string-whole": dict(doc, layout={"dims": "2", "labels": ["Q"]}),
+        "dims-int": dict(doc, layout={"dims": 5, "labels": ["Q"]}),
         "dims-labels-unequal": dict(doc, layout={"dims": [2], "labels": ["A", "B"]}),
         "labels-null": dict(doc, layout={"dims": [2, 2], "labels": [None, 1]}),
         "labels-string": dict(doc, layout={"dims": [2, 2], "labels": "AB"}),
@@ -1178,6 +1242,9 @@ BAD_SCENARIOS = {
     "dims-float": "layout dims must be positive integers, got 2.5",
     "dims-string": "layout dims must be positive integers, got '2'",
     "dims-bool": "layout dims must be positive integers, got True",
+    "dims-object": "'dims' must be a list, got dict",
+    "dims-string-whole": "'dims' must be a list, got str",
+    "dims-int": "'dims' must be a list, got int",
     "dims-labels-unequal": "bad layout: 1 dims but 2 labels",
     "labels-null": "layout labels must be strings, got None",
     "labels-string": "'labels' must be a list, got str",

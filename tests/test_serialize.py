@@ -256,6 +256,18 @@ def test_scenario_document_static_and_schedule():
     assert np.abs(after.matrix - np.diag([0.0, 1.0])).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dims, kind", [({"2": 0}, "dict"), ("2", "str"), (5, "int")], ids=["dict", "str", "int"]
+)
+def test_layout_dims_that_are_not_a_list_are_refused(dims, kind):
+    # an object's keys or a string's characters are not read as dimensions
+    doc = scenario_document(dephasing_qubit(gamma=0.5))
+    doc["layout"] = {"dims": dims, "labels": ["Q"]}
+    with pytest.raises(SchemaError) as info:
+        scenario_from_document(doc)
+    assert info.value.args[0] == f"'dims' must be a list, got {kind}"
+
+
 def test_von_neumann_document_round_trip():
     sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=2)
     doc = json.loads(dumps_json(scenario_document(sc)))

@@ -616,3 +616,58 @@ def test_the_strict_mode_refusal_is_raised_only_in_states():
     # states._refuse_degeneracy, so its message is stated once
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert degeneracy_refusals(sources) == []
+
+
+def stray_range_bounds(sources: dict[str, str]) -> list[str]:
+    """Reads of the seed bound or the sample-count bound outside ``trajectories.py``.
+
+    A read is the name ``SEED_BOUND``, imported, loaded bare or read as an
+    attribute, or the number 2^63, written as a literal, as ``2**63`` or as
+    ``1 << 63``. ``sources`` maps file name to source; results are sorted.
+    """
+    spellings = {(ast.Pow, 2, 63), (ast.LShift, 1, 63)}
+    found = []
+    for file, source in sources.items():
+        if file == "trajectories.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.alias):
+                name = node.name
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.BinOp):
+                operands = (getattr(node.left, "value", None), getattr(node.right, "value", None))
+                bound = (type(node.op), *operands) in spellings
+            else:
+                bound = isinstance(node, ast.Constant) and node.value == 2**63
+            if name == "SEED_BOUND" or bound:
+                found.append(f"{file} line {node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_the_check_finds_a_range_bound_outside_trajectories():
+    sources = {
+        "a.py": "from .trajectories import SEED_BOUND\nLIMIT = 1 << 63\n",
+        "b.py": (
+            "from . import trajectories\n"
+            "def f(n):\n"
+            "    return n < 2**63 and n < trajectories.SEED_BOUND\n"
+            "big = 9223372036854775808\n"
+            "ok = 2**62 + 1 << 32, 2**64, 1 << 62\n"
+        ),
+        "trajectories.py": "SEED_BOUND = 1 << 32\ndef g(n):\n    return n < 2**63\n",
+    }
+    assert stray_range_bounds(sources) == [
+        "a.py line 1: SEED_BOUND",
+        "a.py line 2: 1 << 63",
+        "b.py line 3: 2 ** 63",
+        "b.py line 3: trajectories.SEED_BOUND",
+        "b.py line 4: 9223372036854775808",
+    ]
+
+
+def test_the_seed_and_sample_count_ranges_are_read_only_in_trajectories():
+    # cli judges --seed, MODALDYN_SEED and --n through trajectories._check_seed
+    # and _check_samples, so each range is stated once
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert stray_range_bounds(sources) == []
