@@ -598,8 +598,11 @@ def iterate(step: KrausChannel, rho: np.ndarray, n_steps: int) -> np.ndarray:
     ops_dag = ops.conj().transpose(0, 2, 1)
     states = np.empty((n_steps + 1, *rho.shape), dtype=complex)
     states[0] = rho
+    left, both = np.empty_like(ops), np.empty_like(ops)  # no temporaries per step
     for k in range(n_steps):
-        states[k + 1] = (ops @ states[k] @ ops_dag).sum(axis=0, initial=0.0)
+        np.matmul(ops, states[k], out=left)
+        np.matmul(left, ops_dag, out=both)
+        np.add.reduce(both, axis=0, initial=0.0, out=states[k + 1])
     return states
 
 

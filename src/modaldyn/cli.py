@@ -2,7 +2,8 @@
 
 Subcommands: ``epistemic``, ``conditional``, ``sample``, ``verify-channel``.
 Every flag is declared once, in :func:`build_parser`; ``scenarios.SCENARIOS``
-says which scenario takes which scenario flag, and its default. Each
+says which scenario takes which scenario flag, its default, and whether it
+carries a generator to sample. Each
 ``_cmd_*`` does its work on arguments that :func:`_config_from_args` has
 judged, then hands its document and its CSV writer to
 :func:`_emit`, the one place that makes the ``--format`` choice and writes.
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .scenarios import KET_ONE, KET_PLUS, KET_ZERO, QUBIT, SCENARIOS, Scenario
 from .serialize import SchemaError
-from .states import PERMISSIVE, STRICT, DensityMatrix, _check_threshold, extract_epistemic
+from .states import PERMISSIVE, STRICT, DensityMatrix, _check_threshold, extract_block
 from .tolerances import CPT_TOL, DEFAULT_THRESHOLD
 
 EXIT_OK = 0
@@ -122,7 +123,7 @@ def _scenario(args: argparse.Namespace) -> Callable[[], Scenario]:
     source = args.scenario
     given = dict(vars(args), rho0=_rho0(args.rho0))
     if source in SCENARIOS:
-        build, params = SCENARIOS[source]
+        build, params, _ = SCENARIOS[source]
     elif source.endswith(".json") or os.path.isfile(source):
         what, bad = f"scenario file {source!r}", f"bad scenario document {source!r}"
         build = partial(_load_json, source, what, serialize.scenario_from_document, bad)
@@ -139,14 +140,19 @@ def _scenario(args: argparse.Namespace) -> Callable[[], Scenario]:
     return partial(build, **kwargs)
 
 
-def _parse_blocks(text: str) -> tuple[tuple[str, ...], ...]:
-    blocks = []
-    for chunk in text.split(","):
-        labels = tuple(s.strip() for s in chunk.split("+") if s.strip())
-        if not labels:
-            raise ConfigError(f"empty block in --blocks {text!r}")
-        blocks.append(labels)
-    return tuple(blocks)
+def _factor_lists(text: str, flag: str, sep: str, list_sep: Optional[str] = None) -> tuple:
+    """``flag``'s ``text`` split at ``list_sep`` into lists (one list if
+    ``None``), each at ``sep`` into factor labels; an empty label exits 2."""
+    parts = text.split(list_sep) if list_sep else (text,)
+    lists = tuple(tuple(s.strip() for s in part.split(sep)) for part in parts)
+    if not all(map(all, lists)):
+        raise ConfigError(f"empty label in {flag} {text!r}")
+    return lists
+
+
+def _check_sampled(scenario: str, generator: bool) -> None:
+    if not generator:
+        raise ConfigError(f"scenario {scenario!r} has no generator dynamics to sample")
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
@@ -196,16 +202,12 @@ def _emit(
 
 def _cmd_epistemic(args: argparse.Namespace) -> int:
     sc = args.make_scenario()
-    labels = tuple(s.strip() for s in (args.subsystem or "").split(",") if s.strip())
+    labels = args.subsystem or sc.layout.labels
     try:
         sc.layout.positions(labels)
     except (LayoutMismatchError, UnknownLabelError) as exc:
         raise ConfigError(f"bad --subsystem: {exc}") from exc
-    labels = labels or sc.layout.labels
-    state = sc.state_at(args.time)
-    if set(labels) != set(sc.layout.labels):
-        state = state.reduce(labels)
-    e = extract_epistemic(state, args.threshold)
+    e = extract_block(sc.state_at(args.time), labels, args.threshold)
     _emit(
         args,
         lambda: serialize.epistemic_payload(e, args.scenario, labels, args.time),
@@ -238,10 +240,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from .trajectories import TimeGrid, build_step_chain, run_ensemble
 
     sc = args.make_scenario()
-    if not isinstance(sc.dynamics, channels_mod.LindbladGenerator):
-        raise ConfigError(
-            f"scenario {args.scenario!r} has no generator dynamics to sample"
-        )
+    _check_sampled(args.scenario, isinstance(sc.dynamics, channels_mod.LindbladGenerator))
     grid = TimeGrid(args.t / args.steps, args.steps)
     step = channels_mod.evolve(sc.dynamics, grid.dt)
     # each branch lets the chain go before its document is written
@@ -315,7 +314,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     for param, (flag, kind, text) in _SCENARIO_FLAGS.items():
         takers = ", ".join(
             f"{name} (default: {params[param]})"
-            for name, (_, params) in SCENARIOS.items()
+            for name, (_, params, _) in SCENARIOS.items()
             if param in params
         )
         p.add_argument(flag, dest=param, type=kind, help=f"{text}; taken by {takers}")
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """``args`` once every check that needs no built scenario passes; then
-    ``make_scenario()`` builds it, and ``blocks`` and ``seed`` hold their values."""
+    ``make_scenario()`` builds it; ``subsystem``, ``blocks`` and ``seed`` hold values."""
     if args.command == "verify-channel":
         channels_mod._check_tol(args.tol, "--tol")
     elif args.command == "sample":
@@ -395,8 +394,10 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if args.command == "verify-channel":
         return args
     args.make_scenario = _scenario(args)
-    if args.command == "conditional":
-        args.blocks = _parse_blocks(args.blocks)
+    if args.command == "epistemic" and args.subsystem is not None:
+        (args.subsystem,) = _factor_lists(args.subsystem, "--subsystem", ",")
+    elif args.command == "conditional":
+        args.blocks = _factor_lists(args.blocks, "--blocks", "+", ",")
     elif args.command == "sample":
         from .trajectories import _check_samples
 
@@ -404,6 +405,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"--steps must be >= 1: {args.steps}")
         _check_samples(args.n, "--n")
         args.seed = _resolve_seed(args.seed)
+        if args.scenario in SCENARIOS:  # a file's dynamics are known once it is read
+            _check_sampled(args.scenario, SCENARIOS[args.scenario][2])
     return args
 
 

@@ -22,8 +22,7 @@ its axes. Tables and scalar queries reach it by one path: the layout check,
 the parent spectrum at t, the stacks of the requested parent columns from
 ``channels.amplitudes`` (first, so that a flow's plan refuses an
 over-budget table before the state is flowed), the state at t' from
-``channels.apply``, and the block spectra of its reduced matrices (a
-block of every factor reads that state itself, with no partial trace). Only
+``channels.apply``, and the block spectra from ``states.extract_block``. Only
 ``amplitudes`` and ``apply`` act with the dynamics, each behind the gate
 ``channels.steps``, which takes a Kraus channel, a schedule of local steps
 ``(positions, channel)`` or a generator flow, and refuses a
@@ -49,7 +48,7 @@ from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsEr
 from .linalg import Record, SystemLayout, Value
 from .states import (
     STRICT, EpistemicState, State, _check_bound, _check_mode, _refuse_degeneracy,
-    extract_epistemic,
+    extract_block, extract_epistemic,
 )
 from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
@@ -140,13 +139,7 @@ def _kernel_inputs(
     parent = extract_epistemic(rho_w_t, threshold)
     stacks = amplitudes(channel, parent.vectors[:, columns], part.layout)
     rho_tprime = apply(channel, rho_w_t)
-    blocks = tuple(
-        extract_epistemic(
-            rho_tprime if b == part.layout.labels else rho_tprime.reduce(b), threshold
-        )
-        for b in part.blocks
-    )
-    return parent, stacks, blocks
+    return parent, stacks, tuple(extract_block(rho_tprime, b, threshold) for b in part.blocks)
 
 
 def joint_conditional(

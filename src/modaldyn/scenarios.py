@@ -220,13 +220,14 @@ def _von_neumann(alpha2: float, n_env: int, coupling: float) -> Scenario:
 
 
 _QUBIT = {"gamma": 1.0, "rho0": None}  # rho0 None: the scenario's own state
-# Name -> (builder, {parameter: default}); builders take their parameters by
-# keyword and look constructors up here at call time, so a rebound one is seen.
-SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict]] = {
-    "epr-bohm": (lambda: epr_bohm(), {}),
-    "ghz-mermin": (lambda: ghz_mermin(), {}),
-    "dephasing": (lambda **kw: dephasing_qubit(**kw), _QUBIT),
-    "damping": (lambda **kw: amplitude_damping_qubit(**kw), _QUBIT),
-    "von-neumann": (_von_neumann, {"alpha2": 0.3, "n_env": 8, "coupling": 0.4}),
-    "ghz": (lambda: ghz_mermin(), {}),  # alias of ghz-mermin
+# Name -> (builder, {parameter: default}, whether its dynamics are a
+# generator); builders take their parameters by keyword and look constructors
+# up here at call time, so a rebound one is seen.
+SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict, bool]] = {
+    "epr-bohm": (lambda: epr_bohm(), {}, False),
+    "ghz-mermin": (lambda: ghz_mermin(), {}, False),
+    "dephasing": (lambda **kw: dephasing_qubit(**kw), _QUBIT, True),
+    "damping": (lambda **kw: amplitude_damping_qubit(**kw), _QUBIT, True),
+    "von-neumann": (_von_neumann, {"alpha2": 0.3, "n_env": 8, "coupling": 0.4}, False),
+    "ghz": (lambda: ghz_mermin(), {}, False),  # alias of ghz-mermin
 }

@@ -6,9 +6,9 @@ state: each retained eigenvector is a candidate pure state of the system (an
 occupies that state; :class:`EpistemicState` keeps both as arrays. The
 decomposition is unique exactly when the spectrum is nondegenerate, so
 degenerate eigenvalue clusters are flagged, and refused in strict mode. The
-reading rules that tables, scalar queries and trajectory chains share live
-here: the threshold's range, checked where a reading starts; the strict-mode
-refusal (``_refuse_degeneracy``); and the bound on a kernel result.
+reading rules that tables, queries, chains and the CLI share live here: a
+block's reading (``extract_block``); the threshold's range, checked where a
+reading starts; ``_refuse_degeneracy``; and the bound on a kernel result.
 
 A pure state of a large layout is carried as its vector (:class:`PureState`)
 rather than as a dense matrix; its reductions are formed from the Schmidt
@@ -302,6 +302,14 @@ def extract_epistemic(
         degenerate_clusters=_degenerate_clusters(close[0]),
         truncation_mass=float(probs[0, n:].sum()),
     )
+
+
+def extract_block(rho: State, labels: Sequence[str], threshold: float) -> EpistemicState:
+    """The reading of ``rho``'s factors ``labels``: of ``rho`` itself when they
+    name every factor, with no partial trace, else of its reduction to them."""
+    if sorted(labels) != sorted(rho.layout.labels):
+        rho = rho.reduce(labels)
+    return extract_epistemic(rho, threshold)
 
 
 def _check_threshold(threshold: float) -> None:

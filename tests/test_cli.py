@@ -201,6 +201,21 @@ def test_sample_static_scenario_rejected(capsys):
     assert "generator" in err
 
 
+@pytest.mark.parametrize("kind", ["static", "schedule"])
+def test_sample_refuses_a_scenario_file_without_a_generator_once_read(
+    capsys, tmp_path, kind
+):
+    # a file's dynamics are known only once it is read; the message is the built-ins'
+    from modaldyn import epr_bohm, von_neumann_measurement
+
+    sc = epr_bohm() if kind == "static" else von_neumann_measurement(1.0, 0.0, n_env=1)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(scenario_document(sc)), encoding="utf-8")
+    argv = ("sample", "--scenario", str(path), "--t", "1", "--steps", "4", "--seed", "1")
+    message = f"scenario {str(path)!r} has no generator dynamics to sample"
+    assert run(capsys, *argv) == (2, "", f"configuration error: {message}\n")
+
+
 def test_outputs_are_byte_identical(capsys):
     cases = [
         ("epistemic", "--scenario", "ghz-mermin", "--subsystem", "A,B"),
@@ -873,7 +888,23 @@ BIG_N = 2**63
         (
             ("conditional", "--scenario", "von-neumann", "--n-env", "2", "--blocks", "S,,P"),
             None,
-            "empty block in --blocks 'S,,P'",
+            "empty label in --blocks 'S,,P'",
+        ),
+        (
+            ("epistemic", "--scenario", "von-neumann", "--n-env", "2", "--subsystem", "S,,"),
+            None,
+            "empty label in --subsystem 'S,,'",
+        ),
+        (
+            ("sample", "--scenario", "von-neumann", "--n-env", "2", "--t", "1",
+             "--steps", "4", "--seed", "1"),
+            None,
+            "scenario 'von-neumann' has no generator dynamics to sample",
+        ),
+        (
+            ("sample", "--scenario", "epr-bohm", "--t", "1", "--steps", "4", "--seed", "1"),
+            None,
+            "scenario 'epr-bohm' has no generator dynamics to sample",
         ),
         ((*FILE_SAMPLE, "--steps", "0", "--seed", "1"), None, "--steps must be >= 1: 0"),
         ((*FILE_SAMPLE, "--steps", "4", "--n", "0", "--seed", "1"), None, "--n must be >= 1: 0"),
@@ -884,8 +915,8 @@ BIG_N = 2**63
         ),
         ((*FILE_SAMPLE, "--steps", "4"), "-3", "MODALDYN_SEED must lie in 0..4294967295: -3"),
     ],
-    ids=["n-2**63", "steps-0", "blocks-empty", "file-steps-0", "file-n-0", "file-seed",
-         "file-env-seed"],
+    ids=["n-2**63", "steps-0", "blocks-empty", "subsystem-empty", "sample-schedule",
+         "sample-static", "file-steps-0", "file-n-0", "file-seed", "file-env-seed"],
 )
 def test_a_flag_fault_is_refused_before_the_scenario_is_built_or_read(
     capsys, monkeypatch, tmp_path, argv, env, message
@@ -900,8 +931,8 @@ def test_a_flag_fault_is_refused_before_the_scenario_is_built_or_read(
     def refuse(*args, **kwargs):
         raise AssertionError("the work began")
 
-    for name, (_, params) in list(scenarios.SCENARIOS.items()):
-        monkeypatch.setitem(scenarios.SCENARIOS, name, (refuse, params))
+    for name, (_, params, generator) in list(scenarios.SCENARIOS.items()):
+        monkeypatch.setitem(scenarios.SCENARIOS, name, (refuse, params, generator))
     monkeypatch.setattr(cli, "_load_json", refuse)
     monkeypatch.setattr(trajectories, "build_step_chain", refuse)
     if env is None:
@@ -1182,7 +1213,23 @@ CONFIG_ERRORS = {
     ),
     "blocks-empty": (
         ("conditional", "--scenario", "epr-bohm", "--blocks", "A,,B"),
-        "empty block in --blocks 'A,,B'",
+        "empty label in --blocks 'A,,B'",
+    ),
+    "blocks-empty-label": (
+        ("conditional", "--scenario", "epr-bohm", "--blocks", "A++B"),
+        "empty label in --blocks 'A++B'",
+    ),
+    "subsystem-empty-tail": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", "A,,"),
+        "empty label in --subsystem 'A,,'",
+    ),
+    "subsystem-comma": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", ","),
+        "empty label in --subsystem ','",
+    ),
+    "subsystem-empty": (
+        ("epistemic", "--scenario", "epr-bohm", "--subsystem", ""),
+        "empty label in --subsystem ''",
     ),
     "blocks-short": (
         ("conditional", "--scenario", "epr-bohm", "--blocks", "A"),

@@ -152,6 +152,28 @@ def test_reduce_produces_subsystem_state():
     assert e.degenerate_clusters == ((0, 1),)
 
 
+def test_a_block_of_every_factor_is_read_as_the_state_itself(monkeypatch):
+    # in any order and with no reduction; a block of fewer factors reads the reduction
+    from modaldyn.errors import LayoutMismatchError
+    from modaldyn.states import extract_block
+
+    rng = np.random.default_rng(41)
+    layout = SystemLayout.qubits(("A", "B", "C"))
+    pure = PureState(random_state_vector(8, rng), layout)
+    for rho in (pure, random_density_matrix(layout, rng)):
+        with pytest.raises(LayoutMismatchError, match="'B' named more than once"):
+            extract_block(rho, ("A", "B", "B"), 0.0)
+        read = [extract_block(rho, ("C", "A"), 0.0)]
+        monkeypatch.setattr(type(rho), "reduce", None)
+        read.append(extract_block(rho, ("C", "A", "B"), 0.0))
+        monkeypatch.undo()
+        for e, expected in zip(read, (rho.reduce(("A", "C")), rho)):
+            want = extract_epistemic(expected, 0.0)
+            assert np.array_equal(e.probabilities, want.probabilities)
+            assert np.array_equal(e.vectors, want.vectors)
+            assert e.layout == expected.layout
+
+
 def test_epistemic_state_rejects_non_orthogonal_entries():
     vectors = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])
     with pytest.raises(NonOrthogonalEntriesError):
