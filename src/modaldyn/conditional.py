@@ -13,13 +13,13 @@ channel carrying W from t to t'. Two special cases matter enough to get their
 own entry points: the single-time case (identity channel) and the
 single-subsystem two-time case (trivial partition).
 
-Every entry point is a slice of one kernel. For each parent column ``w`` it
-takes an amplitude stack ``A_w`` with ``A_w A_w^dag = E[P_W(w)]``, so the
-quantity is ``sum_r |<b_1(i_1) kron ... kron b_n(i_n)| A_w[:, r]|^2``,
-evaluated for all parent columns and block indices at once: it reorders the
-tensor factors into block order and contracts each block's eigenbasis along
-its axes. Tables and scalar queries reach it by one path: the layout check,
-the parent spectrum at t, the stacks of the requested parent columns from
+Every entry point is a slice of one kernel, ``states._conditional_kernel``.
+For each parent column ``w`` it takes an amplitude stack ``A_w`` with ``A_w
+A_w^dag = E[P_W(w)]``, so the quantity is ``sum_r |<b_1(i_1) kron ... kron
+b_n(i_n)| A_w[:, r]|^2``, for all parent columns and block indices at once:
+it contracts each block's eigenbasis along its factors. Tables and scalar
+queries reach it, at one grid point, by one path: the layout check, the
+parent spectrum at t, the stacks of the requested parent columns from
 ``channels.amplitudes`` (first, so that a flow's plan refuses an
 over-budget table before the state is flowed), the state at t' from
 ``channels.apply``, and the block spectra from ``states.extract_block``. Only
@@ -29,7 +29,7 @@ over-budget table before the state is flowed), the state at t' from
 ``Superoperator``, to be converted once by the caller. A table is the full
 result; a scalar query is the kernel on one parent column and one basis
 vector per block; the step rows of a trajectory chain are the one-block
-case, stacked over the steps.
+case, with the steps as the kernel's grid axis.
 
 Degenerate spectra make eigenvectors non-unique, so queries touching a
 flagged degenerate cluster are refused in strict mode and answered against
@@ -47,8 +47,8 @@ from .channels import Dynamics, amplitudes, apply
 from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsError
 from .linalg import Record, SystemLayout, Value
 from .states import (
-    STRICT, EpistemicState, State, _check_bound, _check_mode, _refuse_degeneracy,
-    extract_block, extract_epistemic,
+    STRICT, EpistemicState, State, _check_bound, _check_mode, _conditional_kernel,
+    _refuse_degeneracy, extract_block, extract_epistemic,
 )
 from .tolerances import DEFAULT_THRESHOLD, ROW_SUM_TOL
 
@@ -87,43 +87,22 @@ class Partition(Value):
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def concat_positions(self) -> tuple[int, ...]:
-        """Parent factor positions in blocks-concatenated order."""
-        return tuple(
-            self.layout.position(label) for block in self.blocks for label in block
-        )
-
 
 def trivial_partition(layout: SystemLayout) -> Partition:
     return Partition(layout, (tuple(layout.labels),))
 
 
 def _block_probabilities(
-    stacks: Sequence[np.ndarray],
-    block_bases: Sequence[np.ndarray],
-    part: Partition,
+    stacks: Sequence[np.ndarray], block_bases: Sequence[np.ndarray], part: Partition
 ) -> np.ndarray:
-    """``probs[w, i_1..i_n] = sum_r |<b_1(i_1)..b_n(i_n)| A_w[:, r]|^2``.
-
-    ``stacks[r]`` holds column ``r`` of every parent's stack ``A_w`` as
-    its column ``w`` (``K_r @ V_parent`` for a Kraus family), over the
-    partition's layout; ``block_bases[a]`` holds block ``a``'s vectors as
-    columns over that block's factors in layout order. Entries are real and
-    nonnegative by construction; values above ``1 + CLAMP_TOL`` raise, and
-    the rest are clamped to at most one.
-    """
-    dims = part.layout.dims
-    axes = part.concat_positions() + (len(dims),)
-    shape = tuple(b.shape[0] for b in block_bases) + (-1,)
-    bras = [np.conj(b) for b in block_bases]
-    probs = 0.0
-    for amp in stacks:
-        amp = amp.reshape(dims + (-1,)).transpose(axes).reshape(shape)
-        for bra in bras:
-            amp = np.tensordot(amp, bra, axes=(0, 0))
-        probs = probs + (amp.real**2 + amp.imag**2)
-    _check_bound(probs[None])
-    return np.minimum(probs, 1.0)
+    """The kernel's ``probs[w, i_1..i_n]`` for ``block_bases[a]``, block
+    ``a``'s vectors as columns: values over ``1 + CLAMP_TOL`` raise, and the
+    rest are clamped to at most one."""
+    order = tuple(p for b in part.blocks for p in part.layout.positions(b))
+    bases = [b[None] for b in block_bases]
+    probs = _conditional_kernel(stacks, bases, part.layout.dims, order)
+    _check_bound(probs, "w, i_1..i_n")
+    return np.minimum(probs[0], 1.0)
 
 
 def _kernel_inputs(
@@ -283,10 +262,4 @@ def conditional_table(
     for a, block in enumerate(blocks):
         _refuse_degeneracy(mode, block.degenerate_clusters, f"block {a} spectrum")
     probs = _block_probabilities(stacks, [b.vectors for b in blocks], part)
-    return ConditionalTable(
-        parent=parent,
-        blocks=blocks,
-        partition=part,
-        probabilities=probs,
-        mode=mode,
-    )
+    return ConditionalTable(parent, blocks, part, probs, mode)

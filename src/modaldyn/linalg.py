@@ -88,6 +88,13 @@ class Value(Record):
         return hash(tuple(vars(self).values()))
 
 
+def _labels(labels: Iterable[str]) -> Iterable[str]:
+    """``labels``, refused if one string, which would read a label per character."""
+    if isinstance(labels, str):
+        raise TypeError(f"labels must be a list of labels, not the string {labels!r}")
+    return labels
+
+
 class SystemLayout(Value):
     """Ordered tensor factorization of a composite Hilbert space.
 
@@ -99,7 +106,7 @@ class SystemLayout(Value):
     labels: tuple[str, ...]
 
     def __init__(self, dims, labels) -> None:
-        dims, labels = tuple(int(d) for d in dims), tuple(str(s) for s in labels)
+        dims, labels = tuple(int(d) for d in dims), tuple(str(s) for s in _labels(labels))
         if len(dims) != len(labels):
             raise LayoutMismatchError(f"{len(dims)} dims but {len(labels)} labels")
         if not dims:
@@ -112,7 +119,7 @@ class SystemLayout(Value):
 
     @classmethod
     def qubits(cls, labels: Sequence[str]) -> "SystemLayout":
-        return cls((2,) * len(labels), tuple(labels))
+        return cls((2,) * len(labels), labels)
 
     @property
     def total_dim(self) -> int:
@@ -133,7 +140,7 @@ class SystemLayout(Value):
     def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``labels``, sorted into layout order; a label named
         more than once is refused."""
-        pos = sorted(self.position(s) for s in labels)
+        pos = sorted(self.position(s) for s in _labels(labels))
         for p, q in zip(pos, pos[1:]):
             if p == q:
                 raise LayoutMismatchError(

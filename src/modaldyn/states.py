@@ -8,7 +8,8 @@ decomposition is unique exactly when the spectrum is nondegenerate, so
 degenerate eigenvalue clusters are flagged, and refused in strict mode. The
 reading rules that tables, queries, chains and the CLI share live here: a
 block's reading (``extract_block``); the threshold's range, checked where a
-reading starts; ``_refuse_degeneracy``; and the bound on a kernel result.
+reading starts; ``_refuse_degeneracy``; the conditional kernel of tables,
+queries and chain rows (``_conditional_kernel``) and the bound on its result.
 
 A pure state of a large layout is carried as its vector (:class:`PureState`)
 rather than as a dense matrix; its reductions are formed from the Schmidt
@@ -307,7 +308,7 @@ def extract_epistemic(
 def extract_block(rho: State, labels: Sequence[str], threshold: float) -> EpistemicState:
     """The reading of ``rho``'s factors ``labels``: of ``rho`` itself when they
     name every factor, with no partial trace, else of its reduction to them."""
-    if sorted(labels) != sorted(rho.layout.labels):
+    if len(rho.layout.positions(labels)) < rho.layout.n_factors:
         rho = rho.reduce(labels)
     return extract_epistemic(rho, threshold)
 
@@ -379,24 +380,41 @@ def _degenerate_clusters(close: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(a, b + 1)) for a, b in zip(edges[::2], edges[1::2]))
 
 
-def _check_bound(probs: np.ndarray) -> None:
-    """Refuse the first of a stack of kernel results with a value over one.
+def _conditional_kernel(
+    stacks: Sequence[np.ndarray], bases: Sequence[np.ndarray], dims: tuple, order: tuple
+) -> np.ndarray:
+    """Unbounded ``probs[g, w, i_1..i_n] = sum_r |<b_1(i_1)..b_n(i_n)| A_gw[:, r]|^2``.
 
-    ``probs[n, w, i_1..i_n]`` stacks results of the conditional kernel
-    (:mod:`modaldyn.conditional`), whose tables and trajectory chain rows
-    share this check. The error names the largest value of the first result
-    over ``1 + CLAMP_TOL`` and its index. A result holding NaN passes here;
-    the table's value bounds and the chain's row sums refuse it.
-    """
+    ``stacks`` come from ``channels.amplitudes``, ``(d, G * W)``, grid point
+    major, over factors ``dims``; ``bases[a]`` is block ``a``'s vectors
+    ``(G, d_a, n_a)``, and ``order`` the blocks' factor positions in turn.
+    One batched product per block: amplitudes left, conjugated bases right."""
+    grid, n = len(bases[0]), len(dims)
+    bras = [np.conj(b) for b in bases]
+    probs = 0.0
+    for amp in stacks:
+        amp = amp.reshape(dims + (grid, -1)).transpose((n,) + order + (n + 1,))
+        for bra in bras:
+            amp = amp.reshape(grid, bra.shape[1], -1).transpose(0, 2, 1) @ bra
+        probs = probs + (amp.real**2 + amp.imag**2)
+    return probs.reshape((grid, -1) + tuple(b.shape[2] for b in bases))
+
+
+def _check_bound(probs: np.ndarray, index: str, where: Optional[Callable] = None) -> None:
+    """Refuse the first of a stack of ``_conditional_kernel`` results (tables,
+    queries, chain rows) with a value over one. The error gives the result's
+    largest value over ``1 + CLAMP_TOL`` and its index, with axes named by
+    ``index``, after ``where(n)`` for result ``n`` (a chain's step) if given.
+    A result holding NaN passes here; the table's value bounds and the
+    chain's row sums refuse it."""
     peaks = probs.max(axis=tuple(range(1, probs.ndim)))
     over = np.flatnonzero(peaks > 1.0 + CLAMP_TOL)
     if over.size:
         n = over[0]
         at = np.unravel_index(int(np.argmax(probs[n])), probs.shape[1:])
-        raise ProbabilityBoundsError(
-            f"conditional probability {float(peaks[n]):.17g} at [w, i_1..i_n] "
-            f"= {tuple(int(i) for i in at)} exceeds 1 + {CLAMP_TOL:g}"
-        )
+        why = f"conditional probability {float(peaks[n]):.17g} at [{index}] "
+        why += f"= {tuple(int(i) for i in at)} exceeds 1 + {CLAMP_TOL:g}"
+        raise ProbabilityBoundsError(f"{where(n)}: {why}" if where else why)
 
 
 def epistemic_to_density(e: EpistemicState) -> DensityMatrix:

@@ -10,17 +10,17 @@ departs from the theory's (README, "Modeling note"). Everything downstream
 of the chain (sampled paths, ensemble frequency reports) should be read
 with that caveat.
 
-A chain is a fixed set of whole-grid arrays, read from the step channel
-as it is. ``channels.iterate`` pushes rho along the grid into one
-``(n_times, d, d)`` stack, which one stacked eigendecomposition reads; the
-density-matrix checks and the epistemic reading of :mod:`modaldyn.states`
-run over it at once. Errors name the grid point and come in grid order. The
-rows of every step are the one-block case of the kernel in
-:mod:`modaldyn.conditional`, read from the amplitude stacks
-``channels.amplitudes`` gives for the kept eigenvectors of every grid point
-at once, and must sum to one within ``CHAIN_ROW_SUM_TOL``. The step passes
-the tables' gate ``channels.steps``, and the chain reads by the tables' rules
-in :mod:`modaldyn.states` (threshold range, strict-mode refusal, result bound).
+A chain is a fixed set of whole-grid arrays, read from the step channel as it
+is. ``channels.iterate`` pushes rho along the grid into one ``(n_times, d, d)``
+stack, which one stacked eigendecomposition reads; the density-matrix checks
+and the epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
+name the grid point or step, in grid order. Each step's rows are the one-block
+case of ``states._conditional_kernel``, the tables' kernel, called once per
+``CHAIN_CHUNK`` steps on the amplitude stacks ``channels.amplitudes`` gives for
+the kept eigenvectors of those grid points, and must sum to one within
+``CHAIN_ROW_SUM_TOL``. The step passes the tables' gate ``channels.steps``, and
+the chain reads by the tables' rules in :mod:`modaldyn.states` (threshold
+range, strict-mode refusal, result bound).
 
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|,
@@ -60,8 +60,8 @@ from .channels import KrausChannel, _not_kraus, amplitudes, iterate, steps
 from .errors import InvalidDensityMatrixError, NormalizationError
 from .linalg import Record, Value, _ordered_eig, check_memory
 from .states import (
-    STRICT, PureState, State, _check_bound, _check_mode, _check_threshold, _density_fault,
-    _read_spectra,
+    STRICT, PureState, State, _check_bound, _check_mode, _check_threshold,
+    _conditional_kernel, _density_fault, _read_spectra,
 )
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
@@ -372,20 +372,20 @@ def build_step_chain(
     labels, n_labels = _branch_labels(
         np.abs(vectors[:-1].transpose(0, 2, 1) @ vectors[1:].conj()), kept
     )
-    raw = np.zeros((n_steps, m, m))
+    raw = np.empty((n_steps, m, m))
     for lo in range(0, n_steps, CHAIN_CHUNK):
         part = vectors[lo : lo + CHAIN_CHUNK + 1]
-        n, bras = len(part) - 1, part[1:].conj()
-        kets = part[:-1].transpose(1, 0, 2).reshape(d, n * m)
-        for amp in amplitudes(step_channel, kets, rho0.layout):
-            amp = amp.reshape(d, n, m).transpose(1, 2, 0) @ bras
-            raw[lo : lo + n] += amp.real**2 + amp.imag**2
+        kets = part[:-1].transpose(1, 0, 2).reshape(d, -1)
+        stacks = amplitudes(step_channel, kets, rho0.layout)
+        # one block on the whole space, read as one factor of dimension d
+        raw[lo : lo + CHAIN_CHUNK] = _conditional_kernel(stacks, [part[1:]], (d,), (0,))
     rows = np.minimum(raw, 1.0)
     sums = rows.sum(axis=2)
     # negated so that a NaN sum fails too; rows past the counts are padding
     bad = ~(np.abs(sums - 1.0) <= CHAIN_ROW_SUM_TOL) & kept[:-1]
     k, a = divmod(int(np.argmax(bad)) if bad.any() else bad.size, m)
-    _check_bound(raw[: k + 1])  # at one step, the bound check comes first
+    # at one step, the bound check comes first
+    _check_bound(raw[: k + 1], "a, b", lambda n: f"step {n} from {point(n)}")
     if k < n_steps:
         raise NormalizationError(
             f"conditional row {a} at step {k} sums to {float(sums[k, a]):.15g}, "

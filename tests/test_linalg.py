@@ -16,6 +16,7 @@ from modaldyn import (
     partial_trace,
 )
 from modaldyn.linalg import _ordered_eig, apply_local
+from modaldyn.states import extract_block
 
 from oracles import naive_canonical_phase, naive_ordered_columns, naive_partial_trace
 from random_objects import random_density_matrix, random_hermitian
@@ -60,6 +61,30 @@ def test_a_label_named_twice_is_refused_wherever_labels_are_read():
     ):
         with pytest.raises(LayoutMismatchError, match="^label '[AB]' named more than once$"):
             call()
+
+
+def test_a_bare_string_is_refused_wherever_labels_are_read():
+    # a string is a sequence of one-character labels: "AB" must not mean ("A", "B")
+    layout = SystemLayout(dims=(2, 3), labels=("A", "B"))
+    rho = DensityMatrix(np.eye(6, dtype=complex) / 6, layout)
+    pure = PureState(np.eye(6, dtype=complex)[0], layout)
+    for text, call in (
+        ("AB", lambda: SystemLayout(dims=(2, 3), labels="AB")),
+        ("AB", lambda: SystemLayout.qubits("AB")),
+        ("BA", lambda: layout.positions("BA")),
+        ("AB", lambda: layout.sublayout("AB")),
+        ("A", lambda: partial_trace(rho.matrix, layout, "A")),
+        ("A", lambda: rho.reduce("A")),
+        ("B", lambda: pure.reduce("B")),
+        ("AB", lambda: Partition(layout, ("AB",))),
+        ("A", lambda: Partition(layout, "AB")),
+        ("AB", lambda: extract_block(rho, "AB", 0.0)),
+    ):
+        with pytest.raises(TypeError, match=f"^labels must be .*, not the string '{text}'$"):
+            call()
+    # lists are labels as much as tuples are
+    assert SystemLayout.qubits(["A", "B"]) == SystemLayout((2, 2), ["A", "B"])
+    assert layout.positions(["B", "A"]) == (0, 1)
 
 
 QUBIT = SystemLayout.qubits(("Q",))

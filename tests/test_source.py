@@ -142,7 +142,8 @@ def test_the_table_and_chain_modules_load_only_where_they_run(name):
 
 
 def test_the_chain_module_does_not_load_the_table_module():
-    # the helpers both kernels share live in ``states``; importing
+    # the one conditional kernel, states._conditional_kernel, and the reading
+    # rules it shares with the tables live in ``states``; importing
     # ``conditional`` took about 6 ms of every ``sample`` process
     source = (PACKAGE / "trajectories.py").read_text(encoding="utf-8")
     assert ".conditional" not in eager_imports(source)
@@ -671,3 +672,64 @@ def test_the_seed_and_sample_count_ranges_are_read_only_in_trajectories():
     # and _check_samples, so each range is stated once
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert stray_range_bounds(sources) == []
+
+
+def squared_moduli(sources: dict[str, str]) -> list[str]:
+    """``file: function`` for each function that squares a complex array's
+    modulus as ``x.real ** 2 + x.imag ** 2``, in either order, ``x`` being
+    the same expression in both terms; one at module level counts as
+    ``<module>``. ``sources`` maps file name to source.
+    """
+    found = []
+
+    def square(node):
+        # ``(attr, dump of x)`` for ``x.attr ** 2``
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Attribute)
+            and getattr(node.right, "value", None) == 2
+        ):
+            return node.left.attr, ast.dump(node.left.value)
+        return None
+
+    def visit(node, file, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            terms = sorted(filter(None, (square(node.left), square(node.right))))
+            attrs, operands = zip(*terms) if terms else ((), ())
+            modulus = attrs == ("imag", "real") and operands[0] == operands[1]
+            if modulus and f"{file}: {function}" not in found:
+                found.append(f"{file}: {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, function)
+
+    for file, source in sources.items():
+        visit(ast.parse(source), file, "<module>")
+    return found
+
+
+def test_the_check_finds_a_second_squared_modulus():
+    sources = {
+        "a.py": (
+            "def kernel(amp):\n"
+            "    return amp.real**2 + amp.imag**2\n"
+            "def rows(amp, raw):\n"
+            "    raw[0] += (amp @ amp).imag ** 2 + (amp @ amp).real ** 2\n"
+            "    return amp.real**2 + raw.imag**2, amp.real**3 + amp.imag**3\n"
+        ),
+        "b.py": (
+            "import numpy as np\n"
+            "TOTAL = np.ones(2).real ** 2 + np.ones(2).imag ** 2\n"
+            "def norm(x):\n"
+            "    return np.abs(x) ** 2 + x.real * x.real\n"
+        ),
+    }
+    assert squared_moduli(sources) == ["a.py: kernel", "a.py: rows", "b.py: <module>"]
+
+
+def test_the_conditional_contraction_is_written_in_one_function():
+    # tables, scalar queries and chain rows all read states._conditional_kernel,
+    # so the sum over |<b|A_w[:, r]>|^2 is written once
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert squared_moduli(sources) == ["states.py: _conditional_kernel"]

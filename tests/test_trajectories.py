@@ -13,16 +13,20 @@ from modaldyn import (
     KrausChannel,
     LindbladGenerator,
     NormalizationError,
+    ProbabilityBoundsError,
     ProblemTooLargeError,
     PureState,
     SystemLayout,
     TimeGrid,
     amplitude_damping_qubit,
     build_step_chain,
+    conditional_table,
     evolve,
     run_ensemble,
+    trivial_partition,
 )
 from modaldyn import linalg, trajectories
+from modaldyn.channels import iterate
 from modaldyn.scenarios import dephasing_qubit
 from modaldyn.tolerances import CHAIN_ROW_SUM_TOL
 from modaldyn.trajectories import ENSEMBLE_BLOCK
@@ -500,6 +504,19 @@ def test_row_sum_error_reports_plain_numbers():
     assert any(abs(x - 0.71349520313981) < 1e-12 for x in numbers)
 
 
+def test_bound_error_names_the_step_in_plain_numbers():
+    # within the channel's completeness bound (1e-9), the excited entry's row
+    # reaches 1 + 5e-10, past the result bound 1 + 1e-10
+    step = KrausChannel(np.diag([1.0, np.sqrt(1.0 + 5e-10)])[None])
+    rho0 = DensityMatrix(np.diag([0.9, 0.1]).astype(complex), QUBIT)
+    with pytest.raises(ProbabilityBoundsError) as info:
+        build_step_chain(step, rho0, TimeGrid(0.1, 1), mode="permissive")
+    assert str(info.value) == (
+        "step 0 from grid point 0 (t=0): conditional probability 1.0000000005"
+        " at [a, b] = (1, 1) exceeds 1 + 1e-10"
+    )
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     st.lists(st.integers(2, 3), min_size=1, max_size=2),
@@ -514,6 +531,7 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
     ch = random_kraus_channel(d, n_ops, rng)
     chain = build_step_chain(ch, rho0, TimeGrid(1.0, 2), mode="permissive")
     c = chain.counts
+    states = iterate(ch, rho0.matrix, 2)
     for k, rows in enumerate(_unpadded(chain)[1]):
         vecs_t, vecs_tp = chain.vectors[k, :, : c[k]], chain.vectors[k + 1, :, : c[k + 1]]
         for a in range(vecs_t.shape[1]):
@@ -523,6 +541,12 @@ def test_chain_rows_match_kraus_quadratic_forms(dims, n_ops, seed):
             for b in range(vecs_tp.shape[1]):
                 want = (vecs_tp[:, b].conj() @ evolved @ vecs_tp[:, b]).real
                 assert abs(rows[a, b] - want) < 1e-12
+        # the step's rows are the one-block table of its grid state, readings included
+        table = conditional_table(
+            DensityMatrix(states[k], layout), ch, trivial_partition(layout), mode="permissive"
+        )
+        assert table.probabilities.shape == rows.shape
+        assert np.abs(table.probabilities - rows).max() <= 1e-13
 
 
 def test_intermediate_states_are_validated():
