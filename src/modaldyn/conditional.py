@@ -45,7 +45,7 @@ import numpy as np
 
 from .channels import Dynamics, amplitudes, apply
 from .errors import LayoutMismatchError, NormalizationError, ProbabilityBoundsError
-from .linalg import Record, SystemLayout, Value
+from .linalg import Record, SystemLayout, Value, _labels
 from .states import (
     STRICT, EpistemicState, State, _check_bound, _check_mode, _conditional_kernel,
     _refuse_degeneracy, extract_block, extract_epistemic,
@@ -70,7 +70,7 @@ class Partition(Value):
     def __init__(self, layout, blocks) -> None:
         if not blocks:
             raise LayoutMismatchError("partition needs at least one block")
-        if not all(blocks):
+        if not all(_labels(blocks)):
             raise LayoutMismatchError("empty partition block")
         canon = tuple(
             tuple(layout.labels[p] for p in layout.positions(b)) for b in blocks

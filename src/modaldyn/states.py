@@ -6,14 +6,16 @@ state: each retained eigenvector is a candidate pure state of the system (an
 occupies that state; :class:`EpistemicState` keeps both as arrays. The
 decomposition is unique exactly when the spectrum is nondegenerate, so
 degenerate eigenvalue clusters are flagged, and refused in strict mode. The
-reading rules that tables, queries, chains and the CLI share live here: a
-block's reading (``extract_block``); the threshold's range, checked where a
-reading starts; ``_refuse_degeneracy``; the conditional kernel of tables,
-queries and chain rows (``_conditional_kernel``) and the bound on its result.
+reading rules that tables, queries, chains and the CLI share live here: one
+reader of spectra (``_read_spectra``), which checks a matrix that no record
+holds (a block, a chain's grid state) on the decomposition that reads it, as a
+``DensityMatrix`` is checked once, when built; a block's reading
+(``extract_block``); the threshold's range, checked where a reading starts;
+``_refuse_degeneracy``; the conditional kernel of tables, queries and chain
+rows (``_conditional_kernel``) and the bound on its result.
 
 A pure state of a large layout is carried as its vector (:class:`PureState`)
-rather than as a dense matrix; its reductions are formed from the Schmidt
-form of the vector and are ordinary validated density matrices.
+rather than as a dense matrix, and reduced through its Schmidt form.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def _density_fault(
 class DensityMatrix(Record):
     """Hermitian, unit-trace, positive-semidefinite operator with a layout.
 
-    Validation runs at construction: Hermiticity within ``HERMITICITY_TOL``,
-    trace within ``TRACE_TOL``, minimum eigenvalue >= ``-PSD_TOL``.
-    Instances are immutable.
+    Validation runs at construction, and not again when the record is read:
+    Hermiticity within ``HERMITICITY_TOL``, trace within ``TRACE_TOL``,
+    minimum eigenvalue >= ``-PSD_TOL``. Instances are immutable.
     """
 
     matrix: np.ndarray
@@ -131,8 +133,11 @@ class DensityMatrix(Record):
 
     def reduce(self, keep: Sequence[str]) -> "DensityMatrix":
         """Reduced density matrix of the named factors."""
+        return DensityMatrix(*self._reduced(keep))
+
+    def _reduced(self, keep: Sequence[str]) -> tuple[np.ndarray, SystemLayout]:
         sub = linalg.partial_trace(self.matrix, self.layout, keep)
-        return DensityMatrix(sub, self.layout.sublayout(keep))
+        return sub, self.layout.sublayout(keep)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, layout: SystemLayout) -> "DensityMatrix":
@@ -179,6 +184,9 @@ class PureState(Record):
         layout order) and reshaped to ``(d_keep, -1)``: the Schmidt form of
         the vector across the cut.
         """
+        return DensityMatrix(*self._reduced(keep))
+
+    def _reduced(self, keep: Sequence[str]) -> tuple[np.ndarray, SystemLayout]:
         sub = self.layout.sublayout(keep)
         d_keep = sub.total_dim
         check_memory(d_keep * d_keep, f"the reduced density matrix of {sub.labels}")
@@ -186,7 +194,7 @@ class PureState(Record):
         m = np.moveaxis(
             self.vector.reshape(self.layout.dims), pos, tuple(range(len(pos)))
         ).reshape(d_keep, -1)
-        return DensityMatrix(m @ m.conj().T, sub)
+        return m @ m.conj().T, sub
 
 
 State = Union[DensityMatrix, PureState]
@@ -289,28 +297,28 @@ def extract_epistemic(
         raise InvalidDensityMatrixError(
             "extract_epistemic expects a DensityMatrix or a PureState"
         )
-    _check_threshold(threshold)
     if isinstance(rho, PureState):
+        _check_threshold(threshold)
         return EpistemicState(np.ones(1), rho.vector[:, None], rho.layout)
-    # Hermiticity was checked when the DensityMatrix was built
-    w, v = linalg._ordered_eig(rho.matrix)
-    probs, counts, close = _read_spectra(w[None], threshold)
-    n = int(counts[0])
-    return EpistemicState(
-        probs[0, :n],
-        v[:, :n],
-        rho.layout,
-        degenerate_clusters=_degenerate_clusters(close[0]),
-        truncation_mass=float(probs[0, n:].sum()),
-    )
+    return _read_one(rho.matrix, rho.layout, threshold, checked=True)
 
 
 def extract_block(rho: State, labels: Sequence[str], threshold: float) -> EpistemicState:
-    """The reading of ``rho``'s factors ``labels``: of ``rho`` itself when they
-    name every factor, with no partial trace, else of its reduction to them."""
-    if len(rho.layout.positions(labels)) < rho.layout.n_factors:
-        rho = rho.reduce(labels)
-    return extract_epistemic(rho, threshold)
+    """The reading of ``rho``'s factors ``labels``: of ``rho`` if they name every
+    factor, else of ``reduce``'s matrix, checked on the ``eigh`` that reads it."""
+    if len(rho.layout.positions(labels)) == rho.layout.n_factors:
+        return extract_epistemic(rho, threshold)
+    return _read_one(*rho._reduced(labels), threshold)
+
+
+def _read_one(
+    mat: np.ndarray, layout: SystemLayout, threshold: float, checked: bool = False
+) -> EpistemicState:
+    """``_read_spectra`` of one matrix, as an epistemic state."""
+    v, probs, counts, close = _read_spectra(mat[None], threshold, checked=checked)
+    n = int(counts[0])
+    clusters, mass = _degenerate_clusters(close[0]), float(probs[0, n:].sum())
+    return EpistemicState(probs[0, :n], v[0, :, :n], layout, clusters, mass)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -319,23 +327,29 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _read_spectra(
-    w: np.ndarray,
+    mats: np.ndarray,
     threshold: float,
     mode: str = PERMISSIVE,
     where: Optional[Callable[[int], str]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The epistemic reading of ``n`` density matrices from their spectra.
+    checked: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The epistemic reading of ``n`` density matrices ``(n, d, d)``.
 
-    ``w`` holds their eigenvalues ``(n, d)``, descending; the purity
-    ``Tr rho^2`` of each is the sum of its squares. Returns ``(probs, counts,
-    close)``: ``probs`` is ``w`` with a nearly pure spectrum read as
-    ``(1, 0, ..)``; ``counts`` are the kept prefix lengths; ``close[:, j]``
-    marks kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``.
-    The first matrix that keeps no eigenvalue, or in strict mode has close
-    ones, is refused; ``where(k)`` names matrix ``k``, and must be given in
-    strict mode. Keeping no eigenvalue is the threshold's fault, a
-    ``ValueError``; the threshold's range is the caller's to check.
-    """
+    One ``eigh`` call decomposes them; unless they are ``checked`` records,
+    ``_density_fault`` checks them on its eigenvalues ``w``. Returns ``(v,
+    probs, counts, close)``: eigenvectors, descending; ``w`` with a nearly pure
+    spectrum read as ``(1, 0, ..)``; kept prefix lengths; ``close[:, j]`` marks
+    kept eigenvalues ``j`` and ``j + 1`` closer than ``DEGENERACY_GAP``. Errors
+    come in stack order, as if each matrix were built as a record and read:
+    the first that is no density matrix, keeps no eigenvalue (the threshold's
+    fault, a ``ValueError``; its range is checked once a matrix passes) or in
+    strict mode has close ones is refused, after ``where(k)`` naming matrix
+    ``k``, required in strict mode."""
+    w, v = linalg._ordered_eig(mats)
+    fault = None if checked else _density_fault(mats, w)
+    w = w if fault is None else w[: fault[0]]
+    if len(w):
+        _check_threshold(threshold)
     d = w.shape[1]
     pure = (w * w).sum(axis=1) > 1.0 - PURITY_SHORTCUT
     counts = np.where(pure, 1, (w >= threshold).sum(axis=1))
@@ -351,7 +365,9 @@ def _read_spectra(
             why += f" being {w[k, 0]:.15g}"
             raise ValueError(f"{where(k)}: {why}" if where else why)
         _refuse_degeneracy(mode, _degenerate_clusters(close[k]), where(k))
-    return probs, counts, close
+    if fault is not None:
+        raise InvalidDensityMatrixError(f"{where(len(w))}: {fault[1]}" if where else fault[1])
+    return v, probs, counts, close
 
 
 def _refuse_degeneracy(

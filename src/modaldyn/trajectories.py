@@ -12,15 +12,14 @@ with that caveat.
 
 A chain is a fixed set of whole-grid arrays, read from the step channel as it
 is. ``channels.iterate`` pushes rho along the grid into one ``(n_times, d, d)``
-stack, which one stacked eigendecomposition reads; the density-matrix checks
-and the epistemic reading of :mod:`modaldyn.states` run over it at once. Errors
-name the grid point or step, in grid order. Each step's rows are the one-block
-case of ``states._conditional_kernel``, the tables' kernel, called once per
-``CHAIN_CHUNK`` steps on the amplitude stacks ``channels.amplitudes`` gives for
-the kept eigenvectors of those grid points, and must sum to one within
-``CHAIN_ROW_SUM_TOL``. The step passes the tables' gate ``channels.steps``, and
-the chain reads by the tables' rules in :mod:`modaldyn.states` (threshold
-range, strict-mode refusal, result bound).
+stack, which ``states._read_spectra``, the reader of block spectra, checks and
+reads on one ``eigh`` call; errors name the grid point or step, in grid order.
+Each step's rows are the one-block case of ``states._conditional_kernel``, the
+tables' kernel, called once per ``CHAIN_CHUNK`` steps on the amplitude stacks
+``channels.amplitudes`` gives for the kept eigenvectors of those grid points,
+and must sum to one within ``CHAIN_ROW_SUM_TOL``. The step passes the tables'
+gate ``channels.steps``, and the chain reads by the tables' rules in
+:mod:`modaldyn.states` (threshold range, strict-mode refusal, result bound).
 
 Branch identity across time is kept by eigenvector overlap: entries at t+dt
 are greedily matched to entries at t by largest |<psi_i(t)|psi_j(t+dt)>|,
@@ -57,11 +56,11 @@ import numpy as np
 
 from . import linalg
 from .channels import KrausChannel, _not_kraus, amplitudes, iterate, steps
-from .errors import InvalidDensityMatrixError, NormalizationError
-from .linalg import Record, Value, _ordered_eig, check_memory
+from .errors import NormalizationError
+from .linalg import Record, Value, check_memory
 from .states import (
     STRICT, PureState, State, _check_bound, _check_mode, _check_threshold,
-    _conditional_kernel, _density_fault, _read_spectra,
+    _conditional_kernel, _read_spectra,
 )
 from .tolerances import CHAIN_ROW_SUM_TOL, DEFAULT_THRESHOLD
 
@@ -349,23 +348,16 @@ def build_step_chain(
         f"({16 * n_times * d * d} bytes for the states alone)",
     )
     states = iterate(step_channel, rho0.matrix, n_steps)
-    w, v = _ordered_eig(states)
 
     def point(k: int) -> str:
         return f"grid point {k} (t={k * grid.dt:g})"
 
-    # errors come in grid order, as if each point were read as it is reached
-    fault = _density_fault(states, w)
-    n_ok = n_times if fault is None else fault[0]
-    probs, counts, _ = _read_spectra(w[:n_ok], threshold, mode, point)
-    if fault is not None:
-        raise InvalidDensityMatrixError(f"{point(n_ok)}: {fault[1]}")
-
+    v, probs, counts, _ = _read_spectra(states, threshold, mode, point)
     m = int(counts.max())
     kept = np.arange(m) < counts[:, None]
     probs = np.where(kept, probs[:, :m], 0.0)
     vectors = np.where(kept[:, None, :], v[:, :, :m], 0.0)
-    del states, w, v
+    del states, v
     # read before the rows: after them, the scan's temporaries kept the
     # freed row arrays from going back to the system (peak RSS 149.5 MB
     # against 134.6 MB for sample --steps 100000 --n 1 on glibc)

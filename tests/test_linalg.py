@@ -77,7 +77,7 @@ def test_a_bare_string_is_refused_wherever_labels_are_read():
         ("A", lambda: rho.reduce("A")),
         ("B", lambda: pure.reduce("B")),
         ("AB", lambda: Partition(layout, ("AB",))),
-        ("A", lambda: Partition(layout, "AB")),
+        ("AB", lambda: Partition(layout, "AB")),
         ("AB", lambda: extract_block(rho, "AB", 0.0)),
     ):
         with pytest.raises(TypeError, match=f"^labels must be .*, not the string '{text}'$"):

@@ -174,6 +174,84 @@ def test_a_block_of_every_factor_is_read_as_the_state_itself(monkeypatch):
             assert e.layout == expected.layout
 
 
+def test_one_decomposition_per_block_read(monkeypatch):
+    # a block that no record holds is checked on the eigh that reads it
+    from modaldyn import TimeGrid, build_step_chain, evolve
+    from modaldyn.scenarios import amplitude_damping_qubit, von_neumann_measurement
+    from modaldyn.states import extract_block
+
+    rng = np.random.default_rng(5)
+    rho = random_density_matrix(SystemLayout((2, 3), ("A", "B")), rng)
+    sc = von_neumann_measurement(np.sqrt(0.3), np.sqrt(0.7), n_env=3)
+    part = Partition(sc.layout, (("S",), ("P",), ("E1", "E2", "E3")))
+    damping = amplitude_damping_qubit(1.0, DensityMatrix(np.diag([0.3, 0.7]), QUBIT))
+    grid = TimeGrid(0.25, 4)
+    step = evolve(damping.dynamics, grid.dt)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(read):
+        calls.clear()
+        read()
+        return len(calls)
+
+    assert count(lambda: extract_block(rho, ("B",), 0.0)) == 1
+    assert count(lambda: conditional_table(sc.initial_state, sc.dynamics, part)) == 3
+    # the chain's one stacked eigh reads and checks every grid state
+    assert count(lambda: build_step_chain(step, damping.initial_state, grid)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=2, max_size=4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-3, 1e-2]),
+)
+def test_a_block_read_is_the_reading_of_its_reduction(dims, pure, seed, threshold):
+    from modaldyn.states import extract_block
+
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout(tuple(dims), tuple(f"Q{k}" for k in range(len(dims))))
+    d = layout.total_dim
+    if pure:
+        rho = PureState(random_state_vector(d, rng), layout)
+    else:
+        rho = random_density_matrix(layout, rng, rank=int(rng.integers(1, d + 1)))
+    n = int(rng.integers(1, len(dims)))
+    labels = tuple(rng.permutation(layout.labels)[:n])
+    e = extract_block(rho, labels, threshold)
+    want = extract_epistemic(rho.reduce(labels), threshold)
+    assert e.layout == want.layout
+    assert np.array_equal(e.probabilities, want.probabilities)
+    assert np.array_equal(e.vectors, want.vectors)
+    assert e.degenerate_clusters == want.degenerate_clusters
+    assert e.truncation_mass == want.truncation_mass
+
+
+def test_a_block_read_refuses_what_its_reduction_refuses():
+    # each eigenvalue of the pair is within PSD_TOL, A's reduction is not
+    from modaldyn.states import extract_block
+
+    eps = 0.9e-10
+    rho = DensityMatrix(
+        np.diag([0.5 + eps, 0.5 + eps, -eps, -eps]), SystemLayout.qubits(("A", "B"))
+    )
+    messages = []
+    for read in (
+        lambda: extract_block(rho, ("A",), 0.0),
+        lambda: extract_epistemic(rho.reduce(("A",)), 0.0),
+    ):
+        with pytest.raises(InvalidDensityMatrixError) as info:
+            read()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "minimum eigenvalue -1.800e-10 below -1.0e-10"
+
+
 def test_epistemic_state_rejects_non_orthogonal_entries():
     vectors = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])
     with pytest.raises(NonOrthogonalEntriesError):
